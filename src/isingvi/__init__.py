@@ -5,7 +5,6 @@ exact small-instance references, and an ellipsoid-method solver for the
 optimal fixed point of either variational objective.
 """
 
-from ._kernels import HAS_NUMBA, get_backend, set_backend
 from .bp import (LocalDistribution, RegionMembership, beliefs_from_messages,
                  bp_error_bound, bp_iterate, bp_step, dual_bethe,
                  dual_bethe_gradient, local_consistency_check,
@@ -20,7 +19,7 @@ from .meanfield import (bernoulli_entropy, mf_error_bound,
                         mf_objective, mf_step)
 from .model import (DomainError, IsingModel, ModelError, ModelNorms,
                     ParseError, generate_topology, load_model, model_hash,
-                    model_norms, save_model, validate_ferromagnetic)
+                    save_model, validate_ferromagnetic)
 from .oracle import (ExactResult, SizeGuardError, brute_force_bethe_optimum,
                      brute_force_mf_optimum, exact_log_z,
                      exact_result_from_csv, exact_result_to_csv,
@@ -30,9 +29,8 @@ from .trace import IterationTrace, trace_from_csv, trace_meta, trace_to_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAS_NUMBA", "get_backend", "set_backend",
     "IsingModel", "ModelError", "ParseError", "DomainError", "ModelNorms",
-    "model_norms", "validate_ferromagnetic", "load_model", "save_model",
+    "validate_ferromagnetic", "load_model", "save_model",
     "model_hash", "generate_topology",
     "mf_objective", "mf_gradient", "mf_step", "mf_iterate", "mf_error_bound",
     "mf_fixed_point_residual", "bernoulli_entropy",

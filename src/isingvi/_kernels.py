@@ -1,34 +1,25 @@
-"""Hot iteration kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot iteration kernels on flat numpy arrays, and the formulas they share.
 
-The backend is selected at import time from the ISINGVI_BACKEND environment
-variable ("numba" or "numpy"); the default is numba when it is importable.
-Both backends expose mf_run, bp_run, and enumerate_exact with identical
-signatures and agree to float round-off. set_backend/get_backend switch at
-runtime (used by tests and the benchmark).
+mf_run and bp_run are the synchronous mean-field and BP sweeps; enumerate_exact
+sums over all 2^n spin configurations. The private helpers below hold the one
+implementation of the BP message update, the Bethe dual and the mean-field
+objective: the public functions in bp and meanfield check their arguments and
+call them, and the sweeps call them once per step.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
 _LOG2 = math.log(2.0)
+# Largest |theta * nu| (or |x|) passed to arctanh, so that tanh(J) rounding to
+# 1.0 in float64 gives a large finite log-ratio instead of inf.
 _CLAMP = 1.0 - 1e-15
 
 
-# ---------------------------------------------------------------- numpy backend
-
-def _entropy_sum_numpy(x):
+def _entropy_sum(x):
     # H(x) = log 2 - [(1+x)log(1+x) + (1-x)log(1-x)]/2 with 0 log 0 = 0.
     total = x.shape[0] * _LOG2
     xp = 1.0 + x
@@ -40,17 +31,50 @@ def _entropy_sum_numpy(x):
     return total
 
 
-def _mf_objective_numpy(ei, ej, jw, h, x):
+def _mf_objective(ei, ej, jw, h, x):
+    """Mean-field objective sum_e J_e x_i x_j + h . x + sum_i H(x_i)."""
     energy = float(jw @ (x[ei] * x[ej])) + float(h @ x)
-    return energy + _entropy_sum_numpy(x)
+    return energy + _entropy_sum(x)
 
 
-def _grad_l1_numpy(y, x):
+def _grad_l1(y, x):
     xc = np.clip(x, -_CLAMP, _CLAMP)
     return float(np.abs(y - np.arctanh(xc)).sum())
 
 
-def _mf_run_numpy(dir_src, dir_dst, dir_w, h, ei, ej, jw, x0, max_steps, tol, record):
+def _clamped_atanh(theta_dir, nu):
+    """arctanh(theta nu) per directed edge, with theta nu clamped to +-_CLAMP."""
+    # The method call skips np.clip's wrapper, which costs more than the clip
+    # itself on small graphs; the sweep calls this once per step.
+    t = theta_dir * nu
+    t.clip(-_CLAMP, _CLAMP, out=t)
+    return np.arctanh(t, out=t)
+
+
+def _bp_update(theta_dir, h_src, exc_idx, seg_id, nu):
+    """Synchronous BP update: for each directed edge i -> j, tanh of h_i plus the
+    clamped arctanh(theta nu) of the edges into i other than j -> i."""
+    a = _clamped_atanh(theta_dir, nu)
+    ex = np.bincount(seg_id, weights=a[exc_idx], minlength=nu.shape[0])
+    return np.tanh(h_src + ex)
+
+
+def _bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu):
+    """Message-space dual sum_i F_i - sum_ij F_ij; lc_total = sum_e log cosh J_e."""
+    n = h.shape[0]
+    t1 = theta_dir * nu
+    # theta nu == 1.0 gives log1p(-1) = -inf, the exact log 0, which logaddexp
+    # absorbs; only the divide warning is silenced.
+    with np.errstate(divide="ignore"):
+        log_minus = np.log1p(-t1)
+    lp = h + np.bincount(dir_dst, weights=np.log1p(t1), minlength=n)
+    lm = -h + np.bincount(dir_dst, weights=log_minus, minlength=n)
+    fi = float(np.logaddexp(lp, lm).sum())
+    fe = float(np.log1p(theta_e * nu[0::2] * nu[1::2]).sum())
+    return fi - fe + lc_total
+
+
+def mf_run(dir_src, dir_dst, dir_w, h, ei, ej, jw, x0, max_steps, tol, record):
     n = h.shape[0]
     x = x0.copy()
     obj = np.full(max_steps + 1, np.nan)
@@ -58,18 +82,19 @@ def _mf_run_numpy(dir_src, dir_dst, dir_w, h, ei, ej, jw, x0, max_steps, tol, re
     grad_l1 = np.full(max_steps + 1, np.nan)
     y = np.bincount(dir_dst, weights=dir_w * x[dir_src], minlength=n) + h
     if record:
-        obj[0] = _mf_objective_numpy(ei, ej, jw, h, x)
-        grad_l1[0] = _grad_l1_numpy(y, x)
+        obj[0] = _mf_objective(ei, ej, jw, h, x)
+        grad_l1[0] = _grad_l1(y, x)
     steps = 0
     converged = False
     for t in range(1, max_steps + 1):
         xn = np.tanh(y)
-        step_inf[t] = float(np.max(np.abs(xn - x)))
+        # ufunc reduce: np.max's wrapper costs more than the max on small graphs
+        step_inf[t] = float(np.maximum.reduce(np.abs(xn - x)))
         x = xn
         y = np.bincount(dir_dst, weights=dir_w * x[dir_src], minlength=n) + h
         if record:
-            obj[t] = _mf_objective_numpy(ei, ej, jw, h, x)
-            grad_l1[t] = _grad_l1_numpy(y, x)
+            obj[t] = _mf_objective(ei, ej, jw, h, x)
+            grad_l1[t] = _grad_l1(y, x)
         steps = t
         if step_inf[t] < tol:
             converged = True
@@ -78,37 +103,23 @@ def _mf_run_numpy(dir_src, dir_dst, dir_w, h, ei, ej, jw, x0, max_steps, tol, re
     return x, obj[:k].copy(), step_inf[:k].copy(), grad_l1[:k].copy(), steps, converged
 
 
-def _dual_numpy(dir_dst, theta_e, theta_dir, h, lc_total, nu):
-    n = h.shape[0]
-    t1 = theta_dir * nu
-    lp = h + np.bincount(dir_dst, weights=np.log1p(t1), minlength=n)
-    lm = -h + np.bincount(dir_dst, weights=np.log1p(-t1), minlength=n)
-    fi = float(np.logaddexp(lp, lm).sum())
-    fe = float(np.log1p(theta_e * nu[0::2] * nu[1::2]).sum())
-    return fi - fe + lc_total
-
-
-def _bp_run_numpy(dir_src, dir_dst, theta_e, h, exc_ptr, exc_idx, lc_total,
-                  nu0, max_steps, tol, record):
-    ndir = dir_src.shape[0]
+def bp_run(dir_src, dir_dst, theta_e, h, exc_idx, seg_id, lc_total,
+           nu0, max_steps, tol, record):
     theta_dir = np.repeat(theta_e, 2)
-    seg_id = np.repeat(np.arange(ndir, dtype=np.int64), np.diff(exc_ptr))
+    h_src = h[dir_src]
     nu = nu0.copy()
     dual = np.full(max_steps + 1, np.nan)
     step_inf = np.full(max_steps + 1, np.nan)
     if record:
-        dual[0] = _dual_numpy(dir_dst, theta_e, theta_dir, h, lc_total, nu)
+        dual[0] = _bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu)
     steps = 0
     converged = False
-    h_src = h[dir_src]
     for t in range(1, max_steps + 1):
-        a = np.arctanh(theta_dir * nu)
-        ex = np.bincount(seg_id, weights=a[exc_idx], minlength=ndir)
-        nn = np.tanh(h_src + ex)
-        step_inf[t] = float(np.max(np.abs(nn - nu), initial=0.0))
+        nn = _bp_update(theta_dir, h_src, exc_idx, seg_id, nu)
+        step_inf[t] = float(np.maximum.reduce(np.abs(nn - nu), initial=0.0))
         nu = nn
         if record:
-            dual[t] = _dual_numpy(dir_dst, theta_e, theta_dir, h, lc_total, nu)
+            dual[t] = _bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu)
         steps = t
         if step_inf[t] < tol:
             converged = True
@@ -117,7 +128,7 @@ def _bp_run_numpy(dir_src, dir_dst, theta_e, h, exc_ptr, exc_idx, lc_total,
     return nu, dual[:k].copy(), step_inf[:k].copy(), steps, converged
 
 
-def _enumerate_numpy(n, ei, ej, jw, h, adj_ptr, adj_nbr, adj_w):
+def enumerate_exact(n, ei, ej, jw, h):
     total = 1 << n
     m = ei.shape[0]
     chunk = 1 << 16
@@ -148,265 +159,3 @@ def _enumerate_numpy(n, ei, ej, jw, h, adj_ptr, adj_nbr, adj_w):
             corr_acc[e] += float(w @ (x[:, ei[e]] * x[:, ej[e]]))
     log_z = run_max + math.log(z_acc)
     return log_z, mean_acc / z_acc, corr_acc / z_acc
-
-
-# ---------------------------------------------------------------- numba backend
-
-def _mf_run_loops(dir_src, dir_dst, dir_w, h, ei, ej, jw, x0, max_steps, tol, record):
-    n = h.shape[0]
-    ndir = dir_src.shape[0]
-    m = ei.shape[0]
-    x = x0.copy()
-    obj = np.full(max_steps + 1, np.nan)
-    step_inf = np.full(max_steps + 1, np.nan)
-    grad_l1 = np.full(max_steps + 1, np.nan)
-    y = np.empty(n)
-    for i in range(n):
-        y[i] = h[i]
-    for d in range(ndir):
-        y[dir_dst[d]] += dir_w[d] * x[dir_src[d]]
-    if record:
-        s = 0.0
-        for e in range(m):
-            s += jw[e] * x[ei[e]] * x[ej[e]]
-        g = 0.0
-        for i in range(n):
-            s += h[i] * x[i]
-            s += _LOG2
-            xp = 1.0 + x[i]
-            xm = 1.0 - x[i]
-            if xp > 0.0:
-                s -= 0.5 * xp * math.log(xp)
-            if xm > 0.0:
-                s -= 0.5 * xm * math.log(xm)
-            xc = x[i]
-            if xc > _CLAMP:
-                xc = _CLAMP
-            elif xc < -_CLAMP:
-                xc = -_CLAMP
-            g += abs(y[i] - math.atanh(xc))
-        obj[0] = s
-        grad_l1[0] = g
-    steps = 0
-    converged = False
-    for t in range(1, max_steps + 1):
-        delta = 0.0
-        for i in range(n):
-            xi = math.tanh(y[i])
-            di = abs(xi - x[i])
-            if di > delta:
-                delta = di
-            x[i] = xi
-        for i in range(n):
-            y[i] = h[i]
-        for d in range(ndir):
-            y[dir_dst[d]] += dir_w[d] * x[dir_src[d]]
-        step_inf[t] = delta
-        if record:
-            s = 0.0
-            for e in range(m):
-                s += jw[e] * x[ei[e]] * x[ej[e]]
-            g = 0.0
-            for i in range(n):
-                s += h[i] * x[i]
-                s += _LOG2
-                xp = 1.0 + x[i]
-                xm = 1.0 - x[i]
-                if xp > 0.0:
-                    s -= 0.5 * xp * math.log(xp)
-                if xm > 0.0:
-                    s -= 0.5 * xm * math.log(xm)
-                xc = x[i]
-                if xc > _CLAMP:
-                    xc = _CLAMP
-                elif xc < -_CLAMP:
-                    xc = -_CLAMP
-                g += abs(y[i] - math.atanh(xc))
-            obj[t] = s
-            grad_l1[t] = g
-        steps = t
-        if delta < tol:
-            converged = True
-            break
-    k = steps + 1
-    return x, obj[:k].copy(), step_inf[:k].copy(), grad_l1[:k].copy(), steps, converged
-
-
-def _bp_run_loops(dir_src, dir_dst, theta_e, h, exc_ptr, exc_idx, lc_total,
-                  nu0, max_steps, tol, record):
-    n = h.shape[0]
-    ndir = dir_src.shape[0]
-    m = theta_e.shape[0]
-    nu = nu0.copy()
-    nn = np.empty(ndir)
-    a = np.empty(ndir)
-    lp = np.empty(n)
-    lm = np.empty(n)
-    dual = np.full(max_steps + 1, np.nan)
-    step_inf = np.full(max_steps + 1, np.nan)
-    if record:
-        for i in range(n):
-            lp[i] = h[i]
-            lm[i] = -h[i]
-        for d in range(ndir):
-            t1 = theta_e[d >> 1] * nu[d]
-            lp[dir_dst[d]] += math.log1p(t1)
-            lm[dir_dst[d]] += math.log1p(-t1)
-        s = lc_total
-        for i in range(n):
-            hi_v = lp[i] if lp[i] > lm[i] else lm[i]
-            s += hi_v + math.log1p(math.exp(-abs(lp[i] - lm[i])))
-        for e in range(m):
-            s -= math.log1p(theta_e[e] * nu[2 * e] * nu[2 * e + 1])
-        dual[0] = s
-    steps = 0
-    converged = False
-    for t in range(1, max_steps + 1):
-        for d in range(ndir):
-            a[d] = math.atanh(theta_e[d >> 1] * nu[d])
-        delta = 0.0
-        for d in range(ndir):
-            s = h[dir_src[d]]
-            for k in range(exc_ptr[d], exc_ptr[d + 1]):
-                s += a[exc_idx[k]]
-            v = math.tanh(s)
-            di = abs(v - nu[d])
-            if di > delta:
-                delta = di
-            nn[d] = v
-        for d in range(ndir):
-            nu[d] = nn[d]
-        step_inf[t] = delta
-        if record:
-            for i in range(n):
-                lp[i] = h[i]
-                lm[i] = -h[i]
-            for d in range(ndir):
-                t1 = theta_e[d >> 1] * nu[d]
-                lp[dir_dst[d]] += math.log1p(t1)
-                lm[dir_dst[d]] += math.log1p(-t1)
-            s = lc_total
-            for i in range(n):
-                hi_v = lp[i] if lp[i] > lm[i] else lm[i]
-                s += hi_v + math.log1p(math.exp(-abs(lp[i] - lm[i])))
-            for e in range(m):
-                s -= math.log1p(theta_e[e] * nu[2 * e] * nu[2 * e + 1])
-            dual[t] = s
-        steps = t
-        if delta < tol:
-            converged = True
-            break
-    k = steps + 1
-    return nu, dual[:k].copy(), step_inf[:k].copy(), steps, converged
-
-
-def _enumerate_loops(n, ei, ej, jw, h, adj_ptr, adj_nbr, adj_w):
-    total = 1 << n
-    m = ei.shape[0]
-    x = np.full(n, -1.0)
-    e0 = 0.0
-    for e in range(m):
-        e0 += jw[e] * x[ei[e]] * x[ej[e]]
-    for i in range(n):
-        e0 += h[i] * x[i]
-    # Pass 1: maximum energy along the Gray-code walk.
-    emax = e0
-    energy = e0
-    for k in range(1, total):
-        kk = k
-        b = 0
-        while kk & 1 == 0:
-            kk >>= 1
-            b += 1
-        loc = h[b]
-        for p in range(adj_ptr[b], adj_ptr[b + 1]):
-            loc += adj_w[p] * x[adj_nbr[p]]
-        energy -= 2.0 * x[b] * loc
-        x[b] = -x[b]
-        if energy > emax:
-            emax = energy
-    # Pass 2: accumulate exp(E - emax) and the weighted statistics.
-    for i in range(n):
-        x[i] = -1.0
-    energy = e0
-    z = 0.0
-    means = np.zeros(n)
-    corrs = np.zeros(m)
-    w = math.exp(energy - emax)
-    z += w
-    for i in range(n):
-        means[i] += w * x[i]
-    for e in range(m):
-        corrs[e] += w * x[ei[e]] * x[ej[e]]
-    for k in range(1, total):
-        kk = k
-        b = 0
-        while kk & 1 == 0:
-            kk >>= 1
-            b += 1
-        loc = h[b]
-        for p in range(adj_ptr[b], adj_ptr[b + 1]):
-            loc += adj_w[p] * x[adj_nbr[p]]
-        energy -= 2.0 * x[b] * loc
-        x[b] = -x[b]
-        w = math.exp(energy - emax)
-        z += w
-        for i in range(n):
-            means[i] += w * x[i]
-        for e in range(m):
-            corrs[e] += w * x[ei[e]] * x[ej[e]]
-    log_z = emax + math.log(z)
-    return log_z, means / z, corrs / z
-
-
-if HAS_NUMBA:
-    _mf_run_numba = njit(cache=True)(_mf_run_loops)
-    _bp_run_numba = njit(cache=True)(_bp_run_loops)
-    _enumerate_numba = njit(cache=True)(_enumerate_loops)
-
-_IMPLS = {
-    "numpy": (_mf_run_numpy, _bp_run_numpy, _enumerate_numpy),
-}
-if HAS_NUMBA:
-    _IMPLS["numba"] = (_mf_run_numba, _bp_run_numba, _enumerate_numba)
-
-
-def _initial_backend():
-    name = os.environ.get("ISINGVI_BACKEND", "").strip().lower()
-    if not name:
-        return "numba" if HAS_NUMBA else "numpy"
-    if name == "numba" and not HAS_NUMBA:
-        warnings.warn("ISINGVI_BACKEND=numba but numba is not importable; using numpy")
-        return "numpy"
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"ISINGVI_BACKEND must be 'numba' or 'numpy', got {name!r}")
-    return name
-
-
-_active = _initial_backend()
-
-
-def get_backend() -> str:
-    return _active
-
-
-def set_backend(name: str) -> None:
-    if name not in _IMPLS:
-        raise ValueError(f"unknown backend {name!r}; available: {sorted(_IMPLS)}")
-    global _active
-    _active = name
-
-
-def mf_run(dir_src, dir_dst, dir_w, h, ei, ej, jw, x0, max_steps, tol, record):
-    return _IMPLS[_active][0](dir_src, dir_dst, dir_w, h, ei, ej, jw,
-                              x0, max_steps, tol, record)
-
-
-def bp_run(dir_src, dir_dst, theta_e, h, exc_ptr, exc_idx, lc_total,
-           nu0, max_steps, tol, record):
-    return _IMPLS[_active][1](dir_src, dir_dst, theta_e, h, exc_ptr, exc_idx,
-                              lc_total, nu0, max_steps, tol, record)
-
-
-def enumerate_exact(n, ei, ej, jw, h, adj_ptr, adj_nbr, adj_w):
-    return _IMPLS[_active][2](n, ei, ej, jw, h, adj_ptr, adj_nbr, adj_w)

@@ -27,7 +27,6 @@ from .meanfield import bernoulli_entropy
 from .model import DomainError, IsingModel, ModelNorms
 from .trace import IterationTrace
 
-_CLAMP = 1.0 - 1e-15
 _FIXED_POINT_TOL = 1e-12
 
 
@@ -38,19 +37,18 @@ def _check_messages(model: IsingModel, nu, name="nu"):
     return nu
 
 
-def _log_cosh(j):
-    """Elementwise log cosh, overflow-safe."""
-    j = np.abs(np.asarray(j, dtype=np.float64))
-    return j + np.log1p(np.exp(-2.0 * j)) - math.log(2.0)
+def _log_cosh_total(model: IsingModel) -> float:
+    """sum_e log cosh J_e, overflow-safe."""
+    j = model.couplings
+    return float((j + np.log1p(np.exp(-2.0 * j)) - math.log(2.0)).sum())
 
 
 def bp_step(model: IsingModel, nu):
     """One synchronous message update; all reads from nu, all writes to the result."""
     nu = _check_messages(model, nu)
-    exc_ptr, exc_idx, seg_id = model.exclusion_index()
-    a = np.arctanh(np.clip(model.theta_dir * nu, -_CLAMP, _CLAMP))
-    ex = np.bincount(seg_id, weights=a[exc_idx], minlength=2 * model.m)
-    return np.tanh(model.fields[model.dir_src] + ex)
+    _, exc_idx, seg_id = model.exclusion_index()
+    return _kernels._bp_update(model.theta_dir, model.fields[model.dir_src],
+                               exc_idx, seg_id, nu)
 
 
 def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
@@ -76,11 +74,11 @@ def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
         nu0 = _check_messages(model, init).copy()
         if nu0.size and float(np.max(np.abs(nu0))) > 1.0:
             raise DomainError("init messages must lie in [-1, 1]")
-    exc_ptr, exc_idx, _ = model.exclusion_index()
-    lc_total = float(_log_cosh(model.couplings).sum())
+    _, exc_idx, seg_id = model.exclusion_index()
     nu, dual, step_inf, steps, converged = _kernels.bp_run(
         model.dir_src, model.dir_dst, model.theta_edge, model.fields,
-        exc_ptr, exc_idx, lc_total, nu0, max_steps, float(tol), bool(record))
+        exc_idx, seg_id, _log_cosh_total(model), nu0, max_steps, float(tol),
+        bool(record))
     t = np.arange(steps + 1, dtype=np.int64)
     trace = IterationTrace(algo="bp", t=t, objective=dual, step_inf=step_inf,
                            bound=_bound_array(model.norms(), t), converged=converged)
@@ -97,12 +95,8 @@ def dual_bethe(model: IsingModel, nu) -> float:
     te = model.theta_edge * nu[0::2] * nu[1::2]
     if te.size and float((1.0 + te).min()) <= 0.0:
         raise DomainError("nonpositive log argument in edge term")
-    n = model.n
-    lp = model.fields + np.bincount(model.dir_dst, weights=np.log1p(t1), minlength=n)
-    lm = -model.fields + np.bincount(model.dir_dst, weights=np.log1p(-t1), minlength=n)
-    fi = float(np.logaddexp(lp, lm).sum())
-    fe = float(np.log1p(te).sum())
-    return fi - fe + float(_log_cosh(model.couplings).sum())
+    return _kernels._bethe_dual(model.dir_dst, model.theta_edge, model.theta_dir,
+                                model.fields, _log_cosh_total(model), nu)
 
 
 def dual_bethe_gradient(model: IsingModel, nu):
@@ -130,7 +124,7 @@ def dual_bethe_gradient(model: IsingModel, nu):
 def node_estimates(model: IsingModel, nu):
     """Per-node magnetization estimates tanh(h_i + sum_in arctanh(theta nu))."""
     nu = _check_messages(model, nu)
-    a = np.arctanh(np.clip(model.theta_dir * nu, -_CLAMP, _CLAMP))
+    a = _kernels._clamped_atanh(model.theta_dir, nu)
     s = model.fields + np.bincount(model.dir_dst, weights=a, minlength=model.n)
     return np.tanh(s)
 
@@ -255,7 +249,6 @@ def local_consistency_check(dist: LocalDistribution) -> float:
 def _cell_entropy(cells):
     """Row-wise entropy -sum p log p with 0 log 0 = 0; cells clipped at 0."""
     p = np.clip(cells, 0.0, None)
-    out = np.zeros(len(p))
     pos = p > 0.0
     terms = np.zeros_like(p)
     terms[pos] = p[pos] * np.log(p[pos])
@@ -294,8 +287,7 @@ def bp_error_bound(norms: ModelNorms, t, h_min=None):
     t = int(t)
     if t < 1:
         raise DomainError("t must be >= 1")
-    norms_term = norms.m * norms.n * (1.0 + norms.j_linf)
-    thm2 = math.sqrt(8.0 * norms_term / t)
+    thm2 = float(_bound_array(norms, np.array([t]))[0])
     if h_min is None:
         return thm2
     h_min = float(h_min)

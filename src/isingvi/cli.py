@@ -149,8 +149,13 @@ def _loglog_slope(ts, rs):
 
 
 def _monotone_ok(values) -> bool:
+    """Non-decreasing up to a slack relative to the objective's size
+    (absolute for objectives of size <= 1)."""
     v = values[np.isfinite(values)]
-    return bool(np.all(np.diff(v) >= -_MONOTONE_SLACK)) if v.size > 1 else True
+    if v.size < 2:
+        return True
+    slack = _MONOTONE_SLACK * max(1.0, float(np.abs(v).max()))
+    return bool(np.all(np.diff(v) >= -slack))
 
 
 def _bound_ok(trace, reference) -> bool:

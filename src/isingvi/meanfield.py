@@ -20,8 +20,6 @@ from . import _kernels
 from .model import DomainError, IsingModel, ModelNorms
 from .trace import IterationTrace
 
-_CLAMP = 1.0 - 1e-15
-
 
 def bernoulli_entropy(x):
     """Elementwise H(Ber((1+x)/2)) in nats, stable at the endpoints x = +-1."""
@@ -48,9 +46,8 @@ def mf_objective(model: IsingModel, x) -> float:
     x = _check_state(model, x)
     if x.size and float(np.max(np.abs(x))) > 1.0:
         raise DomainError("magnetizations must lie in [-1, 1]")
-    energy = float(model.couplings @ (x[model.edge_i] * x[model.edge_j]))
-    energy += float(model.fields @ x)
-    return energy + float(bernoulli_entropy(x).sum())
+    return _kernels._mf_objective(model.edge_i, model.edge_j, model.couplings,
+                                  model.fields, x)
 
 
 def mf_gradient(model: IsingModel, x):
@@ -116,12 +113,7 @@ def mf_error_bound(norms: ModelNorms, t) -> float:
     t = int(t)
     if t < 1:
         raise DomainError("t must be >= 1")
-    s = norms.j_l1 + norms.h_l1
-    lin = s / t
-    half = t // 2
-    if half == 0:
-        return lin
-    return min(lin, (s / half) ** (4.0 / 3.0))
+    return float(_bound_array(norms, np.array([t]))[0])
 
 
 def _bound_array(norms: ModelNorms, t: np.ndarray) -> np.ndarray:

@@ -114,7 +114,6 @@ class IsingModel:
         self.dir_dst[0::2] = hi
         self.dir_src[1::2] = hi
         self.dir_dst[1::2] = lo
-        self.dir_edge = np.repeat(np.arange(m, dtype=np.int64), 2)
         self.dir_coupling = np.repeat(couplings, 2)
         self.degrees = np.bincount(self.dir_src, minlength=n).astype(np.int64)
 
@@ -125,7 +124,7 @@ class IsingModel:
         self.theta_dir = np.repeat(self.theta_edge, 2)
 
         for a in (self.edges, self.couplings, self.fields, self.dir_src,
-                  self.dir_dst, self.dir_edge, self.dir_coupling, self.degrees,
+                  self.dir_dst, self.dir_coupling, self.degrees,
                   self.edge_i, self.edge_j, self.theta_edge, self.theta_dir):
             a.setflags(write=False)
         self._exclusion = None
@@ -185,10 +184,6 @@ class IsingModel:
 
     def __repr__(self):
         return f"IsingModel(n={self.n}, m={self.m})"
-
-
-def model_norms(model: IsingModel) -> ModelNorms:
-    return model.norms()
 
 
 def validate_ferromagnetic(model: IsingModel, allow_sign_flip: bool = False) -> IsingModel:

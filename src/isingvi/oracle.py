@@ -36,14 +36,8 @@ def exact_log_z(model: IsingModel, max_nodes: int = 24) -> ExactResult:
         raise SizeGuardError(
             f"exact enumeration over 2^{model.n} states exceeds the "
             f"max_nodes={max_nodes} guard")
-    order = np.argsort(model.dir_src, kind="stable")
-    adj_nbr = np.ascontiguousarray(model.dir_dst[order])
-    adj_w = np.ascontiguousarray(model.dir_coupling[order])
-    adj_ptr = np.zeros(model.n + 1, dtype=np.int64)
-    np.cumsum(model.degrees, out=adj_ptr[1:])
     log_z, means, corrs = _kernels.enumerate_exact(
-        model.n, model.edge_i, model.edge_j, model.couplings, model.fields,
-        adj_ptr, adj_nbr, adj_w)
+        model.n, model.edge_i, model.edge_j, model.couplings, model.fields)
     return ExactResult(log_z=float(log_z), node_means=means, edge_correlations=corrs)
 
 

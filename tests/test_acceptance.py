@@ -14,7 +14,7 @@ from conftest import cycle4, random_ferro, random_tree, triangle
 from isingvi import (IsingModel, beliefs_from_messages, bp_iterate, bp_step,
                      dual_bethe, dual_bethe_gradient, exact_log_z,
                      generate_topology, mf_gradient, mf_iterate, mf_objective,
-                     mf_step, model_norms, node_estimates, region_membership,
+                     mf_step, node_estimates, region_membership,
                      solve_bethe_exponential, solve_mf_exponential)
 from isingvi.bp import _bound_array as bp_bound_array
 from isingvi.meanfield import _bound_array as mf_bound_array
@@ -112,7 +112,7 @@ def _check_bounds(algo, models):
                                 tol=1e-13, record=False)
             ref_val = dual_bethe(model, nu_ref)
         reference = max(ref_val, float(trace.objective.max()))
-        bounds = bound_array(model_norms(model), trace.t)
+        bounds = bound_array(model.norms(), trace.t)
         resid = reference - trace.objective
         margin = float((resid - bounds)[1:].max())
         worst_bound_margin = max(worst_bound_margin, margin)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from isingvi import (DomainError, IsingModel, beliefs_from_messages,
                      bp_error_bound, bp_iterate, bp_step, dual_bethe,
                      dual_bethe_gradient, exact_log_z, generate_topology,
                      local_consistency_check, messages_from_csv,
-                     messages_to_csv, mf_objective, model_norms,
+                     messages_to_csv, mf_objective,
                      node_estimates, primal_bethe, product_distribution,
                      region_membership)
 from refimpl import fd_gradient, ref_dual_bethe
@@ -162,7 +163,7 @@ def test_local_consistency_violation_frozen():
 
 
 def test_error_bound_values():
-    norms = model_norms(cycle4(1.0, 0.0))
+    norms = cycle4(1.0, 0.0).norms()
     assert norms.m == 4 and norms.n == 4 and norms.j_linf == 1.0
     assert bp_error_bound(norms, 8) == pytest.approx(math.sqrt(32.0), abs=1e-12)
     thm2, l1 = bp_error_bound(norms, 10, h_min=0.5)
@@ -213,6 +214,23 @@ def test_single_node_and_empty_graph():
     assert trace.objective[-1] == pytest.approx(
         math.log(2 * math.cosh(0.8)), abs=1e-14)
     assert node_estimates(lonely, nu)[0] == pytest.approx(math.tanh(0.8), abs=1e-15)
+
+
+def test_saturated_coupling_is_finite_and_warning_free():
+    # tanh(40) == 1.0 in float64: messages saturate at the all-ones start
+    model = generate_topology("grid", 40.0, 0.0, rows=3, cols=3)
+    assert model.theta_edge.max() == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nu, trace = bp_iterate(model, max_steps=30, tol=0.0, record=True)
+        nu_fast, trace_fast = bp_iterate(model, max_steps=30, tol=0.0, record=False)
+        cur = np.ones(2 * model.m)
+        for _ in range(30):
+            cur = bp_step(model, cur)
+    assert trace.steps == trace_fast.steps == 30
+    assert np.all(np.isfinite(nu)) and np.array_equal(nu, nu_fast)
+    assert np.all(np.isfinite(trace.objective))
+    assert np.array_equal(cur, nu)
 
 
 @settings(deadline=None, max_examples=25)

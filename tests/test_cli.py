@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isingvi import load_model, trace_from_csv
-from isingvi.cli import emit_report, main
+from isingvi.cli import _monotone_ok, emit_report, main
 
 
 def read(path):
@@ -172,6 +172,16 @@ def test_exit_codes(tmp_path):
     assert main([]) == 1
     assert main(["run", "--topology", "cycle:4", "--beta", "not_a_number",
                  "--algo", "bp", "--out", str(tmp_path / "o")]) == 1
+
+
+def test_monotone_slack_scales_with_objective():
+    # a rounding-size drop on an objective of size 3e4 is monotone
+    big = np.array([3.0e4, 3.0e4 + 1.0, 3.0e4 + 1.0 - 8e-10, 3.0e4 + 2.0])
+    assert _monotone_ok(big)
+    # on an objective of size 1 the slack stays 1e-11 absolute
+    small = np.array([0.5, 1.0, 1.0 - 1e-9, 1.0])
+    assert not _monotone_ok(small)
+    assert _monotone_ok(np.array([np.nan, 1.0]))
 
 
 def test_console_script(tmp_path):

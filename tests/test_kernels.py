@@ -1,103 +1,12 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
-import pytest
 
-from conftest import random_ferro, small_grid
-import isingvi
-from isingvi import (HAS_NUMBA, bp_iterate, exact_log_z, get_backend,
-                     mf_iterate, set_backend)
-from refimpl import ref_moments
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
+from conftest import small_grid
+from isingvi import bp_iterate, mf_iterate
 
 
-@pytest.fixture
-def restore_backend():
-    saved = get_backend()
-    yield
-    set_backend(saved)
-
-
-def test_set_backend_rejects_unknown(restore_backend):
-    with pytest.raises(ValueError):
-        set_backend("fortran")
-    set_backend("numpy")
-    assert get_backend() == "numpy"
-
-
-@needs_numba
-def test_backends_agree_on_iterations(restore_backend, rng):
-    models = [small_grid(4, 5, 0.3, 0.2), random_ferro(12, 20, rng)]
-    results = {}
-    for backend in ("numpy", "numba"):
-        set_backend(backend)
-        out = []
-        for model in models:
-            x, tx = mf_iterate(model, max_steps=500, tol=1e-12)
-            nu, tn = bp_iterate(model, max_steps=500, tol=1e-12)
-            out.append((x, tx.objective, nu, tn.objective, tx.steps, tn.steps))
-        results[backend] = out
-    for a, b in zip(results["numpy"], results["numba"]):
-        assert np.allclose(a[0], b[0], atol=1e-12, rtol=0)   # mf state
-        assert np.allclose(a[1], b[1], atol=1e-11, rtol=0)   # mf objective
-        assert np.allclose(a[2], b[2], atol=1e-12, rtol=0)   # bp messages
-        assert np.allclose(a[3], b[3], atol=1e-11, rtol=0)   # bp dual
-        assert a[4] == b[4] and a[5] == b[5]                 # step counts
-
-
-@needs_numba
-def test_backends_agree_on_enumeration(restore_backend, rng):
-    model = random_ferro(10, 17, rng)
-    log_z, means, corrs = ref_moments(model)
-    for backend in ("numpy", "numba"):
-        set_backend(backend)
-        result = exact_log_z(model)
-        assert result.log_z == pytest.approx(log_z, abs=1e-10)
-        assert np.allclose(result.node_means, means, atol=1e-10)
-        assert np.allclose(result.edge_correlations, corrs, atol=1e-10)
-
-
-def _child_env(backend):
-    """The parent's environment, with the source tree under test first on
-    PYTHONPATH and ISINGVI_BACKEND set to `backend` (overriding any value the
-    parent has)."""
-    env = {**os.environ}
-    src = str(Path(isingvi.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    env["ISINGVI_BACKEND"] = backend
-    return env
-
-
-def test_env_var_selects_backend():
-    code = ("import isingvi; print(isingvi.get_backend()); "
-            "print(isingvi.__file__)")
-    out = subprocess.run([sys.executable, "-c", code], env=_child_env("numpy"),
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    backend, module_file = out.stdout.strip().splitlines()
-    assert backend == "numpy"
-    assert Path(module_file).resolve() == Path(isingvi.__file__).resolve()
-
-
-def test_env_var_rejects_unknown():
-    code = ("import isingvi")
-    out = subprocess.run([sys.executable, "-c", code], env=_child_env("cuda"),
-                         capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "ValueError" in out.stderr
-    assert "ISINGVI_BACKEND" in out.stderr
-
-
-def test_record_false_skips_objective(restore_backend):
+def test_record_false_skips_objective():
     model = small_grid(3, 3, 0.4, 0.1)
-    for backend in (("numpy", "numba") if HAS_NUMBA else ("numpy",)):
-        set_backend(backend)
-        _x, trace = mf_iterate(model, max_steps=100, tol=0.0, record=False)
-        assert np.isnan(trace.objective[1:]).all()
-        _nu, traceb = bp_iterate(model, max_steps=100, tol=0.0, record=False)
-        assert np.isnan(traceb.objective[1:]).all()
+    _x, trace = mf_iterate(model, max_steps=100, tol=0.0, record=False)
+    assert np.isnan(trace.objective[1:]).all()
+    _nu, traceb = bp_iterate(model, max_steps=100, tol=0.0, record=False)
+    assert np.isnan(traceb.objective[1:]).all()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import chain2, path3, random_ferro, triangle
 from isingvi import (DomainError, bernoulli_entropy, mf_error_bound,
                      mf_fixed_point_residual, mf_gradient, mf_iterate,
-                     mf_objective, mf_step, model_norms)
+                     mf_objective, mf_step)
 from refimpl import bisect_root, fd_gradient, ref_mf_objective
 
 
@@ -64,8 +64,8 @@ def test_iterate_monotone_from_ones():
         nxt = mf_step(model, cur)
         assert np.all(nxt <= cur)
         cur = nxt
-    # kernel trajectory tracks the step function (numba tanh differs by ~1 ulp)
-    assert np.allclose(cur, x, atol=1e-13, rtol=0)
+    # the kernel trajectory is the step function's, exactly
+    assert np.array_equal(cur, x)
     diffs = np.diff(trace.objective)
     assert diffs.min() >= -1e-11
     assert trace.t[0] == 0 and math.isnan(trace.step_inf[0])
@@ -103,10 +103,10 @@ def test_iterate_custom_init():
 
 
 def test_error_bound_values():
-    norms = model_norms(chain2(1.0, 0.0))
+    norms = chain2(1.0, 0.0).norms()
     assert norms.j_l1 == 2.0 and norms.h_l1 == 0.0
     assert mf_error_bound(norms, 1) == 2.0           # linear branch, S=2
-    n8 = model_norms(chain2(4.0, 0.0))               # S = 8
+    n8 = chain2(4.0, 0.0).norms()                    # S = 8
     assert mf_error_bound(n8, 16) == 0.5             # (8/8)^(4/3) = 1 > 8/16
     b = mf_error_bound(n8, 10**4)
     assert b == pytest.approx((8.0 / 5000.0) ** (4.0 / 3.0), rel=1e-12)
@@ -116,7 +116,7 @@ def test_error_bound_values():
 
 
 def test_bound_monotone_in_t():
-    norms = model_norms(triangle(0.7, 0.3))
+    norms = triangle(0.7, 0.3).norms()
     vals = [mf_error_bound(norms, t) for t in range(1, 200)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle4, random_ferro, star5, triangle
 from isingvi import (IsingModel, ModelError, ParseError, generate_topology,
-                     load_model, model_hash, model_norms, save_model,
+                     load_model, model_hash, save_model,
                      validate_ferromagnetic)
 
 
@@ -73,13 +73,13 @@ def test_validate_ferromagnetic():
 def test_norms():
     m = IsingModel(3, np.array([[0, 1], [1, 2]]), np.array([0.25, 0.75]),
                    np.array([0.5, 0.0, 1.5]))
-    norms = model_norms(m)
+    norms = m.norms()
     assert norms.j_l1 == 2.0          # 2 * (0.25 + 0.75)
     assert norms.h_l1 == 2.0
     assert norms.j_linf == 0.75
     assert (norms.m, norms.n) == (2, 3)
     lonely = IsingModel(1, None, None, np.array([0.7]))
-    assert model_norms(lonely).j_linf == 0.0
+    assert lonely.norms().j_linf == 0.0
 
 
 def test_j_matvec_matches_dense(rng):
