@@ -10,6 +10,7 @@ call them, and the sweeps call them once per step.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -74,33 +75,42 @@ def _bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu):
     return fi - fe + lc_total
 
 
+def _column(values, steps):
+    """The numpy trace column for steps + 1 records, NaN throughout if none were
+    taken. The sweeps grow their columns as array("d") (8 bytes per value)
+    instead of preallocating max_steps entries, so memory follows the run."""
+    if not values:
+        return np.full(steps + 1, np.nan)
+    return np.frombuffer(values, dtype=np.float64).copy()
+
+
 def mf_run(dir_src, dir_dst, dir_w, h, ei, ej, jw, x0, max_steps, tol, record):
     n = h.shape[0]
     x = x0.copy()
-    obj = np.full(max_steps + 1, np.nan)
-    step_inf = np.full(max_steps + 1, np.nan)
-    grad_l1 = np.full(max_steps + 1, np.nan)
+    obj, grad_l1 = array("d"), array("d")
+    step_inf = array("d", [math.nan])
     y = np.bincount(dir_dst, weights=dir_w * x[dir_src], minlength=n) + h
     if record:
-        obj[0] = _mf_objective(ei, ej, jw, h, x)
-        grad_l1[0] = _grad_l1(y, x)
+        obj.append(_mf_objective(ei, ej, jw, h, x))
+        grad_l1.append(_grad_l1(y, x))
     steps = 0
     converged = False
     for t in range(1, max_steps + 1):
         xn = np.tanh(y)
         # ufunc reduce: np.max's wrapper costs more than the max on small graphs
-        step_inf[t] = float(np.maximum.reduce(np.abs(xn - x)))
+        step = float(np.maximum.reduce(np.abs(xn - x)))
+        step_inf.append(step)
         x = xn
         y = np.bincount(dir_dst, weights=dir_w * x[dir_src], minlength=n) + h
         if record:
-            obj[t] = _mf_objective(ei, ej, jw, h, x)
-            grad_l1[t] = _grad_l1(y, x)
+            obj.append(_mf_objective(ei, ej, jw, h, x))
+            grad_l1.append(_grad_l1(y, x))
         steps = t
-        if step_inf[t] < tol:
+        if step < tol:
             converged = True
             break
-    k = steps + 1
-    return x, obj[:k].copy(), step_inf[:k].copy(), grad_l1[:k].copy(), steps, converged
+    return (x, _column(obj, steps), _column(step_inf, steps), _column(grad_l1, steps),
+            steps, converged)
 
 
 def bp_run(dir_src, dir_dst, theta_e, h, exc_idx, seg_id, lc_total,
@@ -108,24 +118,24 @@ def bp_run(dir_src, dir_dst, theta_e, h, exc_idx, seg_id, lc_total,
     theta_dir = np.repeat(theta_e, 2)
     h_src = h[dir_src]
     nu = nu0.copy()
-    dual = np.full(max_steps + 1, np.nan)
-    step_inf = np.full(max_steps + 1, np.nan)
+    dual = array("d")
+    step_inf = array("d", [math.nan])
     if record:
-        dual[0] = _bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu)
+        dual.append(_bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu))
     steps = 0
     converged = False
     for t in range(1, max_steps + 1):
         nn = _bp_update(theta_dir, h_src, exc_idx, seg_id, nu)
-        step_inf[t] = float(np.maximum.reduce(np.abs(nn - nu), initial=0.0))
+        step = float(np.maximum.reduce(np.abs(nn - nu), initial=0.0))
+        step_inf.append(step)
         nu = nn
         if record:
-            dual[t] = _bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu)
+            dual.append(_bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu))
         steps = t
-        if step_inf[t] < tol:
+        if step < tol:
             converged = True
             break
-    k = steps + 1
-    return nu, dual[:k].copy(), step_inf[:k].copy(), steps, converged
+    return nu, _column(dual, steps), _column(step_inf, steps), steps, converged
 
 
 def enumerate_exact(n, ei, ej, jw, h):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .meanfield import bernoulli_entropy
+from .meanfield import _start_state, bernoulli_entropy
 from .model import DomainError, IsingModel, ModelNorms
 from .trace import IterationTrace
 
@@ -58,27 +58,11 @@ def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
     Returns (nu, IterationTrace); the trace objective column is the dual
     value per step and the bound column the objective-residual guarantee.
     """
-    max_steps = int(max_steps)
-    if max_steps < 1:
-        raise DomainError("max_steps must be >= 1")
-    if not (tol >= 0.0):
-        raise DomainError("tol must be >= 0")
-    if isinstance(init, str):
-        if init == "ones":
-            nu0 = np.ones(2 * model.m)
-        elif init == "zeros":
-            nu0 = np.zeros(2 * model.m)
-        else:
-            raise DomainError(f"unknown init {init!r}")
-    else:
-        nu0 = _check_messages(model, init).copy()
-        if nu0.size and float(np.max(np.abs(nu0))) > 1.0:
-            raise DomainError("init messages must lie in [-1, 1]")
+    nu0, max_steps, tol = _start_state(init, 2 * model.m, max_steps, tol)
     _, exc_idx, seg_id = model.exclusion_index()
     nu, dual, step_inf, steps, converged = _kernels.bp_run(
         model.dir_src, model.dir_dst, model.theta_edge, model.fields,
-        exc_idx, seg_id, _log_cosh_total(model), nu0, max_steps, float(tol),
-        bool(record))
+        exc_idx, seg_id, _log_cosh_total(model), nu0, max_steps, tol, bool(record))
     t = np.arange(steps + 1, dtype=np.int64)
     trace = IterationTrace(algo="bp", t=t, objective=dual, step_inf=step_inf,
                            bound=_bound_array(model.norms(), t), converged=converged)

@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,54 +22,20 @@ from . import bp as bp_mod
 from . import meanfield as mf_mod
 from .ellipsoid import (FeasibilityError, ellipsoid_progress_csv,
                         solve_bethe_exponential, solve_mf_exponential)
-from .model import (DomainError, IsingModel, ModelError, generate_topology,
-                    load_model, model_hash, save_model, validate_ferromagnetic)
+from .model import (DomainError, IsingModel, ModelError, ModelNorms,
+                    generate_topology, load_model, model_hash, save_model)
 from .oracle import (SizeGuardError, exact_log_z, exact_result_from_csv,
                      exact_result_to_csv, transfer_matrix_log_z)
 from .svgplot import plot_lines
 from .trace import trace_from_csv, trace_meta, trace_to_csv
 
-_ALGOS = ("mf", "bp", "ellipsoid_bethe", "ellipsoid_mf", "exact", "transfer_matrix")
+_ALGOS = ("mf", "bp", "ellipsoid_bethe", "ellipsoid_mf", "transfer_matrix")
 _MONOTONE_SLACK = 1e-11
 _BOUND_SLACK = 1e-9
 
 
 class ConfigError(ValueError):
-    """Bad command-line arguments or experiment configuration."""
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully specified experiment: model source, algorithm, and outputs."""
-
-    model_path: str | None = None
-    topology: str | None = None
-    beta: float | None = None
-    field: str = "0"
-    seed: int = 0
-    algo: str = "bp"
-    init: str = "ones"
-    steps: int = 10**6
-    tol: float = 1e-10
-    eps: float = 1e-8
-    out: str | None = None
-    plot: bool = False
-
-    def validate(self):
-        if (self.model_path is None) == (self.topology is None):
-            raise ConfigError("provide exactly one of --model and --topology")
-        if self.topology is not None and self.beta is None:
-            raise ConfigError("--topology requires --beta")
-        if self.algo not in _ALGOS:
-            raise ConfigError(f"unknown algo {self.algo!r}; choose from {_ALGOS}")
-        if self.init not in ("ones", "zeros"):
-            raise ConfigError("init must be 'ones' or 'zeros'")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if self.tol < 0:
-            raise ConfigError("tol must be >= 0")
-        if self.eps <= 0:
-            raise ConfigError("eps must be > 0")
+    """Bad command-line arguments."""
 
 
 def _parse_field_spec(text: str):
@@ -111,14 +76,16 @@ def _topology_kwargs(spec: str) -> dict:
         "tree:N, or star:N)")
 
 
-def build_model(config: ExperimentConfig) -> IsingModel:
-    if config.model_path is not None:
-        with open(config.model_path, encoding="utf-8") as fh:
-            model = load_model(fh.read())
-        return validate_ferromagnetic(model, allow_sign_flip=True)
-    kwargs = _topology_kwargs(config.topology)
-    return generate_topology(beta=config.beta, h_spec=_parse_field_spec(config.field),
-                             seed=config.seed, **kwargs)
+def build_model(args) -> IsingModel:
+    """The model read from --model, or generated from --topology and --beta."""
+    if args.model is not None:
+        with open(args.model, encoding="utf-8") as fh:
+            return load_model(fh.read())
+    if args.beta is None:
+        raise ConfigError("--topology requires --beta")
+    kwargs = _topology_kwargs(args.topology)
+    return generate_topology(beta=args.beta, h_spec=_parse_field_spec(args.field),
+                             seed=args.seed, **kwargs)
 
 
 def _write(path: str, text: str):
@@ -158,45 +125,45 @@ def _monotone_ok(values) -> bool:
     return bool(np.all(np.diff(v) >= -slack))
 
 
-def _bound_ok(trace, reference) -> bool:
-    ok = True
-    for k in range(len(trace.t)):
-        t = int(trace.t[k])
-        if t < 1 or not np.isfinite(trace.objective[k]):
-            continue
-        if reference - trace.objective[k] > trace.bound[k] + _BOUND_SLACK:
-            ok = False
-    return ok
+def _bound_ok(t, objective, bound, reference) -> bool:
+    """reference - objective stays within bound (plus _BOUND_SLACK) at every
+    recorded step t >= 1."""
+    use = (t >= 1) & np.isfinite(objective)
+    return not np.any(reference - objective[use] > bound[use] + _BOUND_SLACK)
 
 
-def _run_iterative(config: ExperimentConfig, model: IsingModel, outdir: str) -> int:
-    if config.algo == "mf":
-        state, trace = mf_mod.mf_iterate(model, init=config.init,
-                                         max_steps=config.steps, tol=config.tol)
-        final_csv = "node,x\n" + "".join(
-            f"{i},{state[i]:.17g}\n" for i in range(model.n))
+def _node_csv(x) -> str:
+    return "node,x\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(x))
+
+
+def _run_iterative(args, model: IsingModel) -> int:
+    if args.algo == "mf":
+        state, trace = mf_mod.mf_iterate(model, init=args.init,
+                                         max_steps=args.steps, tol=args.tol)
+        final_csv = _node_csv(state)
         label = "objective"
     else:
-        state, trace = bp_mod.bp_iterate(model, init=config.init,
-                                         max_steps=config.steps, tol=config.tol)
+        state, trace = bp_mod.bp_iterate(model, init=args.init,
+                                         max_steps=args.steps, tol=args.tol)
         final_csv = bp_mod.messages_to_csv(model, state)
         label = "dual_bethe"
-    meta = trace_meta(model, config.algo, config.init, config.tol)
-    _write(os.path.join(outdir, "trace.csv"), trace_to_csv(trace, meta))
-    _write(os.path.join(outdir, "final_state.csv"), final_csv)
+    meta = trace_meta(model, args.algo, args.init, args.tol)
+    _write(os.path.join(args.out, "trace.csv"), trace_to_csv(trace, meta))
+    _write(os.path.join(args.out, "final_state.csv"), final_csv)
 
     finite = np.isfinite(trace.objective)
     final_obj = float(trace.objective[finite][-1]) if finite.any() else float("nan")
     best_obj = float(trace.objective[finite].max()) if finite.any() else float("nan")
-    pairs = [("model_hash", meta["model_hash"]), ("algo", config.algo),
-             ("init", config.init), ("n", model.n), ("m", model.m),
+    pairs = [("model_hash", meta["model_hash"]), ("algo", args.algo),
+             ("init", args.init), ("n", model.n), ("m", model.m),
              ("steps_used", trace.steps), ("converged", trace.converged),
              ("final_objective", f"{final_obj:.17g}"),
              ("objective_monotone", _monotone_ok(trace.objective)),
-             ("bound_dominates", _bound_ok(trace, best_obj))]
+             ("bound_dominates",
+              _bound_ok(trace.t, trace.objective, trace.bound, best_obj))]
 
-    if config.algo == "bp":
-        exact_path = os.path.join(outdir, "exact.csv")
+    if args.algo == "bp":
+        exact_path = os.path.join(args.out, "exact.csv")
         if os.path.exists(exact_path):
             with open(exact_path, encoding="utf-8") as fh:
                 result, emeta = exact_result_from_csv(fh.read())
@@ -205,23 +172,23 @@ def _run_iterative(config: ExperimentConfig, model: IsingModel, outdir: str) -> 
                 pairs.append(("exact_log_z", f"{result.log_z:.17g}"))
                 pairs.append(("dual_minus_log_z", f"{gap:.17g}"))
 
-    if config.plot:
-        _write(os.path.join(outdir, "objective.svg"), plot_lines(
+    if args.plot:
+        _write(os.path.join(args.out, "objective.svg"), plot_lines(
             [(label, trace.t, trace.objective)],
-            title=f"{config.algo} objective", xlabel="iteration", ylabel=label))
-        ref_steps = max(2 * config.steps, 200000)
-        if config.algo == "mf":
-            x_ref, _ = mf_mod.mf_iterate(model, init=config.init,
+            title=f"{args.algo} objective", xlabel="iteration", ylabel=label))
+        ref_steps = max(2 * args.steps, 200000)
+        if args.algo == "mf":
+            x_ref, _ = mf_mod.mf_iterate(model, init=args.init,
                                          max_steps=ref_steps, tol=1e-13, record=False)
             ref_value = mf_mod.mf_objective(model, x_ref)
         else:
-            nu_ref, _ = bp_mod.bp_iterate(model, init=config.init,
+            nu_ref, _ = bp_mod.bp_iterate(model, init=args.init,
                                           max_steps=ref_steps, tol=1e-13, record=False)
             ref_value = bp_mod.dual_bethe(model, nu_ref)
         residual = ref_value - trace.objective
-        _write(os.path.join(outdir, "residual.svg"), plot_lines(
+        _write(os.path.join(args.out, "residual.svg"), plot_lines(
             [("residual", trace.t, residual)],
-            title=f"{config.algo} residual vs reference (long run, tol 1e-13)",
+            title=f"{args.algo} residual vs reference (long run, tol 1e-13)",
             xlabel="iteration", ylabel="objective residual", xlog=True, ylog=True))
         lo_t = max(1, trace.steps // 10)
         window = [(int(trace.t[k]), float(residual[k])) for k in range(len(trace.t))
@@ -232,14 +199,62 @@ def _run_iterative(config: ExperimentConfig, model: IsingModel, outdir: str) -> 
         if slope is not None:
             pairs.append(("residual_loglog_slope", f"{slope:.6g}"))
 
-    _write(os.path.join(outdir, "summary.txt"), _summary_text(pairs))
+    _write(os.path.join(args.out, "summary.txt"), _summary_text(pairs))
     return 0
 
 
-def _run_exact(model: IsingModel, outdir: str) -> int:
+def _run_ellipsoid(args, model: IsingModel) -> int:
+    if args.algo == "ellipsoid_bethe":
+        point, value, state = solve_bethe_exponential(model, args.eps, full_output=True)
+        final_csv = bp_mod.messages_to_csv(model, point)
+    else:
+        point, value, state = solve_mf_exponential(model, args.eps, full_output=True)
+        final_csv = _node_csv(point)
+    _write(os.path.join(args.out, "final_state.csv"), final_csv)
+    steps = state.step if state is not None else 0
+    if state is not None:
+        _write(os.path.join(args.out, "progress.csv"), ellipsoid_progress_csv(state))
+        if args.plot:
+            rows = [(s, b) for s, _f, b, _v in state.progress if math.isfinite(b)]
+            _write(os.path.join(args.out, "objective.svg"), plot_lines(
+                [("best feasible", [r[0] for r in rows], [r[1] for r in rows])],
+                title=f"{args.algo} incumbent", xlabel="step",
+                ylabel="objective best"))
+    _write(os.path.join(args.out, "summary.txt"), _summary_text([
+        ("model_hash", model_hash(model)), ("algo", args.algo),
+        ("eps", f"{args.eps:g}"), ("steps_used", steps),
+        ("final_objective", f"{value:.17g}")]))
+    print(f"value {value:.17g}")
+    return 0
+
+
+def _run(args) -> int:
+    if args.steps < 1:
+        raise ConfigError("steps must be >= 1")
+    if args.tol < 0:
+        raise ConfigError("tol must be >= 0")
+    if args.eps <= 0:
+        raise ConfigError("eps must be > 0")
+    model = build_model(args)
+    os.makedirs(args.out, exist_ok=True)
+    if args.algo in ("mf", "bp"):
+        return _run_iterative(args, model)
+    if args.algo == "transfer_matrix":
+        value = transfer_matrix_log_z(model)
+        _write(os.path.join(args.out, "summary.txt"), _summary_text([
+            ("model_hash", model_hash(model)), ("algo", "transfer_matrix"),
+            ("log_z", f"{value:.17g}")]))
+        print(f"log_z {value:.17g}")
+        return 0
+    return _run_ellipsoid(args, model)
+
+
+def _exact(args) -> int:
+    model = build_model(args)
+    os.makedirs(args.out, exist_ok=True)
     result = exact_log_z(model)
-    _write(os.path.join(outdir, "exact.csv"), exact_result_to_csv(result, model))
-    _write(os.path.join(outdir, "summary.txt"), _summary_text([
+    _write(os.path.join(args.out, "exact.csv"), exact_result_to_csv(result, model))
+    _write(os.path.join(args.out, "summary.txt"), _summary_text([
         ("model_hash", model_hash(model)), ("algo", "exact"),
         ("n", model.n), ("m", model.m),
         ("log_z", f"{result.log_z:.17g}")]))
@@ -247,53 +262,13 @@ def _run_exact(model: IsingModel, outdir: str) -> int:
     return 0
 
 
-def _run_ellipsoid(config: ExperimentConfig, model: IsingModel, outdir: str) -> int:
-    if config.algo == "ellipsoid_bethe":
-        point, value, state = solve_bethe_exponential(model, config.eps,
-                                                      full_output=True)
-        final_csv = bp_mod.messages_to_csv(model, point)
+def _gen(args) -> int:
+    text = save_model(build_model(args))
+    if args.out:
+        _write(args.out, text)
     else:
-        point, value, state = solve_mf_exponential(model, config.eps,
-                                                   full_output=True)
-        final_csv = "node,x\n" + "".join(
-            f"{i},{point[i]:.17g}\n" for i in range(model.n))
-    _write(os.path.join(outdir, "final_state.csv"), final_csv)
-    steps = state.step if state is not None else 0
-    if state is not None:
-        _write(os.path.join(outdir, "progress.csv"), ellipsoid_progress_csv(state))
-        if config.plot:
-            rows = [(s, b) for s, _f, b, _v in state.progress if math.isfinite(b)]
-            _write(os.path.join(outdir, "objective.svg"), plot_lines(
-                [("best feasible", [r[0] for r in rows], [r[1] for r in rows])],
-                title=f"{config.algo} incumbent", xlabel="step",
-                ylabel="objective best"))
-    _write(os.path.join(outdir, "summary.txt"), _summary_text([
-        ("model_hash", model_hash(model)), ("algo", config.algo),
-        ("eps", f"{config.eps:g}"), ("steps_used", steps),
-        ("final_objective", f"{value:.17g}")]))
-    print(f"value {value:.17g}")
+        sys.stdout.write(text)
     return 0
-
-
-def run_experiment(config: ExperimentConfig) -> int:
-    """Run one experiment; writes artifacts into config.out and returns 0."""
-    config.validate()
-    if config.out is None:
-        raise ConfigError("run needs --out <directory>")
-    model = build_model(config)
-    os.makedirs(config.out, exist_ok=True)
-    if config.algo in ("mf", "bp"):
-        return _run_iterative(config, model, config.out)
-    if config.algo == "exact":
-        return _run_exact(model, config.out)
-    if config.algo == "transfer_matrix":
-        value = transfer_matrix_log_z(model)
-        _write(os.path.join(config.out, "summary.txt"), _summary_text([
-            ("model_hash", model_hash(model)), ("algo", "transfer_matrix"),
-            ("log_z", f"{value:.17g}")]))
-        print(f"log_z {value:.17g}")
-        return 0
-    return _run_ellipsoid(config, model, config.out)
 
 
 def emit_report(trace_texts, references=None) -> str:
@@ -318,8 +293,6 @@ def emit_report(trace_texts, references=None) -> str:
         norms_kw.update(m=int(metas[0]["m"]), n=n)
     except KeyError as exc:
         raise DomainError(f"trace header missing model metadata: {exc}") from exc
-    from .model import ModelNorms
-
     norms = ModelNorms(**norms_kw)
     refs = {}
     for trace, _meta in parsed:
@@ -347,12 +320,7 @@ def emit_report(trace_texts, references=None) -> str:
             lines.append(f"# check {tag} bound_dominates SKIP")
             continue
         mono = _monotone_ok(trace.objective)
-        bok = True
-        for i in range(len(trace.t)):
-            if trace.t[i] < 1 or not finite[i]:
-                continue
-            if ref - trace.objective[i] > bound[i] + _BOUND_SLACK:
-                bok = False
+        bok = _bound_ok(trace.t, trace.objective, bound, ref)
         lines.append(f"# check {tag} objective_monotone {'PASS' if mono else 'FAIL'}")
         lines.append(f"# check {tag} bound_dominates {'PASS' if bok else 'FAIL'}")
         lines.append(f"# check {tag} converged {'PASS' if trace.converged else 'FAIL'}")
@@ -367,15 +335,32 @@ def emit_report(trace_texts, references=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report(args) -> int:
+    texts = []
+    for path in args.traces:
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    text = emit_report(texts)
+    if args.out:
+        _write(args.out, text)
+    for line in text.splitlines():
+        if line.startswith("# check") or line.startswith("# reference"):
+            print(line[2:])
+    if not args.out:
+        sys.stdout.write(text)
+    return 0
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
 
 def _add_model_source(p):
-    p.add_argument("--model", help="model file path")
-    p.add_argument("--topology",
-                   help="cycle:N | grid:RxC | regular:N:D | tree:N | star:N")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="model file path")
+    source.add_argument("--topology",
+                        help="cycle:N | grid:RxC | regular:N:D | tree:N | star:N")
     p.add_argument("--beta", type=float, help="uniform coupling for --topology")
     p.add_argument("--field", default="0", help="field: a number or single:i:v")
     p.add_argument("--seed", type=int, default=0)
@@ -384,87 +369,41 @@ def _add_model_source(p):
 def _build_parser():
     parser = _Parser(prog="isingvi", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a model file")
     _add_model_source(p_gen)
     p_gen.add_argument("--out", help="output model file (default stdout)")
+    p_gen.set_defaults(verb=_gen)
 
     p_run = sub.add_parser("run", help="run an algorithm")
     _add_model_source(p_run)
-    p_run.add_argument("--algo", default="bp", help="|".join(_ALGOS))
-    p_run.add_argument("--init", default="ones", help="ones | zeros")
+    p_run.add_argument("--algo", default="bp", choices=_ALGOS)
+    p_run.add_argument("--init", default="ones", choices=("ones", "zeros"))
     p_run.add_argument("--steps", type=int, default=10**6)
     p_run.add_argument("--tol", type=float, default=1e-10)
     p_run.add_argument("--eps", type=float, default=1e-8)
-    p_run.add_argument("--out", help="output directory")
+    p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--plot", action="store_true",
                        help="write objective and residual SVG plots")
+    p_run.set_defaults(verb=_run)
 
     p_exact = sub.add_parser("exact", help="exact enumeration reference")
     _add_model_source(p_exact)
-    p_exact.add_argument("--out", help="output directory")
+    p_exact.add_argument("--out", required=True, help="output directory")
+    p_exact.set_defaults(verb=_exact)
 
     p_rep = sub.add_parser("report", help="summarize trace CSVs")
-    p_rep.add_argument("traces", nargs="*", help="trace CSV files")
+    p_rep.add_argument("traces", nargs="+", help="trace CSV files")
     p_rep.add_argument("--out", help="output report file (default stdout)")
+    p_rep.set_defaults(verb=_report)
     return parser
-
-
-def _config_from_args(args, algo=None) -> ExperimentConfig:
-    return ExperimentConfig(
-        model_path=args.model, topology=args.topology, beta=args.beta,
-        field=args.field, seed=args.seed, algo=algo or args.algo,
-        init=getattr(args, "init", "ones"), steps=getattr(args, "steps", 10**6),
-        tol=getattr(args, "tol", 1e-10), eps=getattr(args, "eps", 1e-8),
-        out=args.out, plot=getattr(args, "plot", False))
-
-
-def _dispatch(args) -> int:
-    if args.command == "gen":
-        config = _config_from_args(args, algo="bp")
-        if (config.model_path is None) == (config.topology is None):
-            raise ConfigError("gen needs exactly one of --model and --topology")
-        model = build_model(config)
-        text = save_model(model)
-        if args.out:
-            _write(args.out, text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    if args.command == "run":
-        return run_experiment(_config_from_args(args))
-    if args.command == "exact":
-        config = _config_from_args(args, algo="exact")
-        config.validate()
-        if config.out is None:
-            raise ConfigError("exact needs --out <directory>")
-        model = build_model(config)
-        os.makedirs(config.out, exist_ok=True)
-        return _run_exact(model, config.out)
-    if args.command == "report":
-        if not args.traces:
-            raise DomainError("report needs at least one trace file")
-        texts = []
-        for path in args.traces:
-            with open(path, encoding="utf-8") as fh:
-                texts.append(fh.read())
-        text = emit_report(texts)
-        if args.out:
-            _write(args.out, text)
-        for line in text.splitlines():
-            if line.startswith("# check") or line.startswith("# reference"):
-                print(line[2:])
-        if not args.out:
-            sys.stdout.write(text)
-        return 0
-    raise ConfigError("missing command (gen, run, exact, report)")
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _dispatch(args)
+        return args.verb(args)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -208,6 +208,8 @@ def validate_ferromagnetic(model: IsingModel, allow_sign_flip: bool = False) -> 
 def load_model(text: str) -> IsingModel:
     """Parse the line-oriented model grammar into a validated IsingModel.
 
+    All-nonpositive fields are sign-flipped; mixed-sign fields raise ModelError.
+
     Grammar (UTF-8, '#' starts a comment):
         n <N>
         node <i> <h_i>     # optional per node, default 0
@@ -262,8 +264,9 @@ def load_model(text: str) -> IsingModel:
     fields = np.zeros(n)
     for i, h in node_lines.items():
         fields[i] = h
-    return IsingModel(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
-                      couplings, fields)
+    model = IsingModel(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                       couplings, fields, check_fields=False)
+    return validate_ferromagnetic(model, allow_sign_flip=True)
 
 
 def save_model(model: IsingModel) -> str:

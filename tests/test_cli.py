@@ -172,6 +172,24 @@ def test_exit_codes(tmp_path):
     assert main([]) == 1
     assert main(["run", "--topology", "cycle:4", "--beta", "not_a_number",
                  "--algo", "bp", "--out", str(tmp_path / "o")]) == 1
+    assert main(["run", "--topology", "cycle:4", "--beta", "0.3", "--algo",
+                 "exact", "--out", str(tmp_path / "o")]) == 1   # a verb only
+    assert main(["run", "--topology", "cycle:4", "--beta", "0.3"]) == 1
+    assert main(["gen", "--topology", "cycle:4"]) == 1   # --beta missing
+
+
+def test_nonpositive_fields_are_sign_flipped(tmp_path):
+    edges = "edge 0 1 0.4\nedge 1 2 0.4\n"
+    for name, fields in (("neg", (-0.2, -0.1, 0)), ("pos", (0.2, 0.1, 0)),
+                         ("mixed", (-0.2, 0.1, 0))):
+        nodes = "".join(f"node {i} {h}\n" for i, h in enumerate(fields))
+        (tmp_path / f"{name}.txt").write_text("n 3\n" + nodes + edges)
+    for name in ("neg", "pos"):
+        assert main(["run", "--model", str(tmp_path / f"{name}.txt"),
+                     "--out", str(tmp_path / name)]) == 0
+    assert read(tmp_path / "neg" / "summary.txt") == read(tmp_path / "pos" / "summary.txt")
+    assert main(["run", "--model", str(tmp_path / "mixed.txt"),
+                 "--out", str(tmp_path / "mixed")]) == 1
 
 
 def test_monotone_slack_scales_with_objective():

@@ -34,8 +34,15 @@ def test_size_guard():
     model = generate_topology("grid", 0.1, 0.0, rows=5, cols=5)
     with pytest.raises(SizeGuardError):
         exact_log_z(model)
-    result = exact_log_z(model, max_nodes=25)
-    assert math.isfinite(result.log_z)
+    small = triangle(0.4, 0.1)
+    with pytest.raises(SizeGuardError):
+        exact_log_z(small, max_nodes=small.n - 1)
+    assert math.isfinite(exact_log_z(small, max_nodes=small.n).log_z)
+    # 17 nodes fill two 2^16-state chunks; the second holds the larger
+    # energies, so the running max is rescaled between them
+    cyc = generate_topology("cycle", 3.0, 0.5, n=17)
+    assert exact_log_z(cyc, max_nodes=17).log_z == pytest.approx(
+        transfer_matrix_log_z(cyc), abs=1e-10)
 
 
 def test_transfer_matrix_chain_and_cycle(rng):
