@@ -138,12 +138,15 @@ def bp_run(dir_src, dir_dst, theta_e, h, exc_idx, seg_id, lc_total,
     return nu, _column(dual, steps), _column(step_inf, steps), steps, converged
 
 
-def enumerate_exact(n, ei, ej, jw, h):
+def enumerate_exact(model):
+    n, m = model.n, model.m
+    ei, ej, jw, h = model.edge_i, model.edge_j, model.couplings, model.fields
     total = 1 << n
-    m = ei.shape[0]
     chunk = 1 << 16
     bits = np.arange(n, dtype=np.uint64)
-    run_max = -np.inf
+    # The all-plus energy is the largest when J, h >= 0: relative to it no
+    # weight overflows, and the chunk sums need no rescaling.
+    shift = float(jw.sum()) + float(h.sum())
     z_acc = 0.0
     mean_acc = np.zeros(n)
     corr_acc = np.zeros(m)
@@ -154,18 +157,9 @@ def enumerate_exact(n, ei, ej, jw, h):
         energy = x @ h
         for e in range(m):
             energy += jw[e] * x[:, ei[e]] * x[:, ej[e]]
-        cmax = float(energy.max())
-        if cmax > run_max:
-            if np.isfinite(run_max):
-                scale = math.exp(run_max - cmax)
-                z_acc *= scale
-                mean_acc *= scale
-                corr_acc *= scale
-            run_max = cmax
-        w = np.exp(energy - run_max)
+        w = np.exp(energy - shift)
         z_acc += float(w.sum())
         mean_acc += w @ x
         for e in range(m):
             corr_acc[e] += float(w @ (x[:, ei[e]] * x[:, ej[e]]))
-    log_z = run_max + math.log(z_acc)
-    return log_z, mean_acc / z_acc, corr_acc / z_acc
+    return shift + math.log(z_acc), mean_acc / z_acc, corr_acc / z_acc

@@ -271,11 +271,11 @@ def _gen(args) -> int:
     return 0
 
 
-def emit_report(trace_texts, references=None) -> str:
+def emit_report(trace_texts) -> str:
     """Build a report from trace CSV texts sharing one model.
 
     The report contains per-iteration free-energy-density residuals against a
-    per-algorithm reference (given, else the max recorded objective), theorem
+    per-algorithm reference (the max recorded objective), theorem
     bound columns recomputed from the model norms in the trace headers, and a
     pass/fail matrix of the invariant checks. Deterministic for fixed inputs.
     """
@@ -299,13 +299,9 @@ def emit_report(trace_texts, references=None) -> str:
         vals = trace.objective[np.isfinite(trace.objective)]
         if vals.size:
             refs[trace.algo] = max(refs.get(trace.algo, -np.inf), float(vals.max()))
-    ref_src = {algo: "trace_max" for algo in refs}
-    for algo, value in (references or {}).items():
-        refs[algo] = float(value)
-        ref_src[algo] = "given"
     lines = [f"# model_hash {sorted(hashes)[0]}", f"# n {norms.n}", f"# m {norms.m}"]
     for algo in sorted(refs):
-        lines.append(f"# reference {algo} {refs[algo]:.17g} source={ref_src[algo]}")
+        lines.append(f"# reference {algo} {refs[algo]:.17g} source=trace_max")
     body = []
     for k, (trace, _meta) in enumerate(parsed):
         tag = f"trace{k}({trace.algo})"

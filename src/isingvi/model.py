@@ -129,15 +129,6 @@ class IsingModel:
             a.setflags(write=False)
         self._exclusion = None
 
-    @property
-    def adjacency(self):
-        """Per-node list of (neighbor id, edge id) pairs, neighbors ascending."""
-        adj = [[] for _ in range(self.n)]
-        for e, (i, j) in enumerate(self.edges):
-            adj[i].append((int(j), e))
-            adj[j].append((int(i), e))
-        return adj
-
     def j_matvec(self, x):
         """Return J @ x for the symmetric coupling matrix J."""
         x = np.asarray(x, dtype=np.float64)
@@ -153,20 +144,25 @@ class IsingModel:
         of exc_idx back to d. Built lazily and cached.
         """
         if self._exclusion is None:
+            # Directed ids sorted by destination: the edges into node i are the
+            # run in_order[in_ptr[i]:in_ptr[i + 1]], ascending; d = (i -> j) takes
+            # that run minus d ^ 1. Blocks of 4096 directed edges keep temporaries
+            # small; freed whole-graph ones stay resident and add to peak RSS.
             ndir = 2 * self.m
-            in_by_node = [[] for _ in range(self.n)]
-            for d in range(ndir):
-                in_by_node[self.dir_dst[d]].append(d)
-            exc_ptr = np.zeros(ndir + 1, dtype=np.int64)
-            exc_idx = []
-            for d in range(ndir):
-                rev = d ^ 1
-                for dd in in_by_node[self.dir_src[d]]:
-                    if dd != rev:
-                        exc_idx.append(dd)
-                exc_ptr[d + 1] = len(exc_idx)
-            exc_idx = np.array(exc_idx, dtype=np.int64)
-            seg_id = np.repeat(np.arange(ndir, dtype=np.int64), np.diff(exc_ptr))
+            in_order = np.argsort(self.dir_dst, kind="stable")
+            in_ptr = np.concatenate(([0], np.cumsum(self.degrees)))
+            run = self.degrees[self.dir_src]
+            exc_ptr = np.concatenate(([0], np.cumsum(run - 1)))
+            exc_idx = np.empty(exc_ptr[-1], dtype=np.int64)
+            for d0 in range(0, ndir, 4096):
+                d = np.arange(d0, min(d0 + 4096, ndir))
+                r = run[d]
+                # each candidate's position in in_order, then its directed id
+                cand = np.repeat(in_ptr[self.dir_src[d]] - np.cumsum(r) + r, r)
+                cand += np.arange(cand.shape[0])
+                cand = in_order[cand]
+                exc_idx[exc_ptr[d0]:exc_ptr[d0 + len(d)]] = cand[cand != np.repeat(d ^ 1, r)]
+            seg_id = np.repeat(np.arange(ndir, dtype=np.int64), run - 1)
             for a in (exc_ptr, exc_idx, seg_id):
                 a.setflags(write=False)
             self._exclusion = (exc_ptr, exc_idx, seg_id)
@@ -288,17 +284,14 @@ def model_hash(model: IsingModel) -> str:
 
 
 def _fields_from_spec(n, h_spec):
-    """Expand a field description: scalar, length-n vector, or ('single', idx, value)."""
-    if isinstance(h_spec, tuple) and len(h_spec) == 3 and h_spec[0] == "single":
-        _, idx, val = h_spec
-        fields = np.zeros(n)
-        fields[int(idx)] = float(val)
-        return fields
-    if np.isscalar(h_spec):
+    """Expand a field description: a scalar, or ('single', idx, value)."""
+    if not isinstance(h_spec, tuple):
         return np.full(n, float(h_spec))
-    fields = np.asarray(h_spec, dtype=np.float64)
-    if fields.shape != (n,):
-        raise ModelError(f"field spec has shape {fields.shape}, expected ({n},)")
+    _, idx, val = h_spec
+    if not 0 <= idx < n:
+        raise ModelError(f"field node {idx} out of range (n={n})")
+    fields = np.zeros(n)
+    fields[idx] = float(val)
     return fields
 
 
@@ -352,7 +345,8 @@ def _random_tree_edges(n, rng):
 
 def generate_topology(kind, beta, h_spec=0.0, *, n=None, rows=None, cols=None,
                       degree=None, seed=0) -> IsingModel:
-    """Build a standard test topology with uniform coupling beta.
+    """Build a standard test topology with uniform coupling beta and the field
+    h_spec: a number for every node, or ('single', i, v) for node i alone.
 
     Kinds: cycle (n), grid (rows x cols, row-major, node 0 at the bottom-left
     corner), random_regular (n, degree, seed), random_tree (n, seed), star (n).

@@ -21,6 +21,15 @@ class SizeGuardError(RuntimeError):
     """Instance too large for an exact method; raise rather than thrash."""
 
 
+# Brute-force maximizers: grid spacing (also the coordinate-refinement window),
+# refinement sweeps, and the size guards on their searches over 101^n points.
+_RESOLUTION = 0.02
+_GRID = np.linspace(-1.0, 1.0, int(round(2.0 / _RESOLUTION)) + 1)
+_REFINE_ROUNDS = 3
+_MF_MAX_NODES = 6
+_BETHE_MAX_PARAMS = 8
+
+
 @dataclass
 class ExactResult:
     """Exact log partition function with per-node means and per-edge correlations."""
@@ -31,78 +40,55 @@ class ExactResult:
 
 
 def exact_log_z(model: IsingModel, max_nodes: int = 24) -> ExactResult:
-    """Exact enumeration over all 2^n configurations (guarded by max_nodes)."""
+    """Exact enumeration over all 2^n configurations (guarded by max_nodes).
+
+    Needs h >= 0, so that the all-plus state has the largest energy.
+    """
     if model.n > max_nodes:
         raise SizeGuardError(
             f"exact enumeration over 2^{model.n} states exceeds the "
             f"max_nodes={max_nodes} guard")
-    log_z, means, corrs = _kernels.enumerate_exact(
-        model.n, model.edge_i, model.edge_j, model.couplings, model.fields)
+    if np.any(model.fields < 0):
+        raise DomainError("exact enumeration needs nonnegative fields")
+    log_z, means, corrs = _kernels.enumerate_exact(model)
     return ExactResult(log_z=float(log_z), node_means=means, edge_correlations=corrs)
 
 
 def transfer_matrix_log_z(model: IsingModel) -> float:
     """Exact log Z for a model whose graph is a single chain or a single cycle.
 
-    Per-site 2x2 transfer matrices are multiplied with a running max rescale,
-    so chains and cycles with thousands of nodes stay in range.
+    A chain is a cycle closed by a zero coupling, so both (and n = 1) are the
+    trace of a product of per-site 2x2 transfer matrices along one walk. The
+    product is rescaled by its running max, so thousands of sites stay in range.
     """
-    n = model.n
-    if n == 1:
-        if model.m:
-            raise ModelError("graph is not a simple chain or cycle")
-        return float(np.log(2.0 * np.cosh(model.fields[0])))
-    deg = model.degrees
-    if model.m == 0 or int(deg.max()) > 2:
+    n, deg, dst = model.n, model.degrees, model.dir_dst
+    if int(deg.max()) > 2:
         raise ModelError("graph is not a single chain or cycle")
+    # Start at the lower end of a chain; a walk that returns to a node before
+    # it has seen all n nodes means the graph is not connected.
     ends = np.flatnonzero(deg == 1)
-    if len(ends) == 2 and model.m == n - 1:
-        start, cycle = int(ends.min()), False
-    elif len(ends) == 0 and model.m == n:
-        start, cycle = 0, True
-    else:
-        raise ModelError("graph is not a single chain or cycle")
-    adj = model.adjacency
-    jmap = {(int(i), int(j)): float(model.couplings[e])
-            for e, (i, j) in enumerate(model.edges)}
-    order = [start]
-    visited = {start}
-    prev, cur = -1, start
-    while len(order) < n:
-        nbrs = [v for v, _ in adj[cur] if v != prev]
-        if not nbrs:
-            raise ModelError("graph is not connected as a single chain or cycle")
-        nxt = min(nbrs)
-        if nxt in visited:
-            raise ModelError("graph is not connected as a single chain or cycle")
-        order.append(nxt)
-        visited.add(nxt)
-        prev, cur = cur, nxt
+    start = int(ends[0]) if len(ends) else 0
+    out = np.argsort(model.dir_src, kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(deg)))
     s = np.array([1.0, -1.0])
-    h = model.fields
-    acc = 0.0
-    if not cycle:
-        v = np.exp(h[order[0]] * s)
-        c = float(v.max())
-        acc += math.log(c)
-        v = v / c
-        for k in range(1, n):
-            j = jmap[(min(order[k - 1], order[k]), max(order[k - 1], order[k]))]
-            mk = np.exp(j * np.outer(s, s) + h[order[k]] * s[None, :])
-            v = v @ mk
-            c = float(v.max())
-            acc += math.log(c)
-            v = v / c
-        return acc + math.log(float(v.sum()))
-    mat = np.eye(2)
-    for k in range(n):
-        u, w = order[k], order[(k + 1) % n]
-        j = jmap[(min(u, w), max(u, w))]
-        mk = np.exp(h[u] * s[:, None] + j * np.outer(s, s))
-        mat = mat @ mk
+    seen = np.zeros(n, dtype=bool)
+    acc, mat = 0.0, np.eye(2)
+    u, back = start, -1
+    for _ in range(n):
+        if seen[u]:
+            raise ModelError("graph is not connected as a single chain or cycle")
+        seen[u] = True
+        nxt = [d for d in out[ptr[u]:ptr[u + 1]] if d != back]
+        if nxt:
+            d = min(nxt, key=lambda d: dst[d])
+            j, u_next, back = model.dir_coupling[d], dst[d], d ^ 1
+        else:  # the end of a chain: close the cycle with a zero coupling
+            j, u_next = 0.0, start
+        mat = mat @ np.exp(model.fields[u] * s[:, None] + j * np.outer(s, s))
         c = float(np.abs(mat).max())
         acc += math.log(c)
         mat = mat / c
+        u = u_next
     return acc + math.log(float(np.trace(mat)))
 
 
@@ -153,8 +139,6 @@ def _grid_maximize(f_tables, pair_terms):
     for i, j, tab in pair_terms:
         if i == 0:
             first_terms.append((j, tab))
-        elif j == 0:
-            first_terms.append((i, tab.T))
         else:
             rest = rest + tab[view(ar, i - 1), view(ar, j - 1)]
     best_val = -np.inf
@@ -171,13 +155,13 @@ def _grid_maximize(f_tables, pair_terms):
     return best_idx, best_val
 
 
-def _coordinate_refine(x, value_fn, window, rounds):
-    """Golden-section sweeps over each coordinate within +-window of the incumbent."""
+def _coordinate_refine(x, value_fn):
+    """Golden-section sweeps over each coordinate within one grid step of the incumbent."""
     x = x.copy()
-    for _ in range(rounds):
+    for _ in range(_REFINE_ROUNDS):
         for i in range(len(x)):
-            lo = max(-1.0, x[i] - window)
-            hi = min(1.0, x[i] + window)
+            lo = max(-1.0, x[i] - _RESOLUTION)
+            hi = min(1.0, x[i] + _RESOLUTION)
 
             def f1(v, i=i):
                 x2 = x.copy()
@@ -190,30 +174,20 @@ def _coordinate_refine(x, value_fn, window, rounds):
     return x
 
 
-def _grid(resolution):
-    npts = int(round(2.0 / resolution)) + 1
-    if npts < 3:
-        raise DomainError(f"grid resolution {resolution:g} too coarse")
-    return np.linspace(-1.0, 1.0, npts)
-
-
-def brute_force_mf_optimum(model: IsingModel, grid_resolution=0.02,
-                           refine_rounds=3, max_nodes=6):
+def brute_force_mf_optimum(model: IsingModel):
     """Grid search plus coordinate refinement for the mean-field objective.
 
-    Returns (x, value). Cost grows as (2/resolution + 1)^n; guarded by max_nodes.
+    Returns (x, value). Cost grows as 101^n; guarded by n <= 6.
     """
-    if model.n > max_nodes:
-        raise SizeGuardError(f"mean-field grid search needs n <= {max_nodes}")
-    grid = _grid(grid_resolution)
-    f_tables = model.fields[:, None] * grid[None, :] + bernoulli_entropy(grid)[None, :]
-    pair = np.outer(grid, grid)
+    if model.n > _MF_MAX_NODES:
+        raise SizeGuardError(f"mean-field grid search needs n <= {_MF_MAX_NODES}")
+    f_tables = model.fields[:, None] * _GRID[None, :] + bernoulli_entropy(_GRID)[None, :]
+    pair = np.outer(_GRID, _GRID)
     pair_terms = [(int(model.edge_i[e]), int(model.edge_j[e]),
                    model.couplings[e] * pair) for e in range(model.m)]
     idx, _ = _grid_maximize(f_tables, pair_terms)
-    x = grid[list(idx)]
-    x = _coordinate_refine(x, lambda v: mf_objective(model, v),
-                           grid_resolution, refine_rounds)
+    x = _GRID[list(idx)]
+    x = _coordinate_refine(x, lambda v: mf_objective(model, v))
     return x, mf_objective(model, x)
 
 
@@ -265,25 +239,23 @@ def _edge_term(j_e, mi, mj):
     return best_val, best_c
 
 
-def brute_force_bethe_optimum(model: IsingModel, grid_resolution=0.02,
-                              refine_rounds=3, max_params=8):
+def brute_force_bethe_optimum(model: IsingModel):
     """Grid search over node means (edge correlations optimized in closed form)
     plus coordinate refinement, for the local variational objective.
 
-    Returns (LocalDistribution, value). Guarded by n + m <= max_params.
+    Returns (LocalDistribution, value). Guarded by n + m <= 8.
     """
-    if model.n + model.m > max_params:
-        raise SizeGuardError(f"local grid search needs n + m <= {max_params}")
-    grid = _grid(grid_resolution)
+    if model.n + model.m > _BETHE_MAX_PARAMS:
+        raise SizeGuardError(f"local grid search needs n + m <= {_BETHE_MAX_PARAMS}")
     deg = model.degrees.astype(np.float64)
-    f_tables = (model.fields[:, None] * grid[None, :]
-                - (deg - 1.0)[:, None] * bernoulli_entropy(grid)[None, :])
+    f_tables = (model.fields[:, None] * _GRID[None, :]
+                - (deg - 1.0)[:, None] * bernoulli_entropy(_GRID)[None, :])
     pair_terms = []
     for e in range(model.m):
-        val_tab, _ = _edge_term(model.couplings[e], grid[:, None], grid[None, :])
+        val_tab, _ = _edge_term(model.couplings[e], _GRID[:, None], _GRID[None, :])
         pair_terms.append((int(model.edge_i[e]), int(model.edge_j[e]), val_tab))
     idx, _ = _grid_maximize(f_tables, pair_terms)
-    means = grid[list(idx)]
+    means = _GRID[list(idx)]
 
     def value_fn(mv):
         total = float(model.fields @ mv)
@@ -294,7 +266,7 @@ def brute_force_bethe_optimum(model: IsingModel, grid_resolution=0.02,
             total += float(val)
         return total
 
-    means = _coordinate_refine(means, value_fn, grid_resolution, refine_rounds)
+    means = _coordinate_refine(means, value_fn)
     stats = np.zeros((model.m, 3))
     for e in range(model.m):
         mi, mj = means[model.edge_i[e]], means[model.edge_j[e]]
@@ -305,22 +277,15 @@ def brute_force_bethe_optimum(model: IsingModel, grid_resolution=0.02,
     return dist, primal_bethe(model, dist)
 
 
-def exact_result_to_csv(result: ExactResult, model: IsingModel | None = None) -> str:
-    """Serialize: a log_z line, node,mean rows, then i,j,corr rows."""
-    lines = []
-    if model is not None:
-        lines.append(f"# model_hash {model_hash(model)}")
-    lines.append(f"log_z,{result.log_z:.17g}")
-    lines.append("node,mean")
+def exact_result_to_csv(result: ExactResult, model: IsingModel) -> str:
+    """Serialize: the model hash, a log_z line, node,mean rows, then i,j,corr rows."""
+    lines = [f"# model_hash {model_hash(model)}", f"log_z,{result.log_z:.17g}",
+             "node,mean"]
     for i, v in enumerate(result.node_means):
         lines.append(f"{i},{v:.17g}")
     lines.append("i,j,corr")
-    if model is not None:
-        for e, c in enumerate(result.edge_correlations):
-            lines.append(f"{model.edge_i[e]},{model.edge_j[e]},{c:.17g}")
-    else:
-        for e, c in enumerate(result.edge_correlations):
-            lines.append(f"{e},{e},{c:.17g}")
+    for e, c in enumerate(result.edge_correlations):
+        lines.append(f"{model.edge_i[e]},{model.edge_j[e]},{c:.17g}")
     return "\n".join(lines) + "\n"
 
 

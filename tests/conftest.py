@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from isingvi import IsingModel, generate_topology
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a Tier-1 result does not depend on earlier runs.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def chain2(beta=1.0, h=0.0):

@@ -35,6 +35,17 @@ def test_gen_writes_parsable_model(tmp_path):
     assert read(out) == read(out2)
 
 
+def test_gen_single_node_field(tmp_path):
+    out = tmp_path / "model.txt"
+    assert main(["gen", "--topology", "grid:3x3", "--beta", "0.3",
+                 "--field", "single:0:5.0", "--out", str(out)]) == 0
+    assert [line for line in read(out).splitlines()
+            if line.startswith("node")] == ["node 0 5"]
+    for spec in ("single:0", "single:x:1", "abc", "single:9:1.0"):
+        assert main(["gen", "--topology", "grid:3x3", "--beta", "0.3",
+                     "--field", spec, "--out", str(out)]) == 1
+
+
 def test_run_bp_with_exact_cross_check(tmp_path):
     gen = tmp_path / "tree.txt"
     main(["gen", "--topology", "tree:10", "--beta", "0.4", "--field", "0.3",

@@ -33,9 +33,8 @@ def test_directed_edge_layout():
 def test_degrees_and_adjacency():
     m = star5(0.3, 0.2)
     assert m.degrees.tolist() == [4, 1, 1, 1, 1]
-    adj = m.adjacency
-    assert sorted(nbr for nbr, _e in adj[0]) == [1, 2, 3, 4]
-    assert len(adj[2]) == 1
+    assert sorted(m.dir_dst[m.dir_src == 0].tolist()) == [1, 2, 3, 4]
+    assert m.dir_dst[m.dir_src == 2].tolist() == [0]
 
 
 def test_rejects_bad_models():
@@ -94,16 +93,27 @@ def test_j_matvec_matches_dense(rng):
 
 
 def test_exclusion_index_matches_naive(rng):
-    m = random_ferro(6, 9, rng)
-    exc_ptr, exc_idx, seg_id = m.exclusion_index()
-    ndir = 2 * m.m
-    for d in range(ndir):
-        got = sorted(exc_idx[exc_ptr[d]:exc_ptr[d + 1]].tolist())
-        want = sorted(int(q) for q in range(ndir)
-                      if m.dir_dst[q] == m.dir_src[d] and q != (d ^ 1))
-        assert got == want
-    assert seg_id.tolist() == [d for d in range(ndir)
-                               for _ in range(exc_ptr[d + 1] - exc_ptr[d])]
+    isolated = IsingModel(7, np.array([[1, 4], [4, 6], [1, 6], [2, 4]]),
+                          np.full(4, 0.3), np.zeros(7))
+    for m in (random_ferro(6, 9, rng),
+              generate_topology("grid", 0.3, 0.0, rows=4, cols=5),
+              generate_topology("random_regular", 0.3, 0.0, n=20, degree=3, seed=1),
+              generate_topology("star", 0.3, 0.0, n=6),
+              generate_topology("random_tree", 0.3, 0.0, n=12, seed=2),
+              isolated, IsingModel(3)):
+        # the definition: for d = (i -> j), the directed edges into i other
+        # than j -> i, ascending
+        ptr, idx, seg = [0], [], []
+        for d in range(2 * m.m):
+            for q in range(2 * m.m):
+                if m.dir_dst[q] == m.dir_src[d] and q != d ^ 1:
+                    idx.append(q)
+                    seg.append(d)
+            ptr.append(len(idx))
+        exc_ptr, exc_idx, seg_id = m.exclusion_index()
+        assert exc_ptr.tolist() == ptr
+        assert exc_idx.tolist() == idx
+        assert seg_id.tolist() == seg
 
 
 def test_save_load_round_trip_exact(rng):
@@ -184,3 +194,6 @@ def test_single_field_spec():
     m = generate_topology("grid", 0.384, ("single", 0, 5.0), rows=4, cols=4)
     assert m.fields[0] == 5.0
     assert np.all(m.fields[1:] == 0.0)
+    for idx in (-1, 16):
+        with pytest.raises(ModelError):
+            generate_topology("grid", 0.384, ("single", idx, 5.0), rows=4, cols=4)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import chain2, cycle4, path3, random_ferro, random_tree, star5, triangle
-from isingvi import (IsingModel, ModelError, SizeGuardError,
-                     brute_force_bethe_optimum, brute_force_mf_optimum,
+from isingvi import (DomainError, IsingModel, ModelError, SizeGuardError,
+                     bp_iterate, brute_force_bethe_optimum, brute_force_mf_optimum,
                      exact_log_z, exact_result_from_csv, exact_result_to_csv,
                      generate_topology, mf_iterate, mf_objective, model_hash,
                      primal_bethe, transfer_matrix_log_z)
@@ -38,11 +40,30 @@ def test_size_guard():
     with pytest.raises(SizeGuardError):
         exact_log_z(small, max_nodes=small.n - 1)
     assert math.isfinite(exact_log_z(small, max_nodes=small.n).log_z)
-    # 17 nodes fill two 2^16-state chunks; the second holds the larger
-    # energies, so the running max is rescaled between them
+    # 17 nodes fill two 2^16-state chunks, and both must be summed
     cyc = generate_topology("cycle", 3.0, 0.5, n=17)
     assert exact_log_z(cyc, max_nodes=17).log_z == pytest.approx(
         transfer_matrix_log_z(cyc), abs=1e-10)
+
+
+def test_exact_rejects_negative_field():
+    model = IsingModel(3, np.array([[0, 1], [1, 2]]), np.full(2, 0.4),
+                       np.array([0.2, -0.1, 0.0]), check_fields=False)
+    with pytest.raises(DomainError):
+        exact_log_z(model)
+
+
+@given(st.integers(1, 10), st.integers(0, 45), st.integers(0, 10**6))
+def test_mf_bethe_log_z_ordering(n, m, seed):
+    # MF* <= Bethe* <= log Z for ferromagnetic models, both solvers from all-ones
+    model = random_ferro(n, min(m, n * (n - 1) // 2), np.random.default_rng(seed))
+    log_z = exact_log_z(model).log_z
+    _x, mf = mf_iterate(model, max_steps=10**5, tol=1e-14)
+    _nu, bp = bp_iterate(model, max_steps=10**5, tol=1e-14)
+    assert mf.converged and bp.converged
+    slack = 1e-12 * max(1.0, abs(log_z))
+    assert mf.objective[-1] <= bp.objective[-1] + slack
+    assert bp.objective[-1] <= log_z + slack
 
 
 def test_transfer_matrix_chain_and_cycle(rng):
