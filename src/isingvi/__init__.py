@@ -1,8 +1,8 @@
 """Variational inference for ferromagnetic Ising models.
 
 Mean-field and belief-propagation iterations with convergence-rate bounds,
-exact small-instance references, and an ellipsoid-method solver for the
-optimal fixed point of either variational objective.
+exact references, and an ellipsoid-method solver for the optimal fixed point
+of either variational objective.
 """
 
 from .bp import (LocalDistribution, RegionMembership, beliefs_from_messages,
@@ -22,8 +22,7 @@ from .model import (DomainError, IsingModel, ModelError, ModelNorms,
                     save_model, validate_ferromagnetic)
 from .oracle import (ExactResult, SizeGuardError, brute_force_bethe_optimum,
                      brute_force_mf_optimum, exact_log_z,
-                     exact_result_from_csv, exact_result_to_csv,
-                     transfer_matrix_log_z)
+                     exact_result_from_csv, exact_result_to_csv)
 from .trace import IterationTrace, trace_from_csv, trace_meta, trace_to_csv
 
 __version__ = "0.1.0"
@@ -39,7 +38,7 @@ __all__ = [
     "LocalDistribution", "product_distribution", "beliefs_from_messages",
     "local_consistency_check", "primal_bethe", "bp_error_bound",
     "messages_to_csv", "messages_from_csv",
-    "ExactResult", "SizeGuardError", "exact_log_z", "transfer_matrix_log_z",
+    "ExactResult", "SizeGuardError", "exact_log_z",
     "brute_force_mf_optimum", "brute_force_bethe_optimum",
     "exact_result_to_csv", "exact_result_from_csv",
     "SeparationResult", "EllipsoidState", "FeasibilityError",

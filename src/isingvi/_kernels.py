@@ -1,10 +1,9 @@
 """Hot iteration kernels on flat numpy arrays, and the formulas they share.
 
-mf_run and bp_run are the synchronous mean-field and BP sweeps; enumerate_exact
-sums over all 2^n spin configurations. The private helpers below hold the one
-implementation of the BP message update, the Bethe dual and the mean-field
-objective: the public functions in bp and meanfield check their arguments and
-call them, and the sweeps call them once per step.
+mf_run and bp_run are the synchronous mean-field and BP sweeps. The private
+helpers below hold the one implementation of the BP message update, the Bethe
+dual and the mean-field objective: the public functions in bp and meanfield
+check their arguments and call them, and the sweeps call them once per step.
 """
 
 from __future__ import annotations
@@ -136,30 +135,3 @@ def bp_run(dir_src, dir_dst, theta_e, h, exc_idx, seg_id, lc_total,
             converged = True
             break
     return nu, _column(dual, steps), _column(step_inf, steps), steps, converged
-
-
-def enumerate_exact(model):
-    n, m = model.n, model.m
-    ei, ej, jw, h = model.edge_i, model.edge_j, model.couplings, model.fields
-    total = 1 << n
-    chunk = 1 << 16
-    bits = np.arange(n, dtype=np.uint64)
-    # The all-plus energy is the largest when J, h >= 0: relative to it no
-    # weight overflows, and the chunk sums need no rescaling.
-    shift = float(jw.sum()) + float(h.sum())
-    z_acc = 0.0
-    mean_acc = np.zeros(n)
-    corr_acc = np.zeros(m)
-    for c0 in range(0, total, chunk):
-        c1 = min(c0 + chunk, total)
-        ids = np.arange(c0, c1, dtype=np.uint64)
-        x = (((ids[:, None] >> bits) & np.uint64(1)).astype(np.float64)) * 2.0 - 1.0
-        energy = x @ h
-        for e in range(m):
-            energy += jw[e] * x[:, ei[e]] * x[:, ej[e]]
-        w = np.exp(energy - shift)
-        z_acc += float(w.sum())
-        mean_acc += w @ x
-        for e in range(m):
-            corr_acc[e] += float(w @ (x[:, ei[e]] * x[:, ej[e]]))
-    return shift + math.log(z_acc), mean_acc / z_acc, corr_acc / z_acc

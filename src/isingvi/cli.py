@@ -3,10 +3,11 @@
 Verbs:
     gen     build a model file from a topology spec
     run     run an algorithm on a model, writing trace/state/summary artifacts
-    exact   exact enumeration reference for a small model
+    exact   exact log Z, means and correlations by variable elimination
     report  turn trace CSVs into a residual/bound report with invariant checks
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 size-guard error.
+Exit codes: 0 success, 1 validation error, 2 I/O error, 3 size-guard error
+(a model too wide for exact elimination).
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .ellipsoid import (FeasibilityError, ellipsoid_progress_csv,
 from .model import (DomainError, IsingModel, ModelError, ModelNorms,
                     generate_topology, load_model, model_hash, save_model)
 from .oracle import (SizeGuardError, exact_log_z, exact_result_from_csv,
-                     exact_result_to_csv, transfer_matrix_log_z)
+                     exact_result_to_csv)
 from .svgplot import plot_lines
 from .trace import trace_from_csv, trace_meta, trace_to_csv
 
-_ALGOS = ("mf", "bp", "ellipsoid_bethe", "ellipsoid_mf", "transfer_matrix")
+_ALGOS = ("mf", "bp", "ellipsoid_bethe", "ellipsoid_mf")
 _MONOTONE_SLACK = 1e-11
 _BOUND_SLACK = 1e-9
 
@@ -239,13 +240,6 @@ def _run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.algo in ("mf", "bp"):
         return _run_iterative(args, model)
-    if args.algo == "transfer_matrix":
-        value = transfer_matrix_log_z(model)
-        _write(os.path.join(args.out, "summary.txt"), _summary_text([
-            ("model_hash", model_hash(model)), ("algo", "transfer_matrix"),
-            ("log_z", f"{value:.17g}")]))
-        print(f"log_z {value:.17g}")
-        return 0
     return _run_ellipsoid(args, model)
 
 
@@ -384,7 +378,7 @@ def _build_parser():
                        help="write objective and residual SVG plots")
     p_run.set_defaults(verb=_run)
 
-    p_exact = sub.add_parser("exact", help="exact enumeration reference")
+    p_exact = sub.add_parser("exact", help="exact log Z by variable elimination")
     _add_model_source(p_exact)
     p_exact.add_argument("--out", required=True, help="output directory")
     p_exact.set_defaults(verb=_exact)

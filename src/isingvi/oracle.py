@@ -1,6 +1,6 @@
-"""Exact small-instance references: full enumeration, transfer matrices for
-chains and cycles, and brute-force grid maximizers for the two variational
-objectives. These are deliberately independent of the iterative solvers so
+"""Exact references: log Z, node means and edge correlations by variable
+elimination, and brute-force grid maximizers of the two variational objectives
+on tiny models. These are deliberately independent of the iterative solvers so
 they can serve as ground truth in tests.
 """
 
@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .bp import LocalDistribution, primal_bethe
 from .meanfield import bernoulli_entropy, mf_objective
-from .model import DomainError, IsingModel, ModelError, model_hash
+from .model import DomainError, IsingModel, model_hash
 
 
 class SizeGuardError(RuntimeError):
@@ -28,6 +27,8 @@ _GRID = np.linspace(-1.0, 1.0, int(round(2.0 / _RESOLUTION)) + 1)
 _REFINE_ROUNDS = 3
 _MF_MAX_NODES = 6
 _BETHE_MAX_PARAMS = 8
+# Exact elimination: the most table entries, summed over all bags, it stores.
+_TABLE_BUDGET = 1 << 25
 
 
 @dataclass
@@ -39,57 +40,90 @@ class ExactResult:
     edge_correlations: np.ndarray  # (m,) E[x_i x_j] in canonical edge order
 
 
-def exact_log_z(model: IsingModel, max_nodes: int = 24) -> ExactResult:
-    """Exact enumeration over all 2^n configurations (guarded by max_nodes).
-
-    Needs h >= 0, so that the all-plus state has the largest energy.
+def _bags(model: IsingModel):
+    """A greedy vertex order as a chain of bags, each the frontier (the added
+    nodes with a neighbour still to come) plus the added node, last. Each step
+    adds the node that least grows the frontier, then the one with the fewest
+    neighbours to come, then the lowest id; with no frontier, one of least
+    degree. Per step: the bag, the (bag axis, edge id) of each coupling to the
+    frontier and the bag axes summed out after it. Raises SizeGuardError, before any
+    table exists, once sum 2^|bag| exceeds _TABLE_BUDGET.
     """
-    if model.n > max_nodes:
-        raise SizeGuardError(
-            f"exact enumeration over 2^{model.n} states exceeds the "
-            f"max_nodes={max_nodes} guard")
+    nbrs = [[] for _ in range(model.n)]
+    for e, (i, j) in enumerate(model.edges.tolist()):
+        nbrs[i].append((j, e))
+        nbrs[j].append((i, e))
+    left = model.degrees.tolist()  # neighbours not yet added
+    added = [False] * model.n
+    by_degree = iter(sorted(range(model.n), key=lambda v: (left[v], v)))
+    frontier, steps, total = [], [], 0
+
+    def growth(v):
+        done = sum(added[u] and left[u] == 1 for u, _ in nbrs[v])
+        return (left[v] > 0) - done, left[v], v
+
+    for _ in range(model.n):
+        boundary = {u for f in frontier for u, _ in nbrs[f] if not added[u]}
+        v = min(boundary, key=growth) if boundary else next(
+            u for u in by_degree if not added[u])
+        bag = frontier + [v]
+        total += 1 << len(bag)
+        if total > _TABLE_BUDGET:
+            raise SizeGuardError(f"exact elimination needs more than {_TABLE_BUDGET} "
+                                 f"table entries (a bag of {len(bag)} nodes)")
+        links = [(bag.index(u), e) for u, e in nbrs[v] if added[u]]
+        added[v] = True
+        for u, _ in nbrs[v]:
+            left[u] -= 1
+        frontier = [u for u in bag if left[u]]
+        steps.append((bag, links, tuple(a for a, u in enumerate(bag) if not left[u])))
+    return steps
+
+
+def _spin(axis: int, ndim: int):
+    """The spins (+1, -1) along one axis of an ndim-axis table."""
+    return np.array([1.0, -1.0]).reshape((1,) * axis + (2,) + (1,) * (ndim - axis - 1))
+
+
+def exact_log_z(model: IsingModel) -> ExactResult:
+    """Exact log Z, node means and edge correlations by variable elimination.
+
+    Adding a node multiplies the frontier table by its field factor and its
+    couplings to the frontier; nodes with no neighbour left are then summed
+    out. Each table is renormalized by its max, whose log goes into log Z. A
+    backward pass over the stored tables gives each bag's belief, which holds
+    the added node's mean and its couplings' correlations. Needs h >= 0.
+    """
     if np.any(model.fields < 0):
-        raise DomainError("exact enumeration needs nonnegative fields")
-    log_z, means, corrs = _kernels.enumerate_exact(model)
-    return ExactResult(log_z=float(log_z), node_means=means, edge_correlations=corrs)
+        raise DomainError("exact_log_z needs nonnegative fields")
+    steps = _bags(model)
+    log_z, table, tables = 0.0, np.ones(()), []
+    for bag, links, drop in steps:
+        w = len(bag)
+        local = model.fields[bag[-1]] + sum(model.couplings[e] * _spin(a, w)
+                                            for a, e in links)
+        log_phi = _spin(w - 1, w) * local
+        top = float(log_phi.max())
+        t = table[..., None] * np.exp(log_phi - top)
+        scale = float(t.max())
+        t /= scale
+        log_z += top + math.log(scale)
+        tables.append(t)
+        table = t.sum(axis=drop)
+    log_z += math.log(float(table))
 
-
-def transfer_matrix_log_z(model: IsingModel) -> float:
-    """Exact log Z for a model whose graph is a single chain or a single cycle.
-
-    A chain is a cycle closed by a zero coupling, so both (and n = 1) are the
-    trace of a product of per-site 2x2 transfer matrices along one walk. The
-    product is rescaled by its running max, so thousands of sites stay in range.
-    """
-    n, deg, dst = model.n, model.degrees, model.dir_dst
-    if int(deg.max()) > 2:
-        raise ModelError("graph is not a single chain or cycle")
-    # Start at the lower end of a chain; a walk that returns to a node before
-    # it has seen all n nodes means the graph is not connected.
-    ends = np.flatnonzero(deg == 1)
-    start = int(ends[0]) if len(ends) else 0
-    out = np.argsort(model.dir_src, kind="stable")
-    ptr = np.concatenate(([0], np.cumsum(deg)))
-    s = np.array([1.0, -1.0])
-    seen = np.zeros(n, dtype=bool)
-    acc, mat = 0.0, np.eye(2)
-    u, back = start, -1
-    for _ in range(n):
-        if seen[u]:
-            raise ModelError("graph is not connected as a single chain or cycle")
-        seen[u] = True
-        nxt = [d for d in out[ptr[u]:ptr[u + 1]] if d != back]
-        if nxt:
-            d = min(nxt, key=lambda d: dst[d])
-            j, u_next, back = model.dir_coupling[d], dst[d], d ^ 1
-        else:  # the end of a chain: close the cycle with a zero coupling
-            j, u_next = 0.0, start
-        mat = mat @ np.exp(model.fields[u] * s[:, None] + j * np.outer(s, s))
-        c = float(np.abs(mat).max())
-        acc += math.log(c)
-        mat = mat / c
-        u = u_next
-    return acc + math.log(float(np.trace(mat)))
+    means, corrs = np.empty(model.n), np.empty(model.m)
+    msg = np.ones(())  # the next bag's belief summed onto this step's frontier
+    for (bag, links, drop), t in zip(reversed(steps), reversed(tables)):
+        f = t.sum(axis=drop, keepdims=True)
+        belief = t * np.divide(msg.reshape(f.shape), f, out=np.zeros_like(f),
+                               where=f > 0)
+        msg = belief.sum(axis=-1)
+        signed = belief * _spin(len(bag) - 1, len(bag))
+        means[bag[-1]] = signed.sum()
+        for a, e in links:
+            corrs[e] = (signed * _spin(a, len(bag))).sum()
+    return ExactResult(log_z=log_z, node_means=means, edge_correlations=corrs)
 
 
 def _golden_max(f, lo, hi, tol=1e-11):

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,7 +8,11 @@ from hypothesis import settings
 from isingvi import IsingModel, generate_topology
 
 # Property tests draw the same examples on every run and keep no example
-# database, so a Tier-1 result does not depend on earlier runs.
+# database, so a Tier-1 result does not depend on earlier runs. Hypothesis
+# still caches source constants; they go to the temp directory, not the
+# checkout.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "isingvi-hypothesis"))
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
 

@@ -83,6 +83,15 @@ def ref_moments(model):
     return log_z, means, corrs
 
 
+def cycle_log_z(n, j, h):
+    """log Z of an n-cycle with uniform coupling j and field h, from the two
+    eigenvalues of its 2x2 transfer matrix: n log l+ + log1p((l-/l+)^n)."""
+    root = math.sqrt(math.exp(2.0 * j) * math.sinh(h) ** 2 + math.exp(-2.0 * j))
+    plus = math.exp(j) * math.cosh(h) + root
+    minus = math.exp(j) * math.cosh(h) - root
+    return n * math.log(plus) + math.log1p((minus / plus) ** n)
+
+
 def fd_gradient(fn, x, step=1e-5):
     """Central finite-difference gradient of a scalar function."""
     x = [float(v) for v in x]

@@ -1,12 +1,14 @@
 import math
 import shutil
 import subprocess
+import time
 
 import numpy as np
 import pytest
 
 from isingvi import load_model, trace_from_csv
 from isingvi.cli import _monotone_ok, emit_report, main
+from refimpl import cycle_log_z
 
 
 def read(path):
@@ -130,11 +132,10 @@ def test_exact_verb_and_transfer_matrix(tmp_path):
     assert main(["exact", "--topology", "cycle:7", "--beta", "0.45", "--field",
                  "0.3", "--out", str(run)]) == 0
     log_z = float(summary_dict(run / "summary.txt")["log_z"])
-    run2 = tmp_path / "tm"
+    assert log_z == pytest.approx(cycle_log_z(7, 0.45, 0.3), rel=1e-13, abs=0)
+    # the exact verb is the one exact path; the transfer matrix is gone
     assert main(["run", "--topology", "cycle:7", "--beta", "0.45", "--field",
-                 "0.3", "--algo", "transfer_matrix", "--out", str(run2)]) == 0
-    tm = float(summary_dict(run2 / "summary.txt")["log_z"])
-    assert tm == pytest.approx(log_z, abs=1e-10)
+                 "0.3", "--algo", "transfer_matrix", "--out", str(tmp_path / "tm")]) == 1
 
 
 def test_report_verb(tmp_path):
@@ -172,8 +173,13 @@ def test_exit_codes(tmp_path):
                  "bp", "--out", str(tmp_path / "o")]) == 2
     assert main(["run", "--topology", "blob:9", "--beta", "0.3", "--algo",
                  "bp", "--out", str(tmp_path / "o")]) == 1
-    assert main(["exact", "--topology", "grid:9x9", "--beta", "0.1",
-                 "--out", str(tmp_path / "o")]) == 3
+    for wide in ("grid:40x40", "regular:200:3"):
+        start = time.perf_counter()
+        assert main(["exact", "--topology", wide, "--beta", "0.3",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert time.perf_counter() - start < 1.0
+    assert main(["exact", "--topology", "tree:200", "--beta", "0.3",
+                 "--out", str(tmp_path / "o")]) == 0
     assert main(["run", "--topology", "cycle:4", "--beta", "0.3", "--algo",
                  "simulated_annealing", "--out", str(tmp_path / "o")]) == 1
     assert main(["run", "--topology", "cycle:4", "--algo", "bp",

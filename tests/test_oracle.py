@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,18 +8,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import chain2, cycle4, path3, random_ferro, random_tree, star5, triangle
-from isingvi import (DomainError, IsingModel, ModelError, SizeGuardError,
-                     bp_iterate, brute_force_bethe_optimum, brute_force_mf_optimum,
+from isingvi import (DomainError, IsingModel, SizeGuardError, bp_iterate,
+                     brute_force_bethe_optimum, brute_force_mf_optimum,
                      exact_log_z, exact_result_from_csv, exact_result_to_csv,
-                     generate_topology, mf_iterate, mf_objective, model_hash,
-                     primal_bethe, transfer_matrix_log_z)
+                     generate_topology, mf_iterate, model_hash, primal_bethe)
+from isingvi import oracle
 from isingvi.oracle import _edge_term
-from refimpl import golden_max, ref_moments
+from refimpl import cycle_log_z, golden_max, ref_moments
+
+
+def random_chain(n, rng):
+    edges = np.array([[k, k + 1] for k in range(n - 1)])
+    return IsingModel(n, edges, rng.uniform(0.1, 1.5, size=n - 1),
+                      rng.uniform(0.0, 0.7, size=n))
 
 
 def test_exact_matches_enumeration(rng):
+    # two triangles and an isolated node: the order restarts with no frontier
+    apart = IsingModel(7, np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]),
+                       np.linspace(0.2, 1.2, 6), np.linspace(0.0, 0.6, 7))
     for model in (chain2(1.0, 0.0), triangle(0.4, 0.1), star5(0.3, 0.2),
-                  random_ferro(6, 9, rng), random_tree(7, rng)):
+                  random_ferro(6, 9, rng), random_tree(7, rng), random_chain(8, rng),
+                  apart):
         result = exact_log_z(model)
         log_z, means, corrs = ref_moments(model)
         assert result.log_z == pytest.approx(log_z, abs=1e-11)
@@ -32,18 +44,52 @@ def test_exact_single_node():
     assert result.node_means[0] == pytest.approx(math.tanh(0.7), abs=1e-14)
 
 
-def test_size_guard():
-    model = generate_topology("grid", 0.1, 0.0, rows=5, cols=5)
-    with pytest.raises(SizeGuardError):
-        exact_log_z(model)
+@pytest.mark.parametrize("n, j, h", [(3, 3.0, 0.5), (7, 3.0, 0.5), (17, 3.0, 0.5),
+                                     (3000, 0.6, 0.5), (3000, 0.3, 0.0)])
+def test_exact_cycle_closed_form(n, j, h):
+    log_z = exact_log_z(generate_topology("cycle", j, h, n=n)).log_z
+    assert log_z == pytest.approx(cycle_log_z(n, j, h), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("topology", [dict(kind="grid", rows=40, cols=40),
+                                      dict(kind="random_regular", n=200, degree=3)])
+def test_size_guard_fires_before_any_table(topology):
+    model = generate_topology(beta=0.3, **topology)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(SizeGuardError):
+            exact_log_z(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 5e6
+
+
+def test_size_guard(monkeypatch):
+    # any order of a triangle adds bags of 1, 2 and 3 nodes: 2 + 4 + 8 entries
     small = triangle(0.4, 0.1)
+    monkeypatch.setattr(oracle, "_TABLE_BUDGET", 13)
     with pytest.raises(SizeGuardError):
-        exact_log_z(small, max_nodes=small.n - 1)
-    assert math.isfinite(exact_log_z(small, max_nodes=small.n).log_z)
-    # 17 nodes fill two 2^16-state chunks, and both must be summed
-    cyc = generate_topology("cycle", 3.0, 0.5, n=17)
-    assert exact_log_z(cyc, max_nodes=17).log_z == pytest.approx(
-        transfer_matrix_log_z(cyc), abs=1e-10)
+        exact_log_z(small)
+    monkeypatch.setattr(oracle, "_TABLE_BUDGET", 14)
+    assert math.isfinite(exact_log_z(small).log_z)
+    monkeypatch.undo()
+    for model in (generate_topology("random_tree", 0.3, 0.0, n=200, seed=0),
+                  generate_topology("grid", 0.1, 0.0, rows=5, cols=5)):
+        result = exact_log_z(model)
+        assert math.isfinite(result.log_z)
+        assert np.all(np.abs(result.node_means) <= 1.0)
+
+
+def test_exact_saturated_model_is_finite():
+    # every state but all-plus underflows to weight 0: no overflow, and no 0/0
+    # in the backward pass
+    result = exact_log_z(path3(400.0, 800.0))
+    assert result.log_z == pytest.approx(2 * 400.0 + 3 * 800.0, rel=1e-15)
+    assert np.array_equal(result.node_means, np.ones(3))
+    assert np.array_equal(result.edge_correlations, np.ones(2))
 
 
 def test_exact_rejects_negative_field():
@@ -66,37 +112,20 @@ def test_mf_bethe_log_z_ordering(n, m, seed):
     assert bp.objective[-1] <= log_z + slack
 
 
-def test_transfer_matrix_chain_and_cycle(rng):
-    for n in (2, 3, 7):
-        rng2 = np.random.default_rng(n)
-        edges = np.array([[k, k + 1] for k in range(n - 1)])
-        model = IsingModel(n, edges, rng2.uniform(0.1, 1.0, size=n - 1),
-                           rng2.uniform(0, 0.7, size=n))
-        assert transfer_matrix_log_z(model) == pytest.approx(
-            exact_log_z(model).log_z, abs=1e-10)
-    cyc = generate_topology("cycle", 0.6, 0.25, n=9)
-    assert transfer_matrix_log_z(cyc) == pytest.approx(
-        exact_log_z(cyc).log_z, abs=1e-10)
-
-
-def test_transfer_matrix_rejects_non_paths():
-    with pytest.raises(ModelError):
-        transfer_matrix_log_z(star5(0.3, 0.1))
-    two_chains = IsingModel(4, np.array([[0, 1], [2, 3]]), np.full(2, 0.4),
-                            np.zeros(4))
-    with pytest.raises(ModelError):
-        transfer_matrix_log_z(two_chains)
-    two_cycles = IsingModel(6, np.array([[0, 1], [1, 2], [0, 2],
-                                         [3, 4], [4, 5], [3, 5]]),
-                            np.full(6, 0.4), np.zeros(6))
-    with pytest.raises(ModelError):
-        transfer_matrix_log_z(two_cycles)
-
-
-def test_transfer_matrix_triangle_is_cycle():
-    tri = triangle(0.3, 0.1)
-    assert transfer_matrix_log_z(tri) == pytest.approx(
-        exact_log_z(tri).log_z, abs=1e-10)
+def test_mf_bethe_log_z_ordering_on_a_strip():
+    # MF* <= Bethe* <= log Z on a 100x10 strip near criticality (n = 1000)
+    model = generate_topology("grid", 0.34, 0.01, rows=100, cols=10)
+    log_z = exact_log_z(model).log_z
+    _x, mf = mf_iterate(model, max_steps=10**5, tol=1e-13)
+    _nu, bp = bp_iterate(model, max_steps=10**5, tol=1e-13)
+    assert mf.converged and bp.converged
+    slack = 1e-12 * max(1.0, abs(log_z))
+    print(f"strip n={model.n}: (log Z - Bethe*)/n "
+          f"{(log_z - bp.objective[-1]) / model.n:.3g}, (Bethe* - MF*)/n "
+          f"{(bp.objective[-1] - mf.objective[-1]) / model.n:.3g}, "
+          f"MF {mf.steps} steps, BP {bp.steps} steps")
+    assert mf.objective[-1] <= bp.objective[-1] + slack
+    assert bp.objective[-1] <= log_z + slack
 
 
 def test_brute_force_mf_single_node():
