@@ -18,11 +18,12 @@ from .meanfield import (bernoulli_entropy, mf_error_bound,
                         mf_fixed_point_residual, mf_gradient, mf_iterate,
                         mf_objective, mf_step)
 from .model import (DomainError, IsingModel, ModelError, ModelNorms,
-                    ParseError, generate_topology, load_model, model_hash,
-                    save_model, validate_ferromagnetic)
+                    generate_topology, load_model, model_hash, save_model,
+                    validate_ferromagnetic)
 from .oracle import (ExactResult, SizeGuardError, brute_force_bethe_optimum,
                      brute_force_mf_optimum, exact_log_z,
                      exact_result_from_csv, exact_result_to_csv)
+from .textio import ParseError
 from .trace import IterationTrace, trace_from_csv, trace_meta, trace_to_csv
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, textio
 from .meanfield import _start_state, bernoulli_entropy
 from .model import DomainError, IsingModel, ModelNorms
 from .trace import IterationTrace
@@ -289,27 +289,24 @@ def _bound_array(norms: ModelNorms, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def messages_to_csv(model: IsingModel, nu) -> str:
-    """Serialize directed messages as src,dst,nu rows in directed-id order."""
+def messages_to_csv(model: IsingModel, nu, out=None):
+    """Serialize directed messages as src,dst,nu rows in directed-id order.
+    Writes to the open text file `out`, or returns the text when out is None."""
     nu = _check_messages(model, nu)
-    lines = ["src,dst,nu"]
-    for d in range(2 * model.m):
-        lines.append(f"{model.dir_src[d]},{model.dir_dst[d]},{nu[d]:.17g}")
-    return "\n".join(lines) + "\n"
+    return textio.emit(out, "src,dst,nu\n",
+                       textio.rows((model.dir_src, model.dir_dst, nu)))
 
 
-def messages_from_csv(model: IsingModel, text: str):
-    """Parse messages_to_csv output, checking the src/dst pairs against the model."""
-    rows = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not rows or rows[0].strip() != "src,dst,nu":
+def messages_from_csv(model: IsingModel, source):
+    """Parse messages_to_csv output (a string or an open text file), checking
+    the src/dst pairs against the model."""
+    _, sections = textio.read_csv(source, {"src,dst,nu": (int, int, float)})
+    if "src,dst,nu" not in sections:
         raise DomainError("expected a src,dst,nu header")
-    body = rows[1:]
-    if len(body) != 2 * model.m:
-        raise DomainError(f"expected {2 * model.m} message rows, got {len(body)}")
-    nu = np.empty(2 * model.m)
-    for d, ln in enumerate(body):
-        s, t, v = ln.split(",")
-        if int(s) != model.dir_src[d] or int(t) != model.dir_dst[d]:
-            raise DomainError(f"message row {d} does not match the model edge order")
-        nu[d] = float(v)
+    src, dst, nu = sections["src,dst,nu"]
+    if len(nu) != 2 * model.m:
+        raise DomainError(f"expected {2 * model.m} message rows, got {len(nu)}")
+    wrong = np.flatnonzero((src != model.dir_src) | (dst != model.dir_dst))
+    if wrong.size:
+        raise DomainError(f"message row {wrong[0]} does not match the model edge order")
     return nu

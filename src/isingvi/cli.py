@@ -6,21 +6,26 @@ Verbs:
     exact   exact log Z, means and correlations by variable elimination
     report  turn trace CSVs into a residual/bound report with invariant checks
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 size-guard error
-(a model too wide for exact elimination).
+Every model file and CSV artifact is written and read by the `textio` codec.
+
+Exit codes: 0 success, 1 validation or parse error, 2 I/O error, 3 size
+error (a model too wide for exact elimination, or one too large to allocate).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import bp as bp_mod
 from . import meanfield as mf_mod
+from . import textio
 from .ellipsoid import (FeasibilityError, ellipsoid_progress_csv,
                         solve_bethe_exponential, solve_mf_exponential)
 from .model import (DomainError, IsingModel, ModelError, ModelNorms,
@@ -28,6 +33,7 @@ from .model import (DomainError, IsingModel, ModelError, ModelNorms,
 from .oracle import (SizeGuardError, exact_log_z, exact_result_from_csv,
                      exact_result_to_csv)
 from .svgplot import plot_lines
+from .textio import ParseError
 from .trace import trace_from_csv, trace_meta, trace_to_csv
 
 _ALGOS = ("mf", "bp", "ellipsoid_bethe", "ellipsoid_mf")
@@ -81,7 +87,7 @@ def build_model(args) -> IsingModel:
     """The model read from --model, or generated from --topology and --beta."""
     if args.model is not None:
         with open(args.model, encoding="utf-8") as fh:
-            return load_model(fh.read())
+            return load_model(fh)
     if args.beta is None:
         raise ConfigError("--topology requires --beta")
     kwargs = _topology_kwargs(args.topology)
@@ -89,9 +95,13 @@ def build_model(args) -> IsingModel:
                              seed=args.seed, **kwargs)
 
 
-def _write(path: str, text: str):
+def _write(path: str, content):
+    """Write `content` to path: a str, or a function that writes to the open file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            content(fh)
 
 
 def _summary_text(pairs) -> str:
@@ -133,20 +143,20 @@ def _bound_ok(t, objective, bound, reference) -> bool:
     return not np.any(reference - objective[use] > bound[use] + _BOUND_SLACK)
 
 
-def _node_csv(x) -> str:
-    return "node,x\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(x))
+def _node_csv(x, out):
+    textio.emit(out, "node,x\n", textio.rows((np.arange(len(x)), x)))
 
 
 def _run_iterative(args, model: IsingModel) -> int:
     if args.algo == "mf":
         state, trace = mf_mod.mf_iterate(model, init=args.init,
                                          max_steps=args.steps, tol=args.tol)
-        final_csv = _node_csv(state)
+        final_csv = partial(_node_csv, state)
         label = "objective"
     else:
         state, trace = bp_mod.bp_iterate(model, init=args.init,
                                          max_steps=args.steps, tol=args.tol)
-        final_csv = bp_mod.messages_to_csv(model, state)
+        final_csv = partial(bp_mod.messages_to_csv, model, state)
         label = "dual_bethe"
     meta = trace_meta(model, args.algo, args.init, args.tol)
     _write(os.path.join(args.out, "trace.csv"), trace_to_csv(trace, meta))
@@ -167,7 +177,7 @@ def _run_iterative(args, model: IsingModel) -> int:
         exact_path = os.path.join(args.out, "exact.csv")
         if os.path.exists(exact_path):
             with open(exact_path, encoding="utf-8") as fh:
-                result, emeta = exact_result_from_csv(fh.read())
+                result, emeta = exact_result_from_csv(fh)
             if emeta.get("model_hash") == meta["model_hash"]:
                 gap = abs(final_obj - result.log_z)
                 pairs.append(("exact_log_z", f"{result.log_z:.17g}"))
@@ -207,14 +217,14 @@ def _run_iterative(args, model: IsingModel) -> int:
 def _run_ellipsoid(args, model: IsingModel) -> int:
     if args.algo == "ellipsoid_bethe":
         point, value, state = solve_bethe_exponential(model, args.eps, full_output=True)
-        final_csv = bp_mod.messages_to_csv(model, point)
+        final_csv = partial(bp_mod.messages_to_csv, model, point)
     else:
         point, value, state = solve_mf_exponential(model, args.eps, full_output=True)
-        final_csv = _node_csv(point)
+        final_csv = partial(_node_csv, point)
     _write(os.path.join(args.out, "final_state.csv"), final_csv)
     steps = state.step if state is not None else 0
     if state is not None:
-        _write(os.path.join(args.out, "progress.csv"), ellipsoid_progress_csv(state))
+        _write(os.path.join(args.out, "progress.csv"), partial(ellipsoid_progress_csv, state))
         if args.plot:
             rows = [(s, b) for s, _f, b, _v in state.progress if math.isfinite(b)]
             _write(os.path.join(args.out, "objective.svg"), plot_lines(
@@ -247,7 +257,7 @@ def _exact(args) -> int:
     model = build_model(args)
     os.makedirs(args.out, exist_ok=True)
     result = exact_log_z(model)
-    _write(os.path.join(args.out, "exact.csv"), exact_result_to_csv(result, model))
+    _write(os.path.join(args.out, "exact.csv"), partial(exact_result_to_csv, result, model))
     _write(os.path.join(args.out, "summary.txt"), _summary_text([
         ("model_hash", model_hash(model)), ("algo", "exact"),
         ("n", model.n), ("m", model.m),
@@ -257,16 +267,16 @@ def _exact(args) -> int:
 
 
 def _gen(args) -> int:
-    text = save_model(build_model(args))
+    model = build_model(args)
     if args.out:
-        _write(args.out, text)
+        _write(args.out, partial(save_model, model))
     else:
-        sys.stdout.write(text)
+        save_model(model, sys.stdout)
     return 0
 
 
 def emit_report(trace_texts) -> str:
-    """Build a report from trace CSV texts sharing one model.
+    """Build a report from trace CSVs (strings or open text files) sharing one model.
 
     The report contains per-iteration free-energy-density residuals against a
     per-algorithm reference (the max recorded objective), theorem
@@ -314,23 +324,18 @@ def emit_report(trace_texts) -> str:
         lines.append(f"# check {tag} objective_monotone {'PASS' if mono else 'FAIL'}")
         lines.append(f"# check {tag} bound_dominates {'PASS' if bok else 'FAIL'}")
         lines.append(f"# check {tag} converged {'PASS' if trace.converged else 'FAIL'}")
-        for i in range(len(trace.t)):
-            if not finite[i]:
-                continue
-            resid = (ref - trace.objective[i]) / norms.n
-            body.append(f"{k},{trace.algo},{int(trace.t[i])},"
-                        f"{trace.objective[i]:.17g},{resid:.17g},{bound[i]:.17g}")
+        keep = np.flatnonzero(finite)
+        objective = trace.objective[keep]
+        body.append(textio.rows((trace.t[keep], objective, (ref - objective) / norms.n,
+                                 bound[keep]), prefix=f"{k},{trace.algo},"))
     lines.append("trace,algo,t,objective,density_residual,bound")
-    lines.extend(body)
-    return "\n".join(lines) + "\n"
+    return textio.emit(None, "\n".join(lines) + "\n", *body)
 
 
 def _report(args) -> int:
-    texts = []
-    for path in args.traces:
-        with open(path, encoding="utf-8") as fh:
-            texts.append(fh.read())
-    text = emit_report(texts)
+    with contextlib.ExitStack() as stack:
+        text = emit_report(stack.enter_context(open(path, encoding="utf-8"))
+                           for path in args.traces)
     if args.out:
         _write(args.out, text)
     for line in text.splitlines():
@@ -397,7 +402,10 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ModelError, DomainError, FeasibilityError) as exc:
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 3
+    except (ConfigError, ModelError, ParseError, DomainError, FeasibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

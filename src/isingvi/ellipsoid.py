@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
 from .bp import bp_step, dual_bethe
 from .meanfield import mf_objective
 from .model import DomainError, IsingModel
@@ -197,12 +198,15 @@ def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
     return best_x.copy(), state
 
 
-def ellipsoid_progress_csv(state: EllipsoidState) -> str:
-    lines = ["step,feasible,objective_best,violation"]
-    for step, feas, best, viol in state.progress:
-        b = f"{best:.17g}" if np.isfinite(best) else "nan"
-        lines.append(f"{step},{int(feas)},{b},{viol:.17g}")
-    return "\n".join(lines) + "\n"
+def ellipsoid_progress_csv(state: EllipsoidState, out=None):
+    """Serialize the per-step progress; objective_best is nan until a feasible
+    point is found. Writes to the open text file `out`, or returns the text
+    when out is None."""
+    table = np.array(state.progress, dtype=np.float64).reshape(-1, 4)
+    best = table[:, 2]
+    return textio.emit(out, "step,feasible,objective_best,violation\n", textio.rows((
+        table[:, 0].astype(np.int64), table[:, 1].astype(np.int64),
+        np.where(np.isfinite(best), best, np.nan), table[:, 3])))
 
 
 def _perturbed(model: IsingModel, b: float) -> IsingModel:

@@ -119,14 +119,16 @@ def mf_error_bound(norms: ModelNorms, t) -> float:
 
 
 def _bound_array(norms: ModelNorms, t: np.ndarray) -> np.ndarray:
+    # In place: on the 2*10^5-step reference run behind --plot, one temporary
+    # per operation would set the job's peak memory.
     s = norms.j_l1 + norms.h_l1
-    tt = t.astype(np.float64)
     out = np.full(t.shape, np.inf)
-    pos = t >= 1
-    out[pos] = s / tt[pos]
+    np.divide(s, t, out=out, where=t >= 1)
     half = t // 2
     ok = half >= 1
-    out[ok] = np.minimum(out[ok], (s / half[ok]) ** (4.0 / 3.0))
+    fast = np.divide(s, half, out=np.zeros(t.shape), where=ok)
+    np.power(fast, 4.0 / 3.0, out=fast)
+    np.minimum(out, fast, out=out, where=ok)
     return out
 
 

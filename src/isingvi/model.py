@@ -9,18 +9,22 @@ reverse of directed id d is d ^ 1.
 
 from __future__ import annotations
 
-import hashlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
+from .textio import ParseError
+
+# The largest node count whose float64 field array has a size numpy can
+# represent; larger counts are not a model, smaller ones may still not fit
+# in memory (MemoryError).
+_MAX_NODES = sys.maxsize // 8
+
 
 class ModelError(ValueError):
     """Invalid model data (bad coupling sign, self-loop, duplicate edge, ...)."""
-
-
-class ParseError(ModelError):
-    """Model file does not conform to the grammar; message carries the line number."""
 
 
 class DomainError(ValueError):
@@ -201,8 +205,12 @@ def validate_ferromagnetic(model: IsingModel, allow_sign_flip: bool = False) -> 
     raise ModelError("mixed-sign field is not supported")
 
 
-def load_model(text: str) -> IsingModel:
-    """Parse the line-oriented model grammar into a validated IsingModel.
+_GRAMMAR = {"n": (int,), "node": (int, float), "edge": (int, int, float)}
+
+
+def load_model(source) -> IsingModel:
+    """Parse the line-oriented model grammar, from a string or an open text
+    file, into a validated IsingModel.
 
     All-nonpositive fields are sign-flipped; mixed-sign fields raise ModelError.
 
@@ -210,77 +218,68 @@ def load_model(text: str) -> IsingModel:
         n <N>
         node <i> <h_i>     # optional per node, default 0
         edge <i> <j> <J_ij>
+
+    The lines are read and converted by `textio.read_directives`; a
+    malformed line raises ParseError naming it. Token counts, directives and
+    numbers are checked as the file is read, the n directive and node ids
+    once it has been read.
     """
-    n = None
-    node_lines = {}
-    edges = []
-    couplings = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "n":
-                if n is not None:
-                    raise ParseError(f"line {lineno}: duplicate n directive")
-                if len(parts) != 2:
-                    raise ParseError(f"line {lineno}: expected 'n <N>'")
-                n = int(parts[1])
-            elif kind == "node":
-                if len(parts) != 3:
-                    raise ParseError(f"line {lineno}: expected 'node <i> <h>'")
-                i = int(parts[1])
-                if n is None:
-                    raise ParseError(f"line {lineno}: node before n directive")
-                if not 0 <= i < n:
-                    raise ParseError(f"line {lineno}: out-of-range node id {i} (n={n})")
-                if i in node_lines:
-                    raise ParseError(f"line {lineno}: duplicate node {i}")
-                node_lines[i] = float(parts[2])
-            elif kind == "edge":
-                if len(parts) != 4:
-                    raise ParseError(f"line {lineno}: expected 'edge <i> <j> <J>'")
-                if n is None:
-                    raise ParseError(f"line {lineno}: edge before n directive")
-                i, j = int(parts[1]), int(parts[2])
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ParseError(f"line {lineno}: out-of-range node id (n={n})")
-                edges.append((i, j))
-                couplings.append(float(parts[3]))
-            else:
-                raise ParseError(f"line {lineno}: unknown directive {kind!r}")
-        except ValueError as exc:
-            if isinstance(exc, ModelError):
-                raise
-            raise ParseError(f"line {lineno}: {exc}") from exc
-    if n is None:
+    rows = textio.read_directives(source, _GRAMMAR)
+    (counts, n_at), (ids, h, node_at), (i, j, c, edge_at) = (
+        rows["n"], rows["node"], rows["edge"])
+    if not len(counts):
         raise ParseError("missing n directive")
+    if len(counts) > 1:
+        raise ParseError(f"line {n_at[1]}: duplicate n directive")
+    early = [(at[0], kind) for kind, at in (("node", node_at), ("edge", edge_at))
+             if len(at) and at[0] < n_at[0]]
+    if early:
+        raise ParseError("line {}: {} before n directive".format(*min(early)))
+    n = int(counts[0])
+    if not 1 <= n <= _MAX_NODES:
+        raise ParseError(f"line {n_at[0]}: node count must be in 1..{_MAX_NODES}, got {n}")
+    _check_ids(node_at, n, ids)
+    _check_ids(edge_at, n, i, j)
+    # node lines are in file order, so the smallest index of a repeat is its first line
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][np.diff(ids[order]) == 0]
+    if repeats.size:
+        k = repeats.min()
+        raise ParseError(f"line {node_at[k]}: duplicate node {ids[k]}")
     fields = np.zeros(n)
-    for i, h in node_lines.items():
-        fields[i] = h
-    model = IsingModel(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
-                       couplings, fields, check_fields=False)
+    fields[ids] = h
+    model = IsingModel(n, np.stack([i, j], axis=1), c, fields, check_fields=False)
     return validate_ferromagnetic(model, allow_sign_flip=True)
 
 
-def save_model(model: IsingModel) -> str:
-    """Serialize to canonical form; load_model(save_model(m)) reproduces m bit-exactly."""
-    out = [f"n {model.n}"]
-    for i in range(model.n):
-        h = model.fields[i]
-        if h != 0.0:
-            out.append(f"node {i} {h:.17g}")
-    for e in range(model.m):
-        i, j = model.edges[e]
-        out.append(f"edge {i} {j} {model.couplings[e]:.17g}")
-    return "\n".join(out) + "\n"
+def _check_ids(at, n, *columns):
+    """ParseError naming the first line with a node id outside 0..n-1."""
+    ids = np.stack(columns, axis=1)
+    outside = (ids < 0) | (ids >= n)
+    bad = np.flatnonzero(outside.any(axis=1))
+    if bad.size:
+        k = bad[0]
+        raise ParseError(f"line {at[k]}: out-of-range node id {ids[k][outside[k]][0]} (n={n})")
+
+
+def _model_text(model: IsingModel):
+    nodes = np.flatnonzero(model.fields != 0.0)
+    return (f"n {model.n}\n",
+            textio.rows((nodes, model.fields[nodes]), sep=" ", prefix="node "),
+            textio.rows((model.edge_i, model.edge_j, model.couplings), sep=" ",
+                        prefix="edge "))
+
+
+def save_model(model: IsingModel, out=None):
+    """Serialize to canonical form; load_model(save_model(m)) reproduces m
+    bit-exactly. Writes to the open text file `out`, or returns the text
+    when out is None."""
+    return textio.emit(out, *_model_text(model))
 
 
 def model_hash(model: IsingModel) -> str:
     """Stable 16-hex-digit identifier of the canonical serialized form."""
-    return hashlib.sha256(save_model(model).encode()).hexdigest()[:16]
+    return textio.digest(*_model_text(model))[:16]
 
 
 def _fields_from_spec(n, h_spec):

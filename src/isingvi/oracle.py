@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .bp import LocalDistribution, primal_bethe
 from .meanfield import bernoulli_entropy, mf_objective
 from .model import DomainError, IsingModel, model_hash
@@ -311,47 +312,31 @@ def brute_force_bethe_optimum(model: IsingModel):
     return dist, primal_bethe(model, dist)
 
 
-def exact_result_to_csv(result: ExactResult, model: IsingModel) -> str:
-    """Serialize: the model hash, a log_z line, node,mean rows, then i,j,corr rows."""
-    lines = [f"# model_hash {model_hash(model)}", f"log_z,{result.log_z:.17g}",
-             "node,mean"]
-    for i, v in enumerate(result.node_means):
-        lines.append(f"{i},{v:.17g}")
-    lines.append("i,j,corr")
-    for e, c in enumerate(result.edge_correlations):
-        lines.append(f"{model.edge_i[e]},{model.edge_j[e]},{c:.17g}")
-    return "\n".join(lines) + "\n"
+def exact_result_to_csv(result: ExactResult, model: IsingModel, out=None):
+    """Serialize: the model hash, a log_z line, node,mean rows, then i,j,corr
+    rows. Writes to the open text file `out`, or returns the text when out
+    is None."""
+    means, corrs = result.node_means, result.edge_correlations
+    return textio.emit(
+        out, f"# model_hash {model_hash(model)}\nlog_z,{result.log_z:.17g}\nnode,mean\n",
+        textio.rows((np.arange(len(means)), means)), "i,j,corr\n",
+        textio.rows((model.edge_i, model.edge_j, corrs)))
 
 
-def exact_result_from_csv(text: str):
-    """Parse exact_result_to_csv output; returns (ExactResult, meta)."""
-    meta = {}
-    log_z = None
-    means = []
-    corrs = []
-    section = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split(None, 1)
-            if len(parts) == 2:
-                meta[parts[0]] = parts[1]
-            continue
-        if line.startswith("log_z,"):
-            log_z = float(line.split(",", 1)[1])
-        elif line == "node,mean":
-            section = "node"
-        elif line == "i,j,corr":
-            section = "edge"
-        elif section == "node":
-            means.append(float(line.split(",")[1]))
-        elif section == "edge":
-            corrs.append(float(line.split(",")[2]))
-        else:
-            raise DomainError(f"unexpected line in exact CSV: {line!r}")
-    if log_z is None:
+_EXACT_SECTIONS = {None: (str, float), "node,mean": (None, float),
+                   "i,j,corr": (None, None, float)}
+
+
+def exact_result_from_csv(source):
+    """Parse exact_result_to_csv output, a string or an open text file;
+    returns (ExactResult, meta)."""
+    meta, sections = textio.read_csv(source, _EXACT_SECTIONS)
+    names, values = sections.get(None, ([], []))
+    if not names:
         raise DomainError("exact CSV missing the log_z line")
-    return ExactResult(log_z=log_z, node_means=np.array(means),
-                       edge_correlations=np.array(corrs)), meta
+    if names != ["log_z"]:
+        raise DomainError(f"unexpected lines before the node rows: {names}")
+    empty = [np.zeros(0)]
+    return ExactResult(log_z=float(values[0]),
+                       node_means=sections.get("node,mean", empty)[0],
+                       edge_correlations=sections.get("i,j,corr", empty)[0]), meta

@@ -1,0 +1,230 @@
+"""The text codec of every artifact: model files, CSV outputs and reports.
+
+Writing works a block of rows at a time. `format_floats` gives the `%.17g`
+text of a float64 column, formatting each distinct bit pattern once, so a
+column of repeated couplings or converged messages costs a few formats.
+`rows` turns columns into blocks of lines, and `emit` writes blocks straight
+to an open text file (or joins them into one string); `digest` hashes the
+same blocks without building the whole text.
+
+Reading works a block of lines at a time. `line_blocks` reads lines from a
+string or an open file as they come, and `columns` converts the split lines
+of a block column by column with `map(int)` / `map(float)`. On top of them,
+`read_directives` parses model files and `read_csv` the CSV artifacts. A
+malformed line raises `ParseError` naming its line.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import itertools
+
+import numpy as np
+
+# Rows per block: enough that the per-block numpy calls cost little per row,
+# few enough that a block's strings stay well under a megabyte.
+BLOCK_ROWS = 1024
+
+
+class ParseError(ValueError):
+    """Text does not conform to its grammar; the message carries the line number."""
+
+
+def format_floats(values) -> list:
+    """The `%.17g` text of each float64 in `values`, in order.
+
+    Each distinct bit pattern is formatted once, so -0.0 stays "-0" and every
+    NaN "nan"; the text is the same as `f"{v:.17g}"` element by element.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
+def _column_text(column) -> list:
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return format_floats(column)
+    return list(map(str, column.tolist()))
+
+
+def rows(columns, sep=",", prefix=""):
+    """Yield the lines `prefix + sep.join(row)` of `columns`, a block at a time.
+
+    Each column is an integer array (written as decimal integers) or a float
+    array (written `%.17g`); all have the same length. Every line ends in a
+    newline.
+    """
+    n = len(columns[0])
+    joiner = "\n" + prefix
+    for lo in range(0, n, BLOCK_ROWS):
+        text = [_column_text(c[lo:lo + BLOCK_ROWS]) for c in columns]
+        yield prefix + joiner.join(map(sep.join, zip(*text))) + "\n"
+
+
+def _blocks(parts):
+    return itertools.chain.from_iterable([p] if isinstance(p, str) else p for p in parts)
+
+
+def emit(out, *parts):
+    """Write `parts` (strings, or iterables of string blocks) in order to the
+    open text file `out`; with out=None return them joined into one string."""
+    if out is None:
+        return "".join(_blocks(parts))
+    out.writelines(_blocks(parts))
+    return None
+
+
+def digest(*parts) -> str:
+    """Hex SHA-256 of the UTF-8 text `emit(None, *parts)` would return,
+    hashed a block at a time."""
+    h = hashlib.sha256()
+    for block in _blocks(parts):
+        h.update(block.encode())
+    return h.hexdigest()
+
+
+def line_blocks(source):
+    """Yield (number of the first line, list of lines) for consecutive blocks
+    of BLOCK_ROWS lines of `source`, a string or an open text file. Lines
+    keep their ends.
+
+    Bytes that do not decode raise ParseError with the line they are on.
+    """
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    start = 1
+    while True:
+        block = []
+        try:
+            block.extend(itertools.islice(lines, BLOCK_ROWS))
+        except UnicodeDecodeError as exc:
+            # The decoder fails on a whole chunk; the lines before the bad
+            # byte in that chunk follow the lines already read.
+            lineno = start + len(block)
+            if isinstance(exc.object, bytes):
+                lineno += exc.object[:exc.start].count(b"\n")
+            raise ParseError(f"line {lineno}: not UTF-8 text ({exc.reason})") from exc
+        if not block:
+            return
+        yield start, block
+        start += len(block)
+
+
+def columns(split, at, kinds) -> list:
+    """Convert the split lines `split` (token lists of len(kinds)) column by
+    column: kinds[c] is int or float (an array), str (the tokens as a list)
+    or None (column skipped). `at` holds the line number of each entry.
+    Returns the converted columns.
+    """
+    count = len(split)
+    cols = list(zip(*split)) if count else [()] * len(kinds)
+    out = []
+    for col, kind in zip(cols, kinds):
+        if kind is None:
+            continue
+        if kind is str:
+            out.append(list(col))
+            continue
+        dtype = np.int64 if kind is int else np.float64
+        try:
+            out.append(np.fromiter(map(kind, col), dtype, count))
+        except (ValueError, OverflowError):
+            for k, token in enumerate(col):
+                try:
+                    dtype(kind(token))
+                except (ValueError, OverflowError) as exc:
+                    raise ParseError(f"line {at[k]}: {exc}") from None
+            raise
+    return out
+
+
+def read_directives(source, grammar) -> dict:
+    """Parse lines keyed by their first word, as in model files.
+
+    '#' starts a comment anywhere on a line; blank lines are skipped; fields
+    are separated by whitespace. `grammar` maps each key to the kinds of the
+    fields after it (as in `columns`). Returns {key: [columns..., line
+    numbers]} for every key, the rows in file order, converted a block at a
+    time.
+    """
+    parts = {key: [] for key in grammar}
+    for start, block in line_blocks(source):
+        split = {key: ([], [], len(kinds) + 1) for key, kinds in grammar.items()}
+        for lineno, line in enumerate(block, start):
+            if "#" in line:
+                line = line[:line.index("#")]
+            tokens = line.split()
+            if not tokens:
+                continue
+            rows = split.get(tokens[0])
+            if rows is None:
+                raise ParseError(f"line {lineno}: unknown directive {tokens[0]!r}")
+            if len(tokens) != rows[2]:
+                raise ParseError(f"line {lineno}: {tokens[0]!r} takes {rows[2] - 1} "
+                                 f"fields, got {len(tokens) - 1}")
+            rows[0].append(tokens)
+            rows[1].append(lineno)
+        for key, (rows, at, _) in split.items():
+            if rows:
+                parts[key].append(columns(rows, at, (None, *grammar[key]))
+                                  + [np.array(at, dtype=np.int64)])
+    return {key: [np.concatenate(c) for c in zip(*blocks)] if blocks
+            else columns([], [], grammar[key]) + [np.zeros(0, np.int64)]
+            for key, blocks in parts.items()}
+
+
+def read_csv(source, sections) -> tuple:
+    """Parse a CSV artifact into (meta, {header: columns}).
+
+    Lines starting with '#' are `# key value` meta entries; blank lines are
+    skipped. `sections` maps each header line to the kinds of its columns
+    (as in `columns`); the lines after a header are its rows, up to the next
+    header. The key None, if present, takes the rows before the first header;
+    with kinds None those rows are kept as token lists of any length. Rows
+    are converted a block at a time; only sections that occur are keys of
+    the result.
+    """
+    meta = {}
+    parts = {}          # header -> converted columns of each block
+    key = None
+    for start, block in line_blocks(source):
+        split = {}      # header -> (token lists, line numbers) of this block
+        for lineno, raw in enumerate(block, start):
+            line = raw.strip()
+            if not line:
+                continue
+            if line[0] == "#":
+                entry = line[1:].split(None, 1)
+                if len(entry) == 2:
+                    meta[entry[0]] = entry[1]
+                continue
+            if line in sections:
+                if line in parts:
+                    raise ParseError(f"line {lineno}: repeated header {line!r}")
+                key = line
+                parts[key] = []
+                continue
+            if key not in sections:
+                raise ParseError(f"line {lineno}: row before a header: {line!r}")
+            kinds = sections[key]
+            tokens = line.split(",")
+            if kinds is not None and len(tokens) != len(kinds):
+                raise ParseError(f"line {lineno}: expected {len(kinds)} fields, "
+                                 f"got {len(tokens)}")
+            lists = split.setdefault(key, ([], []))
+            lists[0].append(tokens)
+            lists[1].append(lineno)
+        for k, (tokens, at) in split.items():
+            kinds = sections[k]
+            parts.setdefault(k, []).append(
+                [tokens] if kinds is None else columns(tokens, at, kinds))
+    return meta, {k: [_concatenate(c) for c in zip(*blocks)] if blocks
+                  else columns([], [], sections[k]) for k, blocks in parts.items()}
+
+
+def _concatenate(parts):
+    if isinstance(parts[0], list):
+        return list(itertools.chain.from_iterable(parts))
+    return np.concatenate(parts)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .model import DomainError
 
 
@@ -41,6 +42,12 @@ _COLUMNS = {
 }
 
 
+# Header line -> column kinds; None takes any lines before a known header,
+# so an unknown header is reported as such.
+_SECTIONS = {None: None, **{",".join(c): (int,) + (float,) * (len(c) - 1)
+                            for c in _COLUMNS.values()}}
+
+
 def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
@@ -49,62 +56,43 @@ def trace_to_csv(trace: IterationTrace, meta: dict | None = None) -> str:
     """Serialize a trace; meta entries become leading '# key value' lines."""
     if trace.algo not in _COLUMNS:
         raise DomainError(f"unknown trace algo {trace.algo!r}")
-    lines = []
     meta = dict(meta or {})
     meta.setdefault("algo", trace.algo)
     meta.setdefault("converged", trace.converged)
-    for key in sorted(meta):
-        lines.append(f"# {key} {meta[key]}")
-    lines.append(",".join(_COLUMNS[trace.algo]))
+    head = "".join(f"# {key} {meta[key]}\n" for key in sorted(meta))
     if trace.algo == "mf":
         grad = trace.grad_l1 if trace.grad_l1 is not None else np.full(len(trace.t), np.nan)
         cols = (trace.objective, trace.step_inf, grad, trace.bound)
     else:
         cols = (trace.objective, trace.step_inf, trace.bound)
-    for k in range(len(trace.t)):
-        row = [str(int(trace.t[k]))] + [_fmt(c[k]) for c in cols]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    t = np.asarray(trace.t).astype(np.int64)
+    return textio.emit(None, head + ",".join(_COLUMNS[trace.algo]) + "\n",
+                       textio.rows((t, *cols)))
 
 
-def trace_from_csv(text: str) -> tuple[IterationTrace, dict]:
-    """Parse trace_to_csv output; returns the trace and its meta dict."""
-    meta = {}
-    rows = []
-    header = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split(None, 1)
-            if len(parts) == 2:
-                meta[parts[0]] = parts[1]
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append(line.split(","))
-    if header is None:
+def trace_from_csv(source) -> tuple[IterationTrace, dict]:
+    """Parse trace_to_csv output, a string or an open text file; returns the
+    trace and its meta dict."""
+    meta, sections = textio.read_csv(source, _SECTIONS)
+    known = [h for h in sections if h is not None]
+    if None in sections:
+        header = sections[None][0][0]
+    elif known:
+        header = known[0].split(",")
+    else:
         raise DomainError("trace CSV has no header row")
     algo = meta.get("algo")
     if algo is None:
         algo = "mf" if "objective" in header else "bp"
-    if algo not in _COLUMNS or tuple(header) != _COLUMNS[algo]:
+    if algo not in _COLUMNS or tuple(header) != _COLUMNS[algo] or len(known) != 1:
         raise DomainError(f"unexpected trace columns {header} for algo {algo!r}")
-    if not rows:
+    t, *cols = sections[known[0]]
+    if not len(t):
         raise DomainError("trace CSV has no data rows")
-    data = np.array([[float(v) for v in r] for r in rows])
-    t = data[:, 0].astype(np.int64)
-    if algo == "mf":
-        trace = IterationTrace(algo="mf", t=t, objective=data[:, 1],
-                               step_inf=data[:, 2], bound=data[:, 4],
-                               converged=meta.get("converged", "") == "True",
-                               grad_l1=data[:, 3])
-    else:
-        trace = IterationTrace(algo="bp", t=t, objective=data[:, 1],
-                               step_inf=data[:, 2], bound=data[:, 3],
-                               converged=meta.get("converged", "") == "True")
+    objective, step_inf, *grad_l1, bound = cols
+    trace = IterationTrace(algo=algo, t=t, objective=objective, step_inf=step_inf,
+                           bound=bound, converged=meta.get("converged", "") == "True",
+                           grad_l1=grad_l1[0] if grad_l1 else None)
     return trace, meta
 
 

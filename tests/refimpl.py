@@ -5,6 +5,7 @@ plain python loops and itertools enumeration, deliberately sharing no code
 with the package internals.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -139,3 +140,83 @@ def golden_max(fn, lo, hi, tol=1e-12):
             d = a + invphi * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
+
+
+# Per-row artifact writers: each line formatted on its own with f"{v:.17g}".
+# The package's block writers must reproduce their text byte for byte.
+
+def ref_save_model(model):
+    """Canonical model text: n, node lines for nonzero fields, edge lines."""
+    out = [f"n {model.n}"]
+    for i in range(model.n):
+        h = model.fields[i]
+        if h != 0.0:
+            out.append(f"node {i} {h:.17g}")
+    for e in range(model.m):
+        i, j = model.edges[e]
+        out.append(f"edge {i} {j} {model.couplings[e]:.17g}")
+    return "\n".join(out) + "\n"
+
+
+def ref_model_hash(model):
+    return hashlib.sha256(ref_save_model(model).encode()).hexdigest()[:16]
+
+
+def ref_messages_csv(model, nu):
+    lines = ["src,dst,nu"]
+    for d in range(2 * model.m):
+        lines.append(f"{model.dir_src[d]},{model.dir_dst[d]},{nu[d]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_node_csv(x):
+    return "node,x\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(x))
+
+
+def ref_trace_csv(trace, meta):
+    """Trace CSV: sorted '# key value' lines, the header, one row per step."""
+    columns = {"mf": "t,objective,step_inf,grad_l1,bound",
+               "bp": "t,dual_bethe,step_inf,bound_thm2"}
+    meta = dict(meta)
+    meta.setdefault("algo", trace.algo)
+    meta.setdefault("converged", trace.converged)
+    lines = [f"# {key} {meta[key]}" for key in sorted(meta)]
+    lines.append(columns[trace.algo])
+    if trace.algo == "mf":
+        cols = (trace.objective, trace.step_inf, trace.grad_l1, trace.bound)
+    else:
+        cols = (trace.objective, trace.step_inf, trace.bound)
+    for k in range(len(trace.t)):
+        lines.append(",".join([str(int(trace.t[k]))] + [f"{float(c[k]):.17g}" for c in cols]))
+    return "\n".join(lines) + "\n"
+
+
+def ref_progress_csv(progress):
+    lines = ["step,feasible,objective_best,violation"]
+    for step, feas, best, viol in progress:
+        b = f"{best:.17g}" if math.isfinite(best) else "nan"
+        lines.append(f"{step},{int(feas)},{b},{viol:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_exact_csv(result, model):
+    lines = [f"# model_hash {ref_model_hash(model)}", f"log_z,{result.log_z:.17g}",
+             "node,mean"]
+    for i, v in enumerate(result.node_means):
+        lines.append(f"{i},{v:.17g}")
+    lines.append("i,j,corr")
+    for e, c in enumerate(result.edge_correlations):
+        lines.append(f"{model.edges[e][0]},{model.edges[e][1]},{c:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_report_rows(k, algo, t, objective, reference, n, bound):
+    """A report's data rows for trace k: finite objectives only."""
+    lines = []
+    for i in range(len(t)):
+        if not math.isfinite(objective[i]):
+            continue
+        resid = (reference - objective[i]) / n
+        lines.append(f"{k},{algo},{int(t[i])},{objective[i]:.17g},{resid:.17g},"
+                     f"{bound[i]:.17g}\n")
+    return "".join(lines)

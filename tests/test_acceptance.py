@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle4, random_ferro, random_tree, triangle
 from isingvi import (IsingModel, beliefs_from_messages, bp_iterate, bp_step,
@@ -328,3 +330,31 @@ def test_9_field_initialization_advantage():
     report(ok, "acceptance-9-ones-init-advantage",
            f"40x40 grid with corner field, t=50 residuals: "
            f"ones {resid_ones:.3g} vs zeros {resid_zeros:.3g}")
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_all_ones_start_dominates(data):
+    """Not one of the nine checks: the monotonicity behind them. On a random
+    ferromagnetic graph with couplings and fields in [0, 1], the BP and MF
+    iterates from all-ones dominate, coordinatewise at every step, the
+    iterates from any start in [0, 1]."""
+    n = data.draw(st.integers(1, 8), label="n")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    m = len(edges)
+    model = IsingModel(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                       data.draw(st.lists(_UNIT, min_size=m, max_size=m)),
+                       data.draw(st.lists(_UNIT, min_size=n, max_size=n)))
+    x_top, x = np.ones(n), np.array(data.draw(st.lists(_UNIT, min_size=n, max_size=n)))
+    nu_top = np.ones(2 * m)
+    nu = np.array(data.draw(st.lists(_UNIT, min_size=2 * m, max_size=2 * m)))
+    for t in range(1, 31):
+        x_top, x = mf_step(model, x_top), mf_step(model, x)
+        nu_top, nu = bp_step(model, nu_top), bp_step(model, nu)
+        assert np.all(x_top >= x), f"MF step {t}: {x_top - x}"
+        assert np.all(nu_top >= nu), f"BP step {t}: {nu_top - nu}"

@@ -168,9 +168,30 @@ def test_report_rejects_mixed_models(tmp_path):
         emit_report([])
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["run", "--model", str(tmp_path / "missing.txt"), "--algo",
                  "bp", "--out", str(tmp_path / "o")]) == 2
+    # a model file that is not UTF-8 is a parse error with its line number
+    (tmp_path / "utf16.txt").write_bytes(b"\xff\xfen 2\nedge 0 1 0.5\n")
+    capsys.readouterr()
+    for verb in (["gen"], ["run", "--out", str(tmp_path / "o")]):
+        assert main([*verb, "--model", str(tmp_path / "utf16.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1: not UTF-8 text")
+    # a node count too large to allocate is a size error; numpy.zeros is
+    # replaced so that the test allocates nothing
+    (tmp_path / "huge.txt").write_text("n 100000000000\nedge 0 1 0.5\n")
+    zeros = np.zeros
+
+    def guarded_zeros(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded_zeros)
+    assert main(["run", "--model", str(tmp_path / "huge.txt"), "--out",
+                 str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("error: not enough memory: Unable")
+    monkeypatch.undo()
     assert main(["run", "--topology", "blob:9", "--beta", "0.3", "--algo",
                  "bp", "--out", str(tmp_path / "o")]) == 1
     for wide in ("grid:40x40", "regular:200:3"):

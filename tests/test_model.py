@@ -1,3 +1,8 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +12,7 @@ from conftest import cycle4, random_ferro, star5, triangle
 from isingvi import (IsingModel, ModelError, ParseError, generate_topology,
                      load_model, model_hash, save_model,
                      validate_ferromagnetic)
+from isingvi.cli import main
 
 
 def test_edges_canonicalized():
@@ -153,6 +159,81 @@ def test_parse_errors():
         load_model("n 2\nwhat 1 2\n")
     with pytest.raises(ParseError):
         load_model("n 2\nedge 0 1 abc\n")
+
+
+# Model files with malformed lines: wrong token counts, non-numeric tokens,
+# out-of-range and duplicate ids, duplicate or bad n, comments, blank lines,
+# CRLF and tabs. Tokens are mostly valid, so most lines reach the later
+# checks. Node counts stay small or beyond int64: no example allocates much.
+_IDS = st.sampled_from(["0", "1", "2", "0", "1", "2", "0", "1", "2", "3", "-1", "7", "1_0", "abc",
+                        "2.5", "99999999999999999999", "\u00e9"])
+_VALUES = st.sampled_from(["0.5", "0.25", "0", "-0", "1e-3", "0.5", "0.25", "-0.25",
+                           "nan", "1e999", "-inf", "abc", "0x10"])
+_COUNTS = st.sampled_from(["3", "3", "4", "0", "-1", "2.5", "abc", "99999999999999999999"])
+_SEP = st.sampled_from([" ", " ", "\t", " \t  "])
+_TAIL = st.sampled_from(["", "", " ", "\t", " # note", "#x 1 2"])
+_EXTRA = st.sampled_from([(), (), (), (), ("0.5",)])
+
+
+def _line(kind, i, j, value, count, sep, tail, extra, drop):
+    tokens = {"n": [count], "node": [i, value], "edge": [i, j, value], "": []}.get(kind, [i])
+    tokens = [kind, *tokens, *extra]
+    return sep.join(tokens[:len(tokens) - drop]) + tail
+
+
+_LINE = st.builds(_line, st.sampled_from(["edge"] * 6 + ["node"] * 3 + [
+    "n", "Edge", "what", "#edge", "", ""]), _IDS, _IDS, _VALUES, _COUNTS, _SEP, _TAIL,
+    _EXTRA, st.sampled_from([0, 0, 0, 0, 0, 1, 2]))
+_MODEL_TEXT = st.builds(
+    lambda head, lines, newline: newline.join(head + lines) + newline,
+    st.sampled_from([[], ["n 3"], ["n 4"], ["# c", "", "n 3"], ["n 3\t# size"], ["n 4"]]),
+    st.lists(_LINE, max_size=8), st.sampled_from(["\n", "\r\n"]))
+
+
+def _load_outcome(text):
+    try:
+        load_model(text)
+    except (ParseError, ModelError) as exc:
+        return exc
+    return None
+
+
+def _well_formed(text):
+    """Every line is blank, a comment, or a directive with its token count."""
+    for line in text.split("\n"):
+        tokens = line.split("#", 1)[0].split()
+        if tokens and (tokens[0], len(tokens)) not in {("n", 2), ("node", 3), ("edge", 4)}:
+            return False
+    return True
+
+
+@settings(max_examples=400)
+@given(_MODEL_TEXT)
+def test_grammar_fuzz_raises_only_model_errors(text):
+    error = _load_outcome(text)
+    if not _well_formed(text):
+        assert isinstance(error, ParseError)
+    if isinstance(error, ParseError) and not str(error).startswith("missing n"):
+        assert str(error).startswith("line ")
+
+
+@settings(max_examples=60)
+@given(_MODEL_TEXT)
+def test_grammar_fuzz_cli_exits_cleanly(text):
+    error = _load_outcome(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--model", path, "--steps", "20",
+                         "--out", os.path.join(tmp, "out")])
+    if error is None:
+        assert code == 0
+    else:
+        assert code == 1
+        assert err.getvalue() == f"error: {error}\n"
 
 
 def test_model_hash_sensitivity():
