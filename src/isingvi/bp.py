@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, textio
-from .meanfield import _start_state, bernoulli_entropy
+from .meanfield import bernoulli_entropy
 from .model import DomainError, IsingModel, ModelNorms
 from .trace import IterationTrace
 
@@ -37,18 +37,12 @@ def _check_messages(model: IsingModel, nu, name="nu"):
     return nu
 
 
-def _log_cosh_total(model: IsingModel) -> float:
-    """sum_e log cosh J_e, overflow-safe."""
-    j = model.couplings
-    return float((j + np.log1p(np.exp(-2.0 * j)) - math.log(2.0)).sum())
-
-
 def bp_step(model: IsingModel, nu):
     """One synchronous message update; all reads from nu, all writes to the result."""
     nu = _check_messages(model, nu)
     _, exc_idx, seg_id = model.exclusion_index()
-    return _kernels._bp_update(model.theta_dir, model.fields[model.dir_src],
-                               exc_idx, seg_id, nu)
+    return np.tanh(_kernels._bp_field(model.theta_dir, model.fields[model.dir_src],
+                                      exc_idx, seg_id, nu))
 
 
 def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
@@ -58,11 +52,10 @@ def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
     Returns (nu, IterationTrace); the trace objective column is the dual
     value per step and the bound column the objective-residual guarantee.
     """
-    nu0, max_steps, tol = _start_state(init, 2 * model.m, max_steps, tol)
-    _, exc_idx, seg_id = model.exclusion_index()
+    # Built here, outside the sweep, so that the sweep's time excludes it.
+    model.exclusion_index()
     nu, dual, step_inf, steps, converged = _kernels.bp_run(
-        model.dir_src, model.dir_dst, model.theta_edge, model.fields,
-        exc_idx, seg_id, _log_cosh_total(model), nu0, max_steps, tol, bool(record))
+        model, init, max_steps, tol, bool(record))
     t = np.arange(steps + 1, dtype=np.int64)
     trace = IterationTrace(algo="bp", t=t, objective=dual, step_inf=step_inf,
                            bound=_bound_array(model.norms(), t), converged=converged)
@@ -80,7 +73,7 @@ def dual_bethe(model: IsingModel, nu) -> float:
     if te.size and float((1.0 + te).min()) <= 0.0:
         raise DomainError("nonpositive log argument in edge term")
     return _kernels._bethe_dual(model.dir_dst, model.theta_edge, model.theta_dir,
-                                model.fields, _log_cosh_total(model), nu)
+                                model.fields, _kernels._log_cosh_total(model.couplings), nu)
 
 
 def dual_bethe_gradient(model: IsingModel, nu):

@@ -19,6 +19,7 @@ import contextlib
 import math
 import os
 import sys
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -109,16 +110,13 @@ def _summary_text(pairs) -> str:
 
 
 def _loglog_slope(ts, rs):
-    """Least-squares slope of log r against log t; None with < 2 usable points."""
-    xs, ys = [], []
-    for t, r in zip(ts, rs):
-        if t > 0 and r > 0 and math.isfinite(r):
-            xs.append(math.log(t))
-            ys.append(math.log(r))
-    if len(xs) < 2:
+    """Least-squares slope of log r against log t (arrays); None with < 2 usable
+    points. math.log, not np.log: they differ in the last bit on some values."""
+    use = (ts > 0) & (rs > 0) & np.isfinite(rs)
+    if np.count_nonzero(use) < 2:
         return None
-    xs = np.array(xs)
-    ys = np.array(ys)
+    xs = np.array([math.log(t) for t in ts[use].tolist()])
+    ys = np.array([math.log(r) for r in rs[use].tolist()])
     xc = xs - xs.mean()
     denom = float(xc @ xc)
     if denom == 0.0:
@@ -143,24 +141,37 @@ def _bound_ok(t, objective, bound, reference) -> bool:
     return not np.any(reference - objective[use] > bound[use] + _BOUND_SLACK)
 
 
-def _node_csv(x, out):
+def _node_csv(model: IsingModel, x, out):
     textio.emit(out, "node,x\n", textio.rows((np.arange(len(x)), x)))
 
 
+# What the verbs need of one algorithm family, mean-field or BP: the name of
+# its objective in plots; iterate(model, init=, max_steps=, tol=, record=) ->
+# (state, trace); objective(model, state); the theorem bound(norms, t); the
+# ellipsoid solve(model, eps, full_output=); write_state(model, state, out);
+# and the summary key of |objective - log Z| when exact.csv is present, or None.
+_Family = namedtuple("_Family", "label iterate objective bound solve write_state exact_key")
+
+
+def _family(algo: str) -> _Family:
+    """The family of an --algo value or a trace's algo. Built per call from
+    module attributes, so that wrappers installed on those attributes (as
+    perfbench's tracer installs) are the functions called."""
+    mf = _Family("objective", mf_mod.mf_iterate, mf_mod.mf_objective,
+                 mf_mod._bound_array, solve_mf_exponential, _node_csv, None)
+    bp = _Family("dual_bethe", bp_mod.bp_iterate, bp_mod.dual_bethe, bp_mod._bound_array,
+                 solve_bethe_exponential, bp_mod.messages_to_csv, "dual_minus_log_z")
+    return {"mf": mf, "bp": bp, "ellipsoid_mf": mf, "ellipsoid_bethe": bp}[algo]
+
+
 def _run_iterative(args, model: IsingModel) -> int:
-    if args.algo == "mf":
-        state, trace = mf_mod.mf_iterate(model, init=args.init,
-                                         max_steps=args.steps, tol=args.tol)
-        final_csv = partial(_node_csv, state)
-        label = "objective"
-    else:
-        state, trace = bp_mod.bp_iterate(model, init=args.init,
-                                         max_steps=args.steps, tol=args.tol)
-        final_csv = partial(bp_mod.messages_to_csv, model, state)
-        label = "dual_bethe"
+    family = _family(args.algo)
+    state, trace = family.iterate(model, init=args.init, max_steps=args.steps,
+                                  tol=args.tol)
     meta = trace_meta(model, args.algo, args.init, args.tol)
     _write(os.path.join(args.out, "trace.csv"), trace_to_csv(trace, meta))
-    _write(os.path.join(args.out, "final_state.csv"), final_csv)
+    _write(os.path.join(args.out, "final_state.csv"),
+           partial(family.write_state, model, state))
 
     finite = np.isfinite(trace.objective)
     final_obj = float(trace.objective[finite][-1]) if finite.any() else float("nan")
@@ -173,38 +184,31 @@ def _run_iterative(args, model: IsingModel) -> int:
              ("bound_dominates",
               _bound_ok(trace.t, trace.objective, trace.bound, best_obj))]
 
-    if args.algo == "bp":
-        exact_path = os.path.join(args.out, "exact.csv")
-        if os.path.exists(exact_path):
-            with open(exact_path, encoding="utf-8") as fh:
-                result, emeta = exact_result_from_csv(fh)
-            if emeta.get("model_hash") == meta["model_hash"]:
-                gap = abs(final_obj - result.log_z)
-                pairs.append(("exact_log_z", f"{result.log_z:.17g}"))
-                pairs.append(("dual_minus_log_z", f"{gap:.17g}"))
+    exact_path = os.path.join(args.out, "exact.csv")
+    if family.exact_key is not None and os.path.exists(exact_path):
+        with open(exact_path, encoding="utf-8") as fh:
+            result, emeta = exact_result_from_csv(fh)
+        if emeta.get("model_hash") == meta["model_hash"]:
+            gap = abs(final_obj - result.log_z)
+            pairs.append(("exact_log_z", f"{result.log_z:.17g}"))
+            pairs.append((family.exact_key, f"{gap:.17g}"))
 
     if args.plot:
         _write(os.path.join(args.out, "objective.svg"), plot_lines(
-            [(label, trace.t, trace.objective)],
-            title=f"{args.algo} objective", xlabel="iteration", ylabel=label))
+            [(family.label, trace.t, trace.objective)],
+            title=f"{args.algo} objective", xlabel="iteration", ylabel=family.label))
         ref_steps = max(2 * args.steps, 200000)
-        if args.algo == "mf":
-            x_ref, _ = mf_mod.mf_iterate(model, init=args.init,
-                                         max_steps=ref_steps, tol=1e-13, record=False)
-            ref_value = mf_mod.mf_objective(model, x_ref)
-        else:
-            nu_ref, _ = bp_mod.bp_iterate(model, init=args.init,
-                                          max_steps=ref_steps, tol=1e-13, record=False)
-            ref_value = bp_mod.dual_bethe(model, nu_ref)
+        ref_state, _ = family.iterate(model, init=args.init, max_steps=ref_steps,
+                                      tol=1e-13, record=False)
+        ref_value = family.objective(model, ref_state)
         residual = ref_value - trace.objective
         _write(os.path.join(args.out, "residual.svg"), plot_lines(
             [("residual", trace.t, residual)],
             title=f"{args.algo} residual vs reference (long run, tol 1e-13)",
             xlabel="iteration", ylabel="objective residual", xlog=True, ylog=True))
+        # trace.t[k] == k, so the window t >= lo_t is the slice from lo_t
         lo_t = max(1, trace.steps // 10)
-        window = [(int(trace.t[k]), float(residual[k])) for k in range(len(trace.t))
-                  if trace.t[k] >= lo_t]
-        slope = _loglog_slope([w[0] for w in window], [w[1] for w in window])
+        slope = _loglog_slope(trace.t[lo_t:], residual[lo_t:])
         pairs.append(("reference_value", f"{ref_value:.17g}"))
         pairs.append(("reference_source", f"long_run(tol=1e-13,max_steps={ref_steps})"))
         if slope is not None:
@@ -215,13 +219,10 @@ def _run_iterative(args, model: IsingModel) -> int:
 
 
 def _run_ellipsoid(args, model: IsingModel) -> int:
-    if args.algo == "ellipsoid_bethe":
-        point, value, state = solve_bethe_exponential(model, args.eps, full_output=True)
-        final_csv = partial(bp_mod.messages_to_csv, model, point)
-    else:
-        point, value, state = solve_mf_exponential(model, args.eps, full_output=True)
-        final_csv = partial(_node_csv, point)
-    _write(os.path.join(args.out, "final_state.csv"), final_csv)
+    family = _family(args.algo)
+    point, value, state = family.solve(model, args.eps, full_output=True)
+    _write(os.path.join(args.out, "final_state.csv"),
+           partial(family.write_state, model, point))
     steps = state.step if state is not None else 0
     if state is not None:
         _write(os.path.join(args.out, "progress.csv"), partial(ellipsoid_progress_csv, state))
@@ -309,10 +310,7 @@ def emit_report(trace_texts) -> str:
     body = []
     for k, (trace, _meta) in enumerate(parsed):
         tag = f"trace{k}({trace.algo})"
-        if trace.algo == "mf":
-            bound = mf_mod._bound_array(norms, trace.t)
-        else:
-            bound = bp_mod._bound_array(norms, trace.t)
+        bound = _family(trace.algo).bound(norms, trace.t)
         ref = refs.get(trace.algo)
         finite = np.isfinite(trace.objective)
         if not finite.any() or ref is None:

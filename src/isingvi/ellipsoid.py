@@ -209,8 +209,19 @@ def ellipsoid_progress_csv(state: EllipsoidState, out=None):
         np.where(np.isfinite(best), best, np.nan), table[:, 3])))
 
 
-def _perturbed(model: IsingModel, b: float) -> IsingModel:
-    return IsingModel(model.n, model.edges, model.couplings, model.fields + b)
+def _solve(model: IsingModel, b: float, oracle, dimension: int, target_gap: float,
+           evaluate, full_output: bool):
+    """Raise every field by b, maximize the coordinate sum over the perturbed
+    model's post-fixpoint region (separated by oracle) to target_gap, and
+    evaluate the original model's objective at the result clipped to [0, 1]."""
+    pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
+    r_est = math.tanh(float(pert.fields.min())) / 2.0
+    point, state = ellipsoid_maximize(
+        lambda q: oracle(pert, q), np.ones(dimension), dimension,
+        2.0 * math.sqrt(dimension), target_gap=target_gap,
+        center=np.full(dimension, 0.5), r_est=r_est)
+    value = evaluate(model, np.clip(point, 0.0, 1.0))
+    return (point, value, state) if full_output else (point, value)
 
 
 def solve_bethe_exponential(model: IsingModel, epsilon: float, full_output=False):
@@ -226,17 +237,8 @@ def solve_bethe_exponential(model: IsingModel, epsilon: float, full_output=False
     if model.m == 0:
         value = dual_bethe(model, np.zeros(0))
         return (np.zeros(0), value, None) if full_output else (np.zeros(0), value)
-    b = epsilon / (2.0 * model.m)
-    pert = _perturbed(model, b)
-    d = 2 * model.m
-    h_min = float(pert.fields.min())
-    r_est = math.tanh(h_min) / 2.0
-    nu, state = ellipsoid_maximize(
-        lambda q: separation_oracle_bp(pert, q),
-        np.ones(d), d, 2.0 * math.sqrt(d),
-        target_gap=epsilon / 2.0, center=np.full(d, 0.5), r_est=r_est)
-    value = dual_bethe(model, np.clip(nu, 0.0, 1.0))
-    return (nu, value, state) if full_output else (nu, value)
+    return _solve(model, epsilon / (2.0 * model.m), separation_oracle_bp, 2 * model.m,
+                  epsilon / 2.0, dual_bethe, full_output)
 
 
 def solve_mf_exponential(model: IsingModel, epsilon: float, full_output=False):
@@ -250,17 +252,7 @@ def solve_mf_exponential(model: IsingModel, epsilon: float, full_output=False):
     """
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
-    b = epsilon / 2.0
-    pert = _perturbed(model, b)
-    d = model.n
-    row_sums = np.bincount(model.dir_dst, weights=model.dir_coupling, minlength=d)
+    row_sums = np.bincount(model.dir_dst, weights=model.dir_coupling, minlength=model.n)
     grad_bound = float((row_sums + model.fields).max()) + 1.0
-    h_min = float(pert.fields.min())
-    r_est = math.tanh(h_min) / 2.0
-    x, state = ellipsoid_maximize(
-        lambda q: separation_oracle_mf(pert, q),
-        np.ones(d), d, 2.0 * math.sqrt(d),
-        target_gap=epsilon / (2.0 * grad_bound), center=np.full(d, 0.5),
-        r_est=r_est)
-    value = mf_objective(model, np.clip(x, 0.0, 1.0))
-    return (x, value, state) if full_output else (x, value)
+    return _solve(model, epsilon / 2.0, separation_oracle_mf, model.n,
+                  epsilon / (2.0 * grad_bound), mf_objective, full_output)

@@ -64,28 +64,6 @@ def mf_step(model: IsingModel, x):
     return np.tanh(model.j_matvec(x) + model.fields)
 
 
-def _start_state(init, size, max_steps, tol):
-    """Checked (start state, max_steps, tol) of an iteration over `size` entries:
-    init is 'ones', 'zeros', or an array of that size with entries in [-1, 1]."""
-    max_steps = int(max_steps)
-    if max_steps < 1:
-        raise DomainError("max_steps must be >= 1")
-    if not (tol >= 0.0):
-        raise DomainError("tol must be >= 0")
-    if isinstance(init, str):
-        if init == "ones":
-            return np.ones(size), max_steps, float(tol)
-        if init == "zeros":
-            return np.zeros(size), max_steps, float(tol)
-        raise DomainError(f"unknown init {init!r} (expected 'ones', 'zeros', or an array)")
-    x = np.array(init, dtype=np.float64)
-    if x.shape != (size,):
-        raise DomainError(f"init has shape {x.shape}, expected ({size},)")
-    if x.size and float(np.max(np.abs(x))) > 1.0:
-        raise DomainError("init entries must lie in [-1, 1]")
-    return x, max_steps, float(tol)
-
-
 def mf_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
                record=True):
     """Run x <- tanh(Jx + h) until the sup-norm step drops below tol.
@@ -94,11 +72,8 @@ def mf_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
     gradient l1 norm, and theorem bound per step starting at t = 0; pass
     record=False to skip the objective/gradient columns (left nan).
     """
-    x0, max_steps, tol = _start_state(init, model.n, max_steps, tol)
     x, obj, step_inf, grad_l1, steps, converged = _kernels.mf_run(
-        model.dir_src, model.dir_dst, model.dir_coupling, model.fields,
-        model.edge_i, model.edge_j, model.couplings,
-        x0, max_steps, tol, bool(record))
+        model, init, max_steps, tol, bool(record))
     t = np.arange(steps + 1, dtype=np.int64)
     trace = IterationTrace(algo="mf", t=t, objective=obj, step_inf=step_inf,
                            bound=_bound_array(model.norms(), t),

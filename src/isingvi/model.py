@@ -354,34 +354,34 @@ def generate_topology(kind, beta, h_spec=0.0, *, n=None, rows=None, cols=None,
     if beta < 0:
         raise ModelError(f"coupling beta must be nonnegative, got {beta}")
     rng = np.random.default_rng(seed)
+    # Checked before anything is allocated: numpy cannot size an (n, 2) int64
+    # edge array past half the node bound of a model file.
+    size = rows * cols if kind == "grid" and None not in (rows, cols) else n
+    if size is not None and size > _MAX_NODES // 2:
+        raise ModelError(f"{kind} node count must be at most {_MAX_NODES // 2}, got {size}")
     if kind == "cycle":
         if n is None or n < 3:
             raise ModelError("cycle needs n >= 3")
         edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-        size = n
     elif kind == "grid":
         if rows is None or cols is None or rows < 1 or cols < 1:
             raise ModelError("grid needs rows >= 1 and cols >= 1")
-        idx = np.arange(rows * cols).reshape(rows, cols)
+        idx = np.arange(size).reshape(rows, cols)
         right = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
         up = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
         edges = np.concatenate([right, up], axis=0)
-        size = rows * cols
     elif kind == "random_regular":
         if n is None or degree is None:
             raise ModelError("random_regular needs n and degree")
         edges = _random_regular_edges(n, degree, rng)
-        size = n
     elif kind == "random_tree":
         if n is None or n < 1:
             raise ModelError("random_tree needs n >= 1")
         edges = _random_tree_edges(n, rng)
-        size = n
     elif kind == "star":
         if n is None or n < 2:
             raise ModelError("star needs n >= 2")
         edges = np.stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1)
-        size = n
     else:
         raise ModelError(f"unknown topology kind {kind!r}")
     couplings = np.full(len(edges), float(beta))

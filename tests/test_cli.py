@@ -194,6 +194,16 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.undo()
     assert main(["run", "--topology", "blob:9", "--beta", "0.3", "--algo",
                  "bp", "--out", str(tmp_path / "o")]) == 1
+    # topology node counts numpy cannot size are model errors, raised before
+    # anything is allocated
+    for spec in ("cycle:576460752303423488", "cycle:99999999999999999999",
+                 "grid:99999999999x99999999999",
+                 "star:99999999999999999999", "tree:99999999999999999999",
+                 "regular:100000000000000000000:4"):
+        capsys.readouterr()
+        assert main(["gen", "--topology", spec, "--beta", "0.3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "node count must be at most" in err
     for wide in ("grid:40x40", "regular:200:3"):
         start = time.perf_counter()
         assert main(["exact", "--topology", wide, "--beta", "0.3",
