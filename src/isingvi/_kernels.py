@@ -2,12 +2,13 @@
 
 Mean-field and BP both iterate a monotone map x <- tanh(field(x)) from the
 all-ones start (or another checked start state). `_sweep` is that loop.
-mf_run and bp_run give it their field map, Jx + h for mean-field and h plus
-the exclusion sum of arctanh(theta nu) for BP, and, when recording, a
-`measure(x, field(x))` callback that appends their objective columns. The
-private helpers below hold the one implementation of the BP field, the Bethe
-dual and the mean-field objective: the public functions in bp and meanfield
-check their arguments and call them, and the sweep calls them once per step.
+mf_run and bp_run give it their family's field map (`_mf_field_map`, Jx + h,
+or `_bp_field_map`, h plus the exclusion sum of arctanh(theta nu)) and, when
+recording, a `measure(x, field(x))` callback that appends their objective
+columns. The private helpers below hold the one implementation of each field
+map, the Bethe dual, the mean-field objective and the shape check: the public
+functions in bp, meanfield and ellipsoid check their arguments and call them,
+and the sweep calls them once per step.
 """
 
 from __future__ import annotations
@@ -49,6 +50,20 @@ def _grad_l1(y, x):
     return float(np.abs(y - np.arctanh(xc)).sum())
 
 
+def _vector(x, size, name):
+    """x as a float64 array, which must have shape (size,)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (size,):
+        raise DomainError(f"{name} has shape {x.shape}, expected ({size},)")
+    return x
+
+
+def _mf_field_map(model):
+    """The mean-field field x -> Jx + h."""
+    src, dst, w, h, n = model.dir_src, model.dir_dst, model.dir_coupling, model.fields, model.n
+    return lambda x: np.bincount(dst, weights=w * x[src], minlength=n) + h
+
+
 def _clamped_atanh(theta_dir, nu):
     """arctanh(theta nu) per directed edge, with theta nu clamped to +-_CLAMP."""
     # The method call skips np.clip's wrapper, which costs more than the clip
@@ -67,6 +82,12 @@ def _bp_field(theta_dir, h_src, exc_idx, seg_id, nu):
     # gives int64 when no node has two incident edges.
     ex = ex.astype(np.float64, copy=False)
     return np.add(h_src, ex, out=ex)
+
+
+def _bp_field_map(model):
+    """The BP field nu -> _bp_field(..., nu) over the model's directed edges."""
+    _, exc_idx, seg_id = model.exclusion_index()
+    return partial(_bp_field, model.theta_dir, model.fields[model.dir_src], exc_idx, seg_id)
 
 
 def _log_cosh_total(j) -> float:
@@ -101,9 +122,7 @@ def _start_state(init, size, max_steps, tol):
         if init not in ("ones", "zeros"):
             raise DomainError(f"unknown init {init!r} (expected 'ones', 'zeros', or an array)")
         return np.full(size, float(init == "ones")), max_steps, float(tol)
-    x = np.array(init, dtype=np.float64)
-    if x.shape != (size,):
-        raise DomainError(f"init has shape {x.shape}, expected ({size},)")
+    x = _vector(init, size, "init")
     if x.size and float(np.max(np.abs(x))) > 1.0:
         raise DomainError("init entries must lie in [-1, 1]")
     return x, max_steps, float(tol)
@@ -144,23 +163,21 @@ def _sweep(field, measure, init, size, max_steps, tol):
 def mf_run(model, init, max_steps, tol, record):
     """Mean-field sweep, recording the objective and the gradient's l1 norm.
     Returns (x, objective, step_inf, grad_l1, steps, converged)."""
-    src, dst, w, h, n = model.dir_src, model.dir_dst, model.dir_coupling, model.fields, model.n
     obj, grad_l1 = array("d"), array("d")
 
     def measure(x, y):
-        obj.append(_mf_objective(model.edge_i, model.edge_j, model.couplings, h, x))
+        obj.append(_mf_objective(model.edge_i, model.edge_j, model.couplings,
+                                 model.fields, x))
         grad_l1.append(_grad_l1(y, x))
 
     x, step_inf, steps, converged = _sweep(
-        lambda x: np.bincount(dst, weights=w * x[src], minlength=n) + h,
-        measure if record else None, init, n, max_steps, tol)
+        _mf_field_map(model), measure if record else None, init, model.n, max_steps, tol)
     return x, _column(obj, steps), step_inf, _column(grad_l1, steps), steps, converged
 
 
 def bp_run(model, init, max_steps, tol, record):
     """BP sweep over the 2m directed-edge messages, recording the Bethe dual.
     Returns (nu, dual, step_inf, steps, converged)."""
-    _, exc_idx, seg_id = model.exclusion_index()
     lc_total = _log_cosh_total(model.couplings)
     dual = array("d")
 
@@ -169,6 +186,6 @@ def bp_run(model, init, max_steps, tol, record):
                                 model.fields, lc_total, nu))
 
     nu, step_inf, steps, converged = _sweep(
-        partial(_bp_field, model.theta_dir, model.fields[model.dir_src], exc_idx, seg_id),
-        measure if record else None, init, 2 * model.m, max_steps, tol)
+        _bp_field_map(model), measure if record else None, init, 2 * model.m,
+        max_steps, tol)
     return nu, _column(dual, steps), step_inf, steps, converged

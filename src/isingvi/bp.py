@@ -30,19 +30,10 @@ from .trace import IterationTrace
 _FIXED_POINT_TOL = 1e-12
 
 
-def _check_messages(model: IsingModel, nu, name="nu"):
-    nu = np.asarray(nu, dtype=np.float64)
-    if nu.shape != (2 * model.m,):
-        raise DomainError(f"{name} has shape {nu.shape}, expected ({2 * model.m},)")
-    return nu
-
-
 def bp_step(model: IsingModel, nu):
     """One synchronous message update; all reads from nu, all writes to the result."""
-    nu = _check_messages(model, nu)
-    _, exc_idx, seg_id = model.exclusion_index()
-    return np.tanh(_kernels._bp_field(model.theta_dir, model.fields[model.dir_src],
-                                      exc_idx, seg_id, nu))
+    nu = _kernels._vector(nu, 2 * model.m, "nu")
+    return np.tanh(_kernels._bp_field_map(model)(nu))
 
 
 def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
@@ -65,7 +56,7 @@ def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
 def dual_bethe(model: IsingModel, nu) -> float:
     """Message-space dual Phi(nu). Raises DomainError when a log argument is
     nonpositive (only reachable with negative messages)."""
-    nu = _check_messages(model, nu)
+    nu = _kernels._vector(nu, 2 * model.m, "nu")
     t1 = model.theta_dir * nu
     if t1.size and (float((1.0 + t1).min()) <= 0.0 or float((1.0 - t1).min()) <= 0.0):
         raise DomainError("nonpositive log argument in node term (message < -1)")
@@ -84,7 +75,7 @@ def dual_bethe_gradient(model: IsingModel, nu):
             - theta nu_rev / (1 + theta nu_d nu_rev)
     where rev is the reversed directed edge and phi = bp_step(nu).
     """
-    nu = _check_messages(model, nu)
+    nu = _kernels._vector(nu, 2 * model.m, "nu")
     if nu.size and float(nu.min()) < 0.0:
         raise DomainError("gradient requires nonnegative messages")
     if nu.size and float(nu.max()) > 1.0:
@@ -100,7 +91,7 @@ def dual_bethe_gradient(model: IsingModel, nu):
 
 def node_estimates(model: IsingModel, nu):
     """Per-node magnetization estimates tanh(h_i + sum_in arctanh(theta nu))."""
-    nu = _check_messages(model, nu)
+    nu = _kernels._vector(nu, 2 * model.m, "nu")
     a = _kernels._clamped_atanh(model.theta_dir, nu)
     s = model.fields + np.bincount(model.dir_dst, weights=a, minlength=model.n)
     return np.tanh(s)
@@ -128,7 +119,7 @@ class RegionMembership:
 
 def region_membership(model: IsingModel, nu) -> RegionMembership:
     """Classify nu >= 0 against the pre/post fixed-point regions."""
-    nu = _check_messages(model, nu)
+    nu = _kernels._vector(nu, 2 * model.m, "nu")
     slack = bp_step(model, nu) - nu
     worst = float(np.max(np.abs(slack), initial=0.0))
     return RegionMembership(
@@ -155,9 +146,7 @@ class LocalDistribution:
 
 def product_distribution(model: IsingModel, x) -> LocalDistribution:
     """The product (mean-field) point of the local polytope with c = m_i m_j."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n,):
-        raise DomainError(f"x has shape {x.shape}, expected ({model.n},)")
+    x = _kernels._vector(x, model.n, "x")
     mi = x[model.edge_i]
     mj = x[model.edge_j]
     stats = np.stack([mi, mj, mi * mj], axis=1) if model.m else np.zeros((0, 3))
@@ -173,7 +162,7 @@ def beliefs_from_messages(model: IsingModel, nu) -> LocalDistribution:
     node_estimates. The two agree exactly at fixed points (and only there in
     general), so off fixed points the result can violate local consistency.
     """
-    nu = _check_messages(model, nu)
+    nu = _kernels._vector(nu, 2 * model.m, "nu")
     if nu.size and float(np.max(np.abs(nu))) >= 1.0:
         raise DomainError("beliefs need |nu| < 1 strictly (arctanh must be finite)")
     means = node_estimates(model, nu)
@@ -285,7 +274,7 @@ def _bound_array(norms: ModelNorms, t: np.ndarray) -> np.ndarray:
 def messages_to_csv(model: IsingModel, nu, out=None):
     """Serialize directed messages as src,dst,nu rows in directed-id order.
     Writes to the open text file `out`, or returns the text when out is None."""
-    nu = _check_messages(model, nu)
+    nu = _kernels._vector(nu, 2 * model.m, "nu")
     return textio.emit(out, "src,dst,nu\n",
                        textio.rows((model.dir_src, model.dir_dst, nu)))
 

@@ -148,8 +148,9 @@ def _node_csv(model: IsingModel, x, out):
 # What the verbs need of one algorithm family, mean-field or BP: the name of
 # its objective in plots; iterate(model, init=, max_steps=, tol=, record=) ->
 # (state, trace); objective(model, state); the theorem bound(norms, t); the
-# ellipsoid solve(model, eps, full_output=); write_state(model, state, out);
-# and the summary key of |objective - log Z| when exact.csv is present, or None.
+# ellipsoid solve(model, eps) -> (point, value, state); write_state(model,
+# state, out); and the summary key of |objective - log Z| when exact.csv is
+# present, or None.
 _Family = namedtuple("_Family", "label iterate objective bound solve write_state exact_key")
 
 
@@ -220,16 +221,15 @@ def _run_iterative(args, model: IsingModel) -> int:
 
 def _run_ellipsoid(args, model: IsingModel) -> int:
     family = _family(args.algo)
-    point, value, state = family.solve(model, args.eps, full_output=True)
+    point, value, state = family.solve(model, args.eps)
     _write(os.path.join(args.out, "final_state.csv"),
            partial(family.write_state, model, point))
     steps = state.step if state is not None else 0
     if state is not None:
         _write(os.path.join(args.out, "progress.csv"), partial(ellipsoid_progress_csv, state))
         if args.plot:
-            rows = [(s, b) for s, _f, b, _v in state.progress if math.isfinite(b)]
             _write(os.path.join(args.out, "objective.svg"), plot_lines(
-                [("best feasible", [r[0] for r in rows], [r[1] for r in rows])],
+                [("best feasible", state.progress[:, 0], state.progress[:, 2])],
                 title=f"{args.algo} incumbent", xlabel="step",
                 ylabel="objective best"))
     _write(os.path.join(args.out, "summary.txt"), _summary_text([

@@ -13,13 +13,15 @@ target_gap of optimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import textio
+from . import _kernels, textio
 from .bp import bp_step, dual_bethe
-from .meanfield import mf_objective
+from .meanfield import mf_objective, mf_step
 from .model import DomainError, IsingModel
 
 
@@ -51,69 +53,58 @@ class EllipsoidState:
     best_x: np.ndarray | None
     best_value: float
     min_upper: float
-    progress: list = field(default_factory=list)  # (step, feasible, best, violation)
+    progress: np.ndarray  # (steps, 4) rows (step, feasible, best, violation)
 
     @property
     def shape(self) -> np.ndarray:
         return self.sqrt_shape @ self.sqrt_shape.T
 
 
-def separation_oracle_bp(model: IsingModel, nu) -> SeparationResult:
-    """Separate nu from {nu in [0,1]^2m : nu <= bp_step(nu)}.
-
-    Box violations are cut first (coordinate cuts); otherwise the most violated
-    fixpoint constraint nu_d - phi_d(nu) <= 0 is cut with its exact gradient.
-    """
-    nu = np.asarray(nu, dtype=np.float64)
-    ndir = 2 * model.m
-    if nu.shape != (ndir,):
-        raise DomainError(f"query has shape {nu.shape}, expected ({ndir},)")
-    box = np.maximum(-nu, nu - 1.0)
-    k = int(np.argmax(box)) if ndir else 0
-    if ndir and box[k] > 0.0:
-        g = np.zeros(ndir)
-        g[k] = -1.0 if -nu[k] >= nu[k] - 1.0 else 1.0
+def _separate(q, step, row) -> SeparationResult:
+    """Separate q from {q in [0,1]^d : q <= step(q) = tanh(field(q))}: cut the
+    most violated box side, else the most violated row k with its gradient
+    e_k - c dfield_k/dq, c = 1 - step_k(q)^2, where row(k, q, c) gives the
+    columns of dfield_k/dq and c times its entries there."""
+    d = q.shape[0]
+    box = np.maximum(-q, q - 1.0)
+    k = int(np.argmax(box)) if d else 0
+    if d and box[k] > 0.0:
+        g = np.zeros(d)
+        g[k] = -1.0 if -q[k] >= q[k] - 1.0 else 1.0
         viol = float(box[k])
-        return SeparationResult(False, g, float(g @ nu) - viol, viol)
-    phi = bp_step(model, nu)
-    slack = nu - phi
-    if not ndir or float(slack.max()) <= 0.0:
+        return SeparationResult(False, g, float(g @ q) - viol, viol)
+    phi = step(q)
+    slack = q - phi
+    if not d or float(slack.max()) <= 0.0:
         return SeparationResult(True)
     k = int(np.argmax(slack))
-    exc_ptr, exc_idx, _ = model.exclusion_index()
-    g = np.zeros(ndir)
+    cols, partials = row(k, q, 1.0 - phi[k] ** 2)
+    g = np.zeros(d)
     g[k] = 1.0
-    inc = exc_idx[exc_ptr[k]:exc_ptr[k + 1]]
-    td = model.theta_dir[inc]
-    g[inc] -= (1.0 - phi[k] ** 2) * td / (1.0 - (td * nu[inc]) ** 2)
+    g[cols] -= partials
     viol = float(slack[k])
-    return SeparationResult(False, g, float(g @ nu) - viol, viol)
+    return SeparationResult(False, g, float(g @ q) - viol, viol)
+
+
+def separation_oracle_bp(model: IsingModel, nu) -> SeparationResult:
+    """Separate nu from {nu in [0,1]^2m : nu <= bp_step(nu)}."""
+    def row(k, q, c):
+        exc_ptr, exc_idx, _ = model.exclusion_index()
+        inc = exc_idx[exc_ptr[k]:exc_ptr[k + 1]]
+        td = model.theta_dir[inc]
+        return inc, c * td / (1.0 - (td * q[inc]) ** 2)
+
+    return _separate(_kernels._vector(nu, 2 * model.m, "query"),
+                     partial(bp_step, model), row)
 
 
 def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
     """Separate x from {x in [0,1]^n : x <= tanh(Jx + h)}."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n,):
-        raise DomainError(f"query has shape {x.shape}, expected ({model.n},)")
-    box = np.maximum(-x, x - 1.0)
-    k = int(np.argmax(box))
-    if box[k] > 0.0:
-        g = np.zeros(model.n)
-        g[k] = -1.0 if -x[k] >= x[k] - 1.0 else 1.0
-        viol = float(box[k])
-        return SeparationResult(False, g, float(g @ x) - viol, viol)
-    y = model.j_matvec(x) + model.fields
-    t = np.tanh(y)
-    slack = x - t
-    if float(slack.max()) <= 0.0:
-        return SeparationResult(True)
-    k = int(np.argmax(slack))
-    g = np.zeros(model.n)
-    g[k] = 1.0
-    mask = model.dir_src == k
-    g[model.dir_dst[mask]] -= (1.0 - t[k] ** 2) * model.dir_coupling[mask]
-    viol = float(slack[k])
-    return SeparationResult(False, g, float(g @ x) - viol, viol)
+    def row(k, q, c):
+        mask = model.dir_src == k
+        return model.dir_dst[mask], c * model.dir_coupling[mask]
+
+    return _separate(_kernels._vector(x, model.n, "query"), partial(mf_step, model), row)
 
 
 def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
@@ -124,7 +115,8 @@ def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
     starting center (default the origin). Objective cuts are applied at
     feasible queries and oracle cuts at infeasible ones; the best feasible
     point is returned with the final EllipsoidState. When max_steps is None
-    the budget is 2 d^2 (log(radius/r_est) + log(1/target_gap)).
+    the budget is 2 d^2 (max(log(radius/r_est), log 2) + log(1/target_gap)),
+    taken as differences of logs so that tiny gaps do not overflow.
 
     Raises FeasibilityError if no feasible point is ever found.
     """
@@ -137,11 +129,14 @@ def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
     if not (target_gap > 0.0):
         raise DomainError("target_gap must be positive")
     radius = float(radius)
+    if not (radius > 0.0):
+        raise DomainError("radius must be positive")
     start = np.zeros(d) if center is None else np.asarray(center, dtype=np.float64).copy()
     if max_steps is None:
-        re = float(r_est) if r_est else target_gap
-        max_steps = int(math.ceil(2.0 * d * d * (math.log(max(radius / re, 2.0))
-                                                 + math.log(1.0 / target_gap)))) + 8
+        re = float(r_est) if r_est and r_est > 0.0 else target_gap
+        max_steps = int(math.ceil(2.0 * d * d * (
+            max(math.log(radius) - math.log(re), math.log(2.0))
+            - math.log(target_gap)))) + 8
     max_steps = int(max_steps)
     ell_center = start.copy()
     ell_l = radius * np.eye(d)
@@ -151,7 +146,7 @@ def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
     best_x = None
     best_val = -np.inf
     min_upper = np.inf
-    progress = []
+    progress = array("d")
     restarts = 0
     step = 0
     for step in range(1, max_steps + 1):
@@ -169,7 +164,7 @@ def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
         else:
             g = np.asarray(res.cut, dtype=np.float64)
             viol = float(res.violation)
-        progress.append((step, bool(res.feasible), best_val, viol))
+        progress.extend((step, bool(res.feasible), best_val, viol))
         if best_x is not None and min_upper - best_val <= target_gap:
             break
         u = ell_l.T @ g
@@ -194,7 +189,7 @@ def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
             "(the inner ball may be too small; check the field perturbation)")
     state = EllipsoidState(center=ell_center, sqrt_shape=ell_l, step=step,
                            best_x=best_x.copy(), best_value=best_val,
-                           min_upper=min_upper, progress=progress)
+                           min_upper=min_upper, progress=np.frombuffer(progress).reshape(-1, 4))
     return best_x.copy(), state
 
 
@@ -202,7 +197,7 @@ def ellipsoid_progress_csv(state: EllipsoidState, out=None):
     """Serialize the per-step progress; objective_best is nan until a feasible
     point is found. Writes to the open text file `out`, or returns the text
     when out is None."""
-    table = np.array(state.progress, dtype=np.float64).reshape(-1, 4)
+    table = state.progress
     best = table[:, 2]
     return textio.emit(out, "step,feasible,objective_best,violation\n", textio.rows((
         table[:, 0].astype(np.int64), table[:, 1].astype(np.int64),
@@ -210,10 +205,11 @@ def ellipsoid_progress_csv(state: EllipsoidState, out=None):
 
 
 def _solve(model: IsingModel, b: float, oracle, dimension: int, target_gap: float,
-           evaluate, full_output: bool):
+           evaluate):
     """Raise every field by b, maximize the coordinate sum over the perturbed
     model's post-fixpoint region (separated by oracle) to target_gap, and
-    evaluate the original model's objective at the result clipped to [0, 1]."""
+    evaluate the original model's objective at the result clipped to [0, 1].
+    Returns (point, value, state)."""
     pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
     r_est = math.tanh(float(pert.fields.min())) / 2.0
     point, state = ellipsoid_maximize(
@@ -221,38 +217,36 @@ def _solve(model: IsingModel, b: float, oracle, dimension: int, target_gap: floa
         2.0 * math.sqrt(dimension), target_gap=target_gap,
         center=np.full(dimension, 0.5), r_est=r_est)
     value = evaluate(model, np.clip(point, 0.0, 1.0))
-    return (point, value, state) if full_output else (point, value)
+    return point, value, state
 
 
-def solve_bethe_exponential(model: IsingModel, epsilon: float, full_output=False):
+def solve_bethe_exponential(model: IsingModel, epsilon: float):
     """Optimal-fixed-point dual value to accuracy epsilon via the ellipsoid method.
 
     Adds a field perturbation B = epsilon/2m (making the inner ball of the
     post-fixpoint region explicit), maximizes sum(nu) over that region to an
     l1 gap of epsilon/2, and evaluates the dual of the *original* model at the
-    result. Returns (nu, value), plus the EllipsoidState when full_output.
+    result. Returns (nu, value, EllipsoidState); the state is None when m = 0.
     """
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
     if model.m == 0:
-        value = dual_bethe(model, np.zeros(0))
-        return (np.zeros(0), value, None) if full_output else (np.zeros(0), value)
+        return np.zeros(0), dual_bethe(model, np.zeros(0)), None
     return _solve(model, epsilon / (2.0 * model.m), separation_oracle_bp, 2 * model.m,
-                  epsilon / 2.0, dual_bethe, full_output)
+                  epsilon / 2.0, dual_bethe)
 
 
-def solve_mf_exponential(model: IsingModel, epsilon: float, full_output=False):
+def solve_mf_exponential(model: IsingModel, epsilon: float):
     """Optimal mean-field value to accuracy epsilon via the ellipsoid method.
 
     Adds a field perturbation B = epsilon/2, maximizes sum(x) over the
     perturbed region {0 <= x <= tanh(Jx + h)}, and evaluates the mean-field
     objective of the original model at the result. The l1 target gap is
     scaled by a gradient bound on the feasible box so the value error stays
-    below epsilon. Returns (x, value), plus the EllipsoidState when full_output.
+    below epsilon. Returns (x, value, EllipsoidState).
     """
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
-    row_sums = np.bincount(model.dir_dst, weights=model.dir_coupling, minlength=model.n)
-    grad_bound = float((row_sums + model.fields).max()) + 1.0
+    grad_bound = float(_kernels._mf_field_map(model)(np.ones(model.n)).max()) + 1.0
     return _solve(model, epsilon / 2.0, separation_oracle_mf, model.n,
-                  epsilon / (2.0 * grad_bound), mf_objective, full_output)
+                  epsilon / (2.0 * grad_bound), mf_objective)

@@ -34,16 +34,9 @@ def bernoulli_entropy(x):
     return out
 
 
-def _check_state(model: IsingModel, x, name="x"):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n,):
-        raise DomainError(f"{name} has shape {x.shape}, expected ({model.n},)")
-    return x
-
-
 def mf_objective(model: IsingModel, x) -> float:
     """Mean-field objective F(x); the endpoints |x_i| = 1 are legal."""
-    x = _check_state(model, x)
+    x = _kernels._vector(x, model.n, "x")
     if x.size and float(np.max(np.abs(x))) > 1.0:
         raise DomainError("magnetizations must lie in [-1, 1]")
     return _kernels._mf_objective(model.edge_i, model.edge_j, model.couplings,
@@ -52,16 +45,16 @@ def mf_objective(model: IsingModel, x) -> float:
 
 def mf_gradient(model: IsingModel, x):
     """Gradient (Jx + h) - arctanh(x); requires |x_i| < 1 strictly."""
-    x = _check_state(model, x)
+    x = _kernels._vector(x, model.n, "x")
     if x.size and float(np.max(np.abs(x))) >= 1.0:
         raise DomainError("gradient needs |x_i| < 1 strictly")
-    return model.j_matvec(x) + model.fields - np.arctanh(x)
+    return _kernels._mf_field_map(model)(x) - np.arctanh(x)
 
 
 def mf_step(model: IsingModel, x):
     """One synchronous update tanh(Jx + h)."""
-    x = _check_state(model, x)
-    return np.tanh(model.j_matvec(x) + model.fields)
+    x = _kernels._vector(x, model.n, "x")
+    return np.tanh(_kernels._mf_field_map(model)(x))
 
 
 def mf_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
@@ -109,5 +102,5 @@ def _bound_array(norms: ModelNorms, t: np.ndarray) -> np.ndarray:
 
 def mf_fixed_point_residual(model: IsingModel, x) -> float:
     """Sup-norm of tanh(Jx + h) - x; zero exactly at fixed points."""
-    x = _check_state(model, x)
+    x = _kernels._vector(x, model.n, "x")
     return float(np.max(np.abs(mf_step(model, x) - x), initial=0.0))

@@ -80,8 +80,6 @@ class IsingModel:
         if np.any(couplings < 0):
             raise ModelError(
                 f"negative coupling {couplings[couplings < 0][0]:g} (model must be ferromagnetic)")
-        if not np.all(np.isfinite(couplings)):
-            raise ModelError("non-finite coupling")
 
         # Canonical edge order: i < j within each pair, pairs sorted lexicographically.
         lo = np.minimum(edges[:, 0], edges[:, 1])
@@ -102,8 +100,13 @@ class IsingModel:
         fields = np.asarray(fields, dtype=np.float64).reshape(-1)
         if len(fields) != n:
             raise ModelError(f"expected {n} fields, got {len(fields)}")
-        if not np.all(np.isfinite(fields)):
-            raise ModelError("non-finite field")
+        # The kernels form 2J and 2h inside logaddexp, log cosh and elimination;
+        # a NaN, an inf or an overflow there turns every objective into NaN.
+        with np.errstate(over="ignore"):
+            total = 2.0 * (float(couplings.sum()) + float(np.abs(fields).sum()))
+        if not np.isfinite(total):
+            raise ModelError("non-finite coupling or field, or 2 (sum J + sum |h|) "
+                             "overflows float64")
         if check_fields and np.any(fields < 0):
             raise ModelError(
                 f"negative field {fields[fields < 0][0]:g}; "
@@ -132,12 +135,6 @@ class IsingModel:
                   self.edge_i, self.edge_j, self.theta_edge, self.theta_dir):
             a.setflags(write=False)
         self._exclusion = None
-
-    def j_matvec(self, x):
-        """Return J @ x for the symmetric coupling matrix J."""
-        x = np.asarray(x, dtype=np.float64)
-        contrib = self.dir_coupling * x[self.dir_src]
-        return np.bincount(self.dir_dst, weights=contrib, minlength=self.n)
 
     def exclusion_index(self):
         """Index arrays for message updates: for each directed edge d = (i -> j),

@@ -106,6 +106,75 @@ def fd_gradient(fn, x, step=1e-5):
     return grad
 
 
+def _ref_separate(q, row):
+    """Separation of q from {q in [0,1]^d : q_k <= phi_k(q) for all k}, where
+    phi_k = tanh(field_k).
+
+    row(k) gives (phi_k(q), [d field_k / d q_j for every j]). The most
+    violated box side is cut first: -q_k <= 0 below the box, q_k <= 1 above it.
+    Otherwise the row with the largest slack q_k - phi_k(q) is cut with the
+    gradient of q_k - phi_k(q). Returns (feasible, cut, offset, violation,
+    margin); margin is the lead of the largest slack over the second one (the
+    cut of a near tie depends on round-off), inf for box cuts.
+    """
+    d = len(q)
+    over = [max(-v, v - 1.0) for v in q]
+    if d and max(over) > 0.0:
+        k = over.index(max(over))
+        cut = [0.0] * d
+        cut[k] = -1.0 if q[k] < 0.0 else 1.0
+        return False, cut, 0.0 if q[k] < 0.0 else 1.0, over[k], math.inf
+    rows = [row(k) for k in range(d)]
+    slack = [q[k] - rows[k][0] for k in range(d)]
+    if not d or max(slack) <= 0.0:
+        return True, None, 0.0, 0.0, math.inf
+    ranked = sorted(slack)
+    k = slack.index(ranked[-1])
+    phi, partials = rows[k]
+    cut = [-(1.0 - phi * phi) * p for p in partials]
+    cut[k] += 1.0
+    offset = sum(c * v for c, v in zip(cut, q)) - slack[k]
+    margin = ranked[-1] - ranked[-2] if d > 1 else math.inf
+    return False, cut, offset, slack[k], margin
+
+
+def ref_separation_mf(model, x):
+    """Separation from {x in [0,1]^n : x <= tanh(Jx + h)} with a dense J."""
+    n = model.n
+    dense = [[0.0] * n for _ in range(n)]
+    for e in range(model.m):
+        i, j = model.edges[e]
+        dense[i][j] = dense[j][i] = float(model.couplings[e])
+
+    def row(k):
+        field = float(model.fields[k]) + sum(dense[k][j] * x[j] for j in range(n))
+        return math.tanh(field), dense[k]
+
+    return _ref_separate(list(x), row)
+
+
+def ref_separation_bp(model, nu):
+    """Separation from {nu in [0,1]^2m : nu <= BP update(nu)}, summing over the
+    incoming messages of each directed edge i -> j (2e is i -> j, 2e+1 is j -> i)."""
+    ends = []
+    for e in range(model.m):
+        i, j = model.edges[e]
+        ends += [(i, j), (j, i)]
+
+    def row(d):
+        src, dst = ends[d]
+        field = float(model.fields[src])
+        partials = [0.0] * len(ends)
+        for c, (a, b) in enumerate(ends):
+            if b == src and a != dst:
+                theta = math.tanh(model.couplings[c // 2])
+                field += math.atanh(theta * nu[c])
+                partials[c] = theta / (1.0 - (theta * nu[c]) ** 2)
+        return math.tanh(field), partials
+
+    return _ref_separate(list(nu), row)
+
+
 def bisect_root(fn, lo, hi, tol=1e-14):
     """Root of fn on [lo, hi] by bisection; fn(lo) and fn(hi) must differ in sign."""
     flo = fn(lo)
@@ -193,9 +262,9 @@ def ref_trace_csv(trace, meta):
 
 def ref_progress_csv(progress):
     lines = ["step,feasible,objective_best,violation"]
-    for step, feas, best, viol in progress:
+    for step, feas, best, viol in progress.tolist():
         b = f"{best:.17g}" if math.isfinite(best) else "nan"
-        lines.append(f"{step},{int(feas)},{b},{viol:.17g}")
+        lines.append(f"{int(step)},{int(feas)},{b},{viol:.17g}")
     return "\n".join(lines) + "\n"
 
 

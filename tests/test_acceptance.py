@@ -267,10 +267,10 @@ def test_7_ellipsoid_solvers_hit_epsilon():
         start = time.perf_counter()
         nu_ref, _ = bp_iterate(model, max_steps=2 * 10**5, tol=1e-14)
         ref_bethe = dual_bethe(model, nu_ref)
-        _nu, val_bethe = solve_bethe_exponential(model, eps)
+        _nu, val_bethe, _ = solve_bethe_exponential(model, eps)
         x_ref, _ = mf_iterate(model, max_steps=2 * 10**5, tol=1e-14)
         ref_mf = mf_objective(model, x_ref)
-        _x, val_mf = solve_mf_exponential(model, eps)
+        _x, val_mf, _ = solve_mf_exponential(model, eps)
         worst_time = max(worst_time, time.perf_counter() - start)
         worst_bethe = max(worst_bethe, abs(val_bethe - ref_bethe))
         worst_mf = max(worst_mf, abs(val_mf - ref_mf))

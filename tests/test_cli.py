@@ -226,6 +226,31 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["gen", "--topology", "cycle:4"]) == 1   # --beta missing
 
 
+def test_extreme_inputs_exit_cleanly(tmp_path, capsys):
+    # eps near the bottom of float64: the default step budget stays finite
+    for algo in ("ellipsoid_bethe", "ellipsoid_mf"):
+        assert main(["run", "--topology", "grid:2x2", "--beta", "0.3", "--field", "0.1",
+                     "--algo", algo, "--eps", "1e-320", "--out", str(tmp_path / algo)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+    # the largest magnitudes whose 2J and 2h fit in float64 give finite runs
+    (tmp_path / "big.txt").write_text("n 1\nnode 0 8.9e307\n")
+    for verb in (["run", "--algo", "bp"], ["run", "--algo", "mf"], ["exact"]):
+        out = tmp_path / verb[-1]
+        assert main([*verb, "--model", str(tmp_path / "big.txt"), "--out", str(out)]) == 0
+        summary = summary_dict(out / "summary.txt")
+        assert math.isfinite(float(summary.get("final_objective", summary.get("log_z"))))
+    # past them, the model is rejected with one error line
+    (tmp_path / "bigger.txt").write_text("n 1\nnode 0 9e307\n")
+    capsys.readouterr()
+    for source in (["--model", str(tmp_path / "bigger.txt")],
+                   ["--topology", "cycle:3", "--beta", "1e308"],
+                   ["--topology", "cycle:3", "--beta", "0.3", "--field", "1e308"]):
+        for verb in (["run", "--algo", "bp"], ["run", "--algo", "mf"], ["exact"]):
+            assert main([*verb, *source, "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_nonpositive_fields_are_sign_flipped(tmp_path):
     edges = "edge 0 1 0.4\nedge 1 2 0.4\n"
     for name, fields in (("neg", (-0.2, -0.1, 0)), ("pos", (0.2, 0.1, 0)),

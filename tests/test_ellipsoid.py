@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import chain2, cycle4, path3, star5, triangle
-from isingvi import (FeasibilityError, IsingModel, SeparationResult, bp_iterate,
-                     bp_step, dual_bethe, ellipsoid_maximize,
+from isingvi import (DomainError, FeasibilityError, IsingModel, SeparationResult,
+                     bp_iterate, bp_step, dual_bethe, ellipsoid_maximize,
                      ellipsoid_progress_csv, mf_iterate, mf_objective, mf_step,
                      separation_oracle_bp, separation_oracle_mf,
                      solve_bethe_exponential, solve_mf_exponential)
-from refimpl import fd_gradient
+from refimpl import fd_gradient, ref_separation_bp, ref_separation_mf
 
 
 def box_oracle(x):
@@ -38,6 +41,9 @@ def test_maximize_over_box():
     csv = ellipsoid_progress_csv(state)
     assert csv.splitlines()[0] == "step,feasible,objective_best,violation"
     assert len(csv.splitlines()) == state.step + 1
+    for radius in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            ellipsoid_maximize(box_oracle, c, 2, radius=radius)
 
 
 def test_infeasible_program_raises():
@@ -136,32 +142,30 @@ def test_solve_bethe_matches_iteration():
     for model in (chain2(0.6, 0.3), path3(0.5, 0.25), cycle4(0.4, 0.3)):
         nu_ref, trace = bp_iterate(model, max_steps=10**5, tol=1e-14)
         ref = trace.objective[-1]
-        nu, value = solve_bethe_exponential(model, 1e-6)
+        nu, value, state = solve_bethe_exponential(model, 1e-6)
         assert abs(value - ref) <= 1e-6
-        nu2, value2, state = solve_bethe_exponential(model, 1e-6, full_output=True)
-        assert value2 == value
         assert state.step > 0
+        assert state.progress.shape == (state.step, 4)
 
 
 def test_solve_mf_matches_iteration():
     for model in (chain2(0.6, 0.3), triangle(0.35, 0.3)):
         x_ref, trace = mf_iterate(model, max_steps=10**5, tol=1e-14)
         ref = trace.objective[-1]
-        _x, value = solve_mf_exponential(model, 1e-6)
+        _x, value, _state = solve_mf_exponential(model, 1e-6)
         assert abs(value - ref) <= 1e-6
 
 
 def test_solve_single_node_closed_form():
     lonely = IsingModel(1, None, None, np.array([0.5]))
     want = math.log(2.0 * math.cosh(0.5))
-    _nu, vb = solve_bethe_exponential(lonely, 1e-8)
-    assert vb == pytest.approx(want, abs=1e-12)
-    _x, vm = solve_mf_exponential(lonely, 1e-8)
+    _nu, vb, state = solve_bethe_exponential(lonely, 1e-8)
+    assert vb == pytest.approx(want, abs=1e-12) and state is None
+    _x, vm, _state = solve_mf_exponential(lonely, 1e-8)
     assert abs(vm - want) <= 1e-8
 
 
 def test_solver_rejects_bad_epsilon():
-    from isingvi import DomainError
     with pytest.raises(DomainError):
         solve_bethe_exponential(chain2(0.5, 0.2), 0.0)
     with pytest.raises(DomainError):
@@ -185,3 +189,52 @@ def test_step_count_scales_polylog():
     xc = xs - xs.mean()
     slope = float(xc @ (ys - ys.mean()) / (xc @ xc))
     assert 0.8 <= slope <= 1.2, (slope, steps)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A ferromagnetic model with n <= 6 (m = 0 and isolated nodes included) as
+    (n, edges, couplings, fields), and one query per oracle. Queries lie in
+    [0, 1]^d or in [-0.3, 1.3]^d, so that fixpoint cuts are drawn as well as
+    box cuts on 2m up to 30 coordinates."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else []
+    couplings = draw(st.lists(st.floats(0.0, 2.0), min_size=len(edges), max_size=len(edges)))
+    fields = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (-0.3, 1.3)]))
+    queries = [draw(st.lists(st.floats(lo, hi), min_size=d, max_size=d))
+               for d in (n, 2 * len(edges))]
+    return n, edges, couplings, fields, *queries
+
+
+@settings(max_examples=300)
+@given(oracle_cases())
+@example((1, [], [], [0.0], [0.0], []))
+@example((1, [], [], [0.4], [1.25], []))
+@example((4, [(0, 2), (2, 3)], [0.7, 1.1], [0.0, 0.3, 0.2, 0.0],
+          [0.9, 0.0, 0.8, 0.95], [0.9, 0.6, 0.99, 0.2]))
+def test_oracles_match_references(case):
+    n, edges, couplings, fields, qx, qnu = case
+    model = IsingModel(n, np.array(edges, dtype=np.int64).reshape(-1, 2), couplings, fields)
+    for oracle, ref, q in ((separation_oracle_mf, ref_separation_mf, qx),
+                           (separation_oracle_bp, ref_separation_bp, qnu)):
+        res = oracle(model, np.array(q))
+        feasible, cut, offset, violation, margin = ref(model, q)
+        assert res.feasible == feasible
+        if feasible or margin <= 1e-9:
+            continue
+        assert np.max(np.abs(res.cut - cut)) <= 1e-12
+        assert abs(res.offset - offset) <= 1e-12
+        assert abs(res.violation - violation) <= 1e-12
+
+
+def test_progress_memory_follows_steps():
+    model = cycle4(0.4, 0.3)
+    tracemalloc.start()
+    try:
+        _nu, _value, state = solve_bethe_exponential(model, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * state.step, (peak, state.step)

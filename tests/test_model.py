@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle4, random_ferro, star5, triangle
 from isingvi import (IsingModel, ModelError, ParseError, generate_topology,
-                     load_model, model_hash, save_model,
+                     load_model, mf_step, model_hash, save_model,
                      validate_ferromagnetic)
 from isingvi.cli import main
 
@@ -87,7 +87,7 @@ def test_norms():
     assert lonely.norms().j_linf == 0.0
 
 
-def test_j_matvec_matches_dense(rng):
+def test_mf_step_matches_dense(rng):
     m = random_ferro(7, 12, rng)
     dense = np.zeros((m.n, m.n))
     for e in range(m.m):
@@ -95,7 +95,17 @@ def test_j_matvec_matches_dense(rng):
         dense[i, j] = dense[j, i] = m.couplings[e]
     for _ in range(5):
         x = rng.uniform(-1, 1, size=m.n)
-        assert np.allclose(m.j_matvec(x), dense @ x, atol=1e-14)
+        assert np.allclose(mf_step(m, x), np.tanh(dense @ x + m.fields), atol=1e-14)
+
+
+def test_rejects_magnitudes_past_float64():
+    # 2 (sum J + sum |h|) must be finite: the kernels form 2J and 2h
+    assert IsingModel(1, None, None, [8.9e307]).fields[0] == 8.9e307
+    for n, edges, couplings, fields in ((1, None, None, [9e307]),
+                                        (3, [[0, 1], [1, 2], [0, 2]], [1e308] * 3, None),
+                                        (3, [[0, 1]], [6e307], [3e307, 0.0, 0.0])):
+        with pytest.raises(ModelError, match="overflows float64"):
+            IsingModel(n, edges, couplings, fields)
 
 
 def test_exclusion_index_matches_naive(rng):

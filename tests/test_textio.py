@@ -149,7 +149,7 @@ def test_cli_artifacts_match_per_row_writers(tmp_path, monkeypatch, block_rows):
             ("ellipsoid_mf", solve_mf_exponential, ref_node_csv)):
         assert main(["run", "--model", out("cycle.txt"), "--algo", algo, "--eps", eps,
                      "--out", out(algo)]) == 0
-        point, _, state = solve(cycle, float(eps), full_output=True)
+        point, _, state = solve(cycle, float(eps))
         assert read(out(algo, "final_state.csv")) == final(point)
         assert read(out(algo, "progress.csv")) == ref_progress_csv(state.progress)
 
