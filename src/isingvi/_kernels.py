@@ -4,7 +4,7 @@ Mean-field and BP both iterate a monotone map x <- tanh(field(x)) from the
 all-ones start (or another checked start state). `_sweep` is that loop.
 mf_run and bp_run give it their family's field map (`_mf_field_map`, Jx + h,
 or `_bp_field_map`, h plus the exclusion sum of arctanh(theta nu)) and, when
-recording, a `measure(x, field(x))` callback that appends their objective
+recording, a `measure(x, field(x), step)` callback that appends their trace
 columns. The private helpers below hold the one implementation of each field
 map, the Bethe dual, the mean-field objective and the shape check: the public
 functions in bp, meanfield and ellipsoid check their arguments and call them,
@@ -128,64 +128,68 @@ def _start_state(init, size, max_steps, tol):
     return x, max_steps, float(tol)
 
 
-def _column(values, steps):
-    """The numpy trace column for steps + 1 records, NaN throughout if none were
-    taken. Columns grow as array("d") (8 bytes per value) instead of
-    preallocating max_steps entries, so memory follows the run."""
+def _column(values, last):
+    """The recorded values as a numpy column, or [last] if none were recorded.
+    Columns grow as array("d") (8 bytes per value) instead of preallocating
+    max_steps entries, so memory follows the run."""
     if not values:
-        return np.full(steps + 1, np.nan)
+        return np.array([last])
     return np.frombuffer(values, dtype=np.float64).copy()
 
 
 def _sweep(field, measure, init, size, max_steps, tol):
     """Iterate x <- tanh(field(x)) from the checked start state until the
-    sup-norm step drops below tol, calling measure(x, field(x)) at every t
-    unless measure is None. Returns (x, step_inf column, steps, converged)."""
+    sup-norm step drops below tol, calling measure(x, field(x), step into x)
+    at every t unless measure is None; the step into x_0 is nan. Keeps nothing
+    per step itself. Returns (x, last step, steps, converged)."""
     x, max_steps, tol = _start_state(init, size, max_steps, tol)
-    step_inf = array("d", [math.nan])
-    for _ in range(max_steps):
+    step = math.nan
+    for steps in range(1, max_steps + 1):
         f = field(x)
         if measure is not None:
-            measure(x, f)
+            measure(x, f, step)
         xn = np.tanh(f, out=f)  # in place, as in _bp_field
         # ufunc reduce: np.max's wrapper costs more than the max on small graphs
         step = float(np.maximum.reduce(np.abs(xn - x), initial=0.0))
-        step_inf.append(step)
         x = xn
         if step < tol:
             break
     if measure is not None:
-        measure(x, field(x))
-    steps = len(step_inf) - 1
-    return x, _column(step_inf, steps), steps, step_inf[-1] < tol
+        measure(x, field(x), step)
+    return x, step, steps, step < tol
 
 
 def mf_run(model, init, max_steps, tol, record):
-    """Mean-field sweep, recording the objective and the gradient's l1 norm.
+    """Mean-field sweep, recording the objective, step and gradient l1 norm;
+    without record each column is its final row, nan but for the step.
     Returns (x, objective, step_inf, grad_l1, steps, converged)."""
-    obj, grad_l1 = array("d"), array("d")
+    obj, step_inf, grad_l1 = array("d"), array("d"), array("d")
 
-    def measure(x, y):
+    def measure(x, y, step):
         obj.append(_mf_objective(model.edge_i, model.edge_j, model.couplings,
                                  model.fields, x))
+        step_inf.append(step)
         grad_l1.append(_grad_l1(y, x))
 
-    x, step_inf, steps, converged = _sweep(
+    x, step, steps, converged = _sweep(
         _mf_field_map(model), measure if record else None, init, model.n, max_steps, tol)
-    return x, _column(obj, steps), step_inf, _column(grad_l1, steps), steps, converged
+    return (x, _column(obj, math.nan), _column(step_inf, step),
+            _column(grad_l1, math.nan), steps, converged)
 
 
 def bp_run(model, init, max_steps, tol, record):
-    """BP sweep over the 2m directed-edge messages, recording the Bethe dual.
+    """BP sweep over the 2m directed-edge messages, recording the Bethe dual
+    and step; without record each column is its final row, nan but for the step.
     Returns (nu, dual, step_inf, steps, converged)."""
     lc_total = _log_cosh_total(model.couplings)
-    dual = array("d")
+    dual, step_inf = array("d"), array("d")
 
-    def measure(nu, _field):
+    def measure(nu, _field, step):
         dual.append(_bethe_dual(model.dir_dst, model.theta_edge, model.theta_dir,
                                 model.fields, lc_total, nu))
+        step_inf.append(step)
 
-    nu, step_inf, steps, converged = _sweep(
+    nu, step, steps, converged = _sweep(
         _bp_field_map(model), measure if record else None, init, 2 * model.m,
         max_steps, tol)
-    return nu, _column(dual, steps), step_inf, steps, converged
+    return nu, _column(dual, math.nan), _column(step_inf, step), steps, converged

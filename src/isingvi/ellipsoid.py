@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels, textio
 from .bp import bp_step, dual_bethe
 from .meanfield import mf_objective, mf_step
-from .model import DomainError, IsingModel
+from .model import DomainError, IsingModel, ModelError
 
 
 class FeasibilityError(RuntimeError):
@@ -115,7 +115,7 @@ def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
     starting center (default the origin). Objective cuts are applied at
     feasible queries and oracle cuts at infeasible ones; the best feasible
     point is returned with the final EllipsoidState. When max_steps is None
-    the budget is 2 d^2 (max(log(radius/r_est), log 2) + log(1/target_gap)),
+    the budget is 8 + 2 d^2 max(0, max(log(radius/r_est), log 2) + log(1/target_gap)),
     taken as differences of logs so that tiny gaps do not overflow.
 
     Raises FeasibilityError if no feasible point is ever found.
@@ -134,9 +134,8 @@ def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
     start = np.zeros(d) if center is None else np.asarray(center, dtype=np.float64).copy()
     if max_steps is None:
         re = float(r_est) if r_est and r_est > 0.0 else target_gap
-        max_steps = int(math.ceil(2.0 * d * d * (
-            max(math.log(radius) - math.log(re), math.log(2.0))
-            - math.log(target_gap)))) + 8
+        max_steps = int(math.ceil(2.0 * d * d * max(
+            0.0, max(math.log(radius) - math.log(re), math.log(2.0)) - math.log(target_gap)))) + 8
     max_steps = int(max_steps)
     ell_center = start.copy()
     ell_l = radius * np.eye(d)
@@ -210,7 +209,10 @@ def _solve(model: IsingModel, b: float, oracle, dimension: int, target_gap: floa
     model's post-fixpoint region (separated by oracle) to target_gap, and
     evaluate the original model's objective at the result clipped to [0, 1].
     Returns (point, value, state)."""
-    pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
+    try:
+        pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
+    except ModelError as exc:
+        raise DomainError(f"eps too large: field perturbation {b:g} overflows the model") from exc
     r_est = math.tanh(float(pert.fields.min())) / 2.0
     point, state = ellipsoid_maximize(
         lambda q: oracle(pert, q), np.ones(dimension), dimension,

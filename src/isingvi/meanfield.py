@@ -62,12 +62,13 @@ def mf_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
     """Run x <- tanh(Jx + h) until the sup-norm step drops below tol.
 
     Returns (x, IterationTrace). The trace records the objective, step size,
-    gradient l1 norm, and theorem bound per step starting at t = 0; pass
-    record=False to skip the objective/gradient columns (left nan).
+    gradient l1 norm, and theorem bound per step starting at t = 0; with
+    record=False it keeps the final row alone (t = [steps], nan objective and
+    gradient), so its memory does not grow with the steps taken.
     """
     x, obj, step_inf, grad_l1, steps, converged = _kernels.mf_run(
         model, init, max_steps, tol, bool(record))
-    t = np.arange(steps + 1, dtype=np.int64)
+    t = np.arange(steps + 1 - len(step_inf), steps + 1, dtype=np.int64)
     trace = IterationTrace(algo="mf", t=t, objective=obj, step_inf=step_inf,
                            bound=_bound_array(model.norms(), t),
                            converged=converged, grad_l1=grad_l1)
@@ -87,16 +88,12 @@ def mf_error_bound(norms: ModelNorms, t) -> float:
 
 
 def _bound_array(norms: ModelNorms, t: np.ndarray) -> np.ndarray:
-    # In place: on the 2*10^5-step reference run behind --plot, one temporary
-    # per operation would set the job's peak memory.
     s = norms.j_l1 + norms.h_l1
     out = np.full(t.shape, np.inf)
-    np.divide(s, t, out=out, where=t >= 1)
-    half = t // 2
-    ok = half >= 1
-    fast = np.divide(s, half, out=np.zeros(t.shape), where=ok)
-    np.power(fast, 4.0 / 3.0, out=fast)
-    np.minimum(out, fast, out=out, where=ok)
+    pos = t >= 1
+    out[pos] = s / t[pos]
+    ok = t >= 2
+    out[ok] = np.minimum(out[ok], (s / (t[ok] // 2)) ** (4.0 / 3.0))
     return out
 
 

@@ -20,7 +20,8 @@ class IterationTrace:
 
     objective holds the mean-field objective (algo "mf") or the message-space
     dual (algo "bp"); step_inf is nan at t = 0; bound is the theorem error
-    bound as a function of t alone (inf at t = 0). grad_l1 is mf-only.
+    bound as a function of t alone (inf at t = 0). grad_l1 is mf-only. A
+    record=False run keeps its final row alone, with a nan objective.
     """
 
     algo: str

@@ -358,3 +358,33 @@ def test_all_ones_start_dominates(data):
         nu_top, nu = bp_step(model, nu_top), bp_step(model, nu)
         assert np.all(x_top >= x), f"MF step {t}: {x_top - x}"
         assert np.all(nu_top >= nu), f"BP step {t}: {nu_top - nu}"
+
+
+def test_dimension_free_rates():
+    """Not one of the nine checks: the paper's rates are dimension-free. On
+    near-critical grids (beta 0.34, h 0.001) of n = 100 to 10^4 nodes, the
+    per-node residual against a tol-1e-13 reference stays below the per-node
+    bound for BP at t = 5, 20 and MF at t = 5, and from n = 2,500 to 10^4 it
+    grows by at most 10%."""
+    cases = (("bp", 5), ("bp", 20), ("mf", 5))
+    per_node = {case: [] for case in cases}
+    worst = 0.0   # largest residual / bound
+    for side in (10, 30, 50, 100):
+        model = generate_topology("grid", 0.34, 0.001, rows=side, cols=side)
+        for algo, iterate, objective, bound_array in (
+                ("bp", bp_iterate, dual_bethe, bp_bound_array),
+                ("mf", mf_iterate, mf_objective, mf_bound_array)):
+            ref_state, _ = iterate(model, max_steps=2 * 10**5, tol=1e-13, record=False)
+            ref = objective(model, ref_state)
+            ts = np.array([t for a, t in cases if a == algo])
+            _state, trace = iterate(model, max_steps=int(ts.max()), tol=0.0)
+            resid = ref - trace.objective[ts]
+            worst = max(worst, float((resid / bound_array(model.norms(), ts)).max()))
+            for t, r in zip(ts.tolist(), resid.tolist()):
+                per_node[(algo, t)].append(r / model.n)
+    growth = {case: vals[-1] / vals[-2] for case, vals in per_node.items()}
+    ok = worst < 1.0 and max(growth.values()) <= 1.1
+    report(ok, "dimension-free-rates",
+           f"n = 100..10^4, worst residual/bound {worst:.3g}; residual/n growth "
+           "from n = 2,500 to 10^4: " + ", ".join(
+               f"{algo} t={t} {g:.3f}" for (algo, t), g in growth.items()) + " (want <= 1.1)")

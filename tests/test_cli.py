@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from isingvi import bp as bp_mod
 from isingvi import load_model, trace_from_csv
+from isingvi import meanfield as mf_mod
 from isingvi.cli import _monotone_ok, emit_report, main
 from refimpl import cycle_log_z
 
@@ -110,6 +112,51 @@ def test_near_critical_bp_residual_slope(tmp_path):
                  "500", "--tol", "0", "--out", str(run), "--plot"]) == 0
     summary = summary_dict(run / "summary.txt")
     assert float(summary["residual_loglog_slope"]) <= -1.0
+
+
+@pytest.mark.parametrize("algo, topology, beta, field, steps, tol, continues", [
+    ("bp", "regular:30:3", math.atanh(0.5), "1e-4", 2000, "0", True),
+    ("mf", "regular:30:3", 1.0 / 3.0, "1e-4", 2000, "0", True),
+    ("bp", "regular:30:3", math.atanh(0.5), "1e-4", 2000, "1e-9", True),
+    ("bp", "grid:3x3", 0.3, "0.5", 500, "0", False),
+    ("mf", "grid:3x3", 0.3, "0.5", 500, "0", False),
+])
+def test_plot_reference_matches_a_run_from_the_start(tmp_path, monkeypatch, algo, topology,
+                                                     beta, field, steps, tol, continues):
+    """The reference behind --plot continues from the recorded state unless a
+    recorded step is below its tol 1e-13; either way its value is, bitwise,
+    that of one run of ref_steps steps to tol 1e-13 from the start."""
+    gen = tmp_path / "model.txt"
+    assert main(["gen", "--topology", topology, "--beta", repr(beta), "--field", field,
+                 "--seed", "1", "--out", str(gen)]) == 0
+    module, name, objective = ((bp_mod, "bp_iterate", bp_mod.dual_bethe) if algo == "bp"
+                               else (mf_mod, "mf_iterate", mf_mod.mf_objective))
+    iterate, calls = getattr(module, name), []
+
+    def spy(model, **kwargs):
+        calls.append(kwargs)
+        return iterate(model, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    run = tmp_path / "out"
+    assert main(["run", "--model", str(gen), "--algo", algo, "--steps", str(steps),
+                 "--tol", tol, "--out", str(run), "--plot"]) == 0
+    monkeypatch.undo()
+    trace, _ = trace_from_csv(read(run / "trace.csv"))
+    assert bool(np.all(trace.step_inf[1:] >= 1e-13)) == continues
+    ref_steps = max(2 * steps, 200000)
+    ref_call = calls[-1]
+    assert (ref_call["tol"], ref_call["record"]) == (1e-13, False)
+    if continues:
+        assert ref_call["max_steps"] == ref_steps - trace.steps
+        assert not isinstance(ref_call["init"], str)
+    else:
+        assert (ref_call["init"], ref_call["max_steps"]) == ("ones", ref_steps)
+    model = load_model(read(gen))
+    ref_state, _ = iterate(model, init="ones", max_steps=ref_steps, tol=1e-13, record=False)
+    summary = summary_dict(run / "summary.txt")
+    assert summary["reference_value"] == f"{objective(model, ref_state):.17g}"
+    assert summary["reference_source"] == f"long_run(tol=1e-13,max_steps={ref_steps})"
 
 
 def test_run_ellipsoid(tmp_path):
@@ -232,6 +279,19 @@ def test_extreme_inputs_exit_cleanly(tmp_path, capsys):
         assert main(["run", "--topology", "grid:2x2", "--beta", "0.3", "--field", "0.1",
                      "--algo", algo, "--eps", "1e-320", "--out", str(tmp_path / algo)]) == 0
         assert "Traceback" not in capsys.readouterr().err
+    # a huge eps takes the minimum step budget; a non-finite eps, or one whose
+    # field perturbation overflows the model, is rejected naming eps
+    for algo, eps, code in (("ellipsoid_bethe", "1e300", 0), ("ellipsoid_mf", "1e300", 0),
+                            ("ellipsoid_bethe", "1e308", 0), ("ellipsoid_mf", "1e308", 1),
+                            ("ellipsoid_bethe", "inf", 1), ("ellipsoid_mf", "inf", 1),
+                            ("ellipsoid_bethe", "nan", 1)):
+        assert main(["run", "--topology", "cycle:4", "--beta", "0.3", "--algo", algo,
+                     "--eps", eps, "--out", str(tmp_path / "eps")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: eps ") and err.count("\n") == 1, err
+        else:
+            assert err == ""
     # the largest magnitudes whose 2J and 2h fit in float64 give finite runs
     (tmp_path / "big.txt").write_text("n 1\nnode 0 8.9e307\n")
     for verb in (["run", "--algo", "bp"], ["run", "--algo", "mf"], ["exact"]):

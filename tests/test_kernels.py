@@ -13,9 +13,9 @@ from isingvi import (DomainError, IsingModel, bp_iterate, bp_step, dual_bethe,
 def test_record_false_skips_objective():
     model = small_grid(3, 3, 0.4, 0.1)
     _x, trace = mf_iterate(model, max_steps=100, tol=0.0, record=False)
-    assert np.isnan(trace.objective[1:]).all()
+    assert trace.objective.shape == (1,) and np.isnan(trace.objective).all()
     _nu, traceb = bp_iterate(model, max_steps=100, tol=0.0, record=False)
-    assert np.isnan(traceb.objective[1:]).all()
+    assert traceb.objective.shape == (1,) and np.isnan(traceb.objective).all()
 
 
 def test_trace_memory_follows_steps_taken():
@@ -26,9 +26,16 @@ def test_trace_memory_follows_steps_taken():
             mf_iterate(model, max_steps=10**7, record=record)
             bp_iterate(model, max_steps=10**7, record=record)
         peak = tracemalloc.get_traced_memory()[1]
+        # a run that records nothing keeps its final row alone: one column of
+        # 2*10^4 steps would take 160 KB
+        tracemalloc.reset_peak()
+        for iterate in (mf_iterate, bp_iterate):
+            iterate(model, max_steps=2 * 10**4, tol=0.0, record=False)
+        peak_off = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+    assert peak_off < 64 * 1024
 
 
 @pytest.mark.parametrize("iterate, size", [(mf_iterate, lambda m: m.n),
@@ -56,7 +63,8 @@ _UNIT = st.floats(0.0, 1.0)
 def test_sweep_matches_one_step_functions(data):
     """The sweep shared by MF and BP, pinned bitwise at every step against the
     public one-step functions: the recorded objective (and MF's gradient l1
-    norm) at x_t, the sup-norm step, and the same run with record off."""
+    norm) at x_t, the sup-norm step, and the final row of the same run with
+    record off."""
     n = data.draw(st.integers(1, 8), label="n")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -81,5 +89,6 @@ def test_sweep_matches_one_step_functions(data):
         assert trace.converged == (trace.step_inf[-1] < tol)
         state_off, trace_off = iterate(model, max_steps=40, tol=tol, record=False)
         assert np.array_equal(state_off, state)
-        assert np.array_equal(trace_off.step_inf, trace.step_inf, equal_nan=True)
+        assert trace_off.steps == trace.steps
+        assert trace_off.step_inf.tobytes() == trace.step_inf[-1:].tobytes()
         assert trace_off.converged == trace.converged

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,11 @@ def test_round_trip_mf():
 
 def test_round_trip_bp_handles_nan():
     model = cycle4(0.5, 0.2)
-    _nu, trace = bp_iterate(model, max_steps=30, tol=0.0, record=False)
+    _nu, trace = bp_iterate(model, max_steps=30, tol=0.0)
+    trace = replace(trace, objective=np.full(31, np.nan))
     text = trace_to_csv(trace, trace_meta(model, "bp", "ones", 0.0))
     back, _meta = trace_from_csv(text)
-    assert np.isnan(back.objective[1:]).all()
+    assert np.isnan(back.objective).all() and len(back.objective) == 31
     assert np.array_equal(back.step_inf[1:], trace.step_inf[1:])
 
 
