@@ -6,20 +6,18 @@ of either variational objective.
 """
 
 from .bp import (LocalDistribution, RegionMembership, beliefs_from_messages,
-                 bp_error_bound, bp_iterate, bp_step, dual_bethe,
-                 dual_bethe_gradient, local_consistency_check,
-                 messages_from_csv, messages_to_csv, node_estimates,
-                 primal_bethe, product_distribution, region_membership)
+                 bp_error_bound, bp_iterate, bp_message_bound, bp_step,
+                 dual_bethe, dual_bethe_gradient, local_consistency_check,
+                 messages_to_csv, node_estimates, primal_bethe,
+                 region_membership)
 from .ellipsoid import (EllipsoidState, FeasibilityError, SeparationResult,
                         ellipsoid_maximize, ellipsoid_progress_csv,
                         separation_oracle_bp, separation_oracle_mf,
                         solve_bethe_exponential, solve_mf_exponential)
-from .meanfield import (bernoulli_entropy, mf_error_bound,
-                        mf_fixed_point_residual, mf_gradient, mf_iterate,
-                        mf_objective, mf_step)
+from .meanfield import (bernoulli_entropy, mf_error_bound, mf_gradient,
+                        mf_iterate, mf_objective, mf_step)
 from .model import (DomainError, IsingModel, ModelError, ModelNorms,
-                    generate_topology, load_model, model_hash, save_model,
-                    validate_ferromagnetic)
+                    generate_topology, load_model, model_hash, save_model)
 from .oracle import (ExactResult, SizeGuardError, brute_force_bethe_optimum,
                      brute_force_mf_optimum, exact_log_z,
                      exact_result_from_csv, exact_result_to_csv)
@@ -30,15 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IsingModel", "ModelError", "ParseError", "DomainError", "ModelNorms",
-    "validate_ferromagnetic", "load_model", "save_model",
-    "model_hash", "generate_topology",
+    "load_model", "save_model", "model_hash", "generate_topology",
     "mf_objective", "mf_gradient", "mf_step", "mf_iterate", "mf_error_bound",
-    "mf_fixed_point_residual", "bernoulli_entropy",
+    "bernoulli_entropy",
     "bp_step", "bp_iterate", "dual_bethe", "dual_bethe_gradient",
     "node_estimates", "region_membership", "RegionMembership",
-    "LocalDistribution", "product_distribution", "beliefs_from_messages",
-    "local_consistency_check", "primal_bethe", "bp_error_bound",
-    "messages_to_csv", "messages_from_csv",
+    "LocalDistribution", "beliefs_from_messages", "local_consistency_check",
+    "primal_bethe", "bp_error_bound", "bp_message_bound", "messages_to_csv",
     "ExactResult", "SizeGuardError", "exact_log_z",
     "brute_force_mf_optimum", "brute_force_bethe_optimum",
     "exact_result_to_csv", "exact_result_from_csv",

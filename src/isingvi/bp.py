@@ -50,7 +50,7 @@ def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
         model, init, max_steps, tol, bool(record))
     t = np.arange(steps + 1 - len(step_inf), steps + 1, dtype=np.int64)
     trace = IterationTrace(algo="bp", t=t, objective=dual, step_inf=step_inf,
-                           bound=_bound_array(model.norms(), t), converged=converged)
+                           bound=bp_error_bound(model.norms(), t), converged=converged)
     return nu, trace
 
 
@@ -107,16 +107,6 @@ class RegionMembership:
     fixed_point: bool  # |phi(nu) - nu|_inf <= 1e-12
     slack: np.ndarray  # phi(nu) - nu
 
-    @property
-    def status(self) -> str:
-        if self.fixed_point:
-            return "fixed_point"
-        if self.in_s_pre:
-            return "in_S_pre"
-        if self.in_s_post:
-            return "in_S_post"
-        return "neither"
-
 
 def region_membership(model: IsingModel, nu) -> RegionMembership:
     """Classify nu >= 0 against the pre/post fixed-point regions."""
@@ -143,16 +133,6 @@ class LocalDistribution:
     node_means: np.ndarray   # (n,)
     edge_stats: np.ndarray   # (m, 3) rows (m_i, m_j, c)
     edges: np.ndarray        # (m, 2) node pairs, i < j
-
-
-def product_distribution(model: IsingModel, x) -> LocalDistribution:
-    """The product (mean-field) point of the local polytope with c = m_i m_j."""
-    x = _kernels._vector(x, model.n, "x")
-    mi = x[model.edge_i]
-    mj = x[model.edge_j]
-    stats = np.stack([mi, mj, mi * mj], axis=1) if model.m else np.zeros((0, 3))
-    return LocalDistribution(node_means=x.copy(), edge_stats=stats,
-                             edges=model.edges.copy())
 
 
 def beliefs_from_messages(model: IsingModel, nu) -> LocalDistribution:
@@ -187,11 +167,11 @@ def beliefs_from_messages(model: IsingModel, nu) -> LocalDistribution:
                              edges=model.edges.copy())
 
 
-def _pair_cells(edge_stats):
-    """(m, 4) cell probabilities for sign patterns (+,+), (+,-), (-,+), (-,-)."""
-    mi = edge_stats[:, 0:1]
-    mj = edge_stats[:, 1:2]
-    c = edge_stats[:, 2:3]
+def _pair_cells(mi, mj, c):
+    """Cell probabilities of the pair with means (mi, mj) and correlation c for
+    the sign patterns (+,+), (+,-), (-,+), (-,-), on a new last axis; the
+    arguments broadcast."""
+    mi, mj, c = (np.asarray(a, dtype=np.float64)[..., None] for a in (mi, mj, c))
     si = np.array([1.0, 1.0, -1.0, -1.0])
     sj = np.array([1.0, -1.0, 1.0, -1.0])
     return (1.0 + mi * si + mj * sj + c * si * sj) / 4.0
@@ -208,18 +188,16 @@ def local_consistency_check(dist: LocalDistribution) -> float:
         float(np.max(np.abs(mi - dist.node_means[dist.edges[:, 0]]), initial=0.0)),
         float(np.max(np.abs(mj - dist.node_means[dist.edges[:, 1]]), initial=0.0)),
     ) / 2.0
-    cells = _pair_cells(dist.edge_stats)
+    cells = _pair_cells(*dist.edge_stats.T)
     neg = max(0.0, -float(cells.min()))
     return mism + neg
 
 
 def _cell_entropy(cells):
-    """Row-wise entropy -sum p log p with 0 log 0 = 0; cells clipped at 0."""
+    """Entropy -sum p log p over the last axis with 0 log 0 = 0; cells
+    clipped at 0."""
     p = np.clip(cells, 0.0, None)
-    pos = p > 0.0
-    terms = np.zeros_like(p)
-    terms[pos] = p[pos] * np.log(p[pos])
-    return -terms.sum(axis=1)
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
 def primal_bethe(model: IsingModel, dist: LocalDistribution) -> float:
@@ -240,36 +218,32 @@ def primal_bethe(model: IsingModel, dist: LocalDistribution) -> float:
     value = energy - float((model.degrees - 1).astype(np.float64) @ node_ent)
     if model.m:
         energy_e = float(model.couplings @ dist.edge_stats[:, 2])
-        edge_ent = _cell_entropy(_pair_cells(dist.edge_stats))
+        edge_ent = _cell_entropy(_pair_cells(*dist.edge_stats.T))
         value += energy_e + float(edge_ent.sum())
     return value
 
 
-def bp_error_bound(norms: ModelNorms, t, h_min=None):
-    """Objective-residual bound sqrt(8 m n (1 + |J|_inf) / t) after t steps.
-
-    With h_min > 0 supplied, additionally returns the message-space l1 bound
-    2 m (1 + |J|_inf) / (tanh(h_min) t) as a second tuple entry.
-    """
-    t = int(t)
-    if t < 1:
-        raise DomainError("t must be >= 1")
-    thm2 = float(_bound_array(norms, np.array([t]))[0])
-    if h_min is None:
-        return thm2
-    h_min = float(h_min)
-    if h_min <= 0.0:
-        raise DomainError("h_min must be positive for the l1 bound")
-    l1 = 2.0 * norms.m * (1.0 + norms.j_linf) / (math.tanh(h_min) * t)
-    return thm2, l1
-
-
-def _bound_array(norms: ModelNorms, t: np.ndarray) -> np.ndarray:
+def bp_error_bound(norms: ModelNorms, t):
+    """Objective-residual bound sqrt(8 m n (1 + |J|_inf) / t) after t steps,
+    for an int or an int array t; inf where t < 1."""
+    t = np.asarray(t)
     out = np.full(t.shape, np.inf)
     pos = t >= 1
     out[pos] = np.sqrt(8.0 * norms.m * norms.n * (1.0 + norms.j_linf)
                        / t[pos].astype(np.float64))
-    return out
+    return out[()]
+
+
+def bp_message_bound(norms: ModelNorms, t, h_min):
+    """Message-space l1 bound 2 m (1 + |J|_inf) / (tanh(h_min) t) after t >= 1
+    steps, for a model whose fields are all at least h_min > 0."""
+    t = int(t)
+    if t < 1:
+        raise DomainError("t must be >= 1")
+    h_min = float(h_min)
+    if h_min <= 0.0:
+        raise DomainError("h_min must be positive for the l1 bound")
+    return 2.0 * norms.m * (1.0 + norms.j_linf) / (math.tanh(h_min) * t)
 
 
 def messages_to_csv(model: IsingModel, nu, out=None):
@@ -278,18 +252,3 @@ def messages_to_csv(model: IsingModel, nu, out=None):
     nu = _kernels._vector(nu, 2 * model.m, "nu")
     return textio.emit(out, "src,dst,nu\n",
                        textio.rows((model.dir_src, model.dir_dst, nu)))
-
-
-def messages_from_csv(model: IsingModel, source):
-    """Parse messages_to_csv output (a string or an open text file), checking
-    the src/dst pairs against the model."""
-    _, sections = textio.read_csv(source, {"src,dst,nu": (int, int, float)})
-    if "src,dst,nu" not in sections:
-        raise DomainError("expected a src,dst,nu header")
-    src, dst, nu = sections["src,dst,nu"]
-    if len(nu) != 2 * model.m:
-        raise DomainError(f"expected {2 * model.m} message rows, got {len(nu)}")
-    wrong = np.flatnonzero((src != model.dir_src) | (dst != model.dir_dst))
-    if wrong.size:
-        raise DomainError(f"message row {wrong[0]} does not match the model edge order")
-    return nu

@@ -159,8 +159,8 @@ def _family(algo: str) -> _Family:
     module attributes, so that wrappers installed on those attributes (as
     perfbench's tracer installs) are the functions called."""
     mf = _Family("objective", mf_mod.mf_iterate, mf_mod.mf_objective,
-                 mf_mod._bound_array, solve_mf_exponential, _node_csv, None)
-    bp = _Family("dual_bethe", bp_mod.bp_iterate, bp_mod.dual_bethe, bp_mod._bound_array,
+                 mf_mod.mf_error_bound, solve_mf_exponential, _node_csv, None)
+    bp = _Family("dual_bethe", bp_mod.bp_iterate, bp_mod.dual_bethe, bp_mod.bp_error_bound,
                  solve_bethe_exponential, bp_mod.messages_to_csv, "dual_minus_log_z")
     return {"mf": mf, "bp": bp, "ellipsoid_mf": mf, "ellipsoid_bethe": bp}[algo]
 
@@ -247,7 +247,7 @@ def _run_ellipsoid(args, model: IsingModel) -> int:
 def _run(args) -> int:
     if args.steps < 1:
         raise ConfigError("steps must be >= 1")
-    if args.tol < 0:
+    if not args.tol >= 0:
         raise ConfigError("tol must be >= 0")
     if not 0 < args.eps < math.inf:
         raise ConfigError(f"eps must be finite and > 0, got {args.eps:g}")

@@ -55,10 +55,6 @@ class EllipsoidState:
     min_upper: float
     progress: np.ndarray  # (steps, 4) rows (step, feasible, best, violation)
 
-    @property
-    def shape(self) -> np.ndarray:
-        return self.sqrt_shape @ self.sqrt_shape.T
-
 
 def _separate(q, step, row) -> SeparationResult:
     """Separate q from {q in [0,1]^d : q <= step(q) = tanh(field(q))}: cut the

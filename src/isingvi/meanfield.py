@@ -70,34 +70,23 @@ def mf_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
         model, init, max_steps, tol, bool(record))
     t = np.arange(steps + 1 - len(step_inf), steps + 1, dtype=np.int64)
     trace = IterationTrace(algo="mf", t=t, objective=obj, step_inf=step_inf,
-                           bound=_bound_array(model.norms(), t),
+                           bound=mf_error_bound(model.norms(), t),
                            converged=converged, grad_l1=grad_l1)
     return x, trace
 
 
-def mf_error_bound(norms: ModelNorms, t) -> float:
-    """Objective residual bound min(S/t, (S/floor(t/2))^(4/3)) with S = |J|_1 + |h|_1.
+def mf_error_bound(norms: ModelNorms, t):
+    """Objective residual bound min(S/t, (S/floor(t/2))^(4/3)) with S = |J|_1 + |h|_1,
+    for an int or an int array t; inf where t < 1.
 
     The 4/3-rate branch is indexed conservatively at floor(t/2) (it is proven
     at the doubled step count), so it reads +inf for t = 1.
     """
-    t = int(t)
-    if t < 1:
-        raise DomainError("t must be >= 1")
-    return float(_bound_array(norms, np.array([t]))[0])
-
-
-def _bound_array(norms: ModelNorms, t: np.ndarray) -> np.ndarray:
+    t = np.asarray(t)
     s = norms.j_l1 + norms.h_l1
     out = np.full(t.shape, np.inf)
     pos = t >= 1
     out[pos] = s / t[pos]
     ok = t >= 2
     out[ok] = np.minimum(out[ok], (s / (t[ok] // 2)) ** (4.0 / 3.0))
-    return out
-
-
-def mf_fixed_point_residual(model: IsingModel, x) -> float:
-    """Sup-norm of tanh(Jx + h) - x; zero exactly at fixed points."""
-    x = _kernels._vector(x, model.n, "x")
-    return float(np.max(np.abs(mf_step(model, x) - x), initial=0.0))
+    return out[()]

@@ -49,12 +49,10 @@ class IsingModel:
         n: number of nodes (ids are dense integers 0..n-1).
         edges: (m, 2) array-like of node pairs, any orientation.
         couplings: length-m nonnegative reals J_e.
-        fields: length-n reals h_i, default all zero.
-        check_fields: when True (default) require h_i >= 0 for all i.
-            Pass False only to build a candidate for validate_ferromagnetic.
+        fields: length-n nonnegative reals h_i, default all zero.
     """
 
-    def __init__(self, n, edges=None, couplings=None, fields=None, *, check_fields=True):
+    def __init__(self, n, edges=None, couplings=None, fields=None):
         n = int(n)
         if n < 1:
             raise ModelError(f"node count must be positive, got {n}")
@@ -107,10 +105,9 @@ class IsingModel:
         if not np.isfinite(total):
             raise ModelError("non-finite coupling or field, or 2 (sum J + sum |h|) "
                              "overflows float64")
-        if check_fields and np.any(fields < 0):
+        if np.any(fields < 0):
             raise ModelError(
-                f"negative field {fields[fields < 0][0]:g}; "
-                "use validate_ferromagnetic(allow_sign_flip=True) for all-nonpositive fields")
+                f"negative field {fields[fields < 0][0]:g} (fields must be >= 0)")
         self.fields = fields
 
         # Directed edge arrays: directed id 2e is lo->hi, 2e+1 is hi->lo.
@@ -183,25 +180,6 @@ class IsingModel:
         return f"IsingModel(n={self.n}, m={self.m})"
 
 
-def validate_ferromagnetic(model: IsingModel, allow_sign_flip: bool = False) -> IsingModel:
-    """Check ferromagnetic invariants; optionally flip an all-nonpositive field.
-
-    A model with h_i <= 0 for all i is equivalent to the flipped model under
-    the global spin flip x -> -x, so with allow_sign_flip it is returned with
-    h negated. Mixed-sign fields are rejected.
-    """
-    if np.any(model.couplings < 0):
-        raise ModelError("negative coupling (model must be ferromagnetic)")
-    h = model.fields
-    if np.all(h >= 0):
-        return model
-    if np.all(h <= 0):
-        if allow_sign_flip:
-            return IsingModel(model.n, model.edges, model.couplings, -h)
-        raise ModelError("negative field; pass allow_sign_flip=True to negate")
-    raise ModelError("mixed-sign field is not supported")
-
-
 _GRAMMAR = {"n": (int,), "node": (int, float), "edge": (int, int, float)}
 
 
@@ -209,7 +187,8 @@ def load_model(source) -> IsingModel:
     """Parse the line-oriented model grammar, from a string or an open text
     file, into a validated IsingModel.
 
-    All-nonpositive fields are sign-flipped; mixed-sign fields raise ModelError.
+    All-nonpositive fields are negated, which is the global spin flip
+    x -> -x of the same model; mixed-sign fields raise ModelError.
 
     Grammar (UTF-8, '#' starts a comment):
         n <N>
@@ -245,8 +224,11 @@ def load_model(source) -> IsingModel:
         raise ParseError(f"line {node_at[k]}: duplicate node {ids[k]}")
     fields = np.zeros(n)
     fields[ids] = h
-    model = IsingModel(n, np.stack([i, j], axis=1), c, fields, check_fields=False)
-    return validate_ferromagnetic(model, allow_sign_flip=True)
+    if np.any(fields < 0):
+        if np.any(fields > 0):
+            raise ModelError("mixed-sign field is not supported")
+        fields = -fields
+    return IsingModel(n, np.stack([i, j], axis=1), c, fields)
 
 
 def _check_ids(at, n, *columns):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .bp import LocalDistribution, primal_bethe
+from .bp import LocalDistribution, _cell_entropy, _pair_cells, primal_bethe
 from .meanfield import bernoulli_entropy, mf_objective
 from .model import DomainError, IsingModel, model_hash
 
@@ -93,10 +93,8 @@ def exact_log_z(model: IsingModel) -> ExactResult:
     couplings to the frontier; nodes with no neighbour left are then summed
     out. Each table is renormalized by its max, whose log goes into log Z. A
     backward pass over the stored tables gives each bag's belief, which holds
-    the added node's mean and its couplings' correlations. Needs h >= 0.
+    the added node's mean and its couplings' correlations.
     """
-    if np.any(model.fields < 0):
-        raise DomainError("exact_log_z needs nonnegative fields")
     steps = _bags(model)
     log_z, table, tables = 0.0, np.ones(()), []
     for bag, links, drop in steps:
@@ -226,17 +224,6 @@ def brute_force_mf_optimum(model: IsingModel):
     return x, mf_objective(model, x)
 
 
-def _h2(mi, mj, c):
-    """Entropy of the pair distribution with means (mi, mj) and correlation c."""
-    out = 0.0
-    for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-        p = (1.0 + mi * si + mj * sj + c * si * sj) / 4.0
-        p = np.clip(p, 0.0, None)
-        safe = np.where(p > 0.0, p, 1.0)
-        out = out - p * np.log(safe)
-    return out
-
-
 def _edge_term(j_e, mi, mj):
     """max_c [J c + H2(mi, mj, c)] with the argmax; broadcasts over mi, mj.
 
@@ -264,7 +251,7 @@ def _edge_term(j_e, mi, mj):
     best_val = None
     best_c = None
     for c in cands:
-        val = j_e * c + _h2(mi, mj, c)
+        val = j_e * c + _cell_entropy(_pair_cells(mi, mj, c))
         if best_val is None:
             best_val, best_c = val, np.broadcast_to(c, val.shape).copy()
         else:

@@ -181,10 +181,10 @@ def read_csv(source, sections) -> tuple:
     Lines starting with '#' are `# key value` meta entries; blank lines are
     skipped. `sections` maps each header line to the kinds of its columns
     (as in `columns`); the lines after a header are its rows, up to the next
-    header. The key None, if present, takes the rows before the first header;
-    with kinds None those rows are kept as token lists of any length. Rows
-    are converted a block at a time; only sections that occur are keys of
-    the result.
+    header. The key None, which must be present, takes the rows before the
+    first header; with kinds None those rows are kept as token lists of any
+    length. Rows are converted a block at a time; only sections that occur
+    are keys of the result.
     """
     meta = {}
     parts = {}          # header -> converted columns of each block
@@ -206,8 +206,6 @@ def read_csv(source, sections) -> tuple:
                 key = line
                 parts[key] = []
                 continue
-            if key not in sections:
-                raise ParseError(f"line {lineno}: row before a header: {line!r}")
             kinds = sections[key]
             tokens = line.split(",")
             if kinds is not None and len(tokens) != len(kinds):

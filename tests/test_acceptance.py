@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle4, random_ferro, random_tree, triangle
-from isingvi import (IsingModel, beliefs_from_messages, bp_iterate, bp_step,
-                     dual_bethe, dual_bethe_gradient, exact_log_z,
-                     generate_topology, mf_gradient, mf_iterate, mf_objective,
-                     mf_step, node_estimates, region_membership,
+from isingvi import (IsingModel, beliefs_from_messages, bp_error_bound,
+                     bp_iterate, bp_step, dual_bethe, dual_bethe_gradient,
+                     exact_log_z, generate_topology, mf_error_bound,
+                     mf_gradient, mf_iterate, mf_objective, mf_step,
+                     node_estimates, region_membership,
                      solve_bethe_exponential, solve_mf_exponential)
-from isingvi.bp import _bound_array as bp_bound_array
-from isingvi.meanfield import _bound_array as mf_bound_array
 from isingvi.oracle import brute_force_bethe_optimum
 
 
@@ -99,7 +98,7 @@ def test_2_cycle_closed_form():
 def _check_bounds(algo, models):
     iterate = mf_iterate if algo == "mf" else bp_iterate
     step = mf_step if algo == "mf" else bp_step
-    bound_array = mf_bound_array if algo == "mf" else bp_bound_array
+    bound = mf_error_bound if algo == "mf" else bp_error_bound
     worst_bound_margin = -np.inf
     worst_mono = np.inf
     coord_ok = True
@@ -114,7 +113,7 @@ def _check_bounds(algo, models):
                                 tol=1e-13, record=False)
             ref_val = dual_bethe(model, nu_ref)
         reference = max(ref_val, float(trace.objective.max()))
-        bounds = bound_array(model.norms(), trace.t)
+        bounds = bound(model.norms(), trace.t)
         resid = reference - trace.objective
         margin = float((resid - bounds)[1:].max())
         worst_bound_margin = max(worst_bound_margin, margin)
@@ -371,15 +370,15 @@ def test_dimension_free_rates():
     worst = 0.0   # largest residual / bound
     for side in (10, 30, 50, 100):
         model = generate_topology("grid", 0.34, 0.001, rows=side, cols=side)
-        for algo, iterate, objective, bound_array in (
-                ("bp", bp_iterate, dual_bethe, bp_bound_array),
-                ("mf", mf_iterate, mf_objective, mf_bound_array)):
+        for algo, iterate, objective, bound in (
+                ("bp", bp_iterate, dual_bethe, bp_error_bound),
+                ("mf", mf_iterate, mf_objective, mf_error_bound)):
             ref_state, _ = iterate(model, max_steps=2 * 10**5, tol=1e-13, record=False)
             ref = objective(model, ref_state)
             ts = np.array([t for a, t in cases if a == algo])
             _state, trace = iterate(model, max_steps=int(ts.max()), tol=0.0)
             resid = ref - trace.objective[ts]
-            worst = max(worst, float((resid / bound_array(model.norms(), ts)).max()))
+            worst = max(worst, float((resid / bound(model.norms(), ts)).max()))
             for t, r in zip(ts.tolist(), resid.tolist()):
                 per_node[(algo, t)].append(r / model.n)
     growth = {case: vals[-1] / vals[-2] for case, vals in per_node.items()}

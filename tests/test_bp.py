@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain2, cycle4, path3, random_ferro, random_tree, triangle
-from isingvi import (DomainError, IsingModel, beliefs_from_messages,
-                     bp_error_bound, bp_iterate, bp_step, dual_bethe,
+from isingvi import (DomainError, IsingModel, LocalDistribution,
+                     beliefs_from_messages, bp_error_bound, bp_iterate,
+                     bp_message_bound, bp_step, dual_bethe,
                      dual_bethe_gradient, exact_log_z, generate_topology,
-                     local_consistency_check, messages_from_csv,
-                     messages_to_csv, mf_objective,
-                     node_estimates, primal_bethe, product_distribution,
-                     region_membership)
+                     local_consistency_check, mf_objective, node_estimates,
+                     primal_bethe, region_membership)
 from refimpl import fd_gradient, ref_dual_bethe
 
 
@@ -102,12 +101,11 @@ def test_region_membership():
     nu1 = bp_step(model, np.ones(2 * model.m))
     r = region_membership(model, nu1)
     assert r.in_s_pre and not r.fixed_point
-    assert r.status == "in_S_pre"
     r0 = region_membership(model, bp_step(model, np.zeros(2 * model.m)))
     assert r0.in_s_post
     nu_fix, _ = bp_iterate(model, max_steps=5000, tol=1e-15)
     rf = region_membership(model, nu_fix)
-    assert rf.fixed_point and rf.status == "fixed_point"
+    assert rf.fixed_point
     assert abs(rf.slack).max() <= 1e-12
 
 
@@ -133,11 +131,13 @@ def test_beliefs_marginals_match_estimates_at_fixed_point():
         beliefs_from_messages(model, np.ones(2 * model.m))
 
 
-def test_primal_of_product_distribution_is_mf(rng):
+def test_primal_of_product_point_is_mf(rng):
     model = triangle(0.4, 0.2)
     for _ in range(10):
         x = rng.uniform(-0.8, 0.8, size=model.n)
-        dist = product_distribution(model, x)
+        mi, mj = x[model.edge_i], x[model.edge_j]
+        dist = LocalDistribution(node_means=x, edge_stats=np.stack([mi, mj, mi * mj], axis=1),
+                                 edges=model.edges)
         assert primal_bethe(model, dist) == pytest.approx(
             mf_objective(model, x), abs=1e-12)
 
@@ -151,7 +151,6 @@ def test_primal_equals_dual_at_fixed_point():
 
 
 def test_local_consistency_violation_frozen():
-    from isingvi import LocalDistribution
     model = chain2(0.5, 0.0)
     dist = LocalDistribution(node_means=np.array([0.0, 0.5]),
                              edge_stats=np.array([[0.0, 0.5, 1.0]]),
@@ -166,13 +165,18 @@ def test_error_bound_values():
     norms = cycle4(1.0, 0.0).norms()
     assert norms.m == 4 and norms.n == 4 and norms.j_linf == 1.0
     assert bp_error_bound(norms, 8) == pytest.approx(math.sqrt(32.0), abs=1e-12)
-    thm2, l1 = bp_error_bound(norms, 10, h_min=0.5)
-    assert thm2 == pytest.approx(math.sqrt(8 * 4 * 4 * 2.0 / 10), abs=1e-12)
+    assert bp_error_bound(norms, 10) == pytest.approx(math.sqrt(8 * 4 * 4 * 2.0 / 10),
+                                                      abs=1e-12)
+    assert bp_error_bound(norms, 0) == math.inf
+    bounds = bp_error_bound(norms, np.array([0, 8, 10]))
+    assert bounds[0] == math.inf
+    assert bounds[1:].tolist() == [bp_error_bound(norms, 8), bp_error_bound(norms, 10)]
+    l1 = bp_message_bound(norms, 10, h_min=0.5)
     assert l1 == pytest.approx(2 * 4 * 2.0 / (math.tanh(0.5) * 10), abs=1e-12)
     with pytest.raises(DomainError):
-        bp_error_bound(norms, 0)
+        bp_message_bound(norms, 0, h_min=0.5)
     with pytest.raises(DomainError):
-        bp_error_bound(norms, 5, h_min=0.0)
+        bp_message_bound(norms, 5, h_min=0.0)
 
 
 def test_cycle_messages_closed_form():
@@ -182,16 +186,6 @@ def test_cycle_messages_closed_form():
     for t in range(1, 30):
         nu = bp_step(model, nu)
         assert np.allclose(nu, theta ** t, atol=1e-13, rtol=0)
-
-
-def test_messages_csv_round_trip(rng):
-    model = cycle4(0.5, 0.2)
-    nu = rng.uniform(0, 1, size=2 * model.m)
-    text = messages_to_csv(model, nu)
-    back = messages_from_csv(model, text)
-    assert np.array_equal(back, nu)
-    with pytest.raises(DomainError):
-        messages_from_csv(triangle(0.5, 0.2), text)
 
 
 def test_custom_init_array():

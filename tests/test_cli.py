@@ -161,9 +161,9 @@ def test_plot_reference_matches_a_run_from_the_start(tmp_path, monkeypatch, algo
 
 def test_run_ellipsoid(tmp_path):
     run = tmp_path / "out"
-    assert main(["run", "--topology", "cycle:4", "--beta", "0.4", "--field",
-                 "0.3", "--algo", "ellipsoid_bethe", "--eps", "1e-7",
-                 "--out", str(run)]) == 0
+    argv = ["run", "--topology", "cycle:4", "--beta", "0.4", "--field", "0.3",
+            "--algo", "ellipsoid_bethe", "--eps", "1e-7"]
+    assert main([*argv, "--out", str(run)]) == 0
     summary = summary_dict(run / "summary.txt")
     ref = tmp_path / "ref"
     main(["run", "--topology", "cycle:4", "--beta", "0.4", "--field", "0.3",
@@ -172,6 +172,14 @@ def test_run_ellipsoid(tmp_path):
     assert abs(float(summary["final_objective"]) - ref_val) <= 1e-7
     progress = read(run / "progress.csv")
     assert progress.splitlines()[0] == "step,feasible,objective_best,violation"
+    # --plot adds the incumbent plot and leaves every other artifact as it was
+    plotted = tmp_path / "plotted"
+    assert main([*argv, "--plot", "--out", str(plotted)]) == 0
+    assert read(plotted / "objective.svg").startswith("<svg")
+    assert sorted(p.name for p in plotted.iterdir()) == sorted(
+        [p.name for p in run.iterdir()] + ["objective.svg"])
+    for name in ("summary.txt", "progress.csv", "final_state.csv"):
+        assert (plotted / name).read_bytes() == (run / name).read_bytes()
 
 
 def test_exact_verb_and_transfer_matrix(tmp_path):
@@ -271,6 +279,23 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
                  "exact", "--out", str(tmp_path / "o")]) == 1   # a verb only
     assert main(["run", "--topology", "cycle:4", "--beta", "0.3"]) == 1
     assert main(["gen", "--topology", "cycle:4"]) == 1   # --beta missing
+    # bad budgets, topology specs and field specs: one error line each
+    cycle = ["--topology", "cycle:4", "--beta", "0.3"]
+    bad = [["run", *cycle, "--algo", algo, *arg, "--out", str(tmp_path / "o")]
+           for algo in ("bp", "ellipsoid_mf")
+           for arg in (["--steps", "0"], ["--tol", "-1"], ["--tol", "nan"])]
+    bad += [["gen", "--topology", spec, "--beta", "0.3"]
+            for spec in ("grid:axb", "grid:3", "cycle:x", "cycle:2", "grid:0x3", "star:1",
+                         "tree:0", "regular:7:3", "regular:4:4", "regular:5:0")]
+    bad += [["gen", *cycle, "--field", field] for field in ("single:x:0.5", "single:9:0.5")]
+    for argv in bad:
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    # a negative field is rejected by the model type, in the CLI's terms
+    assert main(["gen", *cycle, "--field", "-0.5"]) == 1
+    assert capsys.readouterr().err == "error: negative field -0.5 (fields must be >= 0)\n"
 
 
 def test_extreme_inputs_exit_cleanly(tmp_path, capsys):

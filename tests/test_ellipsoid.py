@@ -36,7 +36,7 @@ def test_maximize_over_box():
     assert 2.0 - float(c @ best) <= 1e-6
     assert state.min_upper - state.best_value <= 1e-6
     # sqrt factor keeps the shape matrix symmetric positive definite
-    eig = np.linalg.eigvalsh(state.shape)
+    eig = np.linalg.eigvalsh(state.sqrt_shape @ state.sqrt_shape.T)
     assert eig.min() > 0.0
     csv = ellipsoid_progress_csv(state)
     assert csv.splitlines()[0] == "step,feasible,objective_best,violation"

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import chain2, path3, random_ferro, triangle
 from isingvi import (DomainError, bernoulli_entropy, mf_error_bound,
-                     mf_fixed_point_residual, mf_gradient, mf_iterate,
-                     mf_objective, mf_step)
+                     mf_gradient, mf_iterate, mf_objective, mf_step)
 from refimpl import bisect_root, fd_gradient, ref_mf_objective
 
 
@@ -79,7 +78,7 @@ def test_iterate_converges_to_fixed_point():
     # symmetric fixed point solves x = tanh(2x)
     root = bisect_root(lambda v: math.tanh(2.0 * v) - v, 0.5, 0.999)
     assert np.allclose(x, root, atol=1e-10)
-    assert mf_fixed_point_residual(model, x) < 1e-12
+    assert np.abs(mf_step(model, x) - x).max() < 1e-12
 
 
 def test_iterate_record_false():
@@ -113,8 +112,9 @@ def test_error_bound_values():
     b = mf_error_bound(n8, 10**4)
     assert b == pytest.approx((8.0 / 5000.0) ** (4.0 / 3.0), rel=1e-12)
     assert b < 8e-4
-    with pytest.raises(DomainError):
-        mf_error_bound(norms, 0)
+    assert mf_error_bound(norms, 0) == math.inf
+    bounds = mf_error_bound(n8, np.array([0, 1, 16, 10**4]))
+    assert bounds.tolist() == [math.inf, 8.0, 0.5, b]
 
 
 def test_bound_monotone_in_t():

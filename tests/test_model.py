@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle4, random_ferro, star5, triangle
 from isingvi import (IsingModel, ModelError, ParseError, generate_topology,
-                     load_model, mf_step, model_hash, save_model,
-                     validate_ferromagnetic)
+                     load_model, mf_step, model_hash, save_model)
 from isingvi.cli import main
 
 
@@ -58,21 +58,14 @@ def test_rejects_bad_models():
         IsingModel(2, np.array([[0, 1]]), np.array([0.1]), np.array([1.0, np.inf]))
 
 
-def test_validate_ferromagnetic():
-    good = triangle(0.4, 0.1)
-    assert validate_ferromagnetic(good) is good
-    with pytest.raises(ModelError):
-        IsingModel(2, np.array([[0, 1]]), np.array([-0.5]), np.zeros(2))
-    neg_h = IsingModel(2, np.array([[0, 1]]), np.array([0.5]),
-                       np.array([-0.3, -0.1]), check_fields=False)
-    with pytest.raises(ModelError):
-        validate_ferromagnetic(neg_h)
-    flipped = validate_ferromagnetic(neg_h, allow_sign_flip=True)
-    assert flipped.fields.tolist() == [0.3, 0.1]
-    mixed = IsingModel(2, np.array([[0, 1]]), np.array([0.5]),
-                       np.array([-0.3, 0.1]), check_fields=False)
-    with pytest.raises(ModelError):
-        validate_ferromagnetic(mixed, allow_sign_flip=True)
+def test_constructor_rejects_non_ferromagnetic():
+    # the sign flip of all-nonpositive fields is load_model's, tested in test_cli
+    for couplings, fields in (([-0.5], [0.0, 0.0]), ([0.5], [-0.3, -0.1]),
+                              ([0.5], [-0.3, 0.1])):
+        with pytest.raises(ModelError) as err:
+            IsingModel(2, np.array([[0, 1]]), np.array(couplings), np.array(fields))
+        # the message names no Python function: no identifier followed by "("
+        assert "negative" in str(err.value) and not re.search(r"\w\(", str(err.value))
 
 
 def test_norms():

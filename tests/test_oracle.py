@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import chain2, cycle4, path3, random_ferro, random_tree, star5, triangle
-from isingvi import (DomainError, IsingModel, SizeGuardError, bp_iterate,
+from isingvi import (IsingModel, SizeGuardError, bp_iterate,
                      brute_force_bethe_optimum, brute_force_mf_optimum,
                      exact_log_z, exact_result_from_csv, exact_result_to_csv,
                      generate_topology, mf_iterate, model_hash, primal_bethe)
@@ -90,13 +90,6 @@ def test_exact_saturated_model_is_finite():
     assert result.log_z == pytest.approx(2 * 400.0 + 3 * 800.0, rel=1e-15)
     assert np.array_equal(result.node_means, np.ones(3))
     assert np.array_equal(result.edge_correlations, np.ones(2))
-
-
-def test_exact_rejects_negative_field():
-    model = IsingModel(3, np.array([[0, 1], [1, 2]]), np.full(2, 0.4),
-                       np.array([0.2, -0.1, 0.0]), check_fields=False)
-    with pytest.raises(DomainError):
-        exact_log_z(model)
 
 
 @given(st.integers(1, 10), st.integers(0, 45), st.integers(0, 10**6))
