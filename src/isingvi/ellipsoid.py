@@ -1,13 +1,16 @@
-"""Central-cut ellipsoid maximization of linear objectives over the post-
+"""Deep-cut ellipsoid maximization of linear objectives over the post-
 fixpoint regions of the two iterations, with separation oracles and the
 field-perturbation solvers built on them.
 
-The ellipsoid is tracked through a square-root factor L with shape P = L L^T;
-the central-cut update multiplies L by a rank-one correction, which avoids
-the cancellation that plagues the textbook symmetric-matrix update once the
-ellipsoid is thin. An upper-bound certificate max_E c.x = c.center + |L^T c|
-is tracked every step so the loop can stop as soon as the incumbent is within
-target_gap of optimal.
+The search starts from the smallest axis-aligned ellipsoid around a box that
+holds the feasible set. The solvers pass [0, step(1)]: the iteration maps are
+monotone, so q <= step(q) <= step(1) on the region. The ellipsoid is tracked
+through a square-root factor L with shape P = L L^T; each cut, applied at its
+depth, multiplies L by a rank-one correction, which avoids the cancellation
+that plagues the textbook symmetric-matrix update once the ellipsoid is thin.
+An upper-bound certificate max_E c.x = c.center + |L^T c| is tracked every
+step, with L^T c updated in O(d) alongside L, so the loop can stop as soon as
+the incumbent is within target_gap of optimal.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .model import DomainError, IsingModel, ModelError
 
 
 class FeasibilityError(RuntimeError):
-    """No feasible point was found within the step budget."""
+    """The feasible set is empty, or no feasible point was found within the
+    step budget."""
 
 
 @dataclass
@@ -49,6 +53,7 @@ class EllipsoidState:
 
     center: np.ndarray
     sqrt_shape: np.ndarray
+    lt_c: np.ndarray  # L^T c as updated with L, so max_E c.x = c.center + |lt_c|
     step: int
     best_x: np.ndarray | None
     best_value: float
@@ -103,18 +108,23 @@ def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
     return _separate(_kernels._vector(x, model.n, "query"), partial(mf_step, model), row)
 
 
-def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
-                       target_gap=1e-8, center=None, r_est=None):
+def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
+                       target_gap=1e-8, r_est=None):
     """Maximize objective . x over the feasible set described by oracle.
 
-    The feasible set must lie inside the ball of the given radius around the
-    starting center (default the origin). Objective cuts are applied at
-    feasible queries and oracle cuts at infeasible ones; the best feasible
-    point is returned with the final EllipsoidState. When max_steps is None
-    the budget is 8 + 2 d^2 max(0, max(log(radius/r_est), log 2) + log(1/target_gap)),
+    The feasible set must lie inside box = (lo, hi), bounds that broadcast to
+    the dimension with hi > lo. The search starts from the smallest axis-
+    aligned ellipsoid around that box, centre (lo + hi)/2 and semi-axes
+    sqrt(d) (hi - lo)/2, widened by 1e-4. Every cut is applied at its depth:
+    an oracle cut at its violation, an objective cut at a feasible query at
+    best - c.query, which is 0 when the query is the new incumbent. The best
+    feasible point is returned with the final EllipsoidState. When max_steps
+    is None the budget is 8 + 2 d^2 max(0, max(log(R/r_est), log 2) + log(1/target_gap))
+    with R = sqrt(d) max(hi - lo)/2, the radius of the ball around the box,
     taken as differences of logs so that tiny gaps do not overflow.
 
-    Raises FeasibilityError if no feasible point is ever found.
+    Raises FeasibilityError if an oracle cut excludes the whole ellipsoid or
+    no feasible point is found within the budget.
     """
     d = int(dimension)
     if d < 1:
@@ -124,20 +134,21 @@ def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
         raise DomainError(f"objective has shape {c.shape}, expected ({d},)")
     if not (target_gap > 0.0):
         raise DomainError("target_gap must be positive")
-    radius = float(radius)
-    if not (radius > 0.0):
-        raise DomainError("radius must be positive")
-    start = np.zeros(d) if center is None else np.asarray(center, dtype=np.float64).copy()
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=np.float64), (d,)) for b in box)
+    width = hi - lo
+    if not np.all((width > 0.0) & (width < np.inf)):
+        raise DomainError("box must have finite bounds with hi > lo")
+    start = (lo + hi) / 2.0
+    start_l = np.diag((1.0 + 1e-4) * math.sqrt(d) / 2.0 * width)
     if max_steps is None:
+        radius = math.sqrt(d) * float(width.max()) / 2.0
         re = float(r_est) if r_est and r_est > 0.0 else target_gap
         max_steps = int(math.ceil(2.0 * d * d * max(
             0.0, max(math.log(radius) - math.log(re), math.log(2.0)) - math.log(target_gap)))) + 8
     max_steps = int(max_steps)
     ell_center = start.copy()
-    ell_l = radius * np.eye(d)
-    if d > 1:
-        fac = math.sqrt(d * d / (d * d - 1.0))
-        shrink = 1.0 - math.sqrt((d - 1.0) / (d + 1.0))
+    ell_l = start_l.copy()
+    w = ell_l.T @ c  # L^T c, updated with L so the certificate needs no matvec
     best_x = None
     best_val = -np.inf
     min_upper = np.inf
@@ -145,44 +156,59 @@ def ellipsoid_maximize(oracle, objective, dimension, radius, max_steps=None,
     restarts = 0
     step = 0
     for step in range(1, max_steps + 1):
-        upper = float(c @ ell_center) + float(np.linalg.norm(ell_l.T @ c))
+        val = float(c @ ell_center)
+        upper = val + math.sqrt(w @ w)
         if upper < min_upper:
             min_upper = upper
         res = oracle(ell_center)
         if res.feasible:
-            val = float(c @ ell_center)
             if val > best_val:
                 best_val = val
                 best_x = ell_center.copy()
-            g = -c
-            viol = 0.0
+            g, depth, viol = -c, best_val - val, 0.0
         else:
             g = np.asarray(res.cut, dtype=np.float64)
-            viol = float(res.violation)
+            depth = viol = float(res.violation)
         progress.extend((step, bool(res.feasible), best_val, viol))
         if best_x is not None and min_upper - best_val <= target_gap:
             break
         u = ell_l.T @ g
-        nrm = float(np.linalg.norm(u))
-        if not np.isfinite(nrm) or nrm <= 0.0:
+        nrm = math.sqrt(u @ u)
+        if not math.isfinite(nrm) or nrm <= 0.0:
             restarts += 1
             if restarts > 3:
                 raise FeasibilityError("ellipsoid factor lost finiteness")
             ell_center = start.copy()
-            ell_l = (radius * 2.0 ** restarts) * np.eye(d)
+            ell_l = 2.0 ** restarts * start_l
+            w = ell_l.T @ c
             continue
+        alpha = depth / nrm
+        if alpha >= 1.0:
+            if res.feasible:
+                break  # no point of the ellipsoid beats the incumbent
+            raise FeasibilityError(
+                f"step {step}: an oracle cut excludes the whole ellipsoid, "
+                "so the feasible set is empty")
         uhat = u / nrm
         lu = ell_l @ uhat
-        ell_center = ell_center - lu / (d + 1.0)
+        ell_center -= (1.0 + d * alpha) / (d + 1.0) * lu
         if d == 1:
-            ell_l = 0.5 * ell_l
+            # the kept part of the interval: length (1 - alpha)/2 of the old
+            kappa, s = 0.0, 0.5 * (1.0 - alpha)
         else:
-            ell_l = fac * (ell_l - shrink * np.outer(lu, uhat))
+            tau = 2.0 * (1.0 + d * alpha) / ((d + 1.0) * (1.0 + alpha))
+            kappa = 1.0 - math.sqrt(1.0 - tau)
+            s = math.sqrt(d * d * (1.0 - alpha * alpha) / (d * d - 1.0))
+        # L <- s (L - kappa (L uhat) uhat^T), and L^T c with it
+        ell_l -= np.outer(kappa * lu, uhat)
+        ell_l *= s
+        w -= (kappa * (uhat @ w)) * uhat
+        w *= s
     if best_x is None:
         raise FeasibilityError(
             f"no feasible point found in {max_steps} ellipsoid steps "
             "(the inner ball may be too small; check the field perturbation)")
-    state = EllipsoidState(center=ell_center, sqrt_shape=ell_l, step=step,
+    state = EllipsoidState(center=ell_center, sqrt_shape=ell_l, lt_c=w, step=step,
                            best_x=best_x.copy(), best_value=best_val,
                            min_upper=min_upper, progress=np.frombuffer(progress).reshape(-1, 4))
     return best_x.copy(), state
@@ -199,12 +225,13 @@ def ellipsoid_progress_csv(state: EllipsoidState, out=None):
         np.where(np.isfinite(best), best, np.nan), table[:, 3])))
 
 
-def _solve(model: IsingModel, b: float, oracle, dimension: int, target_gap: float,
+def _solve(model: IsingModel, b: float, oracle, step, dimension: int, target_gap: float,
            evaluate):
     """Raise every field by b, maximize the coordinate sum over the perturbed
     model's post-fixpoint region (separated by oracle) to target_gap, and
     evaluate the original model's objective at the result clipped to [0, 1].
-    Returns (point, value, state)."""
+    step is the family's iteration map: it is monotone, so the region lies in
+    the box [0, step(1)]. Returns (point, value, state)."""
     try:
         pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
     except ModelError as exc:
@@ -212,8 +239,7 @@ def _solve(model: IsingModel, b: float, oracle, dimension: int, target_gap: floa
     r_est = math.tanh(float(pert.fields.min())) / 2.0
     point, state = ellipsoid_maximize(
         lambda q: oracle(pert, q), np.ones(dimension), dimension,
-        2.0 * math.sqrt(dimension), target_gap=target_gap,
-        center=np.full(dimension, 0.5), r_est=r_est)
+        (0.0, step(pert, np.ones(dimension))), target_gap=target_gap, r_est=r_est)
     value = evaluate(model, np.clip(point, 0.0, 1.0))
     return point, value, state
 
@@ -230,8 +256,8 @@ def solve_bethe_exponential(model: IsingModel, epsilon: float):
         raise DomainError("epsilon must be positive")
     if model.m == 0:
         return np.zeros(0), dual_bethe(model, np.zeros(0)), None
-    return _solve(model, epsilon / (2.0 * model.m), separation_oracle_bp, 2 * model.m,
-                  epsilon / 2.0, dual_bethe)
+    return _solve(model, epsilon / (2.0 * model.m), separation_oracle_bp, bp_step,
+                  2 * model.m, epsilon / 2.0, dual_bethe)
 
 
 def solve_mf_exponential(model: IsingModel, epsilon: float):
@@ -246,5 +272,5 @@ def solve_mf_exponential(model: IsingModel, epsilon: float):
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
     grad_bound = float(_kernels._mf_field_map(model)(np.ones(model.n)).max()) + 1.0
-    return _solve(model, epsilon / 2.0, separation_oracle_mf, model.n,
+    return _solve(model, epsilon / 2.0, separation_oracle_mf, mf_step, model.n,
                   epsilon / (2.0 * grad_bound), mf_objective)

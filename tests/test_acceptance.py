@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +16,8 @@ from isingvi import (IsingModel, beliefs_from_messages, bp_error_bound,
                      bp_iterate, bp_step, dual_bethe, dual_bethe_gradient,
                      exact_log_z, generate_topology, mf_error_bound,
                      mf_gradient, mf_iterate, mf_objective, mf_step,
-                     node_estimates, region_membership,
-                     solve_bethe_exponential, solve_mf_exponential)
+                     region_membership, solve_bethe_exponential,
+                     solve_mf_exponential)
 from isingvi.oracle import brute_force_bethe_optimum
 
 

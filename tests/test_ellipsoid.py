@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain2, cycle4, path3, star5, triangle
+from conftest import chain2, cycle4, path3, small_grid, star5, triangle
 from isingvi import (DomainError, FeasibilityError, IsingModel, SeparationResult,
-                     bp_iterate, bp_step, dual_bethe, ellipsoid_maximize,
-                     ellipsoid_progress_csv, mf_iterate, mf_objective, mf_step,
-                     separation_oracle_bp, separation_oracle_mf,
+                     bp_iterate, bp_step, ellipsoid_maximize, ellipsoid_progress_csv,
+                     mf_iterate, mf_step, separation_oracle_bp, separation_oracle_mf,
                      solve_bethe_exponential, solve_mf_exponential)
 from refimpl import fd_gradient, ref_separation_bp, ref_separation_mf
 
@@ -29,9 +28,8 @@ def box_oracle(x):
 
 def test_maximize_over_box():
     c = np.ones(2)
-    best, state = ellipsoid_maximize(box_oracle, c, 2, radius=4.0,
-                                     target_gap=1e-6, center=np.zeros(2),
-                                     r_est=0.5)
+    best, state = ellipsoid_maximize(box_oracle, c, 2, (-1.0, np.array([2.0, 3.0])),
+                                     target_gap=1e-6, r_est=0.5)
     assert np.all(best >= -1e-12) and np.all(best <= 1.0 + 1e-12)
     assert 2.0 - float(c @ best) <= 1e-6
     assert state.min_upper - state.best_value <= 1e-6
@@ -41,21 +39,25 @@ def test_maximize_over_box():
     csv = ellipsoid_progress_csv(state)
     assert csv.splitlines()[0] == "step,feasible,objective_best,violation"
     assert len(csv.splitlines()) == state.step + 1
-    for radius in (0.0, -1.0):
+    for box in ((0.0, 0.0), (1.0, [2.0, 0.5]), (0.0, np.inf), (np.nan, 1.0)):
         with pytest.raises(DomainError):
-            ellipsoid_maximize(box_oracle, c, 2, radius=radius)
+            ellipsoid_maximize(box_oracle, c, 2, box)
 
 
 def test_infeasible_program_raises():
+    calls = []
+
     def empty_oracle(x):
+        calls.append(x.copy())
         g = np.zeros(2)
         g[0] = 1.0
-        # halfspace x0 <= -100 excludes the whole search ball
+        # halfspace x0 <= -100 excludes the whole starting ellipsoid
         return SeparationResult(False, g, -100.0, float(x[0] + 100.0))
 
-    with pytest.raises(FeasibilityError):
-        ellipsoid_maximize(empty_oracle, np.ones(2), 2, radius=4.0,
+    with pytest.raises(FeasibilityError, match="excludes the whole ellipsoid"):
+        ellipsoid_maximize(empty_oracle, np.ones(2), 2, (-4.0, 4.0),
                            max_steps=400, target_gap=1e-6)
+    assert len(calls) == 1
 
 
 def test_bp_oracle_cuts_separate_feasible_points(rng):
@@ -178,17 +180,55 @@ def test_step_count_scales_polylog():
     r_est = math.tanh(1.0) / 2.0
     gaps = [1e-4, 1e-6, 1e-8, 1e-10, 1e-12]
     steps = []
+    # Start from the unit box. The fit below also reads the intercept of
+    # steps against log(1/gap): from the tighter box [0, bp_step(1)] the counts
+    # (37, 64, 93, 121, 148) are as linear in log(1/gap), yet fit slope 1.27.
     for gap in gaps:
         _nu, state = ellipsoid_maximize(
             lambda q: separation_oracle_bp(model, q), np.ones(d), d,
-            2.0 * math.sqrt(d), target_gap=gap, center=np.full(d, 0.5),
-            r_est=r_est)
+            (0.0, 1.0), target_gap=gap, r_est=r_est)
         steps.append(state.step)
     xs = np.log(np.log([1.0 / g for g in gaps]))
     ys = np.log(steps)
     xc = xs - xs.mean()
     slope = float(xc @ (ys - ys.mean()) / (xc @ xc))
     assert 0.8 <= slope <= 1.2, (slope, steps)
+
+
+@pytest.fixture(scope="module")
+def certify_bethe():
+    """The Bethe certificate of the benchmark's 4x4 grid, solved once."""
+    model = small_grid(4, 4, 0.3, 0.1)
+    return model, solve_bethe_exponential(model, 1e-6)[2]
+
+
+def test_tracked_certificate_width_matches_factor(certify_bethe):
+    _model, state = certify_bethe
+    c = np.ones(state.center.shape[0])
+    want = np.linalg.norm(state.sqrt_shape.T @ c)
+    assert abs(np.linalg.norm(state.lt_c) - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("family", ["bethe", "mf"])
+@pytest.mark.parametrize("name", ["grid4x4", "cycle4", "star5"])
+def test_final_ellipsoid_contains_reference_optimum(certify_bethe, family, name):
+    """The optimum of the perturbed region (a tol-1e-14 run from all ones)
+    lies in the start box [0, step(1)] and in the final ellipsoid."""
+    eps = 1e-6
+    model = {"grid4x4": certify_bethe[0], "cycle4": cycle4(0.6, 0.3),
+             "star5": star5(0.4, 0.1)}[name]
+    if family == "bethe":
+        b, step, iterate = eps / (2.0 * model.m), bp_step, bp_iterate
+        state = (certify_bethe[1] if name == "grid4x4"
+                 else solve_bethe_exponential(model, eps)[2])
+    else:
+        b, step, iterate = eps / 2.0, mf_step, mf_iterate
+        state = solve_mf_exponential(model, eps)[2]
+    pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
+    opt, _trace = iterate(pert, max_steps=10**6, tol=1e-14, record=False)
+    assert np.all(opt >= 0.0) and np.all(opt <= step(pert, np.ones(opt.shape[0])))
+    local = np.linalg.solve(state.sqrt_shape, opt - state.center)
+    assert np.linalg.norm(local) <= 1.0 + 1e-9
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import chain2, cycle4, path3, random_ferro, random_tree, star5, triangle
+from conftest import chain2, path3, random_ferro, random_tree, star5, triangle
 from isingvi import (IsingModel, SizeGuardError, bp_iterate,
                      brute_force_bethe_optimum, brute_force_mf_optimum,
                      exact_log_z, exact_result_from_csv, exact_result_to_csv,
