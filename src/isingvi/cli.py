@@ -196,8 +196,8 @@ def _run_iterative(args, model: IsingModel) -> int:
 
     if args.plot:
         _write(os.path.join(args.out, "objective.svg"), plot_lines(
-            [(family.label, trace.t, trace.objective)],
-            title=f"{args.algo} objective", xlabel="iteration", ylabel=family.label))
+            family.label, trace.t, trace.objective, f"{args.algo} objective",
+            "iteration", family.label))
         ref_steps = max(2 * args.steps, 200000)
         # The map is deterministic: from args.init, a run to tol 1e-13 reaches
         # the recorded state unless a recorded step below 1e-13 stopped it.
@@ -208,9 +208,8 @@ def _run_iterative(args, model: IsingModel) -> int:
         ref_value = family.objective(model, ref_state)
         residual = ref_value - trace.objective
         _write(os.path.join(args.out, "residual.svg"), plot_lines(
-            [("residual", trace.t, residual)],
-            title=f"{args.algo} residual vs reference (long run, tol 1e-13)",
-            xlabel="iteration", ylabel="objective residual", xlog=True, ylog=True))
+            "residual", trace.t, residual, f"{args.algo} residual vs reference "
+            "(long run, tol 1e-13)", "iteration", "objective residual", log=True))
         # trace.t[k] == k, so the window t >= lo_t is the slice from lo_t
         lo_t = max(1, trace.steps // 10)
         slope = _loglog_slope(trace.t[lo_t:], residual[lo_t:])
@@ -233,9 +232,8 @@ def _run_ellipsoid(args, model: IsingModel) -> int:
         _write(os.path.join(args.out, "progress.csv"), partial(ellipsoid_progress_csv, state))
         if args.plot:
             _write(os.path.join(args.out, "objective.svg"), plot_lines(
-                [("best feasible", state.progress[:, 0], state.progress[:, 2])],
-                title=f"{args.algo} incumbent", xlabel="step",
-                ylabel="objective best"))
+                "best feasible", state.progress[:, 0], state.progress[:, 2],
+                f"{args.algo} incumbent", "step", "objective best"))
     _write(os.path.join(args.out, "summary.txt"), _summary_text([
         ("model_hash", model_hash(model)), ("algo", args.algo),
         ("eps", f"{args.eps:g}"), ("steps_used", steps),

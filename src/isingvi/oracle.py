@@ -1,7 +1,8 @@
 """Exact references: log Z, node means and edge correlations by variable
-elimination, and brute-force grid maximizers of the two variational objectives
-on tiny models. These are deliberately independent of the iterative solvers so
-they can serve as ground truth in tests.
+elimination over a tree of cliques (Koller and Friedman, Probabilistic
+Graphical Models, 2009, ch. 9-10), and brute-force grid maximizers of the two
+variational objectives on tiny models. These are deliberately independent of
+the iterative solvers so they can serve as ground truth in tests.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ _GRID = np.linspace(-1.0, 1.0, int(round(2.0 / _RESOLUTION)) + 1)
 _REFINE_ROUNDS = 3
 _MF_MAX_NODES = 6
 _BETHE_MAX_PARAMS = 8
-# Exact elimination: the most table entries, summed over all bags, it stores.
+# Exact elimination: the most table entries, summed over all cliques, it stores.
 _TABLE_BUDGET = 1 << 25
 
 
@@ -41,14 +42,18 @@ class ExactResult:
     edge_correlations: np.ndarray  # (m,) E[x_i x_j] in canonical edge order
 
 
-def _bags(model: IsingModel):
-    """A greedy vertex order as a chain of bags, each the frontier (the added
-    nodes with a neighbour still to come) plus the added node, last. Each step
-    adds the node that least grows the frontier, then the one with the fewest
-    neighbours to come, then the lowest id; with no frontier, one of least
-    degree. Per step: the bag, the (bag axis, edge id) of each coupling to the
-    frontier and the bag axes summed out after it. Raises SizeGuardError, before any
-    table exists, once sum 2^|bag| exceeds _TABLE_BUDGET.
+def _cliques(model: IsingModel):
+    """One elimination order with its cliques, from the graph alone.
+
+    The order is the reverse of a greedy vertex order that adds, next to the
+    frontier (the added nodes with a neighbour still to come), the node that
+    least grows it, then the one with the fewest neighbours to come, then the
+    lowest id; with no frontier, one of least degree. Eliminating v gives the
+    clique [v, *its neighbours still to go, fill-in included, in elimination
+    order], whose message goes to the clique of the second node. Returns
+    {v: (clique, [(clique axis, edge id) of each coupling of v to a later
+    node])} in elimination order. Raises SizeGuardError, before any table
+    exists, once sum 2^|clique| exceeds _TABLE_BUDGET.
     """
     nbrs = [[] for _ in range(model.n)]
     for e, (i, j) in enumerate(model.edges.tolist()):
@@ -57,7 +62,7 @@ def _bags(model: IsingModel):
     left = model.degrees.tolist()  # neighbours not yet added
     added = [False] * model.n
     by_degree = iter(sorted(range(model.n), key=lambda v: (left[v], v)))
-    frontier, steps, total = [], [], 0
+    frontier, rank = [], {}
 
     def growth(v):
         done = sum(added[u] and left[u] == 1 for u, _ in nbrs[v])
@@ -67,18 +72,26 @@ def _bags(model: IsingModel):
         boundary = {u for f in frontier for u, _ in nbrs[f] if not added[u]}
         v = min(boundary, key=growth) if boundary else next(
             u for u in by_degree if not added[u])
-        bag = frontier + [v]
-        total += 1 << len(bag)
-        if total > _TABLE_BUDGET:
-            raise SizeGuardError(f"exact elimination needs more than {_TABLE_BUDGET} "
-                                 f"table entries (a bag of {len(bag)} nodes)")
-        links = [(bag.index(u), e) for u, e in nbrs[v] if added[u]]
         added[v] = True
         for u, _ in nbrs[v]:
             left[u] -= 1
-        frontier = [u for u in bag if left[u]]
-        steps.append((bag, links, tuple(a for a, u in enumerate(bag) if not left[u])))
-    return steps
+        frontier = [u for u in frontier + [v] if left[u]]
+        rank[v] = -len(rank)  # elimination runs in reverse of this order
+    # a clique's later nodes are v's later neighbours plus those of the
+    # cliques whose message it receives (Liu's elimination tree)
+    fill = [set() for _ in range(model.n)]
+    cliques, total = {}, 0
+    for v in reversed(rank):
+        later = [(u, e) for u, e in nbrs[v] if rank[u] > rank[v]]
+        clique = [v, *sorted(fill[v].union(u for u, _ in later), key=rank.__getitem__)]
+        total += 1 << len(clique)
+        if total > _TABLE_BUDGET:
+            raise SizeGuardError(f"exact elimination needs more than {_TABLE_BUDGET} "
+                                 f"table entries (a clique of {len(clique)} nodes)")
+        if len(clique) > 1:
+            fill[clique[1]].update(clique[2:])
+        cliques[v] = clique, [(clique.index(u), e) for u, e in later]
+    return cliques
 
 
 def _spin(axis: int, ndim: int):
@@ -87,41 +100,48 @@ def _spin(axis: int, ndim: int):
 
 
 def exact_log_z(model: IsingModel) -> ExactResult:
-    """Exact log Z, node means and edge correlations by variable elimination.
+    """Exact log Z, node means and edge correlations over a tree of cliques.
 
-    Adding a node multiplies the frontier table by its field factor and its
-    couplings to the frontier; nodes with no neighbour left are then summed
-    out. Each table is renormalized by its max, whose log goes into log Z. A
-    backward pass over the stored tables gives each bag's belief, which holds
-    the added node's mean and its couplings' correlations.
+    Eliminating v multiplies its field and coupling factors by the messages
+    the clique receives, sums v out and sends the result to the clique of the
+    next node; axes are in elimination order, so a reshape broadcasts it into
+    that clique. Each table is renormalized by its max, whose log goes into
+    log Z. A backward pass calibrates each table into the clique's belief,
+    which holds v's mean and its couplings' correlations.
     """
-    steps = _bags(model)
-    log_z, table, tables = 0.0, np.ones(()), []
-    for bag, links, drop in steps:
-        w = len(bag)
-        local = model.fields[bag[-1]] + sum(model.couplings[e] * _spin(a, w)
-                                            for a, e in links)
-        log_phi = _spin(w - 1, w) * local
+    cliques = _cliques(model)
+    h, j = model.fields.tolist(), model.couplings.tolist()
+    logs, tables, inbox = [], {}, [1.0] * model.n
+    for v, (clique, links) in cliques.items():
+        w = len(clique)
+        log_phi = _spin(0, w) * (h[v] + sum(j[e] * _spin(a, w) for a, e in links))
         top = float(log_phi.max())
-        t = table[..., None] * np.exp(log_phi - top)
+        t = inbox[v] * np.exp(log_phi - top)
         scale = float(t.max())
         t /= scale
-        log_z += top + math.log(scale)
-        tables.append(t)
-        table = t.sum(axis=drop)
-    log_z += math.log(float(table))
+        logs += (top, math.log(scale))
+        tables[v] = t
+        if w == 1:
+            logs.append(math.log(float(t.sum())))
+        else:
+            inbox[clique[1]] = inbox[clique[1]] * t.sum(axis=0).reshape(
+                [2 if u in clique else 1 for u in cliques[clique[1]][0]])
+    log_z = math.fsum(logs)
 
     means, corrs = np.empty(model.n), np.empty(model.m)
-    msg = np.ones(())  # the next bag's belief summed onto this step's frontier
-    for (bag, links, drop), t in zip(reversed(steps), reversed(tables)):
-        f = t.sum(axis=drop, keepdims=True)
-        belief = t * np.divide(msg.reshape(f.shape), f, out=np.zeros_like(f),
-                               where=f > 0)
-        msg = belief.sum(axis=-1)
-        signed = belief * _spin(len(bag) - 1, len(bag))
-        means[bag[-1]] = signed.sum()
+    for v, (clique, links) in reversed(cliques.items()):
+        t = tables[v]  # becomes v's belief; the receiver's is already one
+        if len(clique) == 1:
+            t /= t.sum()
+        else:
+            up = tables[clique[1]].sum(axis=tuple(
+                a for a, u in enumerate(cliques[clique[1]][0]) if u not in clique))
+            f = t.sum(axis=0)
+            t *= np.divide(up, f, out=np.zeros_like(f), where=f > 0)
+        signed = t[0] - t[1]
+        means[v] = signed.sum()
         for a, e in links:
-            corrs[e] = (signed * _spin(a, len(bag))).sum()
+            corrs[e] = (signed * _spin(a - 1, len(clique) - 1)).sum()
     return ExactResult(log_z=log_z, node_means=means, edge_correlations=corrs)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-_PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_COLOR = "#1f77b4"
 
 _W, _H = 720, 460
 _ML, _MR, _MT, _MB = 76, 22, 40, 52
@@ -49,32 +49,19 @@ def _fmt_tick(v, log):
     return f"{v:.6g}"
 
 
-def plot_lines(series, title="", xlabel="", ylabel="", xlog=False, ylog=False) -> str:
-    """Render line series [(label, xs, ys), ...] to an SVG string.
+def plot_lines(label, xs, ys, title, xlabel, ylabel, log=False) -> str:
+    """Render one line series to an SVG string, on log-log axes if `log`.
 
     Non-finite points, and nonpositive points on log axes, are dropped.
     """
     pts = []
-    for label, xs, ys in series:
-        cur = []
-        for x, y in zip(xs, ys):
-            x, y = float(x), float(y)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if xlog:
-                if x <= 0:
-                    continue
-                x = math.log10(x)
-            if ylog:
-                if y <= 0:
-                    continue
-                y = math.log10(y)
-            cur.append((x, y))
-        pts.append((label, cur))
-    allx = [p[0] for _, c in pts for p in c]
-    ally = [p[1] for _, c in pts for p in c]
-    if not allx:
-        allx, ally = [0.0, 1.0], [0.0, 1.0]
+    for x, y in zip(xs, ys):
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and math.isfinite(y)) or log and (x <= 0 or y <= 0):
+            continue
+        pts.append((math.log10(x), math.log10(y)) if log else (x, y))
+    allx = [x for x, _ in pts] or [0.0, 1.0]
+    ally = [y for _, y in pts] or [0.0, 1.0]
     xlo, xhi = min(allx), max(allx)
     ylo, yhi = min(ally), max(ally)
     if xhi - xlo <= 0:
@@ -92,45 +79,39 @@ def plot_lines(series, title="", xlabel="", ylabel="", xlog=False, ylog=False) -
     def py(y):
         return _MT + ph * (yhi - y) / (yhi - ylo)
 
+    ticks = _log_ticks if log else _nice_ticks
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
            f'viewBox="0 0 {_W} {_H}">',
            f'<rect width="{_W}" height="{_H}" fill="white"/>',
            f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
            'stroke="#444" stroke-width="1"/>']
-    xticks = _log_ticks(xlo, xhi) if xlog else _nice_ticks(xlo, xhi)
-    yticks = _log_ticks(ylo, yhi) if ylog else _nice_ticks(ylo, yhi)
-    for t in xticks:
+    for t in ticks(xlo, xhi):
         x = px(t)
         out.append(f'<line x1="{x:.2f}" y1="{_MT}" x2="{x:.2f}" y2="{_MT + ph}" '
                    'stroke="#ddd" stroke-width="0.7"/>')
         out.append(f'<text x="{x:.2f}" y="{_MT + ph + 16}" font-size="11" '
-                   f'text-anchor="middle" fill="#333">{_fmt_tick(t, xlog)}</text>')
-    for t in yticks:
+                   f'text-anchor="middle" fill="#333">{_fmt_tick(t, log)}</text>')
+    for t in ticks(ylo, yhi):
         y = py(t)
         out.append(f'<line x1="{_ML}" y1="{y:.2f}" x2="{_ML + pw}" y2="{y:.2f}" '
                    'stroke="#ddd" stroke-width="0.7"/>')
         out.append(f'<text x="{_ML - 6}" y="{y + 4:.2f}" font-size="11" '
-                   f'text-anchor="end" fill="#333">{_fmt_tick(t, ylog)}</text>')
-    for k, (label, cur) in enumerate(pts):
-        color = _PALETTE[k % len(_PALETTE)]
-        if cur:
-            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in cur)
-            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                       'stroke-width="1.6"/>')
-        ly = _MT + 16 + 16 * k
-        out.append(f'<line x1="{_ML + pw - 130}" y1="{ly - 4}" x2="{_ML + pw - 110}" '
-                   f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{_ML + pw - 104}" y="{ly}" font-size="11" '
-                   f'fill="#333">{label}</text>')
-    if title:
-        out.append(f'<text x="{_W / 2:.0f}" y="22" font-size="14" text-anchor="middle" '
-                   f'fill="#111">{title}</text>')
-    if xlabel:
-        out.append(f'<text x="{_ML + pw / 2:.0f}" y="{_H - 14}" font-size="12" '
-                   f'text-anchor="middle" fill="#333">{xlabel}</text>')
-    if ylabel:
-        out.append(f'<text x="16" y="{_MT + ph / 2:.0f}" font-size="12" '
-                   f'text-anchor="middle" fill="#333" '
-                   f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>')
+                   f'text-anchor="end" fill="#333">{_fmt_tick(t, log)}</text>')
+    if pts:
+        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        out.append(f'<polyline points="{coords}" fill="none" stroke="{_COLOR}" '
+                   'stroke-width="1.6"/>')
+    ly = _MT + 16
+    out.append(f'<line x1="{_ML + pw - 130}" y1="{ly - 4}" x2="{_ML + pw - 110}" '
+               f'y2="{ly - 4}" stroke="{_COLOR}" stroke-width="2"/>')
+    out.append(f'<text x="{_ML + pw - 104}" y="{ly}" font-size="11" '
+               f'fill="#333">{label}</text>')
+    out.append(f'<text x="{_W / 2:.0f}" y="22" font-size="14" text-anchor="middle" '
+               f'fill="#111">{title}</text>')
+    out.append(f'<text x="{_ML + pw / 2:.0f}" y="{_H - 14}" font-size="12" '
+               f'text-anchor="middle" fill="#333">{xlabel}</text>')
+    out.append(f'<text x="16" y="{_MT + ph / 2:.0f}" font-size="12" '
+               f'text-anchor="middle" fill="#333" '
+               f'transform="rotate(-90 16 {_MT + ph / 2:.0f})">{ylabel}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

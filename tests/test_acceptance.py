@@ -73,6 +73,23 @@ def test_1_bp_exact_on_trees():
            f"max belief error = {worst_belief:.3g}, {elapsed:.2f}s")
 
 
+def test_bp_exact_on_a_large_tree():
+    # check 1 at n = 10^4, where elimination over a tree of cliques is exact
+    model = generate_topology("random_tree", 0.6, 0.1, n=10**4, seed=0)
+    start = time.perf_counter()
+    exact = exact_log_z(model)
+    exact_s = time.perf_counter() - start
+    nu, trace = bp_iterate(model, max_steps=10**3, tol=1e-14)
+    dual_gap = abs(trace.objective[-1] - exact.log_z)
+    dist = beliefs_from_messages(model, nu)
+    belief = max(float(np.abs(dist.node_means - exact.node_means).max()),
+                 float(np.abs(dist.edge_stats[:, 2] - exact.edge_correlations).max()))
+    report(trace.converged and dual_gap <= 1e-8 and belief <= 1e-8,
+           "tree-exactness-n10000",
+           f"|dual - log Z| = {dual_gap:.3g}, max belief error = {belief:.3g}, "
+           f"exact {exact_s:.2f}s, BP {trace.steps} steps")
+
+
 def test_2_cycle_closed_form():
     worst_msg = 0.0
     worst_dual = 0.0

@@ -264,7 +264,7 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         assert main(["exact", "--topology", wide, "--beta", "0.3",
                      "--out", str(tmp_path / "o")]) == 3
         assert time.perf_counter() - start < 1.0
-    assert main(["exact", "--topology", "tree:200", "--beta", "0.3",
+    assert main(["exact", "--topology", "tree:10000", "--beta", "0.3",
                  "--out", str(tmp_path / "o")]) == 0
     assert main(["run", "--topology", "cycle:4", "--beta", "0.3", "--algo",
                  "simulated_annealing", "--out", str(tmp_path / "o")]) == 1

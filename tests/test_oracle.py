@@ -83,6 +83,17 @@ def test_size_guard(monkeypatch):
         assert np.all(np.abs(result.node_means) <= 1.0)
 
 
+def test_size_guard_on_a_tree(monkeypatch):
+    # a tree eliminates with cliques of 2 and one root clique of 1: 4(n-1) + 2
+    # entries, where the greedy order alone needs 57,277,694 on this tree
+    tree = generate_topology("random_tree", 0.3, 0.1, n=5000, seed=0)
+    monkeypatch.setattr(oracle, "_TABLE_BUDGET", 19997)
+    with pytest.raises(SizeGuardError):
+        exact_log_z(tree)
+    monkeypatch.setattr(oracle, "_TABLE_BUDGET", 19998)
+    assert math.isfinite(exact_log_z(tree).log_z)
+
+
 def test_exact_saturated_model_is_finite():
     # every state but all-plus underflows to weight 0: no overflow, and no 0/0
     # in the backward pass
@@ -106,19 +117,22 @@ def test_mf_bethe_log_z_ordering(n, m, seed):
 
 
 def test_mf_bethe_log_z_ordering_on_a_strip():
-    # MF* <= Bethe* <= log Z on a 100x10 strip near criticality (n = 1000)
-    model = generate_topology("grid", 0.34, 0.01, rows=100, cols=10)
-    log_z = exact_log_z(model).log_z
-    _x, mf = mf_iterate(model, max_steps=10**5, tol=1e-13)
-    _nu, bp = bp_iterate(model, max_steps=10**5, tol=1e-13)
-    assert mf.converged and bp.converged
-    slack = 1e-12 * max(1.0, abs(log_z))
-    print(f"strip n={model.n}: (log Z - Bethe*)/n "
-          f"{(log_z - bp.objective[-1]) / model.n:.3g}, (Bethe* - MF*)/n "
-          f"{(bp.objective[-1] - mf.objective[-1]) / model.n:.3g}, "
-          f"MF {mf.steps} steps, BP {bp.steps} steps")
-    assert mf.objective[-1] <= bp.objective[-1] + slack
-    assert bp.objective[-1] <= log_z + slack
+    # MF* <= Bethe* <= log Z on a 100x10 strip near criticality (n = 1000) and
+    # on a random tree of 10^4 nodes
+    for name, model in (
+            ("strip", generate_topology("grid", 0.34, 0.01, rows=100, cols=10)),
+            ("tree", generate_topology("random_tree", 0.6, 0.1, n=10**4, seed=1))):
+        log_z = exact_log_z(model).log_z
+        _x, mf = mf_iterate(model, max_steps=10**5, tol=1e-13)
+        _nu, bp = bp_iterate(model, max_steps=10**5, tol=1e-13)
+        assert mf.converged and bp.converged
+        slack = 1e-12 * max(1.0, abs(log_z))
+        print(f"{name} n={model.n}: (log Z - Bethe*)/n "
+              f"{(log_z - bp.objective[-1]) / model.n:.3g}, (Bethe* - MF*)/n "
+              f"{(bp.objective[-1] - mf.objective[-1]) / model.n:.3g}, "
+              f"MF {mf.steps} steps, BP {bp.steps} steps")
+        assert mf.objective[-1] <= bp.objective[-1] + slack
+        assert bp.objective[-1] <= log_z + slack
 
 
 def test_brute_force_mf_single_node():

@@ -46,10 +46,8 @@ def test_from_csv_rejects_garbage():
 def test_plot_lines_deterministic():
     xs = list(range(1, 20))
     ys = [1.0 / x for x in xs]
-    a = plot_lines([("residual", xs, ys)], title="decay", xlabel="t",
-                   ylabel="r", xlog=True, ylog=True)
-    b = plot_lines([("residual", xs, ys)], title="decay", xlabel="t",
-                   ylabel="r", xlog=True, ylog=True)
+    a = plot_lines("residual", xs, ys, "decay", "t", "r", log=True)
+    b = plot_lines("residual", xs, ys, "decay", "t", "r", log=True)
     assert a == b
     assert a.startswith("<svg")
     assert "polyline" in a and "decay" in a
@@ -58,7 +56,8 @@ def test_plot_lines_deterministic():
 def test_plot_lines_drops_bad_points():
     xs = [0, 1, 2, 3]
     ys = [0.0, float("nan"), 4.0, 8.0]
-    svg = plot_lines([("s", xs, ys)], ylog=True, xlog=True)
+    svg = plot_lines("s", xs, ys, "", "", "", log=True)
     assert svg.startswith("<svg")
-    empty = plot_lines([("s", [0], [0.0])], ylog=True)
-    assert empty.startswith("<svg")
+    assert svg.count("<polyline") == 1 and svg.split('points="')[1].count(",") == 2
+    empty = plot_lines("s", [0], [0.0], "", "", "", log=True)
+    assert empty.startswith("<svg") and "<polyline" not in empty
