@@ -73,21 +73,25 @@ def _clamped_atanh(theta_dir, nu):
     return np.arctanh(t, out=t)
 
 
-def _bp_field(theta_dir, h_src, exc_idx, seg_id, nu):
+def _bp_field(theta_dir, h_src, inv, slots, nu):
     """Field of the synchronous BP update: for each directed edge i -> j, h_i plus
-    the clamped arctanh(theta nu) of the edges into i other than j -> i."""
+    the clamped arctanh(theta nu) of the edges into i other than j -> i, added to
+    0.0 in ascending id order, one `exclusion_index` slot at a time, in its order."""
     a = _clamped_atanh(theta_dir, nu)
-    ex = np.bincount(seg_id, weights=a[exc_idx], minlength=nu.shape[0])
-    # In place, as large graphs pay page faults for each fresh array; bincount
-    # gives int64 when no node has two incident edges.
-    ex = ex.astype(np.float64, copy=False)
+    acc = np.zeros(nu.shape[0])
+    for slot in slots:
+        acc[:slot.shape[0]] += a[slot]
+    ex = acc[inv]
+    # In place, as large graphs pay page faults for each fresh array.
     return np.add(h_src, ex, out=ex)
 
 
 def _bp_field_map(model):
-    """The BP field nu -> _bp_field(..., nu) over the model's directed edges."""
-    _, exc_idx, seg_id = model.exclusion_index()
-    return partial(_bp_field, model.theta_dir, model.fields[model.dir_src], exc_idx, seg_id)
+    """The BP field nu -> _bp_field(..., nu), bound once per model and kept on it."""
+    if model._bp_field is None:
+        model._bp_field = partial(_bp_field, model.theta_dir, model.fields[model.dir_src],
+                                  *model.exclusion_index())
+    return model._bp_field
 
 
 def _log_cosh_total(j) -> float:
@@ -98,15 +102,15 @@ def _log_cosh_total(j) -> float:
 def _bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu):
     """Message-space dual sum_i F_i - sum_ij F_ij; lc_total = sum_e log cosh J_e."""
     n = h.shape[0]
-    t1 = theta_dir * nu
+    t = theta_dir * nu
+    lp = h + np.bincount(dir_dst, weights=np.log1p(t), minlength=n)
     # theta nu == 1.0 gives log1p(-1) = -inf, the exact log 0, which logaddexp
-    # absorbs; only the divide warning is silenced.
+    # absorbs; only the divide warning is silenced. In place, as in _bp_field.
     with np.errstate(divide="ignore"):
-        log_minus = np.log1p(-t1)
-    lp = h + np.bincount(dir_dst, weights=np.log1p(t1), minlength=n)
-    lm = -h + np.bincount(dir_dst, weights=log_minus, minlength=n)
-    fi = float(np.logaddexp(lp, lm).sum())
-    fe = float(np.log1p(theta_e * nu[0::2] * nu[1::2]).sum())
+        np.log1p(np.negative(t, out=t), out=t)
+    lm = np.bincount(dir_dst, weights=t, minlength=n) - h
+    fi = float(np.add.reduce(np.logaddexp(lp, lm)))
+    fe = float(np.add.reduce(np.log1p(theta_e * nu[0::2] * nu[1::2])))
     return fi - fe + lc_total
 
 
@@ -125,7 +129,7 @@ def _start_state(init, size, max_steps, tol):
     x = _vector(init, size, "init")
     if x.size and float(np.max(np.abs(x))) > 1.0:
         raise DomainError("init entries must lie in [-1, 1]")
-    return x, max_steps, float(tol)
+    return x.copy(), max_steps, float(tol)  # a copy: the sweep overwrites its states
 
 
 def _column(values, last):
@@ -149,8 +153,8 @@ def _sweep(field, measure, init, size, max_steps, tol):
         if measure is not None:
             measure(x, f, step)
         xn = np.tanh(f, out=f)  # in place, as in _bp_field
-        # ufunc reduce: np.max's wrapper costs more than the max on small graphs
-        step = float(np.maximum.reduce(np.abs(xn - x), initial=0.0))
+        # |xn - x| in x's buffer, the sweep's own; a ufunc reduce skips np.max's wrapper
+        step = float(np.maximum.reduce(np.abs(np.subtract(xn, x, out=x), out=x), initial=0.0))
         x = xn
         if step < tol:
             break

@@ -32,8 +32,8 @@ _FIXED_POINT_TOL = 1e-12
 
 def bp_step(model: IsingModel, nu):
     """One synchronous message update; all reads from nu, all writes to the result."""
-    nu = _kernels._vector(nu, 2 * model.m, "nu")
-    return np.tanh(_kernels._bp_field_map(model)(nu))
+    field = _kernels._bp_field_map(model)(_kernels._vector(nu, 2 * model.m, "nu"))
+    return np.tanh(field, out=field)
 
 
 def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,

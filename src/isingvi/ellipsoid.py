@@ -68,7 +68,7 @@ def _separate(q, step, row) -> SeparationResult:
     columns of dfield_k/dq and c times its entries there."""
     d = q.shape[0]
     box = np.maximum(-q, q - 1.0)
-    k = int(np.argmax(box)) if d else 0
+    k = int(box.argmax()) if d else 0  # methods: np.argmax's wrapper costs more
     if d and box[k] > 0.0:
         g = np.zeros(d)
         g[k] = -1.0 if -q[k] >= q[k] - 1.0 else 1.0
@@ -76,9 +76,9 @@ def _separate(q, step, row) -> SeparationResult:
         return SeparationResult(False, g, float(g @ q) - viol, viol)
     phi = step(q)
     slack = q - phi
-    if not d or float(slack.max()) <= 0.0:
+    k = int(slack.argmax()) if d else 0
+    if not d or slack[k] <= 0.0:
         return SeparationResult(True)
-    k = int(np.argmax(slack))
     cols, partials = row(k, q, 1.0 - phi[k] ** 2)
     g = np.zeros(d)
     g[k] = 1.0
@@ -90,8 +90,11 @@ def _separate(q, step, row) -> SeparationResult:
 def separation_oracle_bp(model: IsingModel, nu) -> SeparationResult:
     """Separate nu from {nu in [0,1]^2m : nu <= bp_step(nu)}."""
     def row(k, q, c):
-        exc_ptr, exc_idx, _ = model.exclusion_index()
-        inc = exc_idx[exc_ptr[k]:exc_ptr[k + 1]]
+        # the edges into i = src(k) but k ^ 1: those out of i but k, reversed
+        ptr, ids = model.out_edges
+        i = model.dir_src[k]
+        out = ids[ptr[i]:ptr[i + 1]]
+        inc = out[out != k] ^ 1
         td = model.theta_dir[inc]
         return inc, c * td / (1.0 - (td * q[inc]) ** 2)
 
@@ -102,8 +105,9 @@ def separation_oracle_bp(model: IsingModel, nu) -> SeparationResult:
 def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
     """Separate x from {x in [0,1]^n : x <= tanh(Jx + h)}."""
     def row(k, q, c):
-        mask = model.dir_src == k
-        return model.dir_dst[mask], c * model.dir_coupling[mask]
+        ptr, ids = model.out_edges
+        out = ids[ptr[k]:ptr[k + 1]]
+        return model.dir_dst[out], c * model.dir_coupling[out]
 
     return _separate(_kernels._vector(x, model.n, "query"), partial(mf_step, model), row)
 

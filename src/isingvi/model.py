@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +90,6 @@ class IsingModel:
             if np.any(dup):
                 k = int(np.flatnonzero(dup)[0])
                 raise ModelError(f"duplicate edge ({lo[k]}, {hi[k]})")
-        self.edges = np.stack([lo, hi], axis=1)
         self.couplings = couplings
         self.m = len(couplings)
 
@@ -118,52 +118,63 @@ class IsingModel:
         self.dir_dst[0::2] = hi
         self.dir_src[1::2] = hi
         self.dir_dst[1::2] = lo
-        self.dir_coupling = np.repeat(couplings, 2)
         self.degrees = np.bincount(self.dir_src, minlength=n).astype(np.int64)
 
-        # Contiguous per-edge endpoint columns and tanh(J) caches for the kernels.
+        # Contiguous per-edge endpoint columns and the tanh(J) cache for the kernels.
         self.edge_i = np.ascontiguousarray(lo)
         self.edge_j = np.ascontiguousarray(hi)
         self.theta_edge = np.tanh(couplings)
-        self.theta_dir = np.repeat(self.theta_edge, 2)
 
-        for a in (self.edges, self.couplings, self.fields, self.dir_src,
-                  self.dir_dst, self.dir_coupling, self.degrees,
-                  self.edge_i, self.edge_j, self.theta_edge, self.theta_dir):
+        for a in (self.couplings, self.fields, self.dir_src, self.dir_dst,
+                  self.degrees, self.edge_i, self.edge_j, self.theta_edge):
             a.setflags(write=False)
         self._exclusion = None
+        self._bp_field = None  # set by _kernels._bp_field_map
+
+    # Built on first read and cached: the (m, 2) edges (i, j), i < j, and J
+    # (mean-field only) and tanh(J) (BP only) per directed edge.
+    edges = cached_property(lambda self: _frozen(np.stack([self.edge_i, self.edge_j], axis=1)))
+    dir_coupling = cached_property(lambda self: _frozen(np.repeat(self.couplings, 2)))
+    theta_dir = cached_property(lambda self: _frozen(np.repeat(self.theta_edge, 2)))
+
+    @cached_property
+    def out_edges(self):
+        """(ptr, ids): ids[ptr[i]:ptr[i + 1]] are the directed edges out of i, ascending."""
+        return (_frozen(np.concatenate(([0], np.cumsum(self.degrees)))),
+                _frozen(np.argsort(self.dir_src, kind="stable")))
 
     def exclusion_index(self):
-        """Index arrays for message updates: for each directed edge d = (i -> j),
-        the directed edges into i other than j -> i.
+        """BP's exclusion sums in slots: for each directed edge d = (i -> j), the
+        directed edges into i other than j -> i, ascending, one entry each.
 
-        Returns (exc_ptr, exc_idx, seg_id): exc_idx[exc_ptr[d]:exc_ptr[d+1]] lists
-        the incoming directed ids in ascending order, and seg_id maps each entry
-        of exc_idx back to d. Built lazily and cached.
+        Returns (inv, slots): inv[d] is d's position in the stable sort of the
+        directed edges by excluded count deg(i) - 1, descending; slots[s][inv[d]]
+        is the s-th excluded in-edge of d, and slots[s] covers the prefix of
+        positions whose edges exclude more than s. Built lazily and cached.
         """
         if self._exclusion is None:
             # Directed ids sorted by destination: the edges into node i are the
-            # run in_order[in_ptr[i]:in_ptr[i + 1]], ascending; d = (i -> j) takes
-            # that run minus d ^ 1. Blocks of 4096 directed edges keep temporaries
-            # small; freed whole-graph ones stay resident and add to peak RSS.
+            # run R = in_order[in_ptr[i]:in_ptr[i + 1]], ascending, so the s-th
+            # excluded in-edge of d = (i -> j) is R[s + (R[s] >= d ^ 1)]. Blocks of
+            # 4096 positions keep temporaries small; freed whole-graph ones stay
+            # resident and add to peak RSS.
             ndir = 2 * self.m
             in_order = np.argsort(self.dir_dst, kind="stable")
             in_ptr = np.concatenate(([0], np.cumsum(self.degrees)))
-            run = self.degrees[self.dir_src]
-            exc_ptr = np.concatenate(([0], np.cumsum(run - 1)))
-            exc_idx = np.empty(exc_ptr[-1], dtype=np.int64)
-            for d0 in range(0, ndir, 4096):
-                d = np.arange(d0, min(d0 + 4096, ndir))
-                r = run[d]
-                # each candidate's position in in_order, then its directed id
-                cand = np.repeat(in_ptr[self.dir_src[d]] - np.cumsum(r) + r, r)
-                cand += np.arange(cand.shape[0])
-                cand = in_order[cand]
-                exc_idx[exc_ptr[d0]:exc_ptr[d0 + len(d)]] = cand[cand != np.repeat(d ^ 1, r)]
-            seg_id = np.repeat(np.arange(ndir, dtype=np.int64), run - 1)
-            for a in (exc_ptr, exc_idx, seg_id):
-                a.setflags(write=False)
-            self._exclusion = (exc_ptr, exc_idx, seg_id)
+            excl = self.degrees[self.dir_src] - 1
+            order = np.argsort(-excl, kind="stable")
+            inv = np.empty(ndir, dtype=np.int64)
+            inv[order] = np.arange(ndir)
+            sizes = ndir - np.cumsum(np.bincount(excl, minlength=1))[:-1]
+            slots = [np.empty(k, dtype=np.int64) for k in sizes]
+            for r0 in range(0, ndir, 4096):
+                d = order[r0:r0 + 4096]
+                start, rev = in_ptr[self.dir_src[d]], d ^ 1
+                for s, slot in enumerate(slots[:excl[d[0]]]):
+                    pos = start[:slot.shape[0] - r0] + s
+                    pos += in_order[pos] >= rev[:pos.shape[0]]
+                    slot[r0:r0 + pos.shape[0]] = in_order[pos]
+            self._exclusion = (_frozen(inv), tuple(_frozen(s) for s in slots))
         return self._exclusion
 
     def norms(self) -> ModelNorms:
@@ -178,6 +189,11 @@ class IsingModel:
 
     def __repr__(self):
         return f"IsingModel(n={self.n}, m={self.m})"
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 _GRAMMAR = {"n": (int,), "node": (int, float), "edge": (int, int, float)}

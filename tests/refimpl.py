@@ -9,6 +9,8 @@ import hashlib
 import itertools
 import math
 
+import numpy as np
+
 
 def ref_mf_objective(model, x):
     """Sum of coupling terms, field terms, and binary entropies."""
@@ -173,6 +175,27 @@ def ref_separation_bp(model, nu):
         return math.tanh(field), partials
 
     return _ref_separate(list(nu), row)
+
+
+def ref_bp_field(model, nu):
+    """Field of the BP update per directed edge d = (i -> j), summed in a fixed
+    order: numpy's arctanh(tanh(J) nu) per directed edge, clamped to
+    |tanh(J) nu| <= 1 - 1e-15 as the package does, then h_i plus the values
+    of the edges into i other than j -> i, added to 0.0 in ascending id order."""
+    theta = np.repeat(np.tanh(np.asarray(model.couplings, dtype=np.float64)), 2)
+    a = np.arctanh(np.clip(theta * np.asarray(nu, dtype=np.float64), -1.0 + 1e-15, 1.0 - 1e-15))
+    ends = []
+    for e in range(model.m):
+        i, j = model.edges[e]
+        ends += [(i, j), (j, i)]
+    field = []
+    for src, dst in ends:
+        total = 0.0
+        for q, (a_src, a_dst) in enumerate(ends):
+            if a_dst == src and a_src != dst:
+                total += float(a[q])
+        field.append(float(model.fields[src]) + total)
+    return np.array(field, dtype=np.float64)
 
 
 def bisect_root(fn, lo, hi, tol=1e-14):

@@ -13,7 +13,7 @@ from isingvi import (DomainError, IsingModel, LocalDistribution,
                      dual_bethe_gradient, exact_log_z, generate_topology,
                      local_consistency_check, mf_objective, node_estimates,
                      primal_bethe, region_membership)
-from refimpl import fd_gradient, ref_dual_bethe
+from refimpl import fd_gradient, ref_bp_field, ref_dual_bethe
 
 
 def test_step_by_hand():
@@ -235,3 +235,27 @@ def test_step_is_monotone_map_on_box(seed):
     lo = r.uniform(0, 1, size=2 * model.m)
     hi = np.minimum(lo + r.uniform(0, 0.5, size=2 * model.m), 1.0)
     assert np.all(bp_step(model, lo) <= bp_step(model, hi))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(st.data())
+def test_step_sums_in_ascending_id_order(data):
+    """bp_step is bitwise tanh of the reference field, whose exclusion sums
+    start from 0.0 and add the excluded in-edges in ascending id order.
+    Models: any edge subset of n <= 10 nodes (isolated nodes, n = 1 and
+    m = 0 included) or a star."""
+    n = data.draw(st.integers(1, 10), label="n")
+    if n > 1 and data.draw(st.booleans(), label="star"):
+        edges = [(0, k) for k in range(1, n)]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [p for p, k in zip(pairs, keep) if k]
+    m = len(edges)
+    magnitude = st.floats(0.0, 40.0)
+    model = IsingModel(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                       data.draw(st.lists(magnitude, min_size=m, max_size=m)),
+                       data.draw(st.lists(magnitude, min_size=n, max_size=n)))
+    nu = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * m, max_size=2 * m)))
+    want = np.tanh(ref_bp_field(model, nu))
+    assert np.array_equal(bp_step(model, nu).view(np.int64), want.view(np.int64))

@@ -110,19 +110,21 @@ def test_exclusion_index_matches_naive(rng):
               generate_topology("star", 0.3, 0.0, n=6),
               generate_topology("random_tree", 0.3, 0.0, n=12, seed=2),
               isolated, IsingModel(3)):
-        # the definition: for d = (i -> j), the directed edges into i other
-        # than j -> i, ascending
-        ptr, idx, seg = [0], [], []
-        for d in range(2 * m.m):
-            for q in range(2 * m.m):
-                if m.dir_dst[q] == m.dir_src[d] and q != d ^ 1:
-                    idx.append(q)
-                    seg.append(d)
-            ptr.append(len(idx))
-        exc_ptr, exc_idx, seg_id = m.exclusion_index()
-        assert exc_ptr.tolist() == ptr
-        assert exc_idx.tolist() == idx
-        assert seg_id.tolist() == seg
+        # the definition: d = (i -> j) excludes deg(i) - 1 in-edges, the
+        # directed edges into i other than j -> i, ascending; the edges are
+        # stably sorted by that count, descending, and slot s of the edge at
+        # position r holds its s-th excluded in-edge
+        ndir = 2 * m.m
+        count = [int(m.degrees[m.dir_src[d]]) - 1 for d in range(ndir)]
+        order = sorted(range(ndir), key=lambda d: -count[d])
+        inv, slots = m.exclusion_index()
+        assert inv.dtype == np.int64 and all(s.dtype == np.int64 for s in slots)
+        assert [inv[d] for d in order] == list(range(ndir))
+        assert [len(s) for s in slots] == [sum(c > s for c in count)
+                                           for s in range(max(count, default=0))]
+        for d in range(ndir):
+            excluded = [q for q in range(ndir) if m.dir_dst[q] == m.dir_src[d] and q != d ^ 1]
+            assert [slots[s][inv[d]] for s in range(count[d])] == excluded
 
 
 def test_save_load_round_trip_exact(rng):
