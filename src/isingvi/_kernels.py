@@ -3,12 +3,12 @@
 Mean-field and BP both iterate a monotone map x <- tanh(field(x)) from the
 all-ones start (or another checked start state). `_sweep` is that loop.
 mf_run and bp_run give it their family's field map (`_mf_field_map`, Jx + h,
-or `_bp_field_map`, h plus the exclusion sum of arctanh(theta nu)) and, when
-recording, a `measure(x, field(x), step)` callback that appends their trace
-columns. The private helpers below hold the one implementation of each field
-map, the Bethe dual, the mean-field objective and the shape check: the public
-functions in bp, meanfield and ellipsoid check their arguments and call them,
-and the sweep calls them once per step.
+or `_bp_field_map`, h plus the exclusion sum of arctanh(theta nu)), a
+`measure(x, field(x))` callback that returns their recorded values, and the
+width of the recorded row. The private helpers below hold the one
+implementation of each field map, the Bethe dual, the mean-field objective and
+the shape check: the public functions in bp, meanfield and ellipsoid check
+their arguments and call them, and the sweep calls them once per step.
 """
 
 from __future__ import annotations
@@ -132,68 +132,50 @@ def _start_state(init, size, max_steps, tol):
     return x.copy(), max_steps, float(tol)  # a copy: the sweep overwrites its states
 
 
-def _column(values, last):
-    """The recorded values as a numpy column, or [last] if none were recorded.
-    Columns grow as array("d") (8 bytes per value) instead of preallocating
-    max_steps entries, so memory follows the run."""
-    if not values:
-        return np.array([last])
-    return np.frombuffer(values, dtype=np.float64).copy()
-
-
-def _sweep(field, measure, init, size, max_steps, tol):
+def _sweep(field, measure, width, init, size, max_steps, tol, record):
     """Iterate x <- tanh(field(x)) from the checked start state until the
-    sup-norm step drops below tol, calling measure(x, field(x), step into x)
-    at every t unless measure is None; the step into x_0 is nan. Keeps nothing
-    per step itself. Returns (x, last step, steps, converged)."""
+    sup-norm step drops below tol. With record, the table gets one row per t,
+    (step into x, *measure(x, field(x))), the step into x_0 being nan; without
+    it, the final row alone, nan but for the step. Rows grow as array("d")
+    instead of preallocating max_steps of them, so memory follows the run.
+    Returns (x, t, table, converged): t the int64 step of each row, table of
+    shape (len(t), width)."""
     x, max_steps, tol = _start_state(init, size, max_steps, tol)
+    table = array("d")
     step = math.nan
     for steps in range(1, max_steps + 1):
         f = field(x)
-        if measure is not None:
-            measure(x, f, step)
+        if record:
+            table.extend((step, *measure(x, f)))
         xn = np.tanh(f, out=f)  # in place, as in _bp_field
         # |xn - x| in x's buffer, the sweep's own; a ufunc reduce skips np.max's wrapper
         step = float(np.maximum.reduce(np.abs(np.subtract(xn, x, out=x), out=x), initial=0.0))
         x = xn
         if step < tol:
             break
-    if measure is not None:
-        measure(x, field(x), step)
-    return x, step, steps, step < tol
+    final = measure(x, field(x)) if record else (math.nan,) * (width - 1)
+    table.extend((step, *final))
+    table = np.frombuffer(table).reshape(-1, width)
+    t = np.arange(steps + 1 - len(table), steps + 1, dtype=np.int64)
+    return x, t, table, step < tol
 
 
 def mf_run(model, init, max_steps, tol, record):
-    """Mean-field sweep, recording the objective, step and gradient l1 norm;
-    without record each column is its final row, nan but for the step.
-    Returns (x, objective, step_inf, grad_l1, steps, converged)."""
-    obj, step_inf, grad_l1 = array("d"), array("d"), array("d")
+    """Mean-field sweep; its table rows are (step, objective, gradient l1 norm)."""
+    def measure(x, y):
+        return (_mf_objective(model.edge_i, model.edge_j, model.couplings, model.fields, x),
+                _grad_l1(y, x))
 
-    def measure(x, y, step):
-        obj.append(_mf_objective(model.edge_i, model.edge_j, model.couplings,
-                                 model.fields, x))
-        step_inf.append(step)
-        grad_l1.append(_grad_l1(y, x))
-
-    x, step, steps, converged = _sweep(
-        _mf_field_map(model), measure if record else None, init, model.n, max_steps, tol)
-    return (x, _column(obj, math.nan), _column(step_inf, step),
-            _column(grad_l1, math.nan), steps, converged)
+    return _sweep(_mf_field_map(model), measure, 3, init, model.n, max_steps, tol, record)
 
 
 def bp_run(model, init, max_steps, tol, record):
-    """BP sweep over the 2m directed-edge messages, recording the Bethe dual
-    and step; without record each column is its final row, nan but for the step.
-    Returns (nu, dual, step_inf, steps, converged)."""
+    """BP sweep over the 2m directed-edge messages; its table rows are
+    (step, Bethe dual)."""
     lc_total = _log_cosh_total(model.couplings)
-    dual, step_inf = array("d"), array("d")
 
-    def measure(nu, _field, step):
-        dual.append(_bethe_dual(model.dir_dst, model.theta_edge, model.theta_dir,
-                                model.fields, lc_total, nu))
-        step_inf.append(step)
+    def measure(nu, _field):
+        return (_bethe_dual(model.dir_dst, model.theta_edge, model.theta_dir,
+                            model.fields, lc_total, nu),)
 
-    nu, step, steps, converged = _sweep(
-        _bp_field_map(model), measure if record else None, init, 2 * model.m,
-        max_steps, tol)
-    return nu, _column(dual, math.nan), _column(step_inf, step), steps, converged
+    return _sweep(_bp_field_map(model), measure, 2, init, 2 * model.m, max_steps, tol, record)

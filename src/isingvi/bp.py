@@ -41,17 +41,15 @@ def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
     """Iterate bp_step until the sup-norm message change drops below tol.
 
     Returns (nu, IterationTrace); the trace objective column is the dual
-    value per step and the bound column the objective-residual guarantee;
-    with record=False it keeps the final row alone (t = [steps], a nan dual).
+    value per step; with record=False it keeps the final row alone
+    (t = [steps], a nan dual).
     """
     # Built here, outside the sweep, so that the sweep's time excludes it.
     model.exclusion_index()
-    nu, dual, step_inf, steps, converged = _kernels.bp_run(
-        model, init, max_steps, tol, bool(record))
-    t = np.arange(steps + 1 - len(step_inf), steps + 1, dtype=np.int64)
-    trace = IterationTrace(algo="bp", t=t, objective=dual, step_inf=step_inf,
-                           bound=bp_error_bound(model.norms(), t), converged=converged)
-    return nu, trace
+    nu, t, table, converged = _kernels.bp_run(model, init, max_steps, tol, bool(record))
+    step_inf, dual = table.T
+    return nu, IterationTrace(algo="bp", t=t, objective=dual, step_inf=step_inf,
+                              converged=converged)
 
 
 def dual_bethe(model: IsingModel, nu) -> float:

@@ -315,8 +315,6 @@ def _random_tree_edges(n, rng):
     # Uniform labeled tree via a random Pruefer sequence.
     if n == 1:
         return np.zeros((0, 2), dtype=np.int64)
-    if n == 2:
-        return np.array([[0, 1]], dtype=np.int64)
     seq = rng.integers(0, n, size=n - 2)
     degree = np.ones(n, dtype=np.int64)
     for v in seq:

@@ -1,7 +1,10 @@
 """Per-iteration traces of the variational iterations and their CSV form.
 
-Trace CSVs carry a commented header with the model hash, sizes, and norms so
-that downstream reports can recompute theorem bounds without the model file.
+A trace holds measured values only. Its CSV carries a commented header with
+the model hash, sizes and norms, from which a report computes the theorem
+bounds (`meanfield.mf_error_bound`, `bp.bp_error_bound`) without the model
+file. The columns are `t,objective,step_inf,grad_l1` (mean-field) and
+`t,dual_bethe,step_inf` (BP).
 """
 
 from __future__ import annotations
@@ -19,16 +22,16 @@ class IterationTrace:
     """Recorded trajectory of mf_iterate or bp_iterate, starting at t = 0.
 
     objective holds the mean-field objective (algo "mf") or the message-space
-    dual (algo "bp"); step_inf is nan at t = 0; bound is the theorem error
-    bound as a function of t alone (inf at t = 0). grad_l1 is mf-only. A
-    record=False run keeps its final row alone, with a nan objective.
+    dual (algo "bp"); step_inf is nan at t = 0. grad_l1 is mf-only. A
+    record=False run keeps its final row alone, with a nan objective. The
+    theorem bound is a function of t and the model norms alone, given by
+    meanfield.mf_error_bound and bp.bp_error_bound, so it is not stored.
     """
 
     algo: str
     t: np.ndarray
     objective: np.ndarray
     step_inf: np.ndarray
-    bound: np.ndarray
     converged: bool
     grad_l1: np.ndarray | None = None
 
@@ -38,8 +41,8 @@ class IterationTrace:
 
 
 _COLUMNS = {
-    "mf": ("t", "objective", "step_inf", "grad_l1", "bound"),
-    "bp": ("t", "dual_bethe", "step_inf", "bound_thm2"),
+    "mf": ("t", "objective", "step_inf", "grad_l1"),
+    "bp": ("t", "dual_bethe", "step_inf"),
 }
 
 
@@ -63,9 +66,9 @@ def trace_to_csv(trace: IterationTrace, meta: dict | None = None) -> str:
     head = "".join(f"# {key} {meta[key]}\n" for key in sorted(meta))
     if trace.algo == "mf":
         grad = trace.grad_l1 if trace.grad_l1 is not None else np.full(len(trace.t), np.nan)
-        cols = (trace.objective, trace.step_inf, grad, trace.bound)
+        cols = (trace.objective, trace.step_inf, grad)
     else:
-        cols = (trace.objective, trace.step_inf, trace.bound)
+        cols = (trace.objective, trace.step_inf)
     t = np.asarray(trace.t).astype(np.int64)
     return textio.emit(None, head + ",".join(_COLUMNS[trace.algo]) + "\n",
                        textio.rows((t, *cols)))
@@ -83,16 +86,14 @@ def trace_from_csv(source) -> tuple[IterationTrace, dict]:
     else:
         raise DomainError("trace CSV has no header row")
     algo = meta.get("algo")
-    if algo is None:
-        algo = "mf" if "objective" in header else "bp"
     if algo not in _COLUMNS or tuple(header) != _COLUMNS[algo] or len(known) != 1:
         raise DomainError(f"unexpected trace columns {header} for algo {algo!r}")
     t, *cols = sections[known[0]]
     if not len(t):
         raise DomainError("trace CSV has no data rows")
-    objective, step_inf, *grad_l1, bound = cols
+    objective, step_inf, *grad_l1 = cols
     trace = IterationTrace(algo=algo, t=t, objective=objective, step_inf=step_inf,
-                           bound=bound, converged=meta.get("converged", "") == "True",
+                           converged=meta.get("converged", "") == "True",
                            grad_l1=grad_l1[0] if grad_l1 else None)
     return trace, meta
 

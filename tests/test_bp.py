@@ -33,6 +33,9 @@ def test_dual_value_frozen():
     model = chain2(1.0, 0.0)
     assert dual_bethe(model, np.zeros(2)) == pytest.approx(
         math.log(4.0 * math.cosh(1.0)), abs=1e-12)
+    for nu, term in (([-2.0, 0.5], "node term"), ([1.2, -1.2], "edge term")):
+        with pytest.raises(DomainError, match=term):
+            dual_bethe(model, np.array(nu))
 
 
 def test_dual_matches_reference(rng):

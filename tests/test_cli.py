@@ -1,13 +1,15 @@
 import math
+import os
 import shutil
 import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from isingvi import bp as bp_mod
-from isingvi import load_model, trace_from_csv
+from isingvi import generate_topology, load_model, trace_from_csv, trace_meta, trace_to_csv
 from isingvi import meanfield as mf_mod
 from isingvi.cli import _monotone_ok, emit_report, main
 from refimpl import cycle_log_z
@@ -193,22 +195,39 @@ def test_exact_verb_and_transfer_matrix(tmp_path):
                  "0.3", "--algo", "transfer_matrix", "--out", str(tmp_path / "tm")]) == 1
 
 
-def test_report_verb(tmp_path):
+def test_report_verb(tmp_path, capsys):
     run_bp, run_mf = tmp_path / "bp", tmp_path / "mf"
     base = ["--topology", "grid:3x3", "--beta", "0.3", "--field", "0.2"]
     main(["run"] + base + ["--algo", "bp", "--tol", "1e-12", "--out", str(run_bp)])
     main(["run"] + base + ["--algo", "mf", "--tol", "1e-12", "--out", str(run_mf)])
+    # a record=False trace of the same model has no finite objective: its
+    # objective checks skip, and its converged check is still reported
+    model = generate_topology("grid", 0.3, 0.2, rows=3, cols=3)
+    _nu, final = bp_mod.bp_iterate(model, tol=1e-12, record=False)
+    (tmp_path / "final.csv").write_text(
+        trace_to_csv(final, trace_meta(model, "bp", "ones", 1e-12)))
+    traces = [str(run_bp / "trace.csv"), str(run_mf / "trace.csv"), str(tmp_path / "final.csv")]
     rep = tmp_path / "report.csv"
-    assert main(["report", str(run_bp / "trace.csv"), str(run_mf / "trace.csv"),
-                 "--out", str(rep)]) == 0
+    capsys.readouterr()
+    assert main(["report", *traces, "--out", str(rep)]) == 0
     text = read(rep)
     assert "# check trace0(bp) objective_monotone PASS" in text
     assert "# check trace1(mf) bound_dominates PASS" in text
+    assert ("# check trace2(bp) objective_monotone SKIP\n"
+            "# check trace2(bp) bound_dominates SKIP\n"
+            "# check trace2(bp) converged PASS\n") in text
     assert "trace,algo,t,objective,density_residual,bound" in text
+    # with --out, stdout gets the check and reference lines without their '# '
+    assert capsys.readouterr().out == "".join(
+        line[2:] + "\n" for line in text.splitlines()
+        if line.startswith(("# check", "# reference")))
     rep2 = tmp_path / "report2.csv"
-    main(["report", str(run_bp / "trace.csv"), str(run_mf / "trace.csv"),
-          "--out", str(rep2)])
+    main(["report", *traces, "--out", str(rep2)])
     assert read(rep) == read(rep2)
+    # without --out, stdout gets the report alone
+    capsys.readouterr()
+    assert main(["report", *traces]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_report_rejects_mixed_models(tmp_path):
@@ -361,11 +380,21 @@ def test_monotone_slack_scales_with_objective():
 
 
 def test_console_script(tmp_path):
+    """The installed console script, or in a checkout `python -m isingvi.cli`
+    with src on PYTHONPATH: exit codes reach the calling process."""
     exe = shutil.which("isingvi")
+    env = None
     if exe is None:
-        pytest.skip("console script not on PATH")
-    out = subprocess.run([exe, "gen", "--topology", "star:5", "--beta", "0.3"],
-                         capture_output=True, text=True)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [exe] if exe else [sys.executable, "-m", "isingvi.cli"]
+    out = subprocess.run([*cmd, "gen", "--topology", "star:5", "--beta", "0.3"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert out.returncode == 0
     model = load_model(out.stdout)
     assert (model.n, model.m) == (5, 4)
+    bad = subprocess.run([*cmd, "gen", "--topology", "star:5"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr == "error: --topology requires --beta\n"

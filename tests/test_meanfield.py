@@ -88,7 +88,7 @@ def test_iterate_record_false():
     assert np.array_equal(x1, x2)
     assert t1.steps == t2.steps
     assert np.array_equal(t1.t, [t2.steps]) and np.isnan(t1.objective).all()
-    assert t1.step_inf[0] == t2.step_inf[-1] and t1.bound[0] == t2.bound[-1]
+    assert t1.step_inf[0] == t2.step_inf[-1]
     assert not np.isnan(t2.objective).any()
 
 

@@ -56,6 +56,10 @@ def test_rejects_bad_models():
         IsingModel(2, np.array([[0, 1]]), np.array([np.nan]), np.zeros(2))
     with pytest.raises(ModelError):
         IsingModel(2, np.array([[0, 1]]), np.array([0.1]), np.array([1.0, np.inf]))
+    with pytest.raises(ModelError, match="1 edges but 2 couplings"):
+        IsingModel(3, np.array([[0, 1]]), np.array([0.1, 0.2]), np.zeros(3))
+    with pytest.raises(ModelError, match="expected 3 fields, got 2"):
+        IsingModel(3, np.array([[0, 1]]), np.array([0.1]), np.zeros(2))
 
 
 def test_constructor_rejects_non_ferromagnetic():
@@ -260,6 +264,9 @@ def test_generate_topology_shapes():
     assert np.all(reg.degrees == 3)
     tree = generate_topology("random_tree", 0.5, 0.0, n=9, seed=4)
     assert tree.m == 8
+    for n, edges in ((1, []), (2, [[0, 1]])):
+        tree = generate_topology("random_tree", 0.5, 0.0, n=n, seed=4)
+        assert (tree.n, tree.m, tree.edges.tolist()) == (n, n - 1, edges)
     star = generate_topology("star", 0.5, 0.0, n=7)
     assert star.degrees.max() == 6
     with pytest.raises(ModelError):

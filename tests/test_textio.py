@@ -88,15 +88,19 @@ def test_parse_errors_name_their_line(monkeypatch):
     monkeypatch.setattr(textio, "BLOCK_ROWS", 2)
     good = "n 3\nnode 0 0.5\nedge 0 1 0.3\nedge 1 2 0.3\n"
     assert load_model(good).m == 2
-    cases = {"n 3\nedge 0 1 0.3\n\nedge 1 x 0.3\n": 4,          # bad id, second block
-             "n 3\nedge 0 1 0.3\nedge 1 2 0.3\nnode 7 1\n": 4,   # out of range
-             "n 3\nedge 0 1 0.3\nedge 1 2 0.3\nedge 2 5 1\n": 4,
-             "n 3\nnode 1 1\n# c\nnode 1 2\n": 4,                # duplicate node
-             "n 3\nedge 0 1 zz\n": 2,
-             "n 3\nedge 0 1 0.3\nwhat 1 2\n": 3,                 # unknown directive
-             "n 3\nedge 0 99999999999999999999 0.3\n": 2}        # id overflow
-    for text, line in cases.items():
-        with pytest.raises(ParseError, match=f"^line {line}:"):
+    cases = {"n 3\nedge 0 1 0.3\n\nedge 1 x 0.3\n": "4:",        # bad id, second block
+             "n 3\nedge 0 1 0.3\nedge 1 2 0.3\nnode 7 1\n": "4:",  # out of range
+             "n 3\nedge 0 1 0.3\nedge 1 2 0.3\nedge 2 5 1\n": "4:",
+             "n 3\nnode 1 1\n# c\nnode 1 2\n": "4:",              # duplicate node
+             "n 3\nedge 0 1 zz\n": "2:",
+             "n 3\nedge 0 1 0.3\nwhat 1 2\n": "3:",               # unknown directive
+             "n 3\nedge 0 99999999999999999999 0.3\n": "2:",      # id overflow
+             "node 0 0.5\nn 3\n": "1: node before n directive",
+             "edge 0 1 0.5\nn 3\n": "1: edge before n directive",
+             "n 0\n": "1: node count must be in 1[.][.]",
+             "n -1\n": "1: node count must be in 1[.][.]"}
+    for text, where in cases.items():
+        with pytest.raises(ParseError, match=f"^line {where}"):
             load_model(text)
 
 
@@ -107,23 +111,26 @@ def test_non_utf8_reports_its_line(tmp_path):
         load_model(fh)
 
 
-TRACE_HEADER = "t,dual_bethe,step_inf,bound_thm2\n"
+TRACE_HEADER = "t,dual_bethe,step_inf\n"
 EXACT_HEAD = "# model_hash 0123456789abcdef\nlog_z,1.5\n"
 
 
 @pytest.mark.parametrize("kind, text, error, line", [
-    ("trace", "# algo bp\n" + TRACE_HEADER + "0,1,nan,inf\n" + TRACE_HEADER, ParseError, 4),
-    ("trace", "# algo bp\n0,1,nan,inf\n" + TRACE_HEADER, DomainError, None),
-    ("trace", "# algo bp\n" + TRACE_HEADER + "0,1,nan\n", ParseError, 3),
+    ("trace", "# algo bp\n" + TRACE_HEADER + "0,1,nan\n" + TRACE_HEADER, ParseError, 4),
+    ("trace", "# algo bp\n0,1,nan\n" + TRACE_HEADER, DomainError, None),
+    ("trace", "# algo bp\n" + TRACE_HEADER + "0,1\n", ParseError, 3),
     ("trace", "# algo bp\n" + TRACE_HEADER, DomainError, None),
     ("trace", "# algo bp\n", DomainError, None),
+    ("trace", TRACE_HEADER + "0,1,nan\n", DomainError, None),
+    ("trace", "# algo bp\nt,dual_bethe,step_inf,bound_thm2\n0,1,nan,inf\n", DomainError, None),
     ("exact", EXACT_HEAD + "node,mean\n0,0.5\nnode,mean\n", ParseError, 5),
     ("exact", "0,0.5,1\n" + EXACT_HEAD + "node,mean\n", ParseError, 1),
     ("exact", EXACT_HEAD + "node,mean\n0,0.5\ni,j,corr\n0,1\n", ParseError, 6),
     ("exact", "# model_hash 0123456789abcdef\nnode,mean\n0,0.5\n", DomainError, None),
     ("exact", EXACT_HEAD + "extra,2\nnode,mean\n0,0.5\n", DomainError, None),
 ], ids=["trace-repeated-header", "trace-row-before-header", "trace-field-count",
-        "trace-no-rows", "trace-no-header", "exact-repeated-header",
+        "trace-no-rows", "trace-no-header", "trace-no-algo", "trace-bound-column",
+        "exact-repeated-header",
         "exact-row-before-header", "exact-field-count", "exact-no-log-z",
         "exact-extra-lines"])
 def test_malformed_csv_is_rejected(tmp_path, capsys, kind, text, error, line):

@@ -32,6 +32,8 @@ def test_round_trip_bp_handles_nan():
     back, _meta = trace_from_csv(text)
     assert np.isnan(back.objective).all() and len(back.objective) == 31
     assert np.array_equal(back.step_inf[1:], trace.step_inf[1:])
+    with pytest.raises(DomainError, match="unknown trace algo 'gibbs'"):
+        trace_to_csv(replace(trace, algo="gibbs"))
 
 
 def test_from_csv_rejects_garbage():
