@@ -3,12 +3,13 @@
 Mean-field and BP both iterate a monotone map x <- tanh(field(x)) from the
 all-ones start (or another checked start state). `_sweep` is that loop.
 mf_run and bp_run give it their family's field map (`_mf_field_map`, Jx + h,
-or `_bp_field_map`, h plus the exclusion sum of arctanh(theta nu)), a
-`measure(x, field(x))` callback that returns their recorded values, and the
-width of the recorded row. The private helpers below hold the one
-implementation of each field map, the Bethe dual, the mean-field objective and
-the shape check: the public functions in bp, meanfield and ellipsoid check
-their arguments and call them, and the sweep calls them once per step.
+or `_bp_field_map`, h plus the exclusion sum of arctanh(theta nu)) and a
+`measure(x)` callback that returns the recorded objective (the mean-field
+objective or the Bethe dual), so both families record the same row. The private
+helpers below hold the one implementation of each field map, the Bethe dual,
+the mean-field objective and the shape check: the public functions in bp,
+meanfield and ellipsoid check their arguments and call them, and the sweep
+calls them once per step.
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ def _mf_objective(ei, ej, jw, h, x):
     """Mean-field objective sum_e J_e x_i x_j + h . x + sum_i H(x_i)."""
     energy = float(jw @ (x[ei] * x[ej])) + float(h @ x)
     return energy + _entropy_sum(x)
-
-
-def _grad_l1(y, x):
-    xc = np.clip(x, -_CLAMP, _CLAMP)
-    return float(np.abs(y - np.arctanh(xc)).sum())
 
 
 def _vector(x, size, name):
@@ -132,50 +128,42 @@ def _start_state(init, size, max_steps, tol):
     return x.copy(), max_steps, float(tol)  # a copy: the sweep overwrites its states
 
 
-def _sweep(field, measure, width, init, size, max_steps, tol, record):
+def _sweep(field, measure, init, size, max_steps, tol, record):
     """Iterate x <- tanh(field(x)) from the checked start state until the
     sup-norm step drops below tol. With record, the table gets one row per t,
-    (step into x, *measure(x, field(x))), the step into x_0 being nan; without
-    it, the final row alone, nan but for the step. Rows grow as array("d")
-    instead of preallocating max_steps of them, so memory follows the run.
-    Returns (x, t, table, converged): t the int64 step of each row, table of
-    shape (len(t), width)."""
+    (step into x, measure(x)), the step into x_0 being nan; without it, the
+    final row alone, with a nan measure. A run of s steps evaluates field s
+    times. Rows grow as array("d") instead of preallocating max_steps of them,
+    so memory follows the run. Returns (x, t, table, converged): t the int64
+    step of each row, table of shape (len(t), 2)."""
     x, max_steps, tol = _start_state(init, size, max_steps, tol)
     table = array("d")
     step = math.nan
     for steps in range(1, max_steps + 1):
-        f = field(x)
         if record:
-            table.extend((step, *measure(x, f)))
+            table.extend((step, measure(x)))
+        f = field(x)
         xn = np.tanh(f, out=f)  # in place, as in _bp_field
         # |xn - x| in x's buffer, the sweep's own; a ufunc reduce skips np.max's wrapper
         step = float(np.maximum.reduce(np.abs(np.subtract(xn, x, out=x), out=x), initial=0.0))
         x = xn
         if step < tol:
             break
-    final = measure(x, field(x)) if record else (math.nan,) * (width - 1)
-    table.extend((step, *final))
-    table = np.frombuffer(table).reshape(-1, width)
+    table.extend((step, measure(x) if record else math.nan))
+    table = np.frombuffer(table).reshape(-1, 2)
     t = np.arange(steps + 1 - len(table), steps + 1, dtype=np.int64)
     return x, t, table, step < tol
 
 
 def mf_run(model, init, max_steps, tol, record):
-    """Mean-field sweep; its table rows are (step, objective, gradient l1 norm)."""
-    def measure(x, y):
-        return (_mf_objective(model.edge_i, model.edge_j, model.couplings, model.fields, x),
-                _grad_l1(y, x))
-
-    return _sweep(_mf_field_map(model), measure, 3, init, model.n, max_steps, tol, record)
+    """Mean-field sweep; its table rows are (step, mean-field objective)."""
+    measure = partial(_mf_objective, model.edge_i, model.edge_j, model.couplings, model.fields)
+    return _sweep(_mf_field_map(model), measure, init, model.n, max_steps, tol, record)
 
 
 def bp_run(model, init, max_steps, tol, record):
     """BP sweep over the 2m directed-edge messages; its table rows are
     (step, Bethe dual)."""
-    lc_total = _log_cosh_total(model.couplings)
-
-    def measure(nu, _field):
-        return (_bethe_dual(model.dir_dst, model.theta_edge, model.theta_dir,
-                            model.fields, lc_total, nu),)
-
-    return _sweep(_bp_field_map(model), measure, 2, init, 2 * model.m, max_steps, tol, record)
+    measure = partial(_bethe_dual, model.dir_dst, model.theta_edge, model.theta_dir,
+                      model.fields, _log_cosh_total(model.couplings))
+    return _sweep(_bp_field_map(model), measure, init, 2 * model.m, max_steps, tol, record)

@@ -127,8 +127,9 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
     with R = sqrt(d) max(hi - lo)/2, the radius of the ball around the box,
     taken as differences of logs so that tiny gaps do not overflow.
 
-    Raises FeasibilityError if an oracle cut excludes the whole ellipsoid or
-    no feasible point is found within the budget.
+    Raises FeasibilityError if an oracle cut excludes the whole ellipsoid, a
+    cut g has a zero or non-finite |L^T g|, or no feasible point is found
+    within the budget.
     """
     d = int(dimension)
     if d < 1:
@@ -142,22 +143,19 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
     width = hi - lo
     if not np.all((width > 0.0) & (width < np.inf)):
         raise DomainError("box must have finite bounds with hi > lo")
-    start = (lo + hi) / 2.0
-    start_l = np.diag((1.0 + 1e-4) * math.sqrt(d) / 2.0 * width)
     if max_steps is None:
         radius = math.sqrt(d) * float(width.max()) / 2.0
         re = float(r_est) if r_est and r_est > 0.0 else target_gap
         max_steps = int(math.ceil(2.0 * d * d * max(
             0.0, max(math.log(radius) - math.log(re), math.log(2.0)) - math.log(target_gap)))) + 8
     max_steps = int(max_steps)
-    ell_center = start.copy()
-    ell_l = start_l.copy()
+    ell_center = (lo + hi) / 2.0
+    ell_l = np.diag((1.0 + 1e-4) * math.sqrt(d) / 2.0 * width)
     w = ell_l.T @ c  # L^T c, updated with L so the certificate needs no matvec
     best_x = None
     best_val = -np.inf
     min_upper = np.inf
     progress = array("d")
-    restarts = 0
     step = 0
     for step in range(1, max_steps + 1):
         val = float(c @ ell_center)
@@ -179,13 +177,8 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
         u = ell_l.T @ g
         nrm = math.sqrt(u @ u)
         if not math.isfinite(nrm) or nrm <= 0.0:
-            restarts += 1
-            if restarts > 3:
-                raise FeasibilityError("ellipsoid factor lost finiteness")
-            ell_center = start.copy()
-            ell_l = 2.0 ** restarts * start_l
-            w = ell_l.T @ c
-            continue
+            raise FeasibilityError(f"step {step}: the cut has |L^T g| = {nrm}, "
+                                   "so the ellipsoid cannot be updated")
         alpha = depth / nrm
         if alpha >= 1.0:
             if res.feasible:

@@ -61,15 +61,15 @@ def mf_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
                record=True):
     """Run x <- tanh(Jx + h) until the sup-norm step drops below tol.
 
-    Returns (x, IterationTrace). The trace records the objective, step size
-    and gradient l1 norm per step starting at t = 0; with record=False it
-    keeps the final row alone (t = [steps], nan objective and gradient), so
-    its memory does not grow with the steps taken.
+    Returns (x, IterationTrace). The trace records the objective and step
+    size per step starting at t = 0; with record=False it keeps the final row
+    alone (t = [steps], a nan objective), so its memory does not grow with the
+    steps taken.
     """
     x, t, table, converged = _kernels.mf_run(model, init, max_steps, tol, bool(record))
-    step_inf, obj, grad_l1 = table.T
+    step_inf, obj = table.T
     return x, IterationTrace(algo="mf", t=t, objective=obj, step_inf=step_inf,
-                             converged=converged, grad_l1=grad_l1)
+                             converged=converged)
 
 
 def mf_error_bound(norms: ModelNorms, t):

@@ -3,7 +3,7 @@
 A trace holds measured values only. Its CSV carries a commented header with
 the model hash, sizes and norms, from which a report computes the theorem
 bounds (`meanfield.mf_error_bound`, `bp.bp_error_bound`) without the model
-file. The columns are `t,objective,step_inf,grad_l1` (mean-field) and
+file. The columns are `t,objective,step_inf` (mean-field) and
 `t,dual_bethe,step_inf` (BP).
 """
 
@@ -22,10 +22,10 @@ class IterationTrace:
     """Recorded trajectory of mf_iterate or bp_iterate, starting at t = 0.
 
     objective holds the mean-field objective (algo "mf") or the message-space
-    dual (algo "bp"); step_inf is nan at t = 0. grad_l1 is mf-only. A
-    record=False run keeps its final row alone, with a nan objective. The
-    theorem bound is a function of t and the model norms alone, given by
-    meanfield.mf_error_bound and bp.bp_error_bound, so it is not stored.
+    dual (algo "bp"); step_inf is nan at t = 0. A record=False run keeps its
+    final row alone, with a nan objective. The theorem bound is a function of
+    t and the model norms alone, given by meanfield.mf_error_bound and
+    bp.bp_error_bound, so it is not stored.
     """
 
     algo: str
@@ -33,7 +33,6 @@ class IterationTrace:
     objective: np.ndarray
     step_inf: np.ndarray
     converged: bool
-    grad_l1: np.ndarray | None = None
 
     @property
     def steps(self) -> int:
@@ -41,15 +40,14 @@ class IterationTrace:
 
 
 _COLUMNS = {
-    "mf": ("t", "objective", "step_inf", "grad_l1"),
+    "mf": ("t", "objective", "step_inf"),
     "bp": ("t", "dual_bethe", "step_inf"),
 }
 
 
 # Header line -> column kinds; None takes any lines before a known header,
 # so an unknown header is reported as such.
-_SECTIONS = {None: None, **{",".join(c): (int,) + (float,) * (len(c) - 1)
-                            for c in _COLUMNS.values()}}
+_SECTIONS = {None: None, **{",".join(c): (int, float, float) for c in _COLUMNS.values()}}
 
 
 def _fmt(v) -> str:
@@ -64,14 +62,9 @@ def trace_to_csv(trace: IterationTrace, meta: dict | None = None) -> str:
     meta.setdefault("algo", trace.algo)
     meta.setdefault("converged", trace.converged)
     head = "".join(f"# {key} {meta[key]}\n" for key in sorted(meta))
-    if trace.algo == "mf":
-        grad = trace.grad_l1 if trace.grad_l1 is not None else np.full(len(trace.t), np.nan)
-        cols = (trace.objective, trace.step_inf, grad)
-    else:
-        cols = (trace.objective, trace.step_inf)
     t = np.asarray(trace.t).astype(np.int64)
     return textio.emit(None, head + ",".join(_COLUMNS[trace.algo]) + "\n",
-                       textio.rows((t, *cols)))
+                       textio.rows((t, trace.objective, trace.step_inf)))
 
 
 def trace_from_csv(source) -> tuple[IterationTrace, dict]:
@@ -88,13 +81,11 @@ def trace_from_csv(source) -> tuple[IterationTrace, dict]:
     algo = meta.get("algo")
     if algo not in _COLUMNS or tuple(header) != _COLUMNS[algo] or len(known) != 1:
         raise DomainError(f"unexpected trace columns {header} for algo {algo!r}")
-    t, *cols = sections[known[0]]
+    t, objective, step_inf = sections[known[0]]
     if not len(t):
         raise DomainError("trace CSV has no data rows")
-    objective, step_inf, *grad_l1 = cols
     trace = IterationTrace(algo=algo, t=t, objective=objective, step_inf=step_inf,
-                           converged=meta.get("converged", "") == "True",
-                           grad_l1=grad_l1[0] if grad_l1 else None)
+                           converged=meta.get("converged", "") == "True")
     return trace, meta
 
 

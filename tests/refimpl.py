@@ -267,17 +267,14 @@ def ref_node_csv(x):
 
 def ref_trace_csv(trace, meta):
     """Trace CSV: sorted '# key value' lines, the header, one row per step."""
-    columns = {"mf": "t,objective,step_inf,grad_l1",
+    columns = {"mf": "t,objective,step_inf",
                "bp": "t,dual_bethe,step_inf"}
     meta = dict(meta)
     meta.setdefault("algo", trace.algo)
     meta.setdefault("converged", trace.converged)
     lines = [f"# {key} {meta[key]}" for key in sorted(meta)]
     lines.append(columns[trace.algo])
-    if trace.algo == "mf":
-        cols = (trace.objective, trace.step_inf, trace.grad_l1)
-    else:
-        cols = (trace.objective, trace.step_inf)
+    cols = (trace.objective, trace.step_inf)
     for k in range(len(trace.t)):
         lines.append(",".join([str(int(trace.t[k]))] + [f"{float(c[k]):.17g}" for c in cols]))
     return "\n".join(lines) + "\n"

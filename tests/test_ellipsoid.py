@@ -60,6 +60,20 @@ def test_infeasible_program_raises():
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("cut", [[np.nan, 1.0], [0.0, 0.0]])
+def test_degenerate_cut_raises_at_once(cut):
+    calls = []
+
+    def bad_oracle(x):
+        calls.append(x.copy())
+        return SeparationResult(False, np.array(cut), 0.0, 1.0)
+
+    with pytest.raises(FeasibilityError, match=r"^step 1: the cut has \|L\^T g\| = (nan|0\.0)"):
+        ellipsoid_maximize(bad_oracle, np.ones(2), 2, (-4.0, 4.0),
+                           max_steps=400, target_gap=1e-6)
+    assert len(calls) == 1
+
+
 def test_bp_oracle_cuts_separate_feasible_points(rng):
     model = cycle4(0.6, 0.3)
     ndir = 2 * model.m

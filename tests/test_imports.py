@@ -1,12 +1,14 @@
 """Every name that a module of the package or of the tests imports is used
-there: read as a name in its code, or exported through its __all__. The
-repository has no linter, so this scan stands in for one."""
+there: read as a name in its code, or exported through its __all__. Every
+module-level private name of the package is read somewhere in the package.
+The repository has no linter, so these scans stand in for one."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "isingvi").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "isingvi").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(tree):
@@ -37,3 +39,44 @@ def test_no_unused_imports():
     found = {str(p.relative_to(ROOT)): unused_imports(ast.parse(p.read_text(), str(p)))
              for p in SOURCES}
     assert {p: names for p, names in found.items() if names} == {}
+
+
+def unread_private_names(trees):
+    """(module, line, name) of each module-level private name (`_f`, `_C`,
+    `_X = ...`) defined in the modules {module: tree} that none of them reads,
+    as a name, an attribute or an imported name."""
+    defined = []
+    read = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_scan_finds_unread_private_names():
+    trees = {"a": ast.parse("import b\n_A, (_B, c) = 1, (2, 3)\n__d__ = 4\n_e: int = 5\n"
+                            "def _f():\n    return _A\nclass _G:\n    pass\n"
+                            "def h(x):\n    x._i = b._j\n"),
+             "b": ast.parse("from a import _f\n_i = 6\n_j = 7\n")}
+    assert unread_private_names(trees) == [("a", 2, "_B"), ("a", 4, "_e"), ("a", 7, "_G"),
+                                           ("b", 2, "_i")]
+
+
+def test_no_unread_private_names():
+    assert PACKAGE
+    assert unread_private_names({p.name: ast.parse(p.read_text(), str(p)) for p in PACKAGE}) == []

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_grid
-from isingvi import (DomainError, IsingModel, bp_iterate, bp_step, dual_bethe,
-                     generate_topology, mf_gradient, mf_iterate, mf_objective, mf_step)
+from isingvi import (DomainError, IsingModel, _kernels, bp_iterate, bp_step, dual_bethe,
+                     generate_topology, mf_iterate, mf_objective, mf_step)
 
 
 def test_record_false_skips_objective():
@@ -16,6 +16,22 @@ def test_record_false_skips_objective():
     assert trace.objective.shape == (1,) and np.isnan(trace.objective).all()
     _nu, traceb = bp_iterate(model, max_steps=100, tol=0.0, record=False)
     assert traceb.objective.shape == (1,) and np.isnan(traceb.objective).all()
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("iterate,field_map", [(mf_iterate, "_mf_field_map"),
+                                               (bp_iterate, "_bp_field_map")])
+def test_sweep_evaluates_field_once_per_step(monkeypatch, iterate, field_map, record):
+    calls = []
+    make = getattr(_kernels, field_map)
+
+    def counting(model):
+        field = make(model)
+        return lambda x: calls.append(1) or field(x)
+
+    monkeypatch.setattr(_kernels, field_map, counting)
+    _state, trace = iterate(small_grid(3, 3, 0.4, 0.1), max_steps=100, tol=1e-9, record=record)
+    assert trace.steps > 1 and len(calls) == trace.steps
 
 
 def test_trace_memory_follows_steps_taken():
@@ -78,9 +94,8 @@ _UNIT = st.floats(0.0, 1.0)
 @given(st.data())
 def test_sweep_matches_one_step_functions(data):
     """The sweep shared by MF and BP, pinned bitwise at every step against the
-    public one-step functions: the recorded objective (and MF's gradient l1
-    norm) at x_t, the sup-norm step, and the final row of the same run with
-    record off."""
+    public one-step functions: the recorded objective at x_t, the sup-norm
+    step, and the final row of the same run with record off."""
     n = data.draw(st.integers(1, 8), label="n")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -99,8 +114,6 @@ def test_sweep_matches_one_step_functions(data):
                 x, prev = step(model, x), x
                 assert trace.step_inf[t] == float(np.max(np.abs(x - prev), initial=0.0))
             assert trace.objective[t] == objective(model, x), t
-            if iterate is mf_iterate and float(np.max(np.abs(x))) < 1.0:
-                assert trace.grad_l1[t] == float(np.abs(mf_gradient(model, x)).sum()), t
         assert np.array_equal(state, x)
         assert trace.converged == (trace.step_inf[-1] < tol)
         state_off, trace_off = iterate(model, max_steps=40, tol=tol, record=False)

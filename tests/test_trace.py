@@ -6,6 +6,7 @@ import pytest
 from conftest import cycle4, path3
 from isingvi import (DomainError, bp_iterate, mf_iterate, model_hash,
                      trace_from_csv, trace_meta, trace_to_csv)
+from isingvi.cli import main
 from isingvi.svgplot import plot_lines
 
 
@@ -18,7 +19,7 @@ def test_round_trip_mf():
     assert back.algo == "mf"
     assert np.array_equal(back.t, trace.t)
     assert np.array_equal(back.objective, trace.objective)
-    assert np.array_equal(back.grad_l1, trace.grad_l1)
+    assert np.array_equal(back.step_inf[1:], trace.step_inf[1:])
     assert back.converged == trace.converged
     assert meta2["model_hash"] == model_hash(model)
     assert int(meta2["n"]) == 3 and int(meta2["m"]) == 2
@@ -36,13 +37,22 @@ def test_round_trip_bp_handles_nan():
         trace_to_csv(replace(trace, algo="gibbs"))
 
 
-def test_from_csv_rejects_garbage():
+def test_from_csv_rejects_garbage(tmp_path):
     with pytest.raises(DomainError):
         trace_from_csv("")
     with pytest.raises(DomainError):
         trace_from_csv("# algo mf\n")
     with pytest.raises(DomainError):
         trace_from_csv("t,objective\n0,1.0,2.0\n")
+    # a mean-field trace in the former four-column format
+    model = path3(0.5, 0.2)
+    old = tmp_path / "old.csv"
+    old.write_text("".join(f"# {k} {v}\n" for k, v in trace_meta(model, "mf", "ones", 0.0).items())
+                   + "# converged False\nt,objective,step_inf,grad_l1\n0,1.0,nan,0.5\n")
+    with pytest.raises(DomainError, match=r"^unexpected trace columns \['t', 'objective', "
+                                          r"'step_inf', 'grad_l1'\] for algo 'mf'$"):
+        trace_from_csv(old.read_text())
+    assert main(["report", str(old)]) == 1
 
 
 def test_plot_lines_deterministic():
