@@ -95,8 +95,9 @@ def _log_cosh_total(j) -> float:
     return float((j + np.log1p(np.exp(-2.0 * j)) - _LOG2).sum())
 
 
-def _bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu):
-    """Message-space dual sum_i F_i - sum_ij F_ij; lc_total = sum_e log cosh J_e."""
+def _bethe_dual(dir_dst, theta_dir, h, lc_total, nu):
+    """Message-space dual sum_i F_i - sum_ij F_ij; lc_total = sum_e log cosh J_e,
+    and the edge terms read tanh(J_e) as theta_dir[2e]."""
     n = h.shape[0]
     t = theta_dir * nu
     lp = h + np.bincount(dir_dst, weights=np.log1p(t), minlength=n)
@@ -106,7 +107,7 @@ def _bethe_dual(dir_dst, theta_e, theta_dir, h, lc_total, nu):
         np.log1p(np.negative(t, out=t), out=t)
     lm = np.bincount(dir_dst, weights=t, minlength=n) - h
     fi = float(np.add.reduce(np.logaddexp(lp, lm)))
-    fe = float(np.add.reduce(np.log1p(theta_e * nu[0::2] * nu[1::2])))
+    fe = float(np.add.reduce(np.log1p(theta_dir[0::2] * nu[0::2] * nu[1::2])))
     return fi - fe + lc_total
 
 
@@ -123,7 +124,7 @@ def _start_state(init, size, max_steps, tol):
             raise DomainError(f"unknown init {init!r} (expected 'ones', 'zeros', or an array)")
         return np.full(size, float(init == "ones")), max_steps, float(tol)
     x = _vector(init, size, "init")
-    if x.size and float(np.max(np.abs(x))) > 1.0:
+    if x.size and not float(np.max(np.abs(x))) <= 1.0:  # NaN fails it too
         raise DomainError("init entries must lie in [-1, 1]")
     return x.copy(), max_steps, float(tol)  # a copy: the sweep overwrites its states
 
@@ -164,6 +165,6 @@ def mf_run(model, init, max_steps, tol, record):
 def bp_run(model, init, max_steps, tol, record):
     """BP sweep over the 2m directed-edge messages; its table rows are
     (step, Bethe dual)."""
-    measure = partial(_bethe_dual, model.dir_dst, model.theta_edge, model.theta_dir,
-                      model.fields, _log_cosh_total(model.couplings))
+    measure = partial(_bethe_dual, model.dir_dst, model.theta_dir, model.fields,
+                      _log_cosh_total(model.couplings))
     return _sweep(_bp_field_map(model), measure, init, 2 * model.m, max_steps, tol, record)

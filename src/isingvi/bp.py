@@ -54,16 +54,16 @@ def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
 
 def dual_bethe(model: IsingModel, nu) -> float:
     """Message-space dual Phi(nu). Raises DomainError when a log argument is
-    nonpositive (only reachable with negative messages)."""
+    nonpositive (only reachable with negative messages) or NaN."""
     nu = _kernels._vector(nu, 2 * model.m, "nu")
     t1 = model.theta_dir * nu
-    if t1.size and (float((1.0 + t1).min()) <= 0.0 or float((1.0 - t1).min()) <= 0.0):
+    if t1.size and not (float((1.0 + t1).min()) > 0.0 and float((1.0 - t1).min()) > 0.0):
         raise DomainError("nonpositive log argument in node term (message < -1)")
-    te = model.theta_edge * nu[0::2] * nu[1::2]
-    if te.size and float((1.0 + te).min()) <= 0.0:
+    te = t1[0::2] * nu[1::2]
+    if te.size and not float((1.0 + te).min()) > 0.0:
         raise DomainError("nonpositive log argument in edge term")
-    return _kernels._bethe_dual(model.dir_dst, model.theta_edge, model.theta_dir,
-                                model.fields, _kernels._log_cosh_total(model.couplings), nu)
+    return _kernels._bethe_dual(model.dir_dst, model.theta_dir, model.fields,
+                                _kernels._log_cosh_total(model.couplings), nu)
 
 
 def dual_bethe_gradient(model: IsingModel, nu):
@@ -75,9 +75,9 @@ def dual_bethe_gradient(model: IsingModel, nu):
     where rev is the reversed directed edge and phi = bp_step(nu).
     """
     nu = _kernels._vector(nu, 2 * model.m, "nu")
-    if nu.size and float(nu.min()) < 0.0:
+    if nu.size and not float(nu.min()) >= 0.0:  # NaN fails both checks
         raise DomainError("gradient requires nonnegative messages")
-    if nu.size and float(nu.max()) > 1.0:
+    if nu.size and not float(nu.max()) <= 1.0:
         raise DomainError("gradient requires messages in [0, 1]")
     phi = bp_step(model, nu)
     rev = np.arange(2 * model.m, dtype=np.int64) ^ 1
@@ -142,7 +142,7 @@ def beliefs_from_messages(model: IsingModel, nu) -> LocalDistribution:
     general), so off fixed points the result can violate local consistency.
     """
     nu = _kernels._vector(nu, 2 * model.m, "nu")
-    if nu.size and float(np.max(np.abs(nu))) >= 1.0:
+    if nu.size and not float(np.max(np.abs(nu))) < 1.0:
         raise DomainError("beliefs need |nu| < 1 strictly (arctanh must be finite)")
     means = node_estimates(model, nu)
     m = model.m

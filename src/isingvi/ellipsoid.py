@@ -55,7 +55,6 @@ class EllipsoidState:
     sqrt_shape: np.ndarray
     lt_c: np.ndarray  # L^T c as updated with L, so max_E c.x = c.center + |lt_c|
     step: int
-    best_x: np.ndarray | None
     best_value: float
     min_upper: float
     progress: np.ndarray  # (steps, 4) rows (step, feasible, best, violation)
@@ -88,13 +87,11 @@ def _separate(q, step, row) -> SeparationResult:
 
 
 def separation_oracle_bp(model: IsingModel, nu) -> SeparationResult:
-    """Separate nu from {nu in [0,1]^2m : nu <= bp_step(nu)}."""
+    """Separate nu from {nu in [0,1]^2m : nu <= bp_step(nu)}. Row k of a cut is
+    the terms of k's field, found in O(m): the edges into src(k) but k ^ 1."""
     def row(k, q, c):
-        # the edges into i = src(k) but k ^ 1: those out of i but k, reversed
-        ptr, ids = model.out_edges
-        i = model.dir_src[k]
-        out = ids[ptr[i]:ptr[i + 1]]
-        inc = out[out != k] ^ 1
+        inc = (model.dir_dst == model.dir_src[k]).nonzero()[0]  # skips flatnonzero's wrapper
+        inc = inc[inc != k ^ 1]
         td = model.theta_dir[inc]
         return inc, c * td / (1.0 - (td * q[inc]) ** 2)
 
@@ -103,11 +100,11 @@ def separation_oracle_bp(model: IsingModel, nu) -> SeparationResult:
 
 
 def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
-    """Separate x from {x in [0,1]^n : x <= tanh(Jx + h)}."""
+    """Separate x from {x in [0,1]^n : x <= tanh(Jx + h)}. Row k of a cut is the
+    terms of k's field, found in O(m): columns src(d), entries c J_d, d into k."""
     def row(k, q, c):
-        ptr, ids = model.out_edges
-        out = ids[ptr[k]:ptr[k + 1]]
-        return model.dir_dst[out], c * model.dir_coupling[out]
+        inc = (model.dir_dst == k).nonzero()[0]
+        return model.dir_src[inc], c * model.dir_coupling[inc]
 
     return _separate(_kernels._vector(x, model.n, "query"), partial(mf_step, model), row)
 
@@ -152,7 +149,7 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
     ell_center = (lo + hi) / 2.0
     ell_l = np.diag((1.0 + 1e-4) * math.sqrt(d) / 2.0 * width)
     w = ell_l.T @ c  # L^T c, updated with L so the certificate needs no matvec
-    best_x = None
+    best = None
     best_val = -np.inf
     min_upper = np.inf
     progress = array("d")
@@ -166,13 +163,13 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
         if res.feasible:
             if val > best_val:
                 best_val = val
-                best_x = ell_center.copy()
+                best = ell_center.copy()
             g, depth, viol = -c, best_val - val, 0.0
         else:
             g = np.asarray(res.cut, dtype=np.float64)
             depth = viol = float(res.violation)
         progress.extend((step, bool(res.feasible), best_val, viol))
-        if best_x is not None and min_upper - best_val <= target_gap:
+        if best is not None and min_upper - best_val <= target_gap:
             break
         u = ell_l.T @ g
         nrm = math.sqrt(u @ u)
@@ -201,14 +198,14 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
         ell_l *= s
         w -= (kappa * (uhat @ w)) * uhat
         w *= s
-    if best_x is None:
+    if best is None:
         raise FeasibilityError(
             f"no feasible point found in {max_steps} ellipsoid steps "
             "(the inner ball may be too small; check the field perturbation)")
     state = EllipsoidState(center=ell_center, sqrt_shape=ell_l, lt_c=w, step=step,
-                           best_x=best_x.copy(), best_value=best_val,
-                           min_upper=min_upper, progress=np.frombuffer(progress).reshape(-1, 4))
-    return best_x.copy(), state
+                           best_value=best_val, min_upper=min_upper,
+                           progress=np.frombuffer(progress).reshape(-1, 4))
+    return best, state
 
 
 def ellipsoid_progress_csv(state: EllipsoidState, out=None):

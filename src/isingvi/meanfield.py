@@ -37,7 +37,7 @@ def bernoulli_entropy(x):
 def mf_objective(model: IsingModel, x) -> float:
     """Mean-field objective F(x); the endpoints |x_i| = 1 are legal."""
     x = _kernels._vector(x, model.n, "x")
-    if x.size and float(np.max(np.abs(x))) > 1.0:
+    if x.size and not float(np.max(np.abs(x))) <= 1.0:  # NaN fails it too
         raise DomainError("magnetizations must lie in [-1, 1]")
     return _kernels._mf_objective(model.edge_i, model.edge_j, model.couplings,
                                   model.fields, x)
@@ -46,7 +46,7 @@ def mf_objective(model: IsingModel, x) -> float:
 def mf_gradient(model: IsingModel, x):
     """Gradient (Jx + h) - arctanh(x); requires |x_i| < 1 strictly."""
     x = _kernels._vector(x, model.n, "x")
-    if x.size and float(np.max(np.abs(x))) >= 1.0:
+    if x.size and not float(np.max(np.abs(x))) < 1.0:
         raise DomainError("gradient needs |x_i| < 1 strictly")
     return _kernels._mf_field_map(model)(x) - np.arctanh(x)
 

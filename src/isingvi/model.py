@@ -51,6 +51,11 @@ class IsingModel:
         edges: (m, 2) array-like of node pairs, any orientation.
         couplings: length-m nonnegative reals J_e.
         fields: length-n nonnegative reals h_i, default all zero.
+
+    Each array is stored once, read-only: couplings, fields (a copy; -0.0 is
+    stored as 0.0), dir_src, dir_dst and degrees. edges, rows (i, j) with i < j,
+    and its columns edge_i, edge_j are views of dir_src. dir_coupling and
+    theta_dir, J and tanh(J) per directed edge, are built on first read.
     """
 
     def __init__(self, n, edges=None, couplings=None, fields=None):
@@ -108,7 +113,7 @@ class IsingModel:
         if np.any(fields < 0):
             raise ModelError(
                 f"negative field {fields[fields < 0][0]:g} (fields must be >= 0)")
-        self.fields = fields
+        self.fields = fields + 0.0  # a copy, in which -0.0 + 0.0 is 0.0
 
         # Directed edge arrays: directed id 2e is lo->hi, 2e+1 is hi->lo.
         m = self.m
@@ -120,28 +125,15 @@ class IsingModel:
         self.dir_dst[1::2] = lo
         self.degrees = np.bincount(self.dir_src, minlength=n).astype(np.int64)
 
-        # Contiguous per-edge endpoint columns and the tanh(J) cache for the kernels.
-        self.edge_i = np.ascontiguousarray(lo)
-        self.edge_j = np.ascontiguousarray(hi)
-        self.theta_edge = np.tanh(couplings)
-
-        for a in (self.couplings, self.fields, self.dir_src, self.dir_dst,
-                  self.degrees, self.edge_i, self.edge_j, self.theta_edge):
+        for a in (self.couplings, self.fields, self.dir_src, self.dir_dst, self.degrees):
             a.setflags(write=False)
+        self.edges = self.dir_src.reshape(-1, 2)
+        self.edge_i, self.edge_j = self.edges.T
         self._exclusion = None
         self._bp_field = None  # set by _kernels._bp_field_map
 
-    # Built on first read and cached: the (m, 2) edges (i, j), i < j, and J
-    # (mean-field only) and tanh(J) (BP only) per directed edge.
-    edges = cached_property(lambda self: _frozen(np.stack([self.edge_i, self.edge_j], axis=1)))
     dir_coupling = cached_property(lambda self: _frozen(np.repeat(self.couplings, 2)))
-    theta_dir = cached_property(lambda self: _frozen(np.repeat(self.theta_edge, 2)))
-
-    @cached_property
-    def out_edges(self):
-        """(ptr, ids): ids[ptr[i]:ptr[i + 1]] are the directed edges out of i, ascending."""
-        return (_frozen(np.concatenate(([0], np.cumsum(self.degrees)))),
-                _frozen(np.argsort(self.dir_src, kind="stable")))
+    theta_dir = cached_property(lambda self: _frozen(np.repeat(np.tanh(self.couplings), 2)))
 
     def exclusion_index(self):
         """BP's exclusion sums in slots: for each directed edge d = (i -> j), the

@@ -33,7 +33,8 @@ def test_dual_value_frozen():
     model = chain2(1.0, 0.0)
     assert dual_bethe(model, np.zeros(2)) == pytest.approx(
         math.log(4.0 * math.cosh(1.0)), abs=1e-12)
-    for nu, term in (([-2.0, 0.5], "node term"), ([1.2, -1.2], "edge term")):
+    for nu, term in (([-2.0, 0.5], "node term"), ([1.2, -1.2], "edge term"),
+                     ([np.nan, 0.5], "node term")):
         with pytest.raises(DomainError, match=term):
             dual_bethe(model, np.array(nu))
 
@@ -62,8 +63,9 @@ def test_dual_gradient_matches_fd(rng):
         g_fd = fd_gradient(lambda v: ref_dual_bethe(model, v), nu)
         assert np.allclose(g, g_fd, atol=1e-6)
         assert np.abs(g).max() <= 1.0 + 1e-12
-    with pytest.raises(DomainError):
-        dual_bethe_gradient(model, np.full(8, -0.1))
+    for bad in (-0.1, np.nan):
+        with pytest.raises(DomainError):
+            dual_bethe_gradient(model, np.full(8, bad))
 
 
 def test_iterate_tree_is_exact(rng):
@@ -130,8 +132,9 @@ def test_beliefs_marginals_match_estimates_at_fixed_point():
     assert np.allclose(dist.edge_stats[:, 0], est[model.edges[:, 0]], atol=1e-12)
     assert np.allclose(dist.edge_stats[:, 1], est[model.edges[:, 1]], atol=1e-12)
     assert local_consistency_check(dist) <= 1e-12
-    with pytest.raises(DomainError):
-        beliefs_from_messages(model, np.ones(2 * model.m))
+    for bad in (1.0, np.nan):
+        with pytest.raises(DomainError):
+            beliefs_from_messages(model, np.full(2 * model.m, bad))
 
 
 def test_primal_of_product_point_is_mf(rng):
@@ -216,7 +219,7 @@ def test_single_node_and_empty_graph():
 def test_saturated_coupling_is_finite_and_warning_free():
     # tanh(40) == 1.0 in float64: messages saturate at the all-ones start
     model = generate_topology("grid", 40.0, 0.0, rows=3, cols=3)
-    assert model.theta_edge.max() == 1.0
+    assert model.theta_dir.max() == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         nu, trace = bp_iterate(model, max_steps=30, tol=0.0, record=True)

@@ -3,7 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,11 +278,16 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         assert main(["gen", "--topology", spec, "--beta", "0.3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "node count must be at most" in err
+    # the size guard fires before any table is allocated
     for wide in ("grid:40x40", "regular:200:3"):
-        start = time.perf_counter()
-        assert main(["exact", "--topology", wide, "--beta", "0.3",
-                     "--out", str(tmp_path / "o")]) == 3
-        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            assert main(["exact", "--topology", wide, "--beta", "0.3",
+                         "--out", str(tmp_path / "o")]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
     assert main(["exact", "--topology", "tree:10000", "--beta", "0.3",
                  "--out", str(tmp_path / "o")]) == 0
     assert main(["run", "--topology", "cycle:4", "--beta", "0.3", "--algo",

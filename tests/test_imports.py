@@ -1,7 +1,9 @@
 """Every name that a module of the package or of the tests imports is used
 there: read as a name in its code, or exported through its __all__. Every
 module-level private name of the package is read somewhere in the package.
-The repository has no linter, so these scans stand in for one."""
+Every name that a package class stores is read as an attribute somewhere in
+the package or the tests. The repository has no linter, so these scans stand
+in for one."""
 
 import ast
 from pathlib import Path
@@ -80,3 +82,62 @@ def test_scan_finds_unread_private_names():
 def test_no_unread_private_names():
     assert PACKAGE
     assert unread_private_names({p.name: ast.parse(p.read_text(), str(p)) for p in PACKAGE}) == []
+
+
+def _names(decorators):
+    """The names of decorators such as `dataclass`, `dataclass(frozen=True)`."""
+    for d in decorators:
+        d = d.func if isinstance(d, ast.Call) else d
+        yield d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)
+
+
+def stored_names(tree):
+    """(line, Class.name) of each name that a class of the module `tree` stores:
+    the fields of a @dataclass, the attributes that its __init__ assigns on
+    self, and its cached_property names."""
+    stored = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        is_dataclass = "dataclass" in _names(cls.decorator_list)
+        names = []
+        for node in cls.body:
+            if (is_dataclass and isinstance(node, ast.AnnAssign)) or (
+                    isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and "cached_property" in _names([node.value])):
+                names += [(t.lineno, t.id) for t in ast.walk(node)
+                          if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+            elif isinstance(node, ast.FunctionDef) and \
+                    "cached_property" in _names(node.decorator_list):
+                names.append((node.lineno, node.name))
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                names += [(t.lineno, t.attr) for t in ast.walk(node)
+                          if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                          and isinstance(t.value, ast.Name) and t.value.id == "self"]
+        stored += [(line, f"{cls.name}.{name}") for line, name in names]
+    return stored
+
+
+def unread_stored_names(package, readers):
+    """(module, line, Class.name) of each name stored by a class of the modules
+    {module: tree} in `package` that no tree in `readers` reads as an attribute."""
+    read = {n.attr for tree in readers for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted((module, line, name) for module, tree in package.items()
+                  for line, name in stored_names(tree) if name.split(".")[1] not in read)
+
+
+def test_scan_finds_unread_stored_names():
+    package = {"a": ast.parse(
+        "@dataclass(frozen=True)\nclass R:\n    x: int\n    y: int = 0\n"
+        "class P:\n    z: int\n    w = cached_property(lambda self: 1)\n"
+        "    def __init__(self):\n        self.u, self.v = 1, 2\n        other.t = 3\n"
+        "    @functools.cached_property\n    def s(self):\n        return 4\n"
+        "    def f(self):\n        self.q = 5\n")}
+    reader = ast.parse("r.y\np.v\np.s = 6\n")
+    assert unread_stored_names(package, [reader]) == [
+        ("a", 3, "R.x"), ("a", 7, "P.w"), ("a", 9, "P.u"), ("a", 12, "P.s")]
+
+
+def test_no_unread_stored_names():
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    package = {p.name: trees[p] for p in PACKAGE}
+    assert unread_stored_names(package, trees.values()) == []

@@ -76,7 +76,8 @@ def test_iterate_rejects_bad_arguments(iterate, size):
     model = small_grid(3, 3, 0.4, 0.1)
     n = size(model)
     for init in ("twos", np.ones(n + 1), np.full(n, 0.5).reshape(1, n),
-                 np.concatenate([np.ones(n - 1), [1.5]])):
+                 np.concatenate([np.ones(n - 1), [1.5]]),
+                 np.concatenate([np.ones(n - 1), [np.nan]])):
         with pytest.raises(DomainError):
             iterate(model, init=init)
     with pytest.raises(DomainError):

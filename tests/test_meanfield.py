@@ -32,8 +32,9 @@ def test_objective_at_endpoints():
     model = chain2(1.0, 0.5)
     # all-ones configuration: energy 1 + 1, zero entropy
     assert mf_objective(model, np.ones(2)) == pytest.approx(2.0, abs=1e-15)
-    with pytest.raises(DomainError):
-        mf_objective(model, np.array([1.0, 1.5]))
+    for x in ([1.0, 1.5], [1.0, np.nan]):
+        with pytest.raises(DomainError):
+            mf_objective(model, np.array(x))
 
 
 def test_gradient_matches_fd(rng):
@@ -43,8 +44,9 @@ def test_gradient_matches_fd(rng):
         g = mf_gradient(model, x)
         g_fd = fd_gradient(lambda v: ref_mf_objective(model, v), x)
         assert np.allclose(g, g_fd, atol=1e-6)
-    with pytest.raises(DomainError):
-        mf_gradient(model, np.array([0.0, 1.0, 0.0]))
+    for x in ([0.0, 1.0, 0.0], [0.0, np.nan, 0.0]):
+        with pytest.raises(DomainError):
+            mf_gradient(model, np.array(x))
 
 
 def test_step_formula(rng):

@@ -20,6 +20,10 @@ def test_edges_canonicalized():
                    np.array([0.3, 0.2, 0.1]), np.zeros(4))
     assert m.edges.tolist() == [[0, 1], [0, 2], [1, 3]]
     assert m.couplings.tolist() == [0.1, 0.2, 0.3]
+    # the edge list and its columns are read-only views of dir_src
+    assert (m.edge_i.tolist(), m.edge_j.tolist()) == ([0, 0, 1], [1, 2, 3])
+    for a in (m.edges, m.edge_i, m.edge_j):
+        assert np.shares_memory(a, m.dir_src) and not a.flags.writeable
 
 
 def test_directed_edge_layout():
@@ -139,6 +143,24 @@ def test_save_load_round_trip_exact(rng):
     assert np.array_equal(again.couplings, m.couplings)
     assert np.array_equal(again.fields, m.fields)
     assert model_hash(again) == model_hash(m)
+
+
+def test_spin_flipped_round_trip_is_bit_exact():
+    # the flip negates the zero fields too; the model stores them as 0.0
+    m = load_model("n 3\nnode 0 -0.5\nedge 0 1 0.4\n")
+    again = load_model(save_model(m))
+    assert m.fields.view(np.int64).tolist() == np.array([0.5, 0.0, 0.0]).view(np.int64).tolist()
+    assert np.array_equal(again.fields.view(np.int64), m.fields.view(np.int64))
+    assert model_hash(again) == model_hash(m)
+
+
+def test_model_does_not_alias_the_callers_fields():
+    h = np.array([0.1, 0.2, 0.3])
+    m = IsingModel(3, [[0, 1], [1, 2]], [0.5, 0.5], fields=h)
+    before = model_hash(m)
+    h[0] = -5.0
+    assert m.fields.tolist() == [0.1, 0.2, 0.3]
+    assert model_hash(m) == before
 
 
 @settings(deadline=None, max_examples=30)
