@@ -130,7 +130,7 @@ class LocalDistribution:
 
     node_means: np.ndarray   # (n,)
     edge_stats: np.ndarray   # (m, 3) rows (m_i, m_j, c)
-    edges: np.ndarray        # (m, 2) node pairs, i < j
+    edges: np.ndarray        # (m, 2) node pairs, i < j: the model's read-only edges
 
 
 def beliefs_from_messages(model: IsingModel, nu) -> LocalDistribution:
@@ -145,10 +145,6 @@ def beliefs_from_messages(model: IsingModel, nu) -> LocalDistribution:
     if nu.size and not float(np.max(np.abs(nu))) < 1.0:
         raise DomainError("beliefs need |nu| < 1 strictly (arctanh must be finite)")
     means = node_estimates(model, nu)
-    m = model.m
-    if m == 0:
-        return LocalDistribution(node_means=means, edge_stats=np.zeros((0, 3)),
-                                 edges=model.edges.copy())
     a = np.arctanh(nu[0::2])
     b = np.arctanh(nu[1::2])
     j = model.couplings
@@ -162,7 +158,7 @@ def beliefs_from_messages(model: IsingModel, nu) -> LocalDistribution:
     c = cells[:, 0] - cells[:, 1] - cells[:, 2] + cells[:, 3]
     return LocalDistribution(node_means=means,
                              edge_stats=np.stack([mi, mj, c], axis=1),
-                             edges=model.edges.copy())
+                             edges=model.edges)
 
 
 def _pair_cells(mi, mj, c):

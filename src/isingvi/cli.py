@@ -232,7 +232,7 @@ def _run_ellipsoid(args, model: IsingModel) -> int:
         _write(os.path.join(args.out, "progress.csv"), partial(ellipsoid_progress_csv, state))
         if args.plot:
             _write(os.path.join(args.out, "objective.svg"), plot_lines(
-                "best feasible", state.progress[:, 0], state.progress[:, 2],
+                "best feasible", range(1, steps + 1), state.progress[:, 1],
                 f"{args.algo} incumbent", "step", "objective best"))
     _write(os.path.join(args.out, "summary.txt"), _summary_text([
         ("model_hash", model_hash(model)), ("algo", args.algo),

@@ -37,19 +37,20 @@ class FeasibilityError(RuntimeError):
 class SeparationResult:
     """Answer of a separation oracle at a query point.
 
-    When infeasible, cut/offset give a halfspace {x : cut . x <= offset} that
-    contains the feasible set, and violation = cut . query - offset > 0.
+    When infeasible, the halfspace {x : cut . x <= cut . query - violation},
+    violation > 0, contains the feasible set.
     """
 
     feasible: bool
     cut: np.ndarray | None = None
-    offset: float = 0.0
     violation: float = 0.0
 
 
 @dataclass
 class EllipsoidState:
-    """Search state: ellipsoid {center + L u : |u| <= 1}, incumbent, certificate."""
+    """Search state: ellipsoid {center + L u : |u| <= 1}, incumbent, certificate,
+    and the measured values of every step (best is nan before the first feasible
+    point)."""
 
     center: np.ndarray
     sqrt_shape: np.ndarray
@@ -57,7 +58,7 @@ class EllipsoidState:
     step: int
     best_value: float
     min_upper: float
-    progress: np.ndarray  # (steps, 4) rows (step, feasible, best, violation)
+    progress: np.ndarray  # (steps, 3) rows (feasible, best, violation); row k is step k + 1
 
 
 def _separate(q, step, row) -> SeparationResult:
@@ -71,8 +72,7 @@ def _separate(q, step, row) -> SeparationResult:
     if d and box[k] > 0.0:
         g = np.zeros(d)
         g[k] = -1.0 if -q[k] >= q[k] - 1.0 else 1.0
-        viol = float(box[k])
-        return SeparationResult(False, g, float(g @ q) - viol, viol)
+        return SeparationResult(False, g, float(box[k]))
     phi = step(q)
     slack = q - phi
     k = int(slack.argmax()) if d else 0
@@ -82,8 +82,7 @@ def _separate(q, step, row) -> SeparationResult:
     g = np.zeros(d)
     g[k] = 1.0
     g[cols] -= partials
-    viol = float(slack[k])
-    return SeparationResult(False, g, float(g @ q) - viol, viol)
+    return SeparationResult(False, g, float(slack[k]))
 
 
 def separation_oracle_bp(model: IsingModel, nu) -> SeparationResult:
@@ -150,7 +149,7 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
     ell_l = np.diag((1.0 + 1e-4) * math.sqrt(d) / 2.0 * width)
     w = ell_l.T @ c  # L^T c, updated with L so the certificate needs no matvec
     best = None
-    best_val = -np.inf
+    best_val = math.nan  # recorded as is until a feasible point exists
     min_upper = np.inf
     progress = array("d")
     step = 0
@@ -161,14 +160,14 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
             min_upper = upper
         res = oracle(ell_center)
         if res.feasible:
-            if val > best_val:
+            if best is None or val > best_val:
                 best_val = val
                 best = ell_center.copy()
             g, depth, viol = -c, best_val - val, 0.0
         else:
             g = np.asarray(res.cut, dtype=np.float64)
             depth = viol = float(res.violation)
-        progress.extend((step, bool(res.feasible), best_val, viol))
+        progress.extend((bool(res.feasible), best_val, viol))
         if best is not None and min_upper - best_val <= target_gap:
             break
         u = ell_l.T @ g
@@ -204,19 +203,16 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
             "(the inner ball may be too small; check the field perturbation)")
     state = EllipsoidState(center=ell_center, sqrt_shape=ell_l, lt_c=w, step=step,
                            best_value=best_val, min_upper=min_upper,
-                           progress=np.frombuffer(progress).reshape(-1, 4))
+                           progress=np.frombuffer(progress).reshape(-1, 3))
     return best, state
 
 
 def ellipsoid_progress_csv(state: EllipsoidState, out=None):
-    """Serialize the per-step progress; objective_best is nan until a feasible
-    point is found. Writes to the open text file `out`, or returns the text
-    when out is None."""
-    table = state.progress
-    best = table[:, 2]
-    return textio.emit(out, "step,feasible,objective_best,violation\n", textio.rows((
-        table[:, 0].astype(np.int64), table[:, 1].astype(np.int64),
-        np.where(np.isfinite(best), best, np.nan), table[:, 3])))
+    """Serialize the per-step progress, a row per step from 1, its columns read
+    in blocks; objective_best is nan until a feasible point is found. Writes to
+    the open text file `out`, or returns the text when out is None."""
+    return textio.emit(out, "step,feasible,objective_best,violation\n", textio.rows(
+        (range(1, len(state.progress) + 1), *state.progress.T)))
 
 
 def _solve(model: IsingModel, b: float, oracle, step, dimension: int, target_gap: float,

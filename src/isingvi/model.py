@@ -52,10 +52,10 @@ class IsingModel:
         couplings: length-m nonnegative reals J_e.
         fields: length-n nonnegative reals h_i, default all zero.
 
-    Each array is stored once, read-only: couplings, fields (a copy; -0.0 is
-    stored as 0.0), dir_src, dir_dst and degrees. edges, rows (i, j) with i < j,
-    and its columns edge_i, edge_j are views of dir_src. dir_coupling and
-    theta_dir, J and tanh(J) per directed edge, are built on first read.
+    Each array is stored once, read-only: couplings and fields (copies; -0.0
+    is stored as 0.0), dir_src, dir_dst and degrees. edges, rows (i, j) with
+    i < j, and its columns edge_i, edge_j are views of dir_src. dir_coupling
+    and theta_dir, J and tanh(J) per directed edge, are built on first read.
     """
 
     def __init__(self, n, edges=None, couplings=None, fields=None):
@@ -95,6 +95,7 @@ class IsingModel:
             if np.any(dup):
                 k = int(np.flatnonzero(dup)[0])
                 raise ModelError(f"duplicate edge ({lo[k]}, {hi[k]})")
+        couplings += 0.0  # the sorted copy, in which -0.0 + 0.0 is 0.0
         self.couplings = couplings
         self.m = len(couplings)
 
@@ -123,7 +124,7 @@ class IsingModel:
         self.dir_dst[0::2] = hi
         self.dir_src[1::2] = hi
         self.dir_dst[1::2] = lo
-        self.degrees = np.bincount(self.dir_src, minlength=n).astype(np.int64)
+        self.degrees = np.bincount(self.dir_src, minlength=n).astype(np.int64, copy=False)
 
         for a in (self.couplings, self.fields, self.dir_src, self.dir_dst, self.degrees):
             a.setflags(write=False)

@@ -315,7 +315,7 @@ def brute_force_bethe_optimum(model: IsingModel):
         _, c = _edge_term(model.couplings[e], mi, mj)
         stats[e] = (mi, mj, float(c))
     dist = LocalDistribution(node_means=means, edge_stats=stats,
-                             edges=model.edges.copy())
+                             edges=model.edges)
     return dist, primal_bethe(model, dist)
 
 

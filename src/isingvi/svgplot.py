@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from . import textio
+
 _COLOR = "#1f77b4"
 
 _W, _H = 720, 460
@@ -52,18 +56,18 @@ def _fmt_tick(v, log):
 def plot_lines(label, xs, ys, title, xlabel, ylabel, log=False) -> str:
     """Render one line series to an SVG string, on log-log axes if `log`.
 
-    Non-finite points, and nonpositive points on log axes, are dropped.
+    Non-finite points, and nonpositive points on log axes, are dropped. Points
+    are scaled as arrays and formatted textio.BLOCK_ROWS at a time.
     """
-    pts = []
-    for x, y in zip(xs, ys):
-        x, y = float(x), float(y)
-        if not (math.isfinite(x) and math.isfinite(y)) or log and (x <= 0 or y <= 0):
-            continue
-        pts.append((math.log10(x), math.log10(y)) if log else (x, y))
-    allx = [x for x, _ in pts] or [0.0, 1.0]
-    ally = [y for _, y in pts] or [0.0, 1.0]
-    xlo, xhi = min(allx), max(allx)
-    ylo, yhi = min(ally), max(ally)
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    if log:
+        keep &= (xs > 0) & (ys > 0)
+    xs, ys = xs[keep], ys[keep]
+    if log:
+        xs, ys = np.log10(xs), np.log10(ys)
+    xlo, xhi = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 1.0)
+    ylo, yhi = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 1.0)
     if xhi - xlo <= 0:
         xlo, xhi = xlo - 0.5, xhi + 0.5
     if yhi - ylo <= 0:
@@ -97,8 +101,11 @@ def plot_lines(label, xs, ys, title, xlabel, ylabel, log=False) -> str:
                    'stroke="#ddd" stroke-width="0.7"/>')
         out.append(f'<text x="{_ML - 6}" y="{y + 4:.2f}" font-size="11" '
                    f'text-anchor="end" fill="#333">{_fmt_tick(t, log)}</text>')
-    if pts:
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+    if xs.size:
+        xs, ys, block = px(xs), py(ys), textio.BLOCK_ROWS
+        coords = " ".join(" ".join(map("{:.2f},{:.2f}".format, xs[lo:lo + block].tolist(),
+                                       ys[lo:lo + block].tolist()))
+                          for lo in range(0, xs.size, block))
         out.append(f'<polyline points="{coords}" fill="none" stroke="{_COLOR}" '
                    'stroke-width="1.6"/>')
     ly = _MT + 16

@@ -62,9 +62,8 @@ def trace_to_csv(trace: IterationTrace, meta: dict | None = None) -> str:
     meta.setdefault("algo", trace.algo)
     meta.setdefault("converged", trace.converged)
     head = "".join(f"# {key} {meta[key]}\n" for key in sorted(meta))
-    t = np.asarray(trace.t).astype(np.int64)
-    return textio.emit(None, head + ",".join(_COLUMNS[trace.algo]) + "\n",
-                       textio.rows((t, trace.objective, trace.step_inf)))
+    return textio.emit(None, head + ",".join(_COLUMNS[trace.algo]) + "\n", textio.rows(
+        (np.asarray(trace.t, dtype=np.int64), trace.objective, trace.step_inf)))
 
 
 def trace_from_csv(source) -> tuple[IterationTrace, dict]:

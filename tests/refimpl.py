@@ -115,8 +115,8 @@ def _ref_separate(q, row):
     row(k) gives (phi_k(q), [d field_k / d q_j for every j]). The most
     violated box side is cut first: -q_k <= 0 below the box, q_k <= 1 above it.
     Otherwise the row with the largest slack q_k - phi_k(q) is cut with the
-    gradient of q_k - phi_k(q). Returns (feasible, cut, offset, violation,
-    margin); margin is the lead of the largest slack over the second one (the
+    gradient of q_k - phi_k(q). Returns (feasible, cut, violation, margin);
+    margin is the lead of the largest slack over the second one (the
     cut of a near tie depends on round-off), inf for box cuts.
     """
     d = len(q)
@@ -125,19 +125,18 @@ def _ref_separate(q, row):
         k = over.index(max(over))
         cut = [0.0] * d
         cut[k] = -1.0 if q[k] < 0.0 else 1.0
-        return False, cut, 0.0 if q[k] < 0.0 else 1.0, over[k], math.inf
+        return False, cut, over[k], math.inf
     rows = [row(k) for k in range(d)]
     slack = [q[k] - rows[k][0] for k in range(d)]
     if not d or max(slack) <= 0.0:
-        return True, None, 0.0, 0.0, math.inf
+        return True, None, 0.0, math.inf
     ranked = sorted(slack)
     k = slack.index(ranked[-1])
     phi, partials = rows[k]
     cut = [-(1.0 - phi * phi) * p for p in partials]
     cut[k] += 1.0
-    offset = sum(c * v for c, v in zip(cut, q)) - slack[k]
     margin = ranked[-1] - ranked[-2] if d > 1 else math.inf
-    return False, cut, offset, slack[k], margin
+    return False, cut, slack[k], margin
 
 
 def ref_separation_mf(model, x):
@@ -282,9 +281,9 @@ def ref_trace_csv(trace, meta):
 
 def ref_progress_csv(progress):
     lines = ["step,feasible,objective_best,violation"]
-    for step, feas, best, viol in progress.tolist():
+    for step, (feas, best, viol) in enumerate(progress.tolist(), 1):
         b = f"{best:.17g}" if math.isfinite(best) else "nan"
-        lines.append(f"{int(step)},{int(feas)},{b},{viol:.17g}")
+        lines.append(f"{step},{int(feas)},{b},{viol:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -309,3 +308,26 @@ def ref_report_rows(k, algo, t, objective, reference, n, bound):
         lines.append(f"{k},{algo},{int(t[i])},{objective[i]:.17g},{resid:.17g},"
                      f"{bound[i]:.17g}\n")
     return "".join(lines)
+
+
+def ref_plot_points(xs, ys, log=False):
+    """The polyline `points` text of svgplot.plot_lines, point by point: drop
+    non-finite points (and nonpositive ones on log axes), take math.log10 on
+    log axes, scale into the 720x460 plot with margins 76, 22, 40, 52 (y
+    range padded by 5%) and format each coordinate with 2 decimals."""
+    pts = []
+    for x, y in zip(xs, ys):
+        x, y = float(x), float(y)
+        if math.isfinite(x) and math.isfinite(y) and not (log and (x <= 0 or y <= 0)):
+            pts.append((math.log10(x), math.log10(y)) if log else (x, y))
+    xlo, xhi = min(p[0] for p in pts), max(p[0] for p in pts)
+    ylo, yhi = min(p[1] for p in pts), max(p[1] for p in pts)
+    if xhi - xlo <= 0:
+        xlo, xhi = xlo - 0.5, xhi + 0.5
+    if yhi - ylo <= 0:
+        ylo, yhi = ylo - 0.5, yhi + 0.5
+    ypad = 0.05 * (yhi - ylo)
+    ylo, yhi = ylo - ypad, yhi + ypad
+    pw, ph = 720 - 76 - 22, 460 - 40 - 52
+    return " ".join(f"{76 + pw * (x - xlo) / (xhi - xlo):.2f},"
+                    f"{40 + ph * (yhi - y) / (yhi - ylo):.2f}" for x, y in pts)

@@ -3,11 +3,11 @@ import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
 from isingvi import bp as bp_mod
 from isingvi import generate_topology, load_model, trace_from_csv, trace_meta, trace_to_csv
 from isingvi import meanfield as mf_mod
@@ -280,13 +280,9 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         assert err.startswith("error: ") and "node count must be at most" in err
     # the size guard fires before any table is allocated
     for wide in ("grid:40x40", "regular:200:3"):
-        tracemalloc.start()
-        try:
-            assert main(["exact", "--topology", wide, "--beta", "0.3",
-                         "--out", str(tmp_path / "o")]) == 3
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = peak_bytes(main, ["exact", "--topology", wide, "--beta", "0.3",
+                                       "--out", str(tmp_path / "o")])
+        assert code == 3
         assert peak < 5e6
     assert main(["exact", "--topology", "tree:10000", "--beta", "0.3",
                  "--out", str(tmp_path / "o")]) == 0

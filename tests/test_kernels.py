@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_grid
+from conftest import peak_bytes, small_grid
 from isingvi import (DomainError, IsingModel, _kernels, bp_iterate, bp_step, dual_bethe,
                      generate_topology, mf_iterate, mf_objective, mf_step)
 
@@ -36,22 +34,20 @@ def test_sweep_evaluates_field_once_per_step(monkeypatch, iterate, field_map, re
 
 def test_trace_memory_follows_steps_taken():
     model = small_grid(3, 3, 0.4, 0.1)
-    tracemalloc.start()
-    try:
+
+    def to_tol():
         for record in (True, False):
             mf_iterate(model, max_steps=10**7, record=record)
             bp_iterate(model, max_steps=10**7, record=record)
-        peak = tracemalloc.get_traced_memory()[1]
-        # a run that records nothing keeps its final row alone: one column of
-        # 2*10^4 steps would take 160 KB
-        tracemalloc.reset_peak()
+
+    def unrecorded():
         for iterate in (mf_iterate, bp_iterate):
             iterate(model, max_steps=2 * 10**4, tol=0.0, record=False)
-        peak_off = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
-    assert peak_off < 64 * 1024
+
+    assert peak_bytes(to_tol)[1] < 1e6
+    # a run that records nothing keeps its final row alone: one column of
+    # 2*10^4 steps would take 160 KB
+    assert peak_bytes(unrecorded)[1] < 64 * 1024
 
 
 def test_bp_working_set_per_directed_edge():
@@ -60,13 +56,13 @@ def test_bp_working_set_per_directed_edge():
     edge: the index holds one entry per excluded in-edge and a step gathers
     no copy of them."""
     bp_iterate(generate_topology("grid", 0.3, 0.05, rows=2, cols=2))  # lazy imports
-    tracemalloc.start()
-    try:
+
+    def build_and_run():
         model = generate_topology("grid", 0.3, 0.05, rows=100, cols=100)
         bp_iterate(model, tol=1e-10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return model
+
+    model, peak = peak_bytes(build_and_run)
     assert peak <= 18 * 16 * model.m, peak / (16 * model.m)
 
 

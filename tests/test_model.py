@@ -163,6 +163,18 @@ def test_model_does_not_alias_the_callers_fields():
     assert model_hash(m) == before
 
 
+
+def test_negative_zero_coupling_is_zero(tmp_path):
+    neg = IsingModel(2, [[0, 1]], [-0.0])
+    zero = IsingModel(2, [[0, 1]], [0.0])
+    assert save_model(neg).splitlines()[-1] == "edge 0 1 0"
+    assert model_hash(neg) == model_hash(zero)
+    for beta in ("-0", "0"):
+        assert main(["gen", "--topology", "cycle:3", f"--beta={beta}",
+                     "--out", str(tmp_path / f"{beta}.txt")]) == 0
+    assert (tmp_path / "-0.txt").read_text() == (tmp_path / "0.txt").read_text()
+    assert "edge 0 1 0\n" in (tmp_path / "0.txt").read_text()
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 8), st.integers(0, 900000), st.integers(0, 12))
 def test_save_load_round_trip_property(n, seed, extra_edges):

@@ -1,13 +1,12 @@
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import chain2, path3, random_ferro, random_tree, star5, triangle
+from conftest import chain2, path3, peak_bytes, random_ferro, random_tree, star5, triangle
 from isingvi import (IsingModel, SizeGuardError, bp_iterate,
                      brute_force_bethe_optimum, brute_force_mf_optimum,
                      exact_log_z, exact_result_from_csv, exact_result_to_csv,
@@ -55,14 +54,8 @@ def test_exact_cycle_closed_form(n, j, h):
                                       dict(kind="random_regular", n=200, degree=3)])
 def test_size_guard_fires_before_any_table(topology):
     model = generate_topology(beta=0.3, **topology)
-    tracemalloc.start()
     start = time.perf_counter()
-    try:
-        with pytest.raises(SizeGuardError):
-            exact_log_z(model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(pytest.raises, SizeGuardError, exact_log_z, model)
     assert time.perf_counter() - start < 1.0
     assert peak < 5e6
 

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import cycle4, path3
+from conftest import cycle4, path3, peak_bytes
 from isingvi import (DomainError, bp_iterate, mf_iterate, model_hash,
                      trace_from_csv, trace_meta, trace_to_csv)
 from isingvi.cli import main
 from isingvi.svgplot import plot_lines
+from refimpl import ref_plot_points
 
 
 def test_round_trip_mf():
@@ -73,3 +74,18 @@ def test_plot_lines_drops_bad_points():
     assert svg.count("<polyline") == 1 and svg.split('points="')[1].count(",") == 2
     empty = plot_lines("s", [0], [0.0], "", "", "", log=True)
     assert empty.startswith("<svg") and "<polyline" not in empty
+
+
+@pytest.mark.parametrize("log", [False, True])
+def test_plot_lines_scales_points_as_arrays(log):
+    """A 2*10^4-point series, shaped like a trace's residual (t from 0, a NaN
+    and a zero among the values), plots the per-point reference's coordinates
+    and peaks below 128 bytes per point. np.log10 may differ from math.log10
+    in the last bit; 2-decimal pixel coordinates do not show that."""
+    n = 2 * 10**4
+    t = np.arange(n)
+    ys = 3.0 / (t + 1.0) ** 2 + np.random.default_rng(5).uniform(0.0, 1e-9, n)
+    ys[7], ys[11] = np.nan, 0.0
+    svg, peak = peak_bytes(plot_lines, "residual", t, ys, "", "", "", log)
+    assert peak < 128 * n, peak / n
+    assert svg.split('points="')[1].split('"')[0] == ref_plot_points(t, ys, log)
