@@ -278,14 +278,11 @@ def _gen(args) -> int:
     return 0
 
 
-def emit_report(trace_texts) -> str:
-    """Build a report from trace CSVs (strings or open text files) sharing one model.
-
-    The report contains per-iteration free-energy-density residuals against a
-    per-algorithm reference (the max recorded objective), theorem
-    bound columns computed from the model norms in the trace headers, and a
-    pass/fail matrix of the invariant checks. Deterministic for fixed inputs.
-    """
+def _report_parts(trace_texts) -> list:
+    """Parse and check trace CSVs (strings or open text files) sharing one
+    model; return the report as textio parts: the '#' header with the column
+    header line, then one iterable of row blocks per trace with rows. Every
+    refusal is raised here, before anything is written."""
     trace_texts = list(trace_texts)
     if not trace_texts:
         raise DomainError("report needs at least one trace")
@@ -330,19 +327,33 @@ def emit_report(trace_texts) -> str:
         body.append(textio.rows((trace.t[keep], objective, (ref - objective) / norms.n,
                                  bound[keep]), prefix=f"{k},{trace.algo},"))
     lines.append("trace,algo,t,objective,density_residual,bound")
-    return textio.emit(None, "\n".join(lines) + "\n", *body)
+    return ["\n".join(lines) + "\n", *body]
+
+
+def emit_report(trace_texts, out=None):
+    """Build a report from trace CSVs (strings or open text files) sharing one model.
+
+    The report contains per-iteration free-energy-density residuals against a
+    per-algorithm reference (the max recorded objective), theorem
+    bound columns computed from the model norms in the trace headers, and a
+    pass/fail matrix of the invariant checks. Deterministic for fixed inputs.
+    Writes to the open text file `out` a block of rows at a time, or returns
+    the text when out is None; the traces are checked before anything is
+    written.
+    """
+    return textio.emit(out, *_report_parts(trace_texts))
 
 
 def _report(args) -> int:
     with contextlib.ExitStack() as stack:
-        text = emit_report(stack.enter_context(open(path, encoding="utf-8"))
-                           for path in args.traces)
+        parts = _report_parts([stack.enter_context(open(path, encoding="utf-8"))
+                               for path in args.traces])
     if not args.out:
-        sys.stdout.write(text)
+        textio.emit(sys.stdout, *parts)
         return 0
-    _write(args.out, text)
-    for line in text.splitlines():
-        if line.startswith("# check") or line.startswith("# reference"):
+    _write(args.out, lambda fh: textio.emit(fh, *parts))
+    for line in parts[0].splitlines():
+        if line.startswith(("# check", "# reference")):
             print(line[2:])
     return 0
 

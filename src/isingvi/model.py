@@ -339,7 +339,6 @@ def generate_topology(kind, beta, h_spec=0.0, *, n=None, rows=None, cols=None,
     """
     if beta < 0:
         raise ModelError(f"coupling beta must be nonnegative, got {beta}")
-    rng = np.random.default_rng(seed)
     # Checked before anything is allocated: numpy cannot size an (n, 2) int64
     # edge array past half the node bound of a model file.
     size = rows * cols if kind == "grid" and None not in (rows, cols) else n
@@ -359,11 +358,11 @@ def generate_topology(kind, beta, h_spec=0.0, *, n=None, rows=None, cols=None,
     elif kind == "random_regular":
         if n is None or degree is None:
             raise ModelError("random_regular needs n and degree")
-        edges = _random_regular_edges(n, degree, rng)
+        edges = _random_regular_edges(n, degree, np.random.default_rng(seed))
     elif kind == "random_tree":
         if n is None or n < 1:
             raise ModelError("random_tree needs n >= 1")
-        edges = _random_tree_edges(n, rng)
+        edges = _random_tree_edges(n, np.random.default_rng(seed))
     elif kind == "star":
         if n is None or n < 2:
             raise ModelError("star needs n >= 2")

@@ -16,11 +16,17 @@ malformed line raises `ParseError` naming its line.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import itertools
 
 import numpy as np
+
+try:
+    # CPython's own SHA-256 module, as random.py takes _sha512: hashlib loads
+    # OpenSSL's libcrypto, about 3.6 MB of resident memory in every verb
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 # Rows per block: enough that the per-block numpy calls cost little per row,
 # few enough that a block's strings stay well under a megabyte.
@@ -80,7 +86,7 @@ def emit(out, *parts):
 def digest(*parts) -> str:
     """Hex SHA-256 of the UTF-8 text `emit(None, *parts)` would return,
     hashed a block at a time."""
-    h = hashlib.sha256()
+    h = sha256()
     for block in _blocks(parts):
         h.update(block.encode())
     return h.hexdigest()

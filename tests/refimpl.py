@@ -108,16 +108,17 @@ def fd_gradient(fn, x, step=1e-5):
     return grad
 
 
-def _ref_separate(q, row):
+def _ref_separate(q, row, deep):
     """Separation of q from {q in [0,1]^d : q_k <= phi_k(q) for all k}, where
     phi_k = tanh(field_k).
 
     row(k) gives (phi_k(q), [d field_k / d q_j for every j]). The most
     violated box side is cut first: -q_k <= 0 below the box, q_k <= 1 above it.
-    Otherwise the row with the largest slack q_k - phi_k(q) is cut with the
-    gradient of q_k - phi_k(q). Returns (feasible, cut, violation, margin);
-    margin is the lead of the largest slack over the second one (the
-    cut of a near tie depends on round-off), inf for box cuts.
+    Otherwise the rows in V = {k : q_k > phi_k(q)} are cut together with the
+    gradient of sum over V of q_k - phi_k(q), at the summed slack when deep
+    and through q otherwise. Returns (feasible, cut, violation, margin); margin
+    is the smallest |q_k - phi_k(q)| (a near-zero slack decides by round-off
+    whether k is in V), inf for box cuts.
     """
     d = len(q)
     over = [max(-v, v - 1.0) for v in q]
@@ -128,19 +129,23 @@ def _ref_separate(q, row):
         return False, cut, over[k], math.inf
     rows = [row(k) for k in range(d)]
     slack = [q[k] - rows[k][0] for k in range(d)]
-    if not d or max(slack) <= 0.0:
-        return True, None, 0.0, math.inf
-    ranked = sorted(slack)
-    k = slack.index(ranked[-1])
-    phi, partials = rows[k]
-    cut = [-(1.0 - phi * phi) * p for p in partials]
-    cut[k] += 1.0
-    margin = ranked[-1] - ranked[-2] if d > 1 else math.inf
-    return False, cut, slack[k], margin
+    margin = min((abs(s) for s in slack), default=math.inf)
+    violated = [k for k in range(d) if slack[k] > 0.0]
+    if not violated:
+        return True, None, 0.0, margin
+    cut = [0.0] * d
+    for k in violated:
+        phi, partials = rows[k]
+        cut[k] += 1.0
+        for j in range(d):
+            cut[j] -= (1.0 - phi * phi) * partials[j]
+    violation = sum(slack[k] for k in violated) if deep else 0.0
+    return False, cut, violation, margin
 
 
 def ref_separation_mf(model, x):
-    """Separation from {x in [0,1]^n : x <= tanh(Jx + h)} with a dense J."""
+    """Separation from {x in [0,1]^n : x <= tanh(Jx + h)} with a dense J, by
+    deep cuts."""
     n = model.n
     dense = [[0.0] * n for _ in range(n)]
     for e in range(model.m):
@@ -151,12 +156,13 @@ def ref_separation_mf(model, x):
         field = float(model.fields[k]) + sum(dense[k][j] * x[j] for j in range(n))
         return math.tanh(field), dense[k]
 
-    return _ref_separate(list(x), row)
+    return _ref_separate(list(x), row, deep=True)
 
 
 def ref_separation_bp(model, nu):
     """Separation from {nu in [0,1]^2m : nu <= BP update(nu)}, summing over the
-    incoming messages of each directed edge i -> j (2e is i -> j, 2e+1 is j -> i)."""
+    incoming messages of each directed edge i -> j (2e is i -> j, 2e+1 is j -> i),
+    by cuts through nu."""
     ends = []
     for e in range(model.m):
         i, j = model.edges[e]
@@ -173,7 +179,7 @@ def ref_separation_bp(model, nu):
                 partials[c] = theta / (1.0 - (theta * nu[c]) ** 2)
         return math.tanh(field), partials
 
-    return _ref_separate(list(nu), row)
+    return _ref_separate(list(nu), row, deep=False)
 
 
 def ref_bp_field(model, nu):

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import shutil
@@ -9,7 +10,8 @@ import pytest
 
 from conftest import peak_bytes
 from isingvi import bp as bp_mod
-from isingvi import generate_topology, load_model, trace_from_csv, trace_meta, trace_to_csv
+from isingvi import (IterationTrace, generate_topology, load_model, trace_from_csv, trace_meta,
+                     trace_to_csv)
 from isingvi import meanfield as mf_mod
 from isingvi.cli import _monotone_ok, emit_report, main
 from refimpl import cycle_log_z
@@ -228,6 +230,59 @@ def test_report_verb(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", *traces]) == 0
     assert capsys.readouterr().out == text
+    # emit_report writes the same text to an open file
+    buf = io.StringIO()
+    assert emit_report([read(path) for path in traces], buf) is None
+    assert buf.getvalue() == text
+
+
+def _long_trace(path, rows):
+    """Write an MF trace of rows + 1 recorded steps on a 5-cycle to path."""
+    t = np.arange(rows + 1)
+    step = np.r_[np.nan, 1.0 / (1.0 + t[1:]) ** 2]
+    trace = IterationTrace("mf", t, 2.0 - 1.0 / (1.0 + t), step, False)
+    model = generate_topology("cycle", 0.3, 0.1, n=5)
+    path.write_text(trace_to_csv(trace, trace_meta(model, "mf", "ones", 0.0)))
+
+
+def test_report_streams_to_its_file(tmp_path, capsys):
+    """report --out writes a block of rows at a time and prints its check
+    lines from the header: on a 2*10^4-row trace it peaks below twice the
+    report's size, which holding the report's text and its lines would pass."""
+    trace, rep = tmp_path / "trace.csv", tmp_path / "report.txt"
+    _long_trace(trace, 2 * 10**4)
+    capsys.readouterr()
+    code, peak = peak_bytes(main, ["report", str(trace), "--out", str(rep)])
+    assert code == 0
+    size = os.path.getsize(rep)
+    assert peak < 2 * size, (peak, size)
+    assert capsys.readouterr().out == "".join(
+        line[2:] for line in read(rep).splitlines(keepends=True)
+        if line.startswith(("# check", "# reference")))
+
+
+def test_verbs_load_only_what_they_use(tmp_path):
+    """No verb loads hashlib's OpenSSL module: a run hashes its model into
+    the trace header with CPython's builtin SHA-256. Only a random topology
+    loads numpy.random, which loads hashlib itself."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from isingvi.cli import main; code = main(sys.argv[1:]); "
+            "print(code, *(name in sys.modules for name in ('_hashlib', 'numpy.random')))")
+    _long_trace(tmp_path / "trace.csv", 10)
+
+    def loaded(*argv):
+        out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, env=env, cwd=tmp_path, check=True)
+        return out.stdout.splitlines()[-1]
+
+    assert loaded("gen", "--topology", "grid:4x4", "--beta", "0.3", "--out", "m.txt") == \
+        "0 False False"
+    assert loaded("report", "trace.csv", "--out", "report.txt") == "0 False False"
+    assert loaded("gen", "--topology", "tree:5", "--beta", "0.3", "--out", "t.txt") == \
+        "0 True True"
+    assert loaded("run", "--model", "m.txt", "--out", "run") == "0 False False"
 
 
 def test_report_rejects_mixed_models(tmp_path):
@@ -237,6 +292,11 @@ def test_report_rejects_mixed_models(tmp_path):
     main(["run", "--topology", "cycle:5", "--beta", "0.3", "--algo", "bp",
           "--out", str(b)])
     assert main(["report", str(a / "trace.csv"), str(b / "trace.csv")]) == 1
+    # a refused report is refused before its output file is opened
+    rep = tmp_path / "report.txt"
+    rep.write_text("an earlier report\n")
+    assert main(["report", str(a / "trace.csv"), str(b / "trace.csv"), "--out", str(rep)]) == 1
+    assert rep.read_text() == "an earlier report\n"
     assert main(["report"]) == 1
     with pytest.raises(Exception):
         emit_report([])
