@@ -170,7 +170,7 @@ def _run_iterative(args, model: IsingModel) -> int:
     state, trace = family.iterate(model, init=args.init, max_steps=args.steps,
                                   tol=args.tol)
     meta = trace_meta(model, args.algo, args.init, args.tol)
-    _write(os.path.join(args.out, "trace.csv"), trace_to_csv(trace, meta))
+    _write(os.path.join(args.out, "trace.csv"), partial(trace_to_csv, trace, meta))
     _write(os.path.join(args.out, "final_state.csv"),
            partial(family.write_state, model, state))
 

@@ -214,7 +214,7 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
             kappa = 1.0 - math.sqrt(1.0 - tau)
             s = math.sqrt(d * d * (1.0 - alpha * alpha) / (d * d - 1.0))
         # L <- s (L - kappa (L uhat) uhat^T), and L^T c with it
-        ell_l -= np.outer(kappa * lu, uhat)
+        ell_l -= (kappa * lu)[:, None] * uhat
         ell_l *= s
         w -= (kappa * (uhat @ w)) * uhat
         w *= s

@@ -1,7 +1,11 @@
 """Tiny deterministic SVG line plots; no plotting dependency.
 
 Output is a plain string built with fixed float formatting, so identical
-inputs produce byte-identical files.
+inputs produce byte-identical files. A polyline holds the M4 points of its
+series (Jugel et al., PVLDB 7(10), 2014): in each 1-px column of the plot
+area, the first, last, lowest and highest point. That draws the pixels of the
+full series with at most 4 points per column, whatever its length. The full
+series is in the CSV artifacts (`trace.csv`, `progress.csv`), not the plots.
 """
 
 from __future__ import annotations
@@ -9,8 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from . import textio
 
 _COLOR = "#1f77b4"
 
@@ -53,11 +55,27 @@ def _fmt_tick(v, log):
     return f"{v:.6g}"
 
 
+def _m4(xs, ys, last_col):
+    """Indices, ascending and each once, of the M4 points of the pixel
+    coordinates (xs, ys): in each run of equal columns min(floor(x), last_col),
+    the first, last, lowest-y and highest-y point, ties going to the earliest."""
+    col = np.minimum(np.floor(xs), last_col)
+    new = col[1:] != col[:-1]
+    starts = np.flatnonzero(np.r_[True, new])
+    run = np.r_[0, np.cumsum(new)]
+    keep = np.zeros(xs.size, dtype=bool)
+    keep[starts] = keep[np.r_[starts[1:], xs.size] - 1] = True
+    for reduce in (np.minimum, np.maximum):
+        hit = np.flatnonzero(ys == reduce.reduceat(ys, starts)[run])
+        keep[hit[np.r_[True, run[hit[1:]] != run[hit[:-1]]]]] = True
+    return np.flatnonzero(keep)
+
+
 def plot_lines(label, xs, ys, title, xlabel, ylabel, log=False) -> str:
     """Render one line series to an SVG string, on log-log axes if `log`.
 
     Non-finite points, and nonpositive points on log axes, are dropped. Points
-    are scaled as arrays and formatted textio.BLOCK_ROWS at a time.
+    are scaled as arrays, and only their M4 points are formatted.
     """
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     keep = np.isfinite(xs) & np.isfinite(ys)
@@ -102,10 +120,10 @@ def plot_lines(label, xs, ys, title, xlabel, ylabel, log=False) -> str:
         out.append(f'<text x="{_ML - 6}" y="{y + 4:.2f}" font-size="11" '
                    f'text-anchor="end" fill="#333">{_fmt_tick(t, log)}</text>')
     if xs.size:
-        xs, ys, block = px(xs), py(ys), textio.BLOCK_ROWS
-        coords = " ".join(" ".join(map("{:.2f},{:.2f}".format, xs[lo:lo + block].tolist(),
-                                       ys[lo:lo + block].tolist()))
-                          for lo in range(0, xs.size, block))
+        xs, ys = px(xs), py(ys)
+        # the right edge, x = xhi, joins the last column of the plot area
+        pick = _m4(xs, ys, _ML + pw - 1)
+        coords = " ".join(map("{:.2f},{:.2f}".format, xs[pick].tolist(), ys[pick].tolist()))
         out.append(f'<polyline points="{coords}" fill="none" stroke="{_COLOR}" '
                    'stroke-width="1.6"/>')
     ly = _MT + 16

@@ -54,15 +54,18 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def trace_to_csv(trace: IterationTrace, meta: dict | None = None) -> str:
-    """Serialize a trace; meta entries become leading '# key value' lines."""
+def trace_to_csv(trace: IterationTrace, meta: dict | None = None, out=None):
+    """Serialize a trace; meta entries become leading '# key value' lines.
+
+    With `out` an open text file the rows are written to it a block at a
+    time; with out=None the text is returned as one string."""
     if trace.algo not in _COLUMNS:
         raise DomainError(f"unknown trace algo {trace.algo!r}")
     meta = dict(meta or {})
     meta.setdefault("algo", trace.algo)
     meta.setdefault("converged", trace.converged)
     head = "".join(f"# {key} {meta[key]}\n" for key in sorted(meta))
-    return textio.emit(None, head + ",".join(_COLUMNS[trace.algo]) + "\n", textio.rows(
+    return textio.emit(out, head + ",".join(_COLUMNS[trace.algo]) + "\n", textio.rows(
         (np.asarray(trace.t, dtype=np.int64), trace.objective, trace.step_inf)))
 
 

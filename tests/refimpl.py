@@ -320,7 +320,10 @@ def ref_plot_points(xs, ys, log=False):
     """The polyline `points` text of svgplot.plot_lines, point by point: drop
     non-finite points (and nonpositive ones on log axes), take math.log10 on
     log axes, scale into the 720x460 plot with margins 76, 22, 40, 52 (y
-    range padded by 5%) and format each coordinate with 2 decimals."""
+    range padded by 5%), keep the M4 points and format each coordinate with 2
+    decimals. M4 keeps, in each run of points in one pixel column
+    min(floor(x), 697), the first, the last, the lowest y and the highest y,
+    ties going to the earliest; the kept points stay in index order."""
     pts = []
     for x, y in zip(xs, ys):
         x, y = float(x), float(y)
@@ -335,5 +338,16 @@ def ref_plot_points(xs, ys, log=False):
     ypad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - ypad, yhi + ypad
     pw, ph = 720 - 76 - 22, 460 - 40 - 52
-    return " ".join(f"{76 + pw * (x - xlo) / (xhi - xlo):.2f},"
-                    f"{40 + ph * (yhi - y) / (yhi - ylo):.2f}" for x, y in pts)
+    pix = [(76 + pw * (x - xlo) / (xhi - xlo), 40 + ph * (yhi - y) / (yhi - ylo))
+           for x, y in pts]
+    col = [min(math.floor(x), 76 + pw - 1) for x, _ in pix]
+    kept = set()
+    start = 0
+    for k in range(1, len(pix) + 1):
+        if k == len(pix) or col[k] != col[start]:
+            run = range(start, k)
+            # min and max return the first of equal keys: ties go to the earliest
+            kept.update((start, k - 1, min(run, key=lambda i: pix[i][1]),
+                         max(run, key=lambda i: pix[i][1])))
+            start = k
+    return " ".join(f"{pix[i][0]:.2f},{pix[i][1]:.2f}" for i in sorted(kept))

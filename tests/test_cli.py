@@ -262,13 +262,15 @@ def test_report_streams_to_its_file(tmp_path, capsys):
 
 
 def test_verbs_load_only_what_they_use(tmp_path):
-    """No verb loads hashlib's OpenSSL module: a run hashes its model into
-    the trace header with CPython's builtin SHA-256. Only a random topology
-    loads numpy.random, which loads hashlib itself."""
+    """Neither importing the CLI nor any verb loads hashlib's OpenSSL module:
+    a run hashes its model into the trace header with CPython's builtin
+    SHA-256. Only a random topology loads numpy.random (5 MB of resident
+    memory), which loads hashlib itself."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys; from isingvi.cli import main; code = main(sys.argv[1:]); "
+    code = ("import sys; from isingvi.cli import main; "
+            "code = main(sys.argv[1:]) if sys.argv[1:] else None; "
             "print(code, *(name in sys.modules for name in ('_hashlib', 'numpy.random')))")
     _long_trace(tmp_path / "trace.csv", 10)
 
@@ -277,6 +279,7 @@ def test_verbs_load_only_what_they_use(tmp_path):
                              text=True, env=env, cwd=tmp_path, check=True)
         return out.stdout.splitlines()[-1]
 
+    assert loaded() == "None False False"
     assert loaded("gen", "--topology", "grid:4x4", "--beta", "0.3", "--out", "m.txt") == \
         "0 False False"
     assert loaded("report", "trace.csv", "--out", "report.txt") == "0 False False"

@@ -1,3 +1,4 @@
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,8 @@ def test_round_trip_mf():
     _x, trace = mf_iterate(model, max_steps=40, tol=0.0)
     meta = trace_meta(model, "mf", "ones", 0.0)
     text = trace_to_csv(trace, meta)
+    out = io.StringIO()
+    assert trace_to_csv(trace, meta, out) is None and out.getvalue() == text
     back, meta2 = trace_from_csv(text)
     assert back.algo == "mf"
     assert np.array_equal(back.t, trace.t)
@@ -88,4 +91,68 @@ def test_plot_lines_scales_points_as_arrays(log):
     ys[7], ys[11] = np.nan, 0.0
     svg, peak = peak_bytes(plot_lines, "residual", t, ys, "", "", "", log)
     assert peak < 128 * n, peak / n
+    assert svg.split('points="')[1].split('"')[0] == ref_plot_points(t, ys, log)
+
+
+def _points(svg):
+    """The polyline's (x, y) pixel coordinates as floats."""
+    text = svg.split('points="')[1].split('"')[0]
+    return [tuple(map(float, p.split(","))) for p in text.split()]
+
+
+@pytest.mark.parametrize("repeat", [1, 30, 300])
+def test_plot_lines_keeps_at_most_four_points_per_column(repeat):
+    """x = 0..622 puts point k on the pixel boundary 76 + k exactly, `repeat`
+    times over; the right edge, pixel 698, joins column 697. Whatever the
+    length, no column keeps more than 4 points."""
+    xs = np.repeat(np.arange(623.0), repeat)
+    ys = np.random.default_rng(repeat).normal(size=xs.size)
+    svg = plot_lines("s", xs, ys, "", "", "")
+    columns = np.bincount([min(int(x), 697) for x, _ in _points(svg)])
+    assert columns.max() <= 4 and columns.sum() <= 4 * 622
+    assert svg.split('points="')[1].split('"')[0] == ref_plot_points(xs, ys)
+
+
+@pytest.mark.parametrize("log", [False, True])
+def test_plot_lines_long_series_is_bounded_by_canvas(log):
+    n = 2 * 10**5
+    t = np.arange(1, n + 1)
+    ys = np.exp(np.random.default_rng(7).normal(size=n)) / t
+    svg = plot_lines("residual", t, ys, "", "", "", log)
+    assert len(_points(svg)) <= 4 * 622
+    assert len(svg.encode()) < 40_000
+
+
+def test_plot_lines_degenerate_series():
+    # one point, and a constant series, sit in the middle of padded ranges
+    assert _points(plot_lines("s", [3], [2.0], "", "", "")) == [(387.0, 224.0)]
+    xs, ys = np.arange(10**4), np.full(10**4, 5.0)
+    svg = plot_lines("s", xs, ys, "", "", "")
+    points = _points(svg)
+    assert {y for _, y in points} == {224.0} and len(points) <= 2 * 622
+    assert svg.split('points="')[1].split('"')[0] == ref_plot_points(xs, ys)
+    # all points in one column: the first, the highest (1), the lowest (3)
+    # and the last
+    ys = [0.5, 1.0, 0.25, 0.0, 0.75]
+    assert _points(plot_lines("s", [5.0] * 5, ys, "", "", "")) == [
+        (387.0, 224.0), (387.0, 56.73), (387.0, 391.27), (387.0, 140.36)]
+    # ties go to the earliest point: in column 76 indices 0 (first, highest),
+    # 1 (lowest) and 4 (last)
+    xs, ys = [0.0, 0.001, 0.002, 0.003, 0.004, 10.0], [1.0, 0.0, 1.0, 0.0, 1.0, 0.5]
+    assert _points(plot_lines("s", xs, ys, "", "", "")) == [
+        (76.0, 56.73), (76.06, 391.27), (76.25, 56.73), (698.0, 224.0)]
+
+
+@pytest.mark.parametrize("log", [False, True])
+def test_plot_lines_long_series_drops_bad_points(log):
+    """Non-finite points, and on log axes nonpositive ones, are dropped before
+    the M4 points are picked."""
+    n = 2 * 10**4
+    rng = np.random.default_rng(11)
+    t = np.arange(n)
+    ys = rng.normal(size=n)
+    ys[rng.integers(0, n, 500)] = np.nan
+    ys[rng.integers(0, n, 50)] = np.inf
+    ys[rng.integers(0, n, 50)] = 0.0
+    svg = plot_lines("s", t, ys, "", "", "", log)
     assert svg.split('points="')[1].split('"')[0] == ref_plot_points(t, ys, log)
