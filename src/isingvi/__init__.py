@@ -22,7 +22,7 @@ from .oracle import (ExactResult, SizeGuardError, brute_force_bethe_optimum,
                      brute_force_mf_optimum, exact_log_z,
                      exact_result_from_csv, exact_result_to_csv)
 from .textio import ParseError
-from .trace import IterationTrace, trace_from_csv, trace_meta, trace_to_csv
+from .trace import IterationTrace, trace_from_csv, trace_meta, trace_norms, trace_to_csv
 
 __version__ = "0.1.0"
 
@@ -41,5 +41,5 @@ __all__ = [
     "SeparationResult", "EllipsoidState", "FeasibilityError",
     "separation_oracle_bp", "separation_oracle_mf", "ellipsoid_maximize",
     "ellipsoid_progress_csv", "solve_bethe_exponential", "solve_mf_exponential",
-    "IterationTrace", "trace_to_csv", "trace_from_csv", "trace_meta",
+    "IterationTrace", "trace_to_csv", "trace_from_csv", "trace_meta", "trace_norms",
 ]

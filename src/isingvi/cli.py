@@ -29,13 +29,13 @@ from . import meanfield as mf_mod
 from . import textio
 from .ellipsoid import (FeasibilityError, ellipsoid_progress_csv,
                         solve_bethe_exponential, solve_mf_exponential)
-from .model import (DomainError, IsingModel, ModelError, ModelNorms,
-                    generate_topology, load_model, model_hash, save_model)
+from .model import (DomainError, IsingModel, ModelError, generate_topology,
+                    load_model, model_hash, save_model)
 from .oracle import (SizeGuardError, exact_log_z, exact_result_from_csv,
                      exact_result_to_csv)
 from .svgplot import plot_lines
 from .textio import ParseError
-from .trace import trace_from_csv, trace_meta, trace_to_csv
+from .trace import trace_from_csv, trace_meta, trace_norms, trace_to_csv
 
 _ALGOS = ("mf", "bp", "ellipsoid_bethe", "ellipsoid_mf")
 _MONOTONE_SLACK = 1e-11
@@ -290,14 +290,7 @@ def _report_parts(trace_texts) -> list:
     hashes = {meta.get("model_hash") for _, meta in parsed}
     if len(hashes) != 1 or None in hashes:
         raise DomainError(f"traces disagree on the model hash: {sorted(map(str, hashes))}")
-    metas = [meta for _, meta in parsed]
-    try:
-        n = int(metas[0]["n"])
-        norms_kw = {k: float(metas[0][k]) for k in ("j_l1", "h_l1", "j_linf")}
-        norms_kw.update(m=int(metas[0]["m"]), n=n)
-    except KeyError as exc:
-        raise DomainError(f"trace header missing model metadata: {exc}") from exc
-    norms = ModelNorms(**norms_kw)
+    norms = trace_norms(parsed[0][1])
     refs = {}
     for trace, _meta in parsed:
         vals = trace.objective[np.isfinite(trace.objective)]

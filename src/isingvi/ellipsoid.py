@@ -129,13 +129,14 @@ def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
                      vjp, deep=True)
 
 
-def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
-                       target_gap=1e-8, r_est=None):
+def ellipsoid_maximize(oracle, objective, box, max_steps=None, target_gap=1e-8,
+                       r_est=None):
     """Maximize objective . x over the feasible set described by oracle.
 
-    The feasible set must lie inside box = (lo, hi), bounds that broadcast to
-    the dimension with hi > lo. The search starts from the smallest axis-
-    aligned ellipsoid around that box, centre (lo + hi)/2 and semi-axes
+    The objective is a non-empty vector; its length d is the dimension. The
+    feasible set must lie inside box = (lo, hi), bounds that broadcast to
+    (d,) with hi > lo. The search starts from the smallest axis-aligned
+    ellipsoid around that box, centre (lo + hi)/2 and semi-axes
     sqrt(d) (hi - lo)/2, widened by 1e-4. Every cut is applied at its depth:
     an oracle cut at its violation, an objective cut at a feasible query at
     best - c.query, which is 0 when the query is the new incumbent. The best
@@ -148,12 +149,10 @@ def ellipsoid_maximize(oracle, objective, dimension, box, max_steps=None,
     cut g has a zero or non-finite |L^T g|, or no feasible point is found
     within the budget.
     """
-    d = int(dimension)
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
     c = np.asarray(objective, dtype=np.float64)
-    if c.shape != (d,):
-        raise DomainError(f"objective has shape {c.shape}, expected ({d},)")
+    if c.ndim != 1 or not c.size:
+        raise DomainError(f"objective must be a non-empty vector, got shape {c.shape}")
+    d = c.size
     if not (target_gap > 0.0):
         raise DomainError("target_gap must be positive")
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=np.float64), (d,)) for b in box)
@@ -248,9 +247,9 @@ def _solve(model: IsingModel, b: float, oracle, step, dimension: int, target_gap
     except ModelError as exc:
         raise DomainError(f"eps too large: field perturbation {b:g} overflows the model") from exc
     r_est = math.tanh(float(pert.fields.min())) / 2.0
-    point, state = ellipsoid_maximize(
-        lambda q: oracle(pert, q), np.ones(dimension), dimension,
-        (0.0, step(pert, np.ones(dimension))), target_gap=target_gap, r_est=r_est)
+    ones = np.ones(dimension)
+    point, state = ellipsoid_maximize(lambda q: oracle(pert, q), ones, (0.0, step(pert, ones)),
+                                      target_gap=target_gap, r_est=r_est)
     value = evaluate(model, np.clip(point, 0.0, 1.0))
     return point, value, state
 

@@ -344,6 +344,8 @@ def generate_topology(kind, beta, h_spec=0.0, *, n=None, rows=None, cols=None,
     size = rows * cols if kind == "grid" and None not in (rows, cols) else n
     if size is not None and size > _MAX_NODES // 2:
         raise ModelError(f"{kind} node count must be at most {_MAX_NODES // 2}, got {size}")
+    if kind in ("random_regular", "random_tree") and seed < 0:
+        raise ModelError(f"{kind} needs a seed >= 0, got {seed}")
     if kind == "cycle":
         if n is None or n < 3:
             raise ModelError("cycle needs n >= 3")

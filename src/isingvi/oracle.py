@@ -320,30 +320,27 @@ def brute_force_bethe_optimum(model: IsingModel):
 
 
 def exact_result_to_csv(result: ExactResult, model: IsingModel, out=None):
-    """Serialize: the model hash, a log_z line, node,mean rows, then i,j,corr
-    rows. Writes to the open text file `out`, or returns the text when out
-    is None."""
+    """Serialize: '# model_hash' and '# log_z' meta lines, node,mean rows,
+    then i,j,corr rows. Writes to the open text file `out`, or returns the
+    text when out is None."""
     means, corrs = result.node_means, result.edge_correlations
     return textio.emit(
-        out, f"# model_hash {model_hash(model)}\nlog_z,{result.log_z:.17g}\nnode,mean\n",
+        out, f"# model_hash {model_hash(model)}\n# log_z {result.log_z:.17g}\nnode,mean\n",
         textio.rows((np.arange(len(means)), means)), "i,j,corr\n",
         textio.rows((model.edge_i, model.edge_j, corrs)))
 
 
-_EXACT_SECTIONS = {None: (str, float), "node,mean": (None, float),
-                   "i,j,corr": (None, None, float)}
+_EXACT_SECTIONS = {"node,mean": (None, float), "i,j,corr": (None, None, float)}
 
 
 def exact_result_from_csv(source):
     """Parse exact_result_to_csv output, a string or an open text file;
     returns (ExactResult, meta)."""
     meta, sections = textio.read_csv(source, _EXACT_SECTIONS)
-    names, values = sections.get(None, ([], []))
-    if not names:
-        raise DomainError("exact CSV missing the log_z line")
-    if names != ["log_z"]:
-        raise DomainError(f"unexpected lines before the node rows: {names}")
+    try:
+        log_z = float(meta["log_z"])
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"exact CSV needs a numeric '# log_z' line: {exc}") from None
     empty = [np.zeros(0)]
-    return ExactResult(log_z=float(values[0]),
-                       node_means=sections.get("node,mean", empty)[0],
+    return ExactResult(log_z=log_z, node_means=sections.get("node,mean", empty)[0],
                        edge_correlations=sections.get("i,j,corr", empty)[0]), meta

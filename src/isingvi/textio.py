@@ -120,18 +120,14 @@ def line_blocks(source):
 
 def columns(split, at, kinds) -> list:
     """Convert the split lines `split` (token lists of len(kinds)) column by
-    column: kinds[c] is int or float (an array), str (the tokens as a list)
-    or None (column skipped). `at` holds the line number of each entry.
-    Returns the converted columns.
+    column: kinds[c] is int or float (an array) or None (column skipped).
+    `at` holds the line number of each entry. Returns the converted columns.
     """
     count = len(split)
     cols = list(zip(*split)) if count else [()] * len(kinds)
     out = []
     for col, kind in zip(cols, kinds):
         if kind is None:
-            continue
-        if kind is str:
-            out.append(list(col))
             continue
         dtype = np.int64 if kind is int else np.float64
         try:
@@ -187,10 +183,9 @@ def read_csv(source, sections) -> tuple:
     Lines starting with '#' are `# key value` meta entries; blank lines are
     skipped. `sections` maps each header line to the kinds of its columns
     (as in `columns`); the lines after a header are its rows, up to the next
-    header. The key None, which must be present, takes the rows before the
-    first header; with kinds None those rows are kept as token lists of any
-    length. Rows are converted a block at a time; only sections that occur
-    are keys of the result.
+    header. A row before the first header raises ParseError. Rows are
+    converted a block at a time; only sections that occur are keys of the
+    result.
     """
     meta = {}
     parts = {}          # header -> converted columns of each block
@@ -210,25 +205,18 @@ def read_csv(source, sections) -> tuple:
                 if line in parts:
                     raise ParseError(f"line {lineno}: repeated header {line!r}")
                 key = line
-                parts[key] = []
+                parts[key] = [columns([], [], sections[key])]
                 continue
-            kinds = sections[key]
+            if key is None:
+                raise ParseError(f"line {lineno}: row before a header; the headers "
+                                 f"are {', '.join(map(repr, sections))}")
             tokens = line.split(",")
-            if kinds is not None and len(tokens) != len(kinds):
-                raise ParseError(f"line {lineno}: expected {len(kinds)} fields, "
+            if len(tokens) != len(sections[key]):
+                raise ParseError(f"line {lineno}: expected {len(sections[key])} fields, "
                                  f"got {len(tokens)}")
             lists = split.setdefault(key, ([], []))
             lists[0].append(tokens)
             lists[1].append(lineno)
         for k, (tokens, at) in split.items():
-            kinds = sections[k]
-            parts.setdefault(k, []).append(
-                [tokens] if kinds is None else columns(tokens, at, kinds))
-    return meta, {k: [_concatenate(c) for c in zip(*blocks)] if blocks
-                  else columns([], [], sections[k]) for k, blocks in parts.items()}
-
-
-def _concatenate(parts):
-    if isinstance(parts[0], list):
-        return list(itertools.chain.from_iterable(parts))
-    return np.concatenate(parts)
+            parts[k].append(columns(tokens, at, sections[k]))
+    return meta, {k: [np.concatenate(c) for c in zip(*blocks)] for k, blocks in parts.items()}

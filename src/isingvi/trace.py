@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .model import DomainError
+from .model import DomainError, ModelNorms, model_hash
 
 
 @dataclass
@@ -45,9 +45,8 @@ _COLUMNS = {
 }
 
 
-# Header line -> column kinds; None takes any lines before a known header,
-# so an unknown header is reported as such.
-_SECTIONS = {None: None, **{",".join(c): (int, float, float) for c in _COLUMNS.values()}}
+# Header line -> column kinds
+_SECTIONS = {",".join(c): (int, float, float) for c in _COLUMNS.values()}
 
 
 def _fmt(v) -> str:
@@ -73,17 +72,14 @@ def trace_from_csv(source) -> tuple[IterationTrace, dict]:
     """Parse trace_to_csv output, a string or an open text file; returns the
     trace and its meta dict."""
     meta, sections = textio.read_csv(source, _SECTIONS)
-    known = [h for h in sections if h is not None]
-    if None in sections:
-        header = sections[None][0][0]
-    elif known:
-        header = known[0].split(",")
-    else:
-        raise DomainError("trace CSV has no header row")
     algo = meta.get("algo")
-    if algo not in _COLUMNS or tuple(header) != _COLUMNS[algo] or len(known) != 1:
-        raise DomainError(f"unexpected trace columns {header} for algo {algo!r}")
-    t, objective, step_inf = sections[known[0]]
+    if algo not in _COLUMNS:
+        raise DomainError(f"unknown trace algo {algo!r}")
+    header = ",".join(_COLUMNS[algo])
+    if list(sections) != [header]:
+        raise DomainError(f"a trace of algo {algo!r} has the one header {header!r}, "
+                          f"found {list(sections)}")
+    t, objective, step_inf = sections[header]
     if not len(t):
         raise DomainError("trace CSV has no data rows")
     trace = IterationTrace(algo=algo, t=t, objective=objective, step_inf=step_inf,
@@ -93,8 +89,6 @@ def trace_from_csv(source) -> tuple[IterationTrace, dict]:
 
 def trace_meta(model, algo: str, init, tol) -> dict:
     """Standard comment-header entries for a trace produced on this model."""
-    from .model import model_hash
-
     norms = model.norms()
     init_label = init if isinstance(init, str) else "custom"
     return {
@@ -108,3 +102,14 @@ def trace_meta(model, algo: str, init, tol) -> dict:
         "init": init_label,
         "tol": _fmt(tol),
     }
+
+
+def trace_norms(meta: dict) -> ModelNorms:
+    """The model norms that trace_meta wrote into a trace's header."""
+    try:
+        return ModelNorms(j_l1=float(meta["j_l1"]), h_l1=float(meta["h_l1"]),
+                          j_linf=float(meta["j_linf"]), m=int(meta["m"]), n=int(meta["n"]))
+    except KeyError as exc:
+        raise DomainError(f"trace header missing model metadata: {exc}") from exc
+    except ValueError as exc:
+        raise DomainError(f"trace header has a bad model norm: {exc}") from exc

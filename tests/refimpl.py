@@ -294,7 +294,7 @@ def ref_progress_csv(progress):
 
 
 def ref_exact_csv(result, model):
-    lines = [f"# model_hash {ref_model_hash(model)}", f"log_z,{result.log_z:.17g}",
+    lines = [f"# model_hash {ref_model_hash(model)}", f"# log_z {result.log_z:.17g}",
              "node,mean"]
     for i, v in enumerate(result.node_means):
         lines.append(f"{i},{v:.17g}")

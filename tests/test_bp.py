@@ -63,8 +63,8 @@ def test_dual_gradient_matches_fd(rng):
         g_fd = fd_gradient(lambda v: ref_dual_bethe(model, v), nu)
         assert np.allclose(g, g_fd, atol=1e-6)
         assert np.abs(g).max() <= 1.0 + 1e-12
-    for bad in (-0.1, np.nan):
-        with pytest.raises(DomainError):
+    for bad in (-0.1, np.nan, 1.5):
+        with pytest.raises(DomainError, match="^gradient requires"):
             dual_bethe_gradient(model, np.full(8, bad))
 
 
@@ -163,8 +163,15 @@ def test_local_consistency_violation_frozen():
                              edges=model.edges.copy())
     # cell (+,-) = (1 + 0.0 - 0.5 - 1.0)/4 = -0.125 and means agree
     assert local_consistency_check(dist) == pytest.approx(0.125, abs=1e-15)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^local polytope violation"):
         primal_bethe(model, dist)
+    # a consistent distribution whose shape or edges are not the model's
+    ok = dict(node_means=np.zeros(2), edge_stats=np.zeros((1, 3)), edges=model.edges.copy())
+    for bad, what in ((dict(node_means=np.zeros(3)), "shape"),
+                      (dict(edge_stats=np.zeros((2, 3))), "shape"),
+                      (dict(edges=np.array([[1, 0]])), "edges")):
+        with pytest.raises(DomainError, match=f"^distribution {what} do(es)? not match"):
+            primal_bethe(model, LocalDistribution(**{**ok, **bad}))
 
 
 def test_error_bound_values():

@@ -331,6 +331,14 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.undo()
     assert main(["run", "--topology", "blob:9", "--beta", "0.3", "--algo",
                  "bp", "--out", str(tmp_path / "o")]) == 1
+    # random topologies need a seed numpy accepts; the others ignore it
+    for spec, seed in (("regular:10:3", "-1"), ("tree:10", "-5")):
+        capsys.readouterr()
+        assert main(["gen", "--topology", spec, "--beta", "0.3", "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert main(["gen", "--topology", "cycle:5", "--beta", "0.3", "--seed", "-1",
+                 "--out", str(tmp_path / "cycle.txt")]) == 0
     # topology node counts numpy cannot size are model errors, raised before
     # anything is allocated
     for spec in ("cycle:576460752303423488", "cycle:99999999999999999999",

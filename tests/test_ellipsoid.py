@@ -31,7 +31,7 @@ def box_oracle(x):
 
 def test_maximize_over_box():
     c = np.ones(2)
-    best, state = ellipsoid_maximize(box_oracle, c, 2, (-1.0, np.array([2.0, 3.0])),
+    best, state = ellipsoid_maximize(box_oracle, c, (-1.0, np.array([2.0, 3.0])),
                                      target_gap=1e-6, r_est=0.5)
     assert np.all(best >= -1e-12) and np.all(best <= 1.0 + 1e-12)
     assert 2.0 - float(c @ best) <= 1e-6
@@ -43,8 +43,14 @@ def test_maximize_over_box():
     assert csv.splitlines()[0] == "step,feasible,objective_best,violation"
     assert len(csv.splitlines()) == state.step + 1
     for box in ((0.0, 0.0), (1.0, [2.0, 0.5]), (0.0, np.inf), (np.nan, 1.0)):
-        with pytest.raises(DomainError):
-            ellipsoid_maximize(box_oracle, c, 2, box)
+        with pytest.raises(DomainError, match="^box must"):
+            ellipsoid_maximize(box_oracle, c, box)
+    for gap in (0.0, np.nan):
+        with pytest.raises(DomainError, match="^target_gap must"):
+            ellipsoid_maximize(box_oracle, c, (0.0, 1.0), target_gap=gap)
+    for objective in (np.ones((2, 2)), np.ones(0), 1.0):
+        with pytest.raises(DomainError, match="^objective must be a non-empty vector"):
+            ellipsoid_maximize(box_oracle, objective, (0.0, 1.0))
 
 
 def test_infeasible_program_raises():
@@ -58,7 +64,7 @@ def test_infeasible_program_raises():
         return SeparationResult(False, g, float(x[0] + 100.0))
 
     with pytest.raises(FeasibilityError, match="excludes the whole ellipsoid"):
-        ellipsoid_maximize(empty_oracle, np.ones(2), 2, (-4.0, 4.0),
+        ellipsoid_maximize(empty_oracle, np.ones(2), (-4.0, 4.0),
                            max_steps=400, target_gap=1e-6)
     assert len(calls) == 1
 
@@ -72,7 +78,7 @@ def test_degenerate_cut_raises_at_once(cut):
         return SeparationResult(False, np.array(cut), 1.0)
 
     with pytest.raises(FeasibilityError, match=r"^step 1: the cut has \|L\^T g\| = (nan|0\.0)"):
-        ellipsoid_maximize(bad_oracle, np.ones(2), 2, (-4.0, 4.0),
+        ellipsoid_maximize(bad_oracle, np.ones(2), (-4.0, 4.0),
                            max_steps=400, target_gap=1e-6)
     assert len(calls) == 1
 
@@ -208,7 +214,7 @@ def test_step_count_scales_polylog():
     for model, d, oracle, step, r_est, *wants in cases:
         for box, want in zip(((0.0, 1.0), (0.0, step(model, np.ones(d)))), wants):
             steps = np.array([ellipsoid_maximize(
-                lambda q: oracle(model, q), np.ones(d), d, box,
+                lambda q: oracle(model, q), np.ones(d), box,
                 target_gap=gap, r_est=r_est)[1].step for gap in gaps])
             slope, intercept = np.polyfit(xs, steps, 1)
             residual = float(np.abs(steps - (slope * xs + intercept)).max())

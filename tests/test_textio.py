@@ -13,7 +13,7 @@ from isingvi import (DomainError, IsingModel, ParseError, bp_error_bound,
                      generate_topology, load_model, messages_to_csv,
                      mf_error_bound, mf_iterate, model_hash, save_model,
                      solve_bethe_exponential, solve_mf_exponential,
-                     trace_from_csv, trace_meta)
+                     trace_from_csv, trace_meta, trace_norms)
 from isingvi import textio
 from isingvi.cli import main
 from refimpl import (ref_exact_csv, ref_messages_csv, ref_model_hash,
@@ -112,35 +112,54 @@ def test_non_utf8_reports_its_line(tmp_path):
 
 
 TRACE_HEADER = "t,dual_bethe,step_inf\n"
-EXACT_HEAD = "# model_hash 0123456789abcdef\nlog_z,1.5\n"
+EXACT_HEAD = "# model_hash 0123456789abcdef\n# log_z 1.5\n"
+
+
+def trace_with(**header):
+    """A one-row BP trace whose header holds these entries over valid ones."""
+    header = {"algo": "bp", "model_hash": "0123456789abcdef", "n": "4", "m": "4",
+              "j_l1": "4", "h_l1": "0", "j_linf": "1", **header}
+    return "".join(f"# {k} {v}\n" for k, v in header.items()) + TRACE_HEADER + "0,1,nan\n"
+
+
+READERS = {"trace": trace_from_csv, "header": lambda src: trace_norms(trace_from_csv(src)[1]),
+           "exact": exact_result_from_csv}
 
 
 @pytest.mark.parametrize("kind, text, error, line", [
     ("trace", "# algo bp\n" + TRACE_HEADER + "0,1,nan\n" + TRACE_HEADER, ParseError, 4),
-    ("trace", "# algo bp\n0,1,nan\n" + TRACE_HEADER, DomainError, None),
+    ("trace", "# algo bp\n0,1,nan\n" + TRACE_HEADER, ParseError, 2),
     ("trace", "# algo bp\n" + TRACE_HEADER + "0,1\n", ParseError, 3),
     ("trace", "# algo bp\n" + TRACE_HEADER, DomainError, None),
     ("trace", "# algo bp\n", DomainError, None),
     ("trace", TRACE_HEADER + "0,1,nan\n", DomainError, None),
-    ("trace", "# algo bp\nt,dual_bethe,step_inf,bound_thm2\n0,1,nan,inf\n", DomainError, None),
+    ("trace", "# algo bp\nt,dual_bethe,step_inf,bound_thm2\n0,1,nan,inf\n", ParseError, 2),
+    ("header", trace_with(n="four"), DomainError, None),
+    ("header", trace_with(m="4.5"), DomainError, None),
+    ("header", trace_with(j_l1="x"), DomainError, None),
     ("exact", EXACT_HEAD + "node,mean\n0,0.5\nnode,mean\n", ParseError, 5),
     ("exact", "0,0.5,1\n" + EXACT_HEAD + "node,mean\n", ParseError, 1),
     ("exact", EXACT_HEAD + "node,mean\n0,0.5\ni,j,corr\n0,1\n", ParseError, 6),
     ("exact", "# model_hash 0123456789abcdef\nnode,mean\n0,0.5\n", DomainError, None),
-    ("exact", EXACT_HEAD + "extra,2\nnode,mean\n0,0.5\n", DomainError, None),
+    ("exact", EXACT_HEAD + "extra,2\nnode,mean\n0,0.5\n", ParseError, 3),
+    ("exact", "# model_hash 0123456789abcdef\n# log_z x\nnode,mean\n0,0.5\n",
+     DomainError, None),
+    ("exact", "# model_hash 0123456789abcdef\nlog_z,1.5\nnode,mean\n0,0.5\n",
+     ParseError, 2),
 ], ids=["trace-repeated-header", "trace-row-before-header", "trace-field-count",
         "trace-no-rows", "trace-no-header", "trace-no-algo", "trace-bound-column",
+        "header-n-not-int", "header-m-not-int", "header-j-l1-not-float",
         "exact-repeated-header",
         "exact-row-before-header", "exact-field-count", "exact-no-log-z",
-        "exact-extra-lines"])
+        "exact-extra-lines", "exact-log-z-not-float", "exact-log-z-row"])
 def test_malformed_csv_is_rejected(tmp_path, capsys, kind, text, error, line):
-    reader = trace_from_csv if kind == "trace" else exact_result_from_csv
     with pytest.raises(error, match=None if line is None else f"^line {line}:"):
-        reader(io.StringIO(text))
+        READERS[kind](io.StringIO(text))
     # the CLI reads traces in report and exact.csv in run: one error line, exit 1
-    (tmp_path / f"{kind}.csv").write_text(text)
-    argv = (["report", str(tmp_path / "trace.csv")] if kind == "trace" else
-            ["run", "--topology", "cycle:3", "--beta", "0.3", "--out", str(tmp_path)])
+    name = "exact.csv" if kind == "exact" else "trace.csv"
+    (tmp_path / name).write_text(text)
+    argv = (["run", "--topology", "cycle:3", "--beta", "0.3", "--out", str(tmp_path)]
+            if kind == "exact" else ["report", str(tmp_path / name)])
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
