@@ -240,9 +240,8 @@ def bp_message_bound(norms: ModelNorms, t, h_min):
     return 2.0 * norms.m * (1.0 + norms.j_linf) / (math.tanh(h_min) * t)
 
 
-def messages_to_csv(model: IsingModel, nu, out=None):
-    """Serialize directed messages as src,dst,nu rows in directed-id order.
-    Writes to the open text file `out`, or returns the text when out is None."""
+def messages_to_csv(model: IsingModel, nu, out):
+    """Write directed messages to the open text file `out` as src,dst,nu rows
+    in directed-id order."""
     nu = _kernels._vector(nu, 2 * model.m, "nu")
-    return textio.emit(out, "src,dst,nu\n",
-                       textio.rows((model.dir_src, model.dir_dst, nu)))
+    textio.emit(out, "src,dst,nu\n", textio.rows((model.dir_src, model.dir_dst, nu)))

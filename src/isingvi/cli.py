@@ -118,10 +118,7 @@ def _loglog_slope(ts, rs):
     xs = np.array([math.log(t) for t in ts[use].tolist()])
     ys = np.array([math.log(r) for r in rs[use].tolist()])
     xc = xs - xs.mean()
-    denom = float(xc @ xc)
-    if denom == 0.0:
-        return None
-    return float(xc @ (ys - ys.mean()) / denom)
+    return float(xc @ (ys - ys.mean()) / (xc @ xc))
 
 
 def _monotone_ok(values) -> bool:
@@ -199,12 +196,8 @@ def _run_iterative(args, model: IsingModel) -> int:
             family.label, trace.t, trace.objective, f"{args.algo} objective",
             "iteration", family.label))
         ref_steps = max(2 * args.steps, 200000)
-        # The map is deterministic: from args.init, a run to tol 1e-13 reaches
-        # the recorded state unless a recorded step below 1e-13 stopped it.
-        resume = not np.any(trace.step_inf[1:] < 1e-13)
-        ref_state, _ = family.iterate(
-            model, init=state if resume else args.init,
-            max_steps=ref_steps - trace.steps if resume else ref_steps, tol=1e-13, record=False)
+        ref_state, _ = family.iterate(model, init=state, max_steps=ref_steps - trace.steps,
+                                      tol=1e-13, record=False)
         ref_value = family.objective(model, ref_state)
         residual = ref_value - trace.objective
         _write(os.path.join(args.out, "residual.svg"), plot_lines(
@@ -279,13 +272,12 @@ def _gen(args) -> int:
 
 
 def _report_parts(trace_texts) -> list:
-    """Parse and check trace CSVs (strings or open text files) sharing one
-    model; return the report as textio parts: the '#' header with the column
-    header line, then one iterable of row blocks per trace with rows. Every
-    refusal is raised here, before anything is written."""
-    trace_texts = list(trace_texts)
-    if not trace_texts:
-        raise DomainError("report needs at least one trace")
+    """Parse and check trace CSVs (open text files) sharing one model; return
+    the report as textio parts: the '#' header of references, pass/fail checks
+    and the column header, then one iterable of row blocks per trace with
+    rows. A row holds the free-energy-density residual against the max
+    recorded objective of its algorithm, and the theorem bound from the
+    header's norms. Every refusal is raised here, before anything is written."""
     parsed = [trace_from_csv(text) for text in trace_texts]
     hashes = {meta.get("model_hash") for _, meta in parsed}
     if len(hashes) != 1 or None in hashes:
@@ -321,20 +313,6 @@ def _report_parts(trace_texts) -> list:
                                  bound[keep]), prefix=f"{k},{trace.algo},"))
     lines.append("trace,algo,t,objective,density_residual,bound")
     return ["\n".join(lines) + "\n", *body]
-
-
-def emit_report(trace_texts, out=None):
-    """Build a report from trace CSVs (strings or open text files) sharing one model.
-
-    The report contains per-iteration free-energy-density residuals against a
-    per-algorithm reference (the max recorded objective), theorem
-    bound columns computed from the model norms in the trace headers, and a
-    pass/fail matrix of the invariant checks. Deterministic for fixed inputs.
-    Writes to the open text file `out` a block of rows at a time, or returns
-    the text when out is None; the traces are checked before anything is
-    written.
-    """
-    return textio.emit(out, *_report_parts(trace_texts))
 
 
 def _report(args) -> int:

@@ -129,8 +129,7 @@ def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
                      vjp, deep=True)
 
 
-def ellipsoid_maximize(oracle, objective, box, max_steps=None, target_gap=1e-8,
-                       r_est=None):
+def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     """Maximize objective . x over the feasible set described by oracle.
 
     The objective is a non-empty vector; its length d is the dimension. The
@@ -140,8 +139,8 @@ def ellipsoid_maximize(oracle, objective, box, max_steps=None, target_gap=1e-8,
     sqrt(d) (hi - lo)/2, widened by 1e-4. Every cut is applied at its depth:
     an oracle cut at its violation, an objective cut at a feasible query at
     best - c.query, which is 0 when the query is the new incumbent. The best
-    feasible point is returned with the final EllipsoidState. When max_steps
-    is None the budget is 8 + 2 d^2 max(0, max(log(R/r_est), log 2) + log(1/target_gap))
+    feasible point is returned with the final EllipsoidState. The step
+    budget is 8 + 2 d^2 max(0, max(log(R/r_est), log 2) + log(1/target_gap))
     with R = sqrt(d) max(hi - lo)/2, the radius of the ball around the box,
     taken as differences of logs so that tiny gaps do not overflow.
 
@@ -159,12 +158,10 @@ def ellipsoid_maximize(oracle, objective, box, max_steps=None, target_gap=1e-8,
     width = hi - lo
     if not np.all((width > 0.0) & (width < np.inf)):
         raise DomainError("box must have finite bounds with hi > lo")
-    if max_steps is None:
-        radius = math.sqrt(d) * float(width.max()) / 2.0
-        re = float(r_est) if r_est and r_est > 0.0 else target_gap
-        max_steps = int(math.ceil(2.0 * d * d * max(
-            0.0, max(math.log(radius) - math.log(re), math.log(2.0)) - math.log(target_gap)))) + 8
-    max_steps = int(max_steps)
+    radius = math.sqrt(d) * float(width.max()) / 2.0
+    re = float(r_est) if r_est and r_est > 0.0 else target_gap
+    max_steps = int(math.ceil(2.0 * d * d * max(
+        0.0, max(math.log(radius) - math.log(re), math.log(2.0)) - math.log(target_gap)))) + 8
     ell_center = (lo + hi) / 2.0
     ell_l = np.diag((1.0 + 1e-4) * math.sqrt(d) / 2.0 * width)
     w = ell_l.T @ c  # L^T c, updated with L so the certificate needs no matvec
@@ -227,11 +224,11 @@ def ellipsoid_maximize(oracle, objective, box, max_steps=None, target_gap=1e-8,
     return best, state
 
 
-def ellipsoid_progress_csv(state: EllipsoidState, out=None):
-    """Serialize the per-step progress, a row per step from 1, its columns read
-    in blocks; objective_best is nan until a feasible point is found. Writes to
-    the open text file `out`, or returns the text when out is None."""
-    return textio.emit(out, "step,feasible,objective_best,violation\n", textio.rows(
+def ellipsoid_progress_csv(state: EllipsoidState, out):
+    """Write the per-step progress to the open text file `out`, a row per step
+    from 1, its columns read in blocks; objective_best is nan until a feasible
+    point is found."""
+    textio.emit(out, "step,feasible,objective_best,violation\n", textio.rows(
         (range(1, len(state.progress) + 1), *state.progress.T)))
 
 

@@ -85,5 +85,6 @@ def mf_error_bound(norms: ModelNorms, t):
     pos = t >= 1
     out[pos] = s / t[pos]
     ok = t >= 2
-    out[ok] = np.minimum(out[ok], (s / (t[ok] // 2)) ** (4.0 / 3.0))
+    with np.errstate(over="ignore"):  # an overflow to inf loses to S/t in the min
+        out[ok] = np.minimum(out[ok], (s / (t[ok] // 2)) ** (4.0 / 3.0))
     return out[()]

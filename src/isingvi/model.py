@@ -258,11 +258,10 @@ def _model_text(model: IsingModel):
                         prefix="edge "))
 
 
-def save_model(model: IsingModel, out=None):
-    """Serialize to canonical form; load_model(save_model(m)) reproduces m
-    bit-exactly. Writes to the open text file `out`, or returns the text
-    when out is None."""
-    return textio.emit(out, *_model_text(model))
+def save_model(model: IsingModel, out):
+    """Write the canonical form to the open text file `out`; load_model on
+    that file reproduces the model bit-exactly."""
+    textio.emit(out, *_model_text(model))
 
 
 def model_hash(model: IsingModel) -> str:

@@ -319,12 +319,11 @@ def brute_force_bethe_optimum(model: IsingModel):
     return dist, primal_bethe(model, dist)
 
 
-def exact_result_to_csv(result: ExactResult, model: IsingModel, out=None):
-    """Serialize: '# model_hash' and '# log_z' meta lines, node,mean rows,
-    then i,j,corr rows. Writes to the open text file `out`, or returns the
-    text when out is None."""
+def exact_result_to_csv(result: ExactResult, model: IsingModel, out):
+    """Write to the open text file `out`: '# model_hash' and '# log_z' meta
+    lines, node,mean rows, then i,j,corr rows."""
     means, corrs = result.node_means, result.edge_correlations
-    return textio.emit(
+    textio.emit(
         out, f"# model_hash {model_hash(model)}\n# log_z {result.log_z:.17g}\nnode,mean\n",
         textio.rows((np.arange(len(means)), means)), "i,j,corr\n",
         textio.rows((model.edge_i, model.edge_j, corrs)))

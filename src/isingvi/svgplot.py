@@ -71,6 +71,14 @@ def _m4(xs, ys, last_col):
     return np.flatnonzero(keep)
 
 
+def _range(v):
+    """[min, max] of v, [0, 1] when v is empty; a zero-width range is padded
+    each way by 0.5, or by |v| 2^-40 where 0.5 would round away."""
+    lo, hi = (float(v.min()), float(v.max())) if v.size else (0.0, 1.0)
+    pad = 0.0 if hi > lo else max(0.5, abs(lo) * 2.0 ** -40)
+    return lo - pad, hi + pad
+
+
 def plot_lines(label, xs, ys, title, xlabel, ylabel, log=False) -> str:
     """Render one line series to an SVG string, on log-log axes if `log`.
 
@@ -84,12 +92,7 @@ def plot_lines(label, xs, ys, title, xlabel, ylabel, log=False) -> str:
     xs, ys = xs[keep], ys[keep]
     if log:
         xs, ys = np.log10(xs), np.log10(ys)
-    xlo, xhi = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 1.0)
-    ylo, yhi = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 1.0)
-    if xhi - xlo <= 0:
-        xlo, xhi = xlo - 0.5, xhi + 0.5
-    if yhi - ylo <= 0:
-        ylo, yhi = ylo - 0.5, yhi + 0.5
+    (xlo, xhi), (ylo, yhi) = _range(xs), _range(ys)
     ypad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - ypad, yhi + ypad
     pw = _W - _ML - _MR

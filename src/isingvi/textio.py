@@ -4,8 +4,8 @@ Writing works a block of rows at a time. `format_floats` gives the `%.17g`
 text of a float64 column, formatting each distinct bit pattern once, so a
 column of repeated couplings or converged messages costs a few formats.
 `rows` turns columns into blocks of lines, and `emit` writes blocks straight
-to an open text file (or joins them into one string); `digest` hashes the
-same blocks without building the whole text.
+to an open text file; `digest` hashes the same blocks without building the
+whole text.
 
 Reading works a block of lines at a time. `line_blocks` reads lines from a
 string or an open file as they come, and `columns` converts the split lines
@@ -76,16 +76,13 @@ def _blocks(parts):
 
 def emit(out, *parts):
     """Write `parts` (strings, or iterables of string blocks) in order to the
-    open text file `out`; with out=None return them joined into one string."""
-    if out is None:
-        return "".join(_blocks(parts))
+    open text file `out`."""
     out.writelines(_blocks(parts))
-    return None
 
 
 def digest(*parts) -> str:
-    """Hex SHA-256 of the UTF-8 text `emit(None, *parts)` would return,
-    hashed a block at a time."""
+    """Hex SHA-256 of the UTF-8 text `emit` would write for `parts`, hashed a
+    block at a time."""
     h = sha256()
     for block in _blocks(parts):
         h.update(block.encode())

@@ -53,18 +53,14 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def trace_to_csv(trace: IterationTrace, meta: dict | None = None, out=None):
-    """Serialize a trace; meta entries become leading '# key value' lines.
-
-    With `out` an open text file the rows are written to it a block at a
-    time; with out=None the text is returned as one string."""
+def trace_to_csv(trace: IterationTrace, meta: dict, out):
+    """Write a trace to the open text file `out`, its rows a block at a time;
+    meta entries become leading '# key value' lines."""
     if trace.algo not in _COLUMNS:
         raise DomainError(f"unknown trace algo {trace.algo!r}")
-    meta = dict(meta or {})
-    meta.setdefault("algo", trace.algo)
-    meta.setdefault("converged", trace.converged)
+    meta = {"algo": trace.algo, "converged": trace.converged, **meta}
     head = "".join(f"# {key} {meta[key]}\n" for key in sorted(meta))
-    return textio.emit(out, head + ",".join(_COLUMNS[trace.algo]) + "\n", textio.rows(
+    textio.emit(out, head + ",".join(_COLUMNS[trace.algo]) + "\n", textio.rows(
         (np.asarray(trace.t, dtype=np.int64), trace.objective, trace.step_inf)))
 
 
@@ -105,11 +101,17 @@ def trace_meta(model, algo: str, init, tol) -> dict:
 
 
 def trace_norms(meta: dict) -> ModelNorms:
-    """The model norms that trace_meta wrote into a trace's header."""
+    """The model norms that trace_meta wrote into a trace's header; sizes and
+    norms that no model has (n < 1, m < 0, a negative or non-finite norm)
+    raise DomainError."""
     try:
-        return ModelNorms(j_l1=float(meta["j_l1"]), h_l1=float(meta["h_l1"]),
-                          j_linf=float(meta["j_linf"]), m=int(meta["m"]), n=int(meta["n"]))
+        norms = ModelNorms(j_l1=float(meta["j_l1"]), h_l1=float(meta["h_l1"]),
+                           j_linf=float(meta["j_linf"]), m=int(meta["m"]), n=int(meta["n"]))
     except KeyError as exc:
         raise DomainError(f"trace header missing model metadata: {exc}") from exc
     except ValueError as exc:
         raise DomainError(f"trace header has a bad model norm: {exc}") from exc
+    if norms.n < 1 or norms.m < 0 or not all(
+            0.0 <= v < np.inf for v in (norms.j_l1, norms.h_l1, norms.j_linf)):
+        raise DomainError(f"trace header has sizes or norms no model has: {norms}")
+    return norms

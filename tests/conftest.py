@@ -1,3 +1,4 @@
+import io
 import os
 import tempfile
 import tracemalloc
@@ -27,6 +28,13 @@ def peak_bytes(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def text_of(write, *args) -> str:
+    """The text that the artifact writer write(*args, out) writes to out."""
+    out = io.StringIO()
+    write(*args, out)
+    return out.getvalue()
 
 
 def chain2(beta=1.0, h=0.0):

@@ -154,6 +154,11 @@ def test_primal_equals_dual_at_fixed_point():
         dist = beliefs_from_messages(model, nu)
         assert primal_bethe(model, dist) == pytest.approx(
             trace.objective[-1], abs=1e-9)
+    # with no edges the nodes are independent: sum_i log 2 cosh h_i
+    model = IsingModel(2, None, None, [0.4, 0.0])
+    nu, _ = bp_iterate(model)
+    assert primal_bethe(model, beliefs_from_messages(model, nu)) == pytest.approx(
+        math.log(4.0 * math.cosh(0.4)), abs=1e-12)
 
 
 def test_local_consistency_violation_frozen():

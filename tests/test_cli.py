@@ -1,4 +1,3 @@
-import io
 import math
 import os
 import shutil
@@ -8,12 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import peak_bytes
+from conftest import peak_bytes, text_of
 from isingvi import bp as bp_mod
 from isingvi import (IterationTrace, generate_topology, load_model, trace_from_csv, trace_meta,
                      trace_to_csv)
 from isingvi import meanfield as mf_mod
-from isingvi.cli import _monotone_ok, emit_report, main
+from isingvi.cli import _monotone_ok, main
 from refimpl import cycle_log_z
 
 
@@ -30,7 +29,7 @@ def summary_dict(path):
     return out
 
 
-def test_gen_writes_parsable_model(tmp_path):
+def test_gen_writes_parsable_model(tmp_path, capsys):
     out = tmp_path / "model.txt"
     assert main(["gen", "--topology", "cycle:6", "--beta", "0.4",
                  "--field", "0.2", "--out", str(out)]) == 0
@@ -41,6 +40,10 @@ def test_gen_writes_parsable_model(tmp_path):
     main(["gen", "--topology", "cycle:6", "--beta", "0.4", "--field", "0.2",
           "--out", str(out2)])
     assert read(out) == read(out2)
+    # without --out the model goes to stdout
+    capsys.readouterr()
+    assert main(["gen", "--topology", "cycle:6", "--beta", "0.4", "--field", "0.2"]) == 0
+    assert capsys.readouterr().out == read(out)
 
 
 def test_gen_single_node_field(tmp_path):
@@ -118,7 +121,7 @@ def test_near_critical_bp_residual_slope(tmp_path):
     assert float(summary["residual_loglog_slope"]) <= -1.0
 
 
-@pytest.mark.parametrize("algo, topology, beta, field, steps, tol, continues", [
+@pytest.mark.parametrize("algo, topology, beta, field, steps, tol, steps_above_tol", [
     ("bp", "regular:30:3", math.atanh(0.5), "1e-4", 2000, "0", True),
     ("mf", "regular:30:3", 1.0 / 3.0, "1e-4", 2000, "0", True),
     ("bp", "regular:30:3", math.atanh(0.5), "1e-4", 2000, "1e-9", True),
@@ -126,10 +129,12 @@ def test_near_critical_bp_residual_slope(tmp_path):
     ("mf", "grid:3x3", 0.3, "0.5", 500, "0", False),
 ])
 def test_plot_reference_matches_a_run_from_the_start(tmp_path, monkeypatch, algo, topology,
-                                                     beta, field, steps, tol, continues):
-    """The reference behind --plot continues from the recorded state unless a
-    recorded step is below its tol 1e-13; either way its value is, bitwise,
-    that of one run of ref_steps steps to tol 1e-13 from the start."""
+                                                     beta, field, steps, tol, steps_above_tol):
+    """The reference behind --plot continues the recorded run, a run from the
+    start, to tol 1e-13 for ref_steps steps in all. Its value is, bitwise,
+    that of the run continued so, also where a recorded step is below 1e-13
+    (steps_above_tol False). At the fixed point the objective wobbles in its
+    last bits, so a recorded value may exceed the reference by rounding."""
     gen = tmp_path / "model.txt"
     assert main(["gen", "--topology", topology, "--beta", repr(beta), "--field", field,
                  "--seed", "1", "--out", str(gen)]) == 0
@@ -147,19 +152,20 @@ def test_plot_reference_matches_a_run_from_the_start(tmp_path, monkeypatch, algo
                  "--tol", tol, "--out", str(run), "--plot"]) == 0
     monkeypatch.undo()
     trace, _ = trace_from_csv(read(run / "trace.csv"))
-    assert bool(np.all(trace.step_inf[1:] >= 1e-13)) == continues
+    assert bool(np.all(trace.step_inf[1:] >= 1e-13)) == steps_above_tol
     ref_steps = max(2 * steps, 200000)
     ref_call = calls[-1]
-    assert (ref_call["tol"], ref_call["record"]) == (1e-13, False)
-    if continues:
-        assert ref_call["max_steps"] == ref_steps - trace.steps
-        assert not isinstance(ref_call["init"], str)
-    else:
-        assert (ref_call["init"], ref_call["max_steps"]) == ("ones", ref_steps)
+    assert (ref_call["max_steps"], ref_call["tol"], ref_call["record"]) == (
+        ref_steps - trace.steps, 1e-13, False)
     model = load_model(read(gen))
-    ref_state, _ = iterate(model, init="ones", max_steps=ref_steps, tol=1e-13, record=False)
+    state, _ = iterate(model, max_steps=steps, tol=float(tol))
+    assert np.array_equal(ref_call["init"], state)
+    ref_state, _ = iterate(model, init=state, max_steps=ref_steps - trace.steps, tol=1e-13,
+                           record=False)
     summary = summary_dict(run / "summary.txt")
     assert summary["reference_value"] == f"{objective(model, ref_state):.17g}"
+    top = float(np.nanmax(trace.objective))
+    assert float(summary["reference_value"]) >= top - 1e-14 * abs(top)
     assert summary["reference_source"] == f"long_run(tol=1e-13,max_steps={ref_steps})"
 
 
@@ -207,7 +213,7 @@ def test_report_verb(tmp_path, capsys):
     model = generate_topology("grid", 0.3, 0.2, rows=3, cols=3)
     _nu, final = bp_mod.bp_iterate(model, tol=1e-12, record=False)
     (tmp_path / "final.csv").write_text(
-        trace_to_csv(final, trace_meta(model, "bp", "ones", 1e-12)))
+        text_of(trace_to_csv, final, trace_meta(model, "bp", "ones", 1e-12)))
     traces = [str(run_bp / "trace.csv"), str(run_mf / "trace.csv"), str(tmp_path / "final.csv")]
     rep = tmp_path / "report.csv"
     capsys.readouterr()
@@ -230,10 +236,6 @@ def test_report_verb(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", *traces]) == 0
     assert capsys.readouterr().out == text
-    # emit_report writes the same text to an open file
-    buf = io.StringIO()
-    assert emit_report([read(path) for path in traces], buf) is None
-    assert buf.getvalue() == text
 
 
 def _long_trace(path, rows):
@@ -242,7 +244,7 @@ def _long_trace(path, rows):
     step = np.r_[np.nan, 1.0 / (1.0 + t[1:]) ** 2]
     trace = IterationTrace("mf", t, 2.0 - 1.0 / (1.0 + t), step, False)
     model = generate_topology("cycle", 0.3, 0.1, n=5)
-    path.write_text(trace_to_csv(trace, trace_meta(model, "mf", "ones", 0.0)))
+    path.write_text(text_of(trace_to_csv, trace, trace_meta(model, "mf", "ones", 0.0)))
 
 
 def test_report_streams_to_its_file(tmp_path, capsys):
@@ -301,8 +303,6 @@ def test_report_rejects_mixed_models(tmp_path):
     assert main(["report", str(a / "trace.csv"), str(b / "trace.csv"), "--out", str(rep)]) == 1
     assert rep.read_text() == "an earlier report\n"
     assert main(["report"]) == 1
-    with pytest.raises(Exception):
-        emit_report([])
 
 
 def test_exit_codes(tmp_path, monkeypatch, capsys):
@@ -415,6 +415,11 @@ def test_extreme_inputs_exit_cleanly(tmp_path, capsys):
         assert main([*verb, "--model", str(tmp_path / "big.txt"), "--out", str(out)]) == 0
         summary = summary_dict(out / "summary.txt")
         assert math.isfinite(float(summary.get("final_objective", summary.get("log_z"))))
+    # couplings so large that the objective is constant at 4e300 plot cleanly
+    for algo in ("mf", "bp"):
+        assert main(["run", "--topology", "cycle:4", "--beta", "1e300", "--algo", algo,
+                     "--steps", "3", "--tol", "0", "--plot", "--out", str(tmp_path / "huge")]) == 0
+        assert capsys.readouterr().err == ""
     # past them, the model is rejected with one error line
     (tmp_path / "bigger.txt").write_text("n 1\nnode 0 9e307\n")
     capsys.readouterr()

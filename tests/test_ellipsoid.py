@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isingvi.ellipsoid as ellipsoid
-from conftest import chain2, cycle4, path3, peak_bytes, small_grid, star5, triangle
+from conftest import chain2, cycle4, path3, peak_bytes, small_grid, star5, text_of, triangle
 from isingvi import (DomainError, EllipsoidState, FeasibilityError, IsingModel,
                      SeparationResult, bp_iterate, bp_step, ellipsoid_maximize,
                      ellipsoid_progress_csv, mf_iterate, mf_step, separation_oracle_bp,
@@ -39,7 +39,7 @@ def test_maximize_over_box():
     # sqrt factor keeps the shape matrix symmetric positive definite
     eig = np.linalg.eigvalsh(state.sqrt_shape @ state.sqrt_shape.T)
     assert eig.min() > 0.0
-    csv = ellipsoid_progress_csv(state)
+    csv = text_of(ellipsoid_progress_csv, state)
     assert csv.splitlines()[0] == "step,feasible,objective_best,violation"
     assert len(csv.splitlines()) == state.step + 1
     for box in ((0.0, 0.0), (1.0, [2.0, 0.5]), (0.0, np.inf), (np.nan, 1.0)):
@@ -64,9 +64,28 @@ def test_infeasible_program_raises():
         return SeparationResult(False, g, float(x[0] + 100.0))
 
     with pytest.raises(FeasibilityError, match="excludes the whole ellipsoid"):
-        ellipsoid_maximize(empty_oracle, np.ones(2), (-4.0, 4.0),
-                           max_steps=400, target_gap=1e-6)
+        ellipsoid_maximize(empty_oracle, np.ones(2), (-4.0, 4.0), target_gap=1e-6)
     assert len(calls) == 1
+
+
+def test_budget_without_a_feasible_point_raises():
+    """A feasible set of one point that the centres never hit: every query is
+    cut through, and the search stops at the budget of its formula, here
+    8 + ceil(2 d^2 (log(R/target_gap) - log(target_gap))) with d = 2 and
+    R = sqrt(2)/2."""
+    point, calls = np.array([1.0 / 3.0, 1.0 / 7.0]), []
+
+    def point_oracle(x):
+        calls.append(x.copy())
+        return SeparationResult(False, x - point, 0.0)
+
+    budget = 8 + math.ceil(8.0 * (math.log(math.sqrt(2.0) / 2.0) - 2.0 * math.log(1e-3)))
+    with pytest.raises(FeasibilityError,
+                       match=f"^no feasible point found in {budget} ellipsoid steps"):
+        ellipsoid_maximize(point_oracle, np.ones(2), (0.0, 1.0), target_gap=1e-3)
+    assert len(calls) == budget
+    # the last centre lies near the point
+    assert np.abs(calls[-1] - point).max() < 1e-3
 
 
 @pytest.mark.parametrize("cut", [[np.nan, 1.0], [0.0, 0.0]])
@@ -78,8 +97,7 @@ def test_degenerate_cut_raises_at_once(cut):
         return SeparationResult(False, np.array(cut), 1.0)
 
     with pytest.raises(FeasibilityError, match=r"^step 1: the cut has \|L\^T g\| = (nan|0\.0)"):
-        ellipsoid_maximize(bad_oracle, np.ones(2), (-4.0, 4.0),
-                           max_steps=400, target_gap=1e-6)
+        ellipsoid_maximize(bad_oracle, np.ones(2), (-4.0, 4.0), target_gap=1e-6)
     assert len(calls) == 1
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import chain2, path3, peak_bytes, random_ferro, random_tree, star5, triangle
+from conftest import (chain2, path3, peak_bytes, random_ferro, random_tree, star5, text_of,
+                      triangle)
 from isingvi import (IsingModel, SizeGuardError, bp_iterate,
                      brute_force_bethe_optimum, brute_force_mf_optimum,
                      exact_log_z, exact_result_from_csv, exact_result_to_csv,
@@ -146,10 +147,12 @@ def test_brute_force_mf_matches_iteration():
 
 
 def test_brute_force_bethe_tree_matches_log_z():
-    for model in (chain2(0.6, 0.3), path3(0.4, 0.2)):
+    for model in (chain2(0.6, 0.3), path3(0.4, 0.2), IsingModel(2, [[0, 1]], [0.0], [0.3, 0.7])):
         dist, value = brute_force_bethe_optimum(model)
         assert value == pytest.approx(exact_log_z(model).log_z, abs=1e-6)
         assert primal_bethe(model, dist) == pytest.approx(value, abs=1e-12)
+    # a zero coupling leaves the nodes independent: sum_i log 2 cosh h_i
+    assert value == pytest.approx(math.log(4.0 * math.cosh(0.3) * math.cosh(0.7)), abs=1e-6)
     with pytest.raises(SizeGuardError):
         brute_force_bethe_optimum(generate_topology("grid", 0.3, 0.1, rows=3, cols=3))
 
@@ -181,7 +184,7 @@ def test_edge_term_matches_golden(rng):
 def test_exact_result_csv_round_trip(rng):
     model = random_ferro(5, 7, rng)
     result = exact_log_z(model)
-    text = exact_result_to_csv(result, model)
+    text = text_of(exact_result_to_csv, result, model)
     back, meta = exact_result_from_csv(text)
     assert meta["model_hash"] == model_hash(model)
     assert back.log_z == result.log_z

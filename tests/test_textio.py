@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import text_of
 from isingvi import (DomainError, IsingModel, ParseError, bp_error_bound,
                      bp_iterate, exact_log_z, exact_result_from_csv,
                      generate_topology, load_model, messages_to_csv,
@@ -60,11 +61,11 @@ def test_rows_span_blocks(monkeypatch):
 
 def test_save_load_round_trip_is_bit_exact():
     model = IsingModel(3, [[0, 1], [1, 2]], [-0.0, 0.7], [5e-324, 0.0, 1.0 / 3.0])
-    back = load_model(save_model(model))
+    back = load_model(text_of(save_model, model))
     assert np.array_equal(back.edges, model.edges)
     for a, b in ((back.couplings, model.couplings), (back.fields, model.fields)):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    assert save_model(back) == save_model(model) == ref_save_model(model)
+    assert text_of(save_model, back) == text_of(save_model, model) == ref_save_model(model)
     assert model_hash(model) == ref_model_hash(model)
 
 
@@ -73,15 +74,14 @@ def test_writers_stream_to_files_in_blocks(monkeypatch, tmp_path):
     model = generate_topology("grid", 0.3, 0.1, rows=3, cols=4)
     path = tmp_path / "model.txt"
     with open(path, "w", encoding="utf-8") as fh:
-        assert save_model(model, fh) is None
+        save_model(model, fh)
     assert path.read_text() == ref_save_model(model)
     with open(path, encoding="utf-8") as fh:
-        assert save_model(load_model(fh)) == ref_save_model(model)
+        assert text_of(save_model, load_model(fh)) == ref_save_model(model)
     assert model_hash(model) == hashlib.sha256(
         ref_save_model(model).encode()).hexdigest()[:16]
     nu, _ = bp_iterate(model, tol=1e-12)
-    text = messages_to_csv(model, nu)
-    assert text == ref_messages_csv(model, nu)
+    assert text_of(messages_to_csv, model, nu) == ref_messages_csv(model, nu)
 
 
 def test_parse_errors_name_their_line(monkeypatch):
@@ -116,10 +116,12 @@ EXACT_HEAD = "# model_hash 0123456789abcdef\n# log_z 1.5\n"
 
 
 def trace_with(**header):
-    """A one-row BP trace whose header holds these entries over valid ones."""
+    """A one-row BP trace whose header holds these entries over valid ones;
+    an entry of None is left out."""
     header = {"algo": "bp", "model_hash": "0123456789abcdef", "n": "4", "m": "4",
               "j_l1": "4", "h_l1": "0", "j_linf": "1", **header}
-    return "".join(f"# {k} {v}\n" for k, v in header.items()) + TRACE_HEADER + "0,1,nan\n"
+    return "".join(f"# {k} {v}\n" for k, v in header.items()
+                   if v is not None) + TRACE_HEADER + "0,1,nan\n"
 
 
 READERS = {"trace": trace_from_csv, "header": lambda src: trace_norms(trace_from_csv(src)[1]),
@@ -137,6 +139,12 @@ READERS = {"trace": trace_from_csv, "header": lambda src: trace_norms(trace_from
     ("header", trace_with(n="four"), DomainError, None),
     ("header", trace_with(m="4.5"), DomainError, None),
     ("header", trace_with(j_l1="x"), DomainError, None),
+    ("header", trace_with(j_l1=None), DomainError, None),
+    ("header", trace_with(n="0"), DomainError, None),
+    ("header", trace_with(m="-4"), DomainError, None),
+    ("header", trace_with(h_l1="-0.5"), DomainError, None),
+    ("header", trace_with(j_linf="inf"), DomainError, None),
+    ("header", trace_with(j_l1="nan"), DomainError, None),
     ("exact", EXACT_HEAD + "node,mean\n0,0.5\nnode,mean\n", ParseError, 5),
     ("exact", "0,0.5,1\n" + EXACT_HEAD + "node,mean\n", ParseError, 1),
     ("exact", EXACT_HEAD + "node,mean\n0,0.5\ni,j,corr\n0,1\n", ParseError, 6),
@@ -149,6 +157,8 @@ READERS = {"trace": trace_from_csv, "header": lambda src: trace_norms(trace_from
 ], ids=["trace-repeated-header", "trace-row-before-header", "trace-field-count",
         "trace-no-rows", "trace-no-header", "trace-no-algo", "trace-bound-column",
         "header-n-not-int", "header-m-not-int", "header-j-l1-not-float",
+        "header-j-l1-missing", "header-n-zero", "header-m-negative",
+        "header-h-l1-negative", "header-j-linf-inf", "header-j-l1-nan",
         "exact-repeated-header",
         "exact-row-before-header", "exact-field-count", "exact-no-log-z",
         "exact-extra-lines", "exact-log-z-not-float", "exact-log-z-row"])

@@ -1,10 +1,9 @@
-import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import cycle4, path3, peak_bytes
+from conftest import cycle4, path3, peak_bytes, text_of
 from isingvi import (DomainError, ParseError, bp_iterate, mf_iterate, model_hash,
                      trace_from_csv, trace_meta, trace_norms, trace_to_csv)
 from isingvi.cli import main
@@ -16,9 +15,7 @@ def test_round_trip_mf():
     model = path3(0.5, 0.2)
     _x, trace = mf_iterate(model, max_steps=40, tol=0.0)
     meta = trace_meta(model, "mf", "ones", 0.0)
-    text = trace_to_csv(trace, meta)
-    out = io.StringIO()
-    assert trace_to_csv(trace, meta, out) is None and out.getvalue() == text
+    text = text_of(trace_to_csv, trace, meta)
     back, meta2 = trace_from_csv(text)
     assert back.algo == "mf"
     assert trace_norms(meta2) == model.norms()
@@ -28,18 +25,22 @@ def test_round_trip_mf():
     assert back.converged == trace.converged
     assert meta2["model_hash"] == model_hash(model)
     assert int(meta2["n"]) == 3 and int(meta2["m"]) == 2
+    # blank lines anywhere are skipped
+    spaced, meta3 = trace_from_csv(text.replace("\n", "\n\n"))
+    assert meta3 == meta2 and np.array_equal(spaced.t, back.t)
+    assert np.array_equal(spaced.objective, back.objective)
 
 
 def test_round_trip_bp_handles_nan():
     model = cycle4(0.5, 0.2)
     _nu, trace = bp_iterate(model, max_steps=30, tol=0.0)
     trace = replace(trace, objective=np.full(31, np.nan))
-    text = trace_to_csv(trace, trace_meta(model, "bp", "ones", 0.0))
+    text = text_of(trace_to_csv, trace, trace_meta(model, "bp", "ones", 0.0))
     back, _meta = trace_from_csv(text)
     assert np.isnan(back.objective).all() and len(back.objective) == 31
     assert np.array_equal(back.step_inf[1:], trace.step_inf[1:])
     with pytest.raises(DomainError, match="unknown trace algo 'gibbs'"):
-        trace_to_csv(replace(trace, algo="gibbs"))
+        text_of(trace_to_csv, replace(trace, algo="gibbs"), {})
 
 
 def test_from_csv_rejects_garbage(tmp_path):
@@ -127,6 +128,9 @@ def test_plot_lines_long_series_is_bounded_by_canvas(log):
 def test_plot_lines_degenerate_series():
     # one point, and a constant series, sit in the middle of padded ranges
     assert _points(plot_lines("s", [3], [2.0], "", "", "")) == [(387.0, 224.0)]
+    # a constant so large that a 0.5 pad rounds away is padded in proportion
+    assert _points(plot_lines("s", [0, 1], [1e300, 1e300], "", "", "")) == [
+        (76.0, 224.0), (698.0, 224.0)]
     xs, ys = np.arange(10**4), np.full(10**4, 5.0)
     svg = plot_lines("s", xs, ys, "", "", "")
     points = _points(svg)
