@@ -221,16 +221,19 @@ def _run_ellipsoid(args, model: IsingModel) -> int:
     _write(os.path.join(args.out, "final_state.csv"),
            partial(family.write_state, model, point))
     steps = state.step if state is not None else 0
+    pairs = [("model_hash", model_hash(model)), ("algo", args.algo),
+             ("eps", f"{args.eps:g}"), ("steps_used", steps),
+             ("final_objective", f"{value:.17g}")]
     if state is not None:
         _write(os.path.join(args.out, "progress.csv"), partial(ellipsoid_progress_csv, state))
+        # the certificate of the perturbed problem, in coordinate-sum units
+        pairs += [("stop_reason", state.stop_reason),
+                  ("certificate_gap", f"{state.min_upper - state.best_value:.17g}")]
         if args.plot:
             _write(os.path.join(args.out, "objective.svg"), plot_lines(
-                "best feasible", range(1, steps + 1), state.progress[:, 1],
+                "best feasible", range(1, steps + 1), np.fmax.accumulate(state.progress[:, 1]),
                 f"{args.algo} incumbent", "step", "objective best"))
-    _write(os.path.join(args.out, "summary.txt"), _summary_text([
-        ("model_hash", model_hash(model)), ("algo", args.algo),
-        ("eps", f"{args.eps:g}"), ("steps_used", steps),
-        ("final_objective", f"{value:.17g}")]))
+    _write(os.path.join(args.out, "summary.txt"), _summary_text(pairs))
     print(f"value {value:.17g}")
     return 0
 

@@ -62,8 +62,9 @@ class SeparationResult:
 @dataclass
 class EllipsoidState:
     """Search state: ellipsoid {center + L u : |u| <= 1}, incumbent, certificate,
-    and the measured values of every step (best is nan before the first feasible
-    point)."""
+    why the search stopped, and the measured values of every step. A row holds
+    the query's objective when the query is feasible and nan otherwise, so the
+    incumbent after each step is np.fmax.accumulate(progress[:, 1])."""
 
     center: np.ndarray
     sqrt_shape: np.ndarray
@@ -71,7 +72,10 @@ class EllipsoidState:
     step: int
     best_value: float
     min_upper: float
-    progress: np.ndarray  # (steps, 3) rows (feasible, best, violation); row k is step k + 1
+    # "gap": min_upper - best_value reached target_gap; "no_better_point": an
+    # objective cut left no point above the incumbent; "budget": steps ran out
+    stop_reason: str
+    progress: np.ndarray  # (steps, 3) rows (feasible, objective, violation); row k is step k + 1
 
 
 def _separate(q, step, vjp, deep) -> SeparationResult:
@@ -139,10 +143,16 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     sqrt(d) (hi - lo)/2, widened by 1e-4. Every cut is applied at its depth:
     an oracle cut at its violation, an objective cut at a feasible query at
     best - c.query, which is 0 when the query is the new incumbent. The best
-    feasible point is returned with the final EllipsoidState. The step
-    budget is 8 + 2 d^2 max(0, max(log(R/r_est), log 2) + log(1/target_gap))
+    feasible point is returned with the final EllipsoidState, whose progress
+    rows hold each step's measured values: whether the query was feasible,
+    its objective c.query if so (nan if not), and the cut's violation (0 at a
+    feasible query). The step budget is
+    8 + 2 d^2 max(0, max(log(R/r_est), log 2) + log(1/target_gap))
     with R = sqrt(d) max(hi - lo)/2, the radius of the ball around the box,
-    taken as differences of logs so that tiny gaps do not overflow.
+    taken as differences of logs so that tiny gaps do not overflow. The
+    search stops when the certificate gap reaches target_gap, when an
+    objective cut leaves no point above the incumbent, or when the budget
+    runs out; state.stop_reason says which.
 
     Raises FeasibilityError if an oracle cut excludes the whole ellipsoid, a
     cut g has a zero or non-finite |L^T g|, or no feasible point is found
@@ -166,10 +176,11 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     ell_l = np.diag((1.0 + 1e-4) * math.sqrt(d) / 2.0 * width)
     w = ell_l.T @ c  # L^T c, updated with L so the certificate needs no matvec
     best = None
-    best_val = math.nan  # recorded as is until a feasible point exists
+    best_val = math.nan
     min_upper = np.inf
     progress = array("d")
     step = 0
+    stop_reason = "budget"
     for step in range(1, max_steps + 1):
         val = float(c @ ell_center)
         upper = val + math.sqrt(w @ w)
@@ -184,8 +195,9 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
         else:
             g = np.asarray(res.cut, dtype=np.float64)
             depth = viol = float(res.violation)
-        progress.extend((bool(res.feasible), best_val, viol))
+        progress.extend((bool(res.feasible), val if res.feasible else math.nan, viol))
         if best is not None and min_upper - best_val <= target_gap:
+            stop_reason = "gap"
             break
         u = ell_l.T @ g
         nrm = math.sqrt(u @ u)
@@ -195,7 +207,8 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
         alpha = depth / nrm
         if alpha >= 1.0:
             if res.feasible:
-                break  # no point of the ellipsoid beats the incumbent
+                stop_reason = "no_better_point"
+                break
             raise FeasibilityError(
                 f"step {step}: an oracle cut excludes the whole ellipsoid, "
                 "so the feasible set is empty")
@@ -219,16 +232,16 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
             f"no feasible point found in {max_steps} ellipsoid steps "
             "(the inner ball may be too small; check the field perturbation)")
     state = EllipsoidState(center=ell_center, sqrt_shape=ell_l, lt_c=w, step=step,
-                           best_value=best_val, min_upper=min_upper,
+                           best_value=best_val, min_upper=min_upper, stop_reason=stop_reason,
                            progress=np.frombuffer(progress).reshape(-1, 3))
     return best, state
 
 
 def ellipsoid_progress_csv(state: EllipsoidState, out):
     """Write the per-step progress to the open text file `out`, a row per step
-    from 1, its columns read in blocks; objective_best is nan until a feasible
-    point is found."""
-    textio.emit(out, "step,feasible,objective_best,violation\n", textio.rows(
+    from 1, its columns read in blocks; objective is the query's c.query when
+    the query was feasible and nan when it was not."""
+    textio.emit(out, "step,feasible,objective,violation\n", textio.rows(
         (range(1, len(state.progress) + 1), *state.progress.T)))
 
 

@@ -180,8 +180,10 @@ def test_run_ellipsoid(tmp_path):
           "--algo", "bp", "--tol", "1e-14", "--out", str(ref)])
     ref_val = float(summary_dict(ref / "summary.txt")["final_objective"])
     assert abs(float(summary["final_objective"]) - ref_val) <= 1e-7
+    assert summary["stop_reason"] == "gap"
+    assert float(summary["certificate_gap"]) <= 1e-7 / 2.0
     progress = read(run / "progress.csv")
-    assert progress.splitlines()[0] == "step,feasible,objective_best,violation"
+    assert progress.splitlines()[0] == "step,feasible,objective,violation"
     # --plot adds the incumbent plot and leaves every other artifact as it was
     plotted = tmp_path / "plotted"
     assert main([*argv, "--plot", "--out", str(plotted)]) == 0

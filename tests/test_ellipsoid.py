@@ -14,6 +14,8 @@ from isingvi import (DomainError, EllipsoidState, FeasibilityError, IsingModel,
                      ellipsoid_progress_csv, mf_iterate, mf_step, separation_oracle_bp,
                      separation_oracle_mf, solve_bethe_exponential, solve_mf_exponential,
                      generate_topology)
+from isingvi.cli import main
+from isingvi.svgplot import plot_lines
 from refimpl import fd_gradient, ref_separation_bp, ref_separation_mf
 
 
@@ -40,7 +42,7 @@ def test_maximize_over_box():
     eig = np.linalg.eigvalsh(state.sqrt_shape @ state.sqrt_shape.T)
     assert eig.min() > 0.0
     csv = text_of(ellipsoid_progress_csv, state)
-    assert csv.splitlines()[0] == "step,feasible,objective_best,violation"
+    assert csv.splitlines()[0] == "step,feasible,objective,violation"
     assert len(csv.splitlines()) == state.step + 1
     for box in ((0.0, 0.0), (1.0, [2.0, 0.5]), (0.0, np.inf), (np.nan, 1.0)):
         with pytest.raises(DomainError, match="^box must"):
@@ -86,6 +88,26 @@ def test_budget_without_a_feasible_point_raises():
     assert len(calls) == budget
     # the last centre lies near the point
     assert np.abs(calls[-1] - point).max() < 1e-3
+
+
+def test_budget_with_a_feasible_point_stops_at_the_budget():
+    """A feasible set of no volume, the diagonal of the unit square, breaks the
+    inner ball that the budget assumes: the search stops at the same budget
+    of 116 steps with a feasible incumbent short of the target gap, and says
+    so."""
+
+    def diagonal_oracle(x):
+        box = box_oracle(x)
+        if not box.feasible or x[1] == x[0]:
+            return box
+        side = math.copysign(1.0, x[1] - x[0])
+        return SeparationResult(False, np.array([-side, side]), 0.0)
+
+    best, state = ellipsoid_maximize(diagonal_oracle, np.array([1.0, 0.0]), (0.0, 1.0),
+                                     target_gap=1e-3)
+    assert state.stop_reason == "budget" and state.step == 116
+    assert best[0] == best[1] and state.best_value == best[0]
+    assert state.min_upper - state.best_value > 1e-3
 
 
 @pytest.mark.parametrize("cut", [[np.nan, 1.0], [0.0, 0.0]])
@@ -283,6 +305,52 @@ def certify_bethe():
     return model, *_watched_solve(model, "bethe")
 
 
+@pytest.fixture(scope="module")
+def certify_mf():
+    """The mean-field certificate of the same grid, solved once with its cuts
+    watched: (model, state, cuts, worst excess)."""
+    model = small_grid(4, 4, 0.3, 0.1)
+    return model, *_watched_solve(model, "mf")
+
+
+def test_progress_rows_hold_measured_values(certify_bethe, certify_mf, tmp_path):
+    """A progress row holds what its step measured: the query's objective when
+    the query is feasible, nan when it is not. The incumbent is their running
+    max, computed where it is read: `run --plot` draws it. Both solves of the
+    benchmark's grid stop at their target gap, and `run` writes the stop
+    reason and the certificate gap to summary.txt."""
+    eps = 1e-6
+    for state in (certify_bethe[1], certify_mf[1]):
+        feasible, objective = state.progress[:, 0] == 1.0, state.progress[:, 1]
+        assert np.all(np.isnan(objective[~feasible]))
+        assert np.all(np.isfinite(objective[feasible]))
+        best, want = math.nan, []
+        for ok, value in zip(feasible.tolist(), objective.tolist()):
+            if ok and (math.isnan(best) or value > best):
+                best = value
+            want.append(best)
+        incumbent = np.fmax.accumulate(objective)
+        assert np.array_equal(incumbent.view(np.int64), np.array(want).view(np.int64))
+        assert incumbent[-1] == state.best_value
+        assert state.stop_reason == "gap" and state.min_upper - state.best_value <= eps / 2.0
+    # an infeasible row reads "k,0,nan,0": rows that repeated a 17-digit
+    # value would take about 29 bytes
+    state = certify_bethe[1]
+    size = len(text_of(ellipsoid_progress_csv, state))
+    assert size < 16 * state.step, size / state.step
+
+    state = certify_mf[1]
+    assert main(["run", "--topology", "grid:4x4", "--beta", "0.3", "--field", "0.1",
+                 "--algo", "ellipsoid_mf", "--eps", repr(eps), "--plot",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "objective.svg").read_text(encoding="utf-8") == plot_lines(
+        "best feasible", range(1, state.step + 1), np.fmax.accumulate(state.progress[:, 1]),
+        "ellipsoid_mf incumbent", "step", "objective best")
+    lines = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[-2:] == ["stop_reason gap",
+                          f"certificate_gap {state.min_upper - state.best_value:.17g}"]
+
+
 def test_tracked_certificate_width_matches_factor(certify_bethe):
     state = certify_bethe[1]
     c = np.ones(state.center.shape[0])
@@ -290,38 +358,66 @@ def test_tracked_certificate_width_matches_factor(certify_bethe):
     assert abs(np.linalg.norm(state.lt_c) - want) <= 1e-9 * want
 
 
-@pytest.mark.parametrize("family", ["bethe", "mf"])
-@pytest.mark.parametrize("name", ["grid4x4", "cycle4", "star5"])
-def test_final_ellipsoid_contains_reference_optimum(certify_bethe, family, name):
-    """The optimum of the perturbed region (a tol-1e-14 run from all ones)
-    lies in the start box [0, step(1)] and in the final ellipsoid."""
-    eps = 1e-6
+def _certificate(certify_bethe, certify_mf, family, name, eps=1e-6):
+    """The family's solve of a named model at eps, with the perturbed model built
+    as the solver builds it: (perturbed model, its step map, state)."""
     model = {"grid4x4": certify_bethe[0], "cycle4": cycle4(0.6, 0.3),
              "star5": star5(0.4, 0.1)}[name]
-    if family == "bethe":
-        b, step, iterate = eps / (2.0 * model.m), bp_step, bp_iterate
-        state = (certify_bethe[1] if name == "grid4x4"
-                 else solve_bethe_exponential(model, eps)[2])
-    else:
-        b, step, iterate = eps / 2.0, mf_step, mf_iterate
-        state = solve_mf_exponential(model, eps)[2]
+    bethe = family == "bethe"
+    b = eps / (2.0 * model.m) if bethe else eps / 2.0
+    step, solve, solved = ((bp_step, solve_bethe_exponential, certify_bethe) if bethe
+                           else (mf_step, solve_mf_exponential, certify_mf))
+    state = solved[1] if name == "grid4x4" else solve(model, eps)[2]
     pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
+    return pert, partial(step, pert), state
+
+
+@pytest.mark.parametrize("family", ["bethe", "mf"])
+@pytest.mark.parametrize("name", ["grid4x4", "cycle4", "star5"])
+def test_final_ellipsoid_contains_reference_optimum(certify_bethe, certify_mf, family, name):
+    """The optimum of the perturbed region (a tol-1e-14 run from all ones)
+    lies in the start box [0, step(1)] and in the final ellipsoid."""
+    pert, step, state = _certificate(certify_bethe, certify_mf, family, name)
+    iterate = bp_iterate if family == "bethe" else mf_iterate
     opt, _trace = iterate(pert, max_steps=10**6, tol=1e-14, record=False)
-    assert np.all(opt >= 0.0) and np.all(opt <= step(pert, np.ones(opt.shape[0])))
+    assert np.all(opt >= 0.0) and np.all(opt <= step(np.ones(opt.shape[0])))
     local = np.linalg.solve(state.sqrt_shape, opt - state.center)
     assert np.linalg.norm(local) <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("family", ["bethe", "mf"])
+@pytest.mark.parametrize("name", ["grid4x4", "cycle4", "star5"])
+def test_certificate_lies_in_monotone_sandwich(certify_bethe, certify_mf, family, name):
+    """The step map is monotone and 0 <= step(0), so lo = step^k(0) is a
+    post-fixpoint and up = step^k(1) lies above the greatest fixed point,
+    which maximizes the coordinate sum over the region. Hence the incumbent's
+    sum is at most sum(up) and the certified upper bound at least sum(lo),
+    up to 1e-12 d of round-off. The bracket comes from k = 200 sweeps of the
+    perturbed map alone, so a wrong certificate fails here whatever the
+    solver does inside."""
+    pert, step, state = _certificate(certify_bethe, certify_mf, family, name)
+    d = state.center.shape[0]
+    lo, up = np.zeros(d), np.ones(d)
+    for _ in range(200):
+        lo, up = step(lo), step(up)
+    tol = 1e-12 * d
+    print(f"{family} {name}: sandwich [{lo.sum():.17g}, {up.sum():.17g}] of width "
+          f"{up.sum() - lo.sum():.3g}, certificate [{state.best_value:.17g}, "
+          f"{state.min_upper:.17g}]")
+    assert state.best_value <= up.sum() + tol
+    assert state.min_upper >= lo.sum() - tol
+
+
+@pytest.mark.parametrize("family", ["bethe", "mf"])
 @pytest.mark.parametrize("name", ["grid4x4", "grid3x3_beta2_h0", "regular10_3"])
-def test_no_cut_excludes_the_optimum(certify_bethe, family, name):
+def test_no_cut_excludes_the_optimum(certify_bethe, certify_mf, family, name):
     """Every oracle cut of a solve keeps the perturbed optimum, up to
     1e-12 |cut|_1: on the benchmark's 4x4 grid, on a low-temperature grid with
     no field but the perturbation, and on a random 3-regular graph."""
-    if family == "bethe" and name == "grid4x4":
-        _state, cuts, worst = certify_bethe[1:]
+    if name == "grid4x4":
+        _state, cuts, worst = (certify_bethe if family == "bethe" else certify_mf)[1:]
     else:
-        model = {"grid4x4": certify_bethe[0], "grid3x3_beta2_h0": small_grid(3, 3, 2.0, 0.0),
+        model = {"grid3x3_beta2_h0": small_grid(3, 3, 2.0, 0.0),
                  "regular10_3": generate_topology("random_regular", 0.6, 0.0, n=10, degree=3)}[name]
         _state, cuts, worst = _watched_solve(model, family)
     assert cuts > 0
@@ -377,10 +473,11 @@ def test_progress_csv_streams_its_columns():
     steps = 10**5
     progress = np.empty((steps, 3))
     progress[:, 0] = np.arange(steps) % 3 == 0
-    progress[:, 1] = np.where(np.arange(steps) < 10, np.nan, np.linspace(1.0, 2.0, steps))
+    progress[:, 1] = np.where(progress[:, 0] == 1.0, np.linspace(1.0, 2.0, steps), np.nan)
     progress[:, 2] = np.where(progress[:, 0] == 1.0, 0.0, np.linspace(0.5, 1e-9, steps))
     state = EllipsoidState(center=np.zeros(2), sqrt_shape=np.eye(2), lt_c=np.ones(2),
-                           step=steps, best_value=2.0, min_upper=2.0, progress=progress)
+                           step=steps, best_value=2.0, min_upper=2.0, stop_reason="gap",
+                           progress=progress)
     with open(os.devnull, "w", encoding="utf-8") as fh:
         _, peak = peak_bytes(ellipsoid_progress_csv, state, fh)
     assert peak < 8 * steps, peak / steps
