@@ -3,26 +3,13 @@
 Mean-field and belief-propagation iterations with convergence-rate bounds,
 exact references, and an ellipsoid-method solver for the optimal fixed point
 of either variational objective.
+
+The names below are loaded on first use (PEP 562), so importing the package,
+or its numpy-free modules such as `cli`, `topology` and `textio`, loads no
+numpy.
 """
 
-from .bp import (LocalDistribution, RegionMembership, beliefs_from_messages,
-                 bp_error_bound, bp_iterate, bp_message_bound, bp_step,
-                 dual_bethe, dual_bethe_gradient, local_consistency_check,
-                 messages_to_csv, node_estimates, primal_bethe,
-                 region_membership)
-from .ellipsoid import (EllipsoidState, FeasibilityError, SeparationResult,
-                        ellipsoid_maximize, ellipsoid_progress_csv,
-                        separation_oracle_bp, separation_oracle_mf,
-                        solve_bethe_exponential, solve_mf_exponential)
-from .meanfield import (bernoulli_entropy, mf_error_bound, mf_gradient,
-                        mf_iterate, mf_objective, mf_step)
-from .model import (DomainError, IsingModel, ModelError, ModelNorms,
-                    generate_topology, load_model, model_hash, save_model)
-from .oracle import (ExactResult, SizeGuardError, brute_force_bethe_optimum,
-                     brute_force_mf_optimum, exact_log_z,
-                     exact_result_from_csv, exact_result_to_csv)
-from .textio import ParseError
-from .trace import IterationTrace, trace_from_csv, trace_meta, trace_norms, trace_to_csv
+import importlib
 
 __version__ = "0.1.0"
 
@@ -43,3 +30,16 @@ __all__ = [
     "ellipsoid_progress_csv", "solve_bethe_exponential", "solve_mf_exponential",
     "IterationTrace", "trace_to_csv", "trace_from_csv", "trace_meta", "trace_norms",
 ]
+
+# The modules that define the names above, searched in this order on first
+# use; the errors come first, so that importing one loads no numpy.
+_MODULES = ("errors", "model", "meanfield", "bp", "oracle", "ellipsoid", "trace")
+
+
+def __getattr__(name):
+    if name in __all__:
+        for module in _MODULES:
+            value = getattr(importlib.import_module(f".{module}", __name__), name, None)
+            if value is not None:
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

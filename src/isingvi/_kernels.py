@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import DomainError
+from .errors import DomainError
 
 _LOG2 = math.log(2.0)
 # Largest |theta * nu| (or |x|) passed to arctanh, so that tanh(J) rounding to

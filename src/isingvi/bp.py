@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _kernels, textio
 from .meanfield import bernoulli_entropy
-from .model import DomainError, IsingModel, ModelNorms
+from .errors import DomainError
+from .model import IsingModel, ModelNorms
 from .trace import IterationTrace
 
 _FIXED_POINT_TOL = 1e-12

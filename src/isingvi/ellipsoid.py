@@ -37,12 +37,8 @@ import numpy as np
 from . import _kernels, textio
 from .bp import bp_step, dual_bethe
 from .meanfield import mf_objective, mf_step
-from .model import DomainError, IsingModel, ModelError
-
-
-class FeasibilityError(RuntimeError):
-    """The feasible set is empty, or no feasible point was found within the
-    step budget."""
+from .errors import DomainError, FeasibilityError, ModelError
+from .model import IsingModel
 
 
 @dataclass
@@ -64,7 +60,7 @@ class EllipsoidState:
     """Search state: ellipsoid {center + L u : |u| <= 1}, incumbent, certificate,
     why the search stopped, and the measured values of every step. A row holds
     the query's objective when the query is feasible and nan otherwise, so the
-    incumbent after each step is np.fmax.accumulate(progress[:, 1])."""
+    incumbent after each step is np.fmax.accumulate(progress[:, 0])."""
 
     center: np.ndarray
     sqrt_shape: np.ndarray
@@ -75,7 +71,7 @@ class EllipsoidState:
     # "gap": min_upper - best_value reached target_gap; "no_better_point": an
     # objective cut left no point above the incumbent; "budget": steps ran out
     stop_reason: str
-    progress: np.ndarray  # (steps, 3) rows (feasible, objective, violation); row k is step k + 1
+    progress: np.ndarray  # (steps, 2) rows (objective, violation); row k is step k + 1
 
 
 def _separate(q, step, vjp, deep) -> SeparationResult:
@@ -144,10 +140,10 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     an oracle cut at its violation, an objective cut at a feasible query at
     best - c.query, which is 0 when the query is the new incumbent. The best
     feasible point is returned with the final EllipsoidState, whose progress
-    rows hold each step's measured values: whether the query was feasible,
-    its objective c.query if so (nan if not), and the cut's violation (0 at a
-    feasible query). The step budget is
-    8 + 2 d^2 max(0, max(log(R/r_est), log 2) + log(1/target_gap))
+    rows hold each step's measured values: the query's objective c.query if
+    the query was feasible (nan if not, so a row is feasible exactly when its
+    objective is finite), and the cut's violation (0 at a feasible query).
+    The step budget is 8 + 2 d^2 max(0, max(log(R/r_est), log 2) + log(1/target_gap))
     with R = sqrt(d) max(hi - lo)/2, the radius of the ball around the box,
     taken as differences of logs so that tiny gaps do not overflow. The
     search stops when the certificate gap reaches target_gap, when an
@@ -195,7 +191,7 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
         else:
             g = np.asarray(res.cut, dtype=np.float64)
             depth = viol = float(res.violation)
-        progress.extend((bool(res.feasible), val if res.feasible else math.nan, viol))
+        progress.extend((val if res.feasible else math.nan, viol))
         if best is not None and min_upper - best_val <= target_gap:
             stop_reason = "gap"
             break
@@ -233,7 +229,7 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
             "(the inner ball may be too small; check the field perturbation)")
     state = EllipsoidState(center=ell_center, sqrt_shape=ell_l, lt_c=w, step=step,
                            best_value=best_val, min_upper=min_upper, stop_reason=stop_reason,
-                           progress=np.frombuffer(progress).reshape(-1, 3))
+                           progress=np.frombuffer(progress).reshape(-1, 2))
     return best, state
 
 
@@ -241,7 +237,7 @@ def ellipsoid_progress_csv(state: EllipsoidState, out):
     """Write the per-step progress to the open text file `out`, a row per step
     from 1, its columns read in blocks; objective is the query's c.query when
     the query was feasible and nan when it was not."""
-    textio.emit(out, "step,feasible,objective,violation\n", textio.rows(
+    textio.emit(out, "step,objective,violation\n", textio.rows(
         (range(1, len(state.progress) + 1), *state.progress.T)))
 
 

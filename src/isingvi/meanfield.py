@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from . import _kernels
-from .model import DomainError, IsingModel, ModelNorms
+from .errors import DomainError
+from .model import IsingModel, ModelNorms
 from .trace import IterationTrace
 
 

@@ -1,35 +1,30 @@
-"""Ferromagnetic Ising models: storage, validation, file grammar, topology generators.
+"""Ferromagnetic Ising models: storage, validation, the model-file grammar.
 
 A model is Pr(X = x) proportional to exp(x'Jx/2 + h.x) over x in {-1,+1}^n with
 J_ij >= 0 on the edges of a simple graph and h_i >= 0. Edges are stored once
 (unordered, i < j, lexicographically sorted); directed messages use a flat
 index of length 2m where directed id 2e is i->j and 2e+1 is j->i, so the
 reverse of directed id d is d ^ 1.
+
+Model files are read by `load_model` and written by `textio._model_text`,
+which `save_model` and `model_hash` feed the model's columns. The topology
+generators live in `topology`, on the standard library alone;
+`generate_topology` wraps their columns in an IsingModel.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import textio
-from .textio import ParseError
+from . import textio, topology
+from .errors import DomainError, ModelError, ParseError
+from .topology import _MAX_NODES, _check_weights
 
-# The largest node count whose float64 field array has a size numpy can
-# represent; larger counts are not a model, smaller ones may still not fit
-# in memory (MemoryError).
-_MAX_NODES = sys.maxsize // 8
-
-
-class ModelError(ValueError):
-    """Invalid model data (bad coupling sign, self-loop, duplicate edge, ...)."""
-
-
-class DomainError(ValueError):
-    """Function argument outside its mathematical domain (e.g. |x_i| > 1)."""
+__all__ = ["IsingModel", "ModelNorms", "ModelError", "DomainError", "load_model",
+           "save_model", "model_hash", "generate_topology"]
 
 
 @dataclass(frozen=True)
@@ -104,16 +99,10 @@ class IsingModel:
         fields = np.asarray(fields, dtype=np.float64).reshape(-1)
         if len(fields) != n:
             raise ModelError(f"expected {n} fields, got {len(fields)}")
-        # The kernels form 2J and 2h inside logaddexp, log cosh and elimination;
-        # a NaN, an inf or an overflow there turns every objective into NaN.
         with np.errstate(over="ignore"):
-            total = 2.0 * (float(couplings.sum()) + float(np.abs(fields).sum()))
-        if not np.isfinite(total):
-            raise ModelError("non-finite coupling or field, or 2 (sum J + sum |h|) "
-                             "overflows float64")
-        if np.any(fields < 0):
-            raise ModelError(
-                f"negative field {fields[fields < 0][0]:g} (fields must be >= 0)")
+            j_sum, h_l1 = float(couplings.sum()), float(np.abs(fields).sum())
+        negative = fields[fields < 0]
+        _check_weights(j_sum, h_l1, float(negative[0]) if negative.size else None)
         self.fields = fields + 0.0  # a copy, in which -0.0 + 0.0 is 0.0
 
         # Directed edge arrays: directed id 2e is lo->hi, 2e+1 is hi->lo.
@@ -250,125 +239,35 @@ def _check_ids(at, n, *columns):
         raise ParseError(f"line {at[k]}: out-of-range node id {ids[k][outside[k]][0]} (n={n})")
 
 
-def _model_text(model: IsingModel):
+def _columns(model: IsingModel):
+    """The model-file columns of `model`, as `textio._model_text` takes them."""
     nodes = np.flatnonzero(model.fields != 0.0)
-    return (f"n {model.n}\n",
-            textio.rows((nodes, model.fields[nodes]), sep=" ", prefix="node "),
-            textio.rows((model.edge_i, model.edge_j, model.couplings), sep=" ",
-                        prefix="edge "))
+    return (model.n, nodes, model.fields[nodes], model.edge_i, model.edge_j,
+            model.couplings)
 
 
 def save_model(model: IsingModel, out):
     """Write the canonical form to the open text file `out`; load_model on
     that file reproduces the model bit-exactly."""
-    textio.emit(out, *_model_text(model))
+    textio.emit(out, *textio._model_text(*_columns(model)))
 
 
 def model_hash(model: IsingModel) -> str:
     """Stable 16-hex-digit identifier of the canonical serialized form."""
-    return textio.digest(*_model_text(model))[:16]
-
-
-def _fields_from_spec(n, h_spec):
-    """Expand a field description: a scalar, or ('single', idx, value)."""
-    if not isinstance(h_spec, tuple):
-        return np.full(n, float(h_spec))
-    _, idx, val = h_spec
-    if not 0 <= idx < n:
-        raise ModelError(f"field node {idx} out of range (n={n})")
-    fields = np.zeros(n)
-    fields[idx] = float(val)
-    return fields
-
-
-def _random_regular_edges(n, d, rng):
-    # Pairing model: shuffle n*d stubs, pair consecutively, resample on collisions.
-    if n * d % 2 != 0:
-        raise ModelError(f"random_regular needs n*d even, got n={n}, d={d}")
-    if d >= n:
-        raise ModelError(f"random_regular needs d < n, got n={n}, d={d}")
-    if d < 1:
-        raise ModelError("random_regular needs d >= 1")
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(10000):
-        perm = rng.permutation(stubs)
-        a, b = perm[0::2], perm[1::2]
-        if np.any(a == b):
-            continue
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keys = lo * n + hi
-        if len(np.unique(keys)) != len(keys):
-            continue
-        return np.stack([lo, hi], axis=1)
-    raise ModelError(f"could not sample a simple {d}-regular graph on {n} nodes")
-
-
-def _random_tree_edges(n, rng):
-    # Uniform labeled tree via a random Pruefer sequence.
-    if n == 1:
-        return np.zeros((0, 2), dtype=np.int64)
-    seq = rng.integers(0, n, size=n - 2)
-    degree = np.ones(n, dtype=np.int64)
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    import heapq
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, int(v)))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, int(v))
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((u, w))
-    return np.array(edges, dtype=np.int64)
+    return textio.digest(*textio._model_text(*_columns(model)))[:16]
 
 
 def generate_topology(kind, beta, h_spec=0.0, *, n=None, rows=None, cols=None,
                       degree=None, seed=0) -> IsingModel:
-    """Build a standard test topology with uniform coupling beta and the field
-    h_spec: a number for every node, or ('single', i, v) for node i alone.
-
-    Kinds: cycle (n), grid (rows x cols, row-major, node 0 at the bottom-left
-    corner), random_regular (n, degree, seed), random_tree (n, seed), star (n).
-    Randomized kinds are reproducible given the seed.
-    """
-    if beta < 0:
-        raise ModelError(f"coupling beta must be nonnegative, got {beta}")
-    # Checked before anything is allocated: numpy cannot size an (n, 2) int64
-    # edge array past half the node bound of a model file.
-    size = rows * cols if kind == "grid" and None not in (rows, cols) else n
-    if size is not None and size > _MAX_NODES // 2:
-        raise ModelError(f"{kind} node count must be at most {_MAX_NODES // 2}, got {size}")
-    if kind in ("random_regular", "random_tree") and seed < 0:
-        raise ModelError(f"{kind} needs a seed >= 0, got {seed}")
-    if kind == "cycle":
-        if n is None or n < 3:
-            raise ModelError("cycle needs n >= 3")
-        edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    elif kind == "grid":
-        if rows is None or cols is None or rows < 1 or cols < 1:
-            raise ModelError("grid needs rows >= 1 and cols >= 1")
-        idx = np.arange(size).reshape(rows, cols)
-        right = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
-        up = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
-        edges = np.concatenate([right, up], axis=0)
-    elif kind == "random_regular":
-        if n is None or degree is None:
-            raise ModelError("random_regular needs n and degree")
-        edges = _random_regular_edges(n, degree, np.random.default_rng(seed))
-    elif kind == "random_tree":
-        if n is None or n < 1:
-            raise ModelError("random_tree needs n >= 1")
-        edges = _random_tree_edges(n, np.random.default_rng(seed))
-    elif kind == "star":
-        if n is None or n < 2:
-            raise ModelError("star needs n >= 2")
-        edges = np.stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1)
-    else:
-        raise ModelError(f"unknown topology kind {kind!r}")
-    couplings = np.full(len(edges), float(beta))
-    return IsingModel(size, edges, couplings, _fields_from_spec(size, h_spec))
+    """The topology `topology.generate` builds, with its checks and arguments,
+    as an IsingModel: a standard test topology with uniform coupling beta and
+    the field h_spec, a number for every node or ('single', i, v) for node i
+    alone. Kinds: cycle (n), grid (rows x cols), random_regular (n, degree,
+    seed), random_tree (n, seed), star (n)."""
+    size, nodes, h, lo, hi, couplings = topology.generate(
+        kind, beta, h_spec, n=n, rows=rows, cols=cols, degree=degree, seed=seed)
+    fields = np.zeros(size)
+    fields[np.frombuffer(nodes, np.int64)] = np.frombuffer(h)
+    return IsingModel(size, np.stack([np.frombuffer(lo, np.int64),
+                                      np.frombuffer(hi, np.int64)], axis=1),
+                      np.frombuffer(couplings), fields)

@@ -15,11 +15,8 @@ import numpy as np
 from . import textio
 from .bp import LocalDistribution, _cell_entropy, _pair_cells, primal_bethe
 from .meanfield import bernoulli_entropy, mf_objective
-from .model import DomainError, IsingModel, model_hash
-
-
-class SizeGuardError(RuntimeError):
-    """Instance too large for an exact method; raise rather than thrash."""
+from .errors import DomainError, SizeGuardError
+from .model import IsingModel, model_hash
 
 
 # Brute-force maximizers: grid spacing (also the coordinate-refinement window),

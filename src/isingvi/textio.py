@@ -1,17 +1,21 @@
 """The text codec of every artifact: model files, CSV outputs and reports.
 
-Writing works a block of rows at a time. `format_floats` gives the `%.17g`
-text of a float64 column, formatting each distinct bit pattern once, so a
-column of repeated couplings or converged messages costs a few formats.
-`rows` turns columns into blocks of lines, and `emit` writes blocks straight
-to an open text file; `digest` hashes the same blocks without building the
-whole text.
+Writing works a block of rows at a time and needs only the standard library,
+so that `gen --topology` writes a model file without loading numpy.
+`format_floats` gives the `%.17g` text of a block of floats, formatting each
+distinct value once, so a column of repeated couplings or converged messages
+costs a few formats. `rows` turns columns (numpy arrays or `array.array`s)
+into blocks of lines, and `emit` writes blocks straight to an open text
+file; `digest` hashes the same blocks without building the whole text.
+`_model_text` gives the lines of a model file from its plain columns; it is
+the one writer of the model grammar that `model.load_model` reads.
 
-Reading works a block of lines at a time. `line_blocks` reads lines from a
-string or an open file as they come, and `columns` converts the split lines
-of a block column by column with `map(int)` / `map(float)`. On top of them,
-`read_directives` parses model files and `read_csv` the CSV artifacts. A
-malformed line raises `ParseError` naming its line.
+Reading works a block of lines at a time, and only it loads numpy.
+`line_blocks` reads lines from a string or an open file as they come, and
+`columns` converts the split lines of a block column by column with
+`map(int)` / `map(float)`. On top of them, `read_directives` parses model
+files and `read_csv` the CSV artifacts. A malformed line raises `ParseError`
+naming its line.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import io
 import itertools
 
-import numpy as np
+from .errors import ParseError
 
 try:
     # CPython's own SHA-256 module, as random.py takes _sha512: hashlib loads
@@ -28,46 +32,56 @@ try:
 except ImportError:
     from hashlib import sha256
 
-# Rows per block: enough that the per-block numpy calls cost little per row,
-# few enough that a block's strings stay well under a megabyte.
+# Rows per block: enough that the per-block calls cost little per row, few
+# enough that a block's strings stay well under a megabyte.
 BLOCK_ROWS = 1024
 
 
-class ParseError(ValueError):
-    """Text does not conform to its grammar; the message carries the line number."""
-
-
 def format_floats(values) -> list:
-    """The `%.17g` text of each float64 in `values`, in order.
+    """The `%.17g` text of each float of the iterable `values`, in order.
 
-    Each distinct bit pattern is formatted once, so -0.0 stays "-0" and every
-    NaN "nan"; the text is the same as `f"{v:.17g}"` element by element.
+    Each distinct value is formatted once. Zeros are formatted every time,
+    since 0.0 == -0.0 would share one text, so -0.0 stays "-0"; every NaN
+    differs from every other and reads "nan".
     """
-    a = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-    text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
-    return list(map(text.__getitem__, inverse.tolist()))
+    memo = {}
+    known = memo.get
 
+    def fmt(v):
+        text = f"{v:.17g}"
+        if v:
+            memo[v] = text
+        return text
 
-def _column_text(column) -> list:
-    column = np.asarray(column)
-    if column.dtype.kind == "f":
-        return format_floats(column)
-    return list(map(str, column.tolist()))
+    return [known(v) or fmt(v) for v in values]
 
 
 def rows(columns, sep=",", prefix=""):
     """Yield the lines `prefix + sep.join(row)` of `columns`, a block at a time.
 
-    Each column is an integer array (written as decimal integers) or a float
-    array (written `%.17g`); all have the same length. Every line ends in a
-    newline.
+    Each column is a numpy array or an `array.array`, read a block at a time
+    through `.tolist()`, or a range; integers are written as decimal integers
+    and floats `%.17g`. All have the same length. Every line ends in a newline.
     """
     n = len(columns[0])
     joiner = "\n" + prefix
     for lo in range(0, n, BLOCK_ROWS):
-        text = [_column_text(c[lo:lo + BLOCK_ROWS]) for c in columns]
+        text = []
+        for c in columns:
+            block = c[lo:lo + BLOCK_ROWS]
+            values = list(block) if isinstance(block, range) else block.tolist()
+            text.append(format_floats(values) if isinstance(values[0], float)
+                        else list(map(str, values)))
         yield prefix + joiner.join(map(sep.join, zip(*text))) + "\n"
+
+
+def _model_text(n, nodes, fields, lo, hi, couplings):
+    """The parts of a model file: the node count n, a `node i h` line for each
+    i in `nodes` with its field, and an `edge i j J` line for each edge, in
+    the order given (the canonical order is (lo, hi) pairs with lo < hi,
+    ascending)."""
+    return (f"n {n}\n", rows((nodes, fields), sep=" ", prefix="node "),
+            rows((lo, hi, couplings), sep=" ", prefix="edge "))
 
 
 def _blocks(parts):
@@ -120,6 +134,8 @@ def columns(split, at, kinds) -> list:
     column: kinds[c] is int or float (an array) or None (column skipped).
     `at` holds the line number of each entry. Returns the converted columns.
     """
+    import numpy as np
+
     count = len(split)
     cols = list(zip(*split)) if count else [()] * len(kinds)
     out = []
@@ -148,6 +164,8 @@ def read_directives(source, grammar) -> dict:
     numbers]} for every key, the rows in file order, converted a block at a
     time.
     """
+    import numpy as np
+
     parts = {key: [] for key in grammar}
     for start, block in line_blocks(source):
         split = {key: ([], [], len(kinds) + 1) for key, kinds in grammar.items()}
@@ -184,6 +202,8 @@ def read_csv(source, sections) -> tuple:
     converted a block at a time; only sections that occur are keys of the
     result.
     """
+    import numpy as np
+
     meta = {}
     parts = {}          # header -> converted columns of each block
     key = None

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .model import DomainError, ModelNorms, model_hash
+from .errors import DomainError
+from .model import ModelNorms, model_hash
 
 
 @dataclass

@@ -286,10 +286,10 @@ def ref_trace_csv(trace, meta):
 
 
 def ref_progress_csv(progress):
-    lines = ["step,feasible,objective,violation"]
-    for step, (feas, value, viol) in enumerate(progress.tolist(), 1):
+    lines = ["step,objective,violation"]
+    for step, (value, viol) in enumerate(progress.tolist(), 1):
         v = f"{value:.17g}" if math.isfinite(value) else "nan"
-        lines.append(f"{step},{int(feas)},{v},{viol:.17g}")
+        lines.append(f"{step},{v},{viol:.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,8 @@ from isingvi import bp as bp_mod
 from isingvi import (IterationTrace, generate_topology, load_model, trace_from_csv, trace_meta,
                      trace_to_csv)
 from isingvi import meanfield as mf_mod
-from isingvi.cli import _monotone_ok, main
+from isingvi.cli import main
+from isingvi.verbs import _monotone_ok
 from refimpl import cycle_log_z
 
 
@@ -183,7 +184,7 @@ def test_run_ellipsoid(tmp_path):
     assert summary["stop_reason"] == "gap"
     assert float(summary["certificate_gap"]) <= 1e-7 / 2.0
     progress = read(run / "progress.csv")
-    assert progress.splitlines()[0] == "step,feasible,objective,violation"
+    assert progress.splitlines()[0] == "step,objective,violation"
     # --plot adds the incumbent plot and leaves every other artifact as it was
     plotted = tmp_path / "plotted"
     assert main([*argv, "--plot", "--out", str(plotted)]) == 0
@@ -266,16 +267,18 @@ def test_report_streams_to_its_file(tmp_path, capsys):
 
 
 def test_verbs_load_only_what_they_use(tmp_path):
-    """Neither importing the CLI nor any verb loads hashlib's OpenSSL module:
-    a run hashes its model into the trace header with CPython's builtin
-    SHA-256. Only a random topology loads numpy.random (5 MB of resident
-    memory), which loads hashlib itself."""
+    """Importing the CLI and `gen --topology` of every kind load neither numpy
+    nor hashlib's OpenSSL module: the generators and the model writer are
+    stdlib, and a model is hashed with CPython's builtin SHA-256. The numpy
+    verbs load no numpy.random (5 MB of resident memory), since seeded graphs
+    are drawn from Python's random."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys; from isingvi.cli import main; "
             "code = main(sys.argv[1:]) if sys.argv[1:] else None; "
-            "print(code, *(name in sys.modules for name in ('_hashlib', 'numpy.random')))")
+            "print(code, *(name in sys.modules for name in "
+            "('numpy', '_hashlib', 'numpy.random')))")
     _long_trace(tmp_path / "trace.csv", 10)
 
     def loaded(*argv):
@@ -283,13 +286,17 @@ def test_verbs_load_only_what_they_use(tmp_path):
                              text=True, env=env, cwd=tmp_path, check=True)
         return out.stdout.splitlines()[-1]
 
-    assert loaded() == "None False False"
-    assert loaded("gen", "--topology", "grid:4x4", "--beta", "0.3", "--out", "m.txt") == \
-        "0 False False"
-    assert loaded("report", "trace.csv", "--out", "report.txt") == "0 False False"
-    assert loaded("gen", "--topology", "tree:5", "--beta", "0.3", "--out", "t.txt") == \
-        "0 True True"
-    assert loaded("run", "--model", "m.txt", "--out", "run") == "0 False False"
+    assert loaded() == "None False False False"
+    for spec in ("grid:4x4", "cycle:5", "star:5", "tree:5", "regular:10:3"):
+        assert loaded("gen", "--topology", spec, "--beta", "0.3", "--field", "0.1",
+                      "--seed", "3", "--out", "m.txt") == "0 False False False", spec
+    assert loaded("gen", "--model", "m.txt", "--out", "copy.txt") == "0 True False False"
+    assert loaded("run", "--model", "m.txt", "--out", "run") == "0 True False False"
+    assert loaded("run", "--topology", "tree:5", "--beta", "0.3", "--out", "run") == \
+        "0 True False False"
+    assert loaded("exact", "--topology", "regular:10:3", "--beta", "0.3",
+                  "--out", "exact") == "0 True False False"
+    assert loaded("report", "trace.csv", "--out", "report.txt") == "0 True False False"
 
 
 def test_report_rejects_mixed_models(tmp_path):

@@ -42,7 +42,7 @@ def test_maximize_over_box():
     eig = np.linalg.eigvalsh(state.sqrt_shape @ state.sqrt_shape.T)
     assert eig.min() > 0.0
     csv = text_of(ellipsoid_progress_csv, state)
-    assert csv.splitlines()[0] == "step,feasible,objective,violation"
+    assert csv.splitlines()[0] == "step,objective,violation"
     assert len(csv.splitlines()) == state.step + 1
     for box in ((0.0, 0.0), (1.0, [2.0, 0.5]), (0.0, np.inf), (np.nan, 1.0)):
         with pytest.raises(DomainError, match="^box must"):
@@ -203,7 +203,7 @@ def test_solve_bethe_matches_iteration():
         nu, value, state = solve_bethe_exponential(model, 1e-6)
         assert abs(value - ref) <= 1e-6
         assert state.step > 0
-        assert state.progress.shape == (state.step, 3)
+        assert state.progress.shape == (state.step, 2)
 
 
 def test_solve_mf_matches_iteration():
@@ -269,9 +269,9 @@ def test_step_count_scales_polylog():
 def _watched_solve(model, family, eps=1e-6):
     """Solve the model's family to eps while checking every oracle cut against
     the optimum of the perturbed region (a tol-1e-15 run from all ones).
-    Returns (state, cuts, worst): worst is the largest excess
+    Returns (state, cuts, worst, feasible): worst is the largest excess
     cut . opt - (cut . query - violation) over |cut|_1, which is <= 0 when no
-    cut excludes the optimum."""
+    cut excludes the optimum, and feasible the oracle's answer at each call."""
     if family == "bethe":
         b, iterate, solve = eps / (2.0 * model.m), bp_iterate, solve_bethe_exponential
         name = "separation_oracle_bp"
@@ -281,10 +281,11 @@ def _watched_solve(model, family, eps=1e-6):
     pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
     opt, _trace = iterate(pert, max_steps=10**6, tol=1e-15, record=False)
     oracle = getattr(ellipsoid, name)
-    seen = [0, -math.inf]
+    seen = [0, -math.inf, []]
 
     def watched(mdl, q):
         res = oracle(mdl, q)
+        seen[2].append(res.feasible)
         if not res.feasible:
             excess = float(res.cut @ opt) - (float(res.cut @ q) - res.violation)
             seen[0] += 1
@@ -300,7 +301,7 @@ def _watched_solve(model, family, eps=1e-6):
 @pytest.fixture(scope="module")
 def certify_bethe():
     """The Bethe certificate of the benchmark's 4x4 grid, solved once with its
-    cuts watched: (model, state, cuts, worst excess)."""
+    cuts watched: (model, state, cuts, worst excess, feasible answers)."""
     model = small_grid(4, 4, 0.3, 0.1)
     return model, *_watched_solve(model, "bethe")
 
@@ -308,22 +309,24 @@ def certify_bethe():
 @pytest.fixture(scope="module")
 def certify_mf():
     """The mean-field certificate of the same grid, solved once with its cuts
-    watched: (model, state, cuts, worst excess)."""
+    watched: (model, state, cuts, worst excess, feasible answers)."""
     model = small_grid(4, 4, 0.3, 0.1)
     return model, *_watched_solve(model, "mf")
 
 
 def test_progress_rows_hold_measured_values(certify_bethe, certify_mf, tmp_path):
     """A progress row holds what its step measured: the query's objective when
-    the query is feasible, nan when it is not. The incumbent is their running
-    max, computed where it is read: `run --plot` draws it. Both solves of the
+    the oracle found the query feasible, nan when it did not, so the finite
+    rows are the feasible answers. The incumbent is their running max,
+    computed where it is read: `run --plot` draws it. Both solves of the
     benchmark's grid stop at their target gap, and `run` writes the stop
     reason and the certificate gap to summary.txt."""
     eps = 1e-6
-    for state in (certify_bethe[1], certify_mf[1]):
-        feasible, objective = state.progress[:, 0] == 1.0, state.progress[:, 1]
-        assert np.all(np.isnan(objective[~feasible]))
-        assert np.all(np.isfinite(objective[feasible]))
+    for _model, state, _cuts, _worst, answers in (certify_bethe, certify_mf):
+        objective = state.progress[:, 0]
+        feasible = np.array(answers)
+        assert feasible.shape == objective.shape and 0 < feasible.sum() < feasible.size
+        assert np.array_equal(np.isfinite(objective), feasible)
         best, want = math.nan, []
         for ok, value in zip(feasible.tolist(), objective.tolist()):
             if ok and (math.isnan(best) or value > best):
@@ -333,18 +336,18 @@ def test_progress_rows_hold_measured_values(certify_bethe, certify_mf, tmp_path)
         assert np.array_equal(incumbent.view(np.int64), np.array(want).view(np.int64))
         assert incumbent[-1] == state.best_value
         assert state.stop_reason == "gap" and state.min_upper - state.best_value <= eps / 2.0
-    # an infeasible row reads "k,0,nan,0": rows that repeated a 17-digit
-    # value would take about 29 bytes
+    # an infeasible row reads "k,nan,0": rows that repeated a 17-digit
+    # value would take about 27 bytes
     state = certify_bethe[1]
     size = len(text_of(ellipsoid_progress_csv, state))
-    assert size < 16 * state.step, size / state.step
+    assert size < 14 * state.step, size / state.step
 
     state = certify_mf[1]
     assert main(["run", "--topology", "grid:4x4", "--beta", "0.3", "--field", "0.1",
                  "--algo", "ellipsoid_mf", "--eps", repr(eps), "--plot",
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "objective.svg").read_text(encoding="utf-8") == plot_lines(
-        "best feasible", range(1, state.step + 1), np.fmax.accumulate(state.progress[:, 1]),
+        "best feasible", range(1, state.step + 1), np.fmax.accumulate(state.progress[:, 0]),
         "ellipsoid_mf incumbent", "step", "objective best")
     lines = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
     assert lines[-2:] == ["stop_reason gap",
@@ -415,11 +418,11 @@ def test_no_cut_excludes_the_optimum(certify_bethe, certify_mf, family, name):
     1e-12 |cut|_1: on the benchmark's 4x4 grid, on a low-temperature grid with
     no field but the perturbation, and on a random 3-regular graph."""
     if name == "grid4x4":
-        _state, cuts, worst = (certify_bethe if family == "bethe" else certify_mf)[1:]
+        _state, cuts, worst, _answers = (certify_bethe if family == "bethe" else certify_mf)[1:]
     else:
         model = {"grid3x3_beta2_h0": small_grid(3, 3, 2.0, 0.0),
                  "regular10_3": generate_topology("random_regular", 0.6, 0.0, n=10, degree=3)}[name]
-        _state, cuts, worst = _watched_solve(model, family)
+        _state, cuts, worst, _answers = _watched_solve(model, family)
     assert cuts > 0
     assert worst <= 1e-12, (cuts, worst)
 
@@ -471,10 +474,10 @@ def test_progress_csv_streams_its_columns():
     """Writing the progress of 10^5 steps to a file holds a block of rows at a
     time, not a copy of a column: below 8 bytes per row."""
     steps = 10**5
-    progress = np.empty((steps, 3))
-    progress[:, 0] = np.arange(steps) % 3 == 0
-    progress[:, 1] = np.where(progress[:, 0] == 1.0, np.linspace(1.0, 2.0, steps), np.nan)
-    progress[:, 2] = np.where(progress[:, 0] == 1.0, 0.0, np.linspace(0.5, 1e-9, steps))
+    feasible = np.arange(steps) % 3 == 0
+    progress = np.empty((steps, 2))
+    progress[:, 0] = np.where(feasible, np.linspace(1.0, 2.0, steps), np.nan)
+    progress[:, 1] = np.where(feasible, 0.0, np.linspace(0.5, 1e-9, steps))
     state = EllipsoidState(center=np.zeros(2), sqrt_shape=np.eye(2), lt_c=np.ones(2),
                            step=steps, best_value=2.0, min_upper=2.0, stop_reason="gap",
                            progress=progress)

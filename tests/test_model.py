@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -315,6 +316,75 @@ def test_generate_topology_deterministic():
     c = generate_topology("random_regular", 0.3, 0.1, n=20, degree=3, seed=12)
     assert np.array_equal(a.edges, b.edges)
     assert not np.array_equal(a.edges, c.edges)
+
+
+def test_random_regular_pairs_stubs_at_n1000_d7():
+    """Steger-Wormald pairing draws 7-regular graphs on 1000 nodes, where a
+    whole random pairing is almost never simple: every degree is 7, the graph
+    is simple, and one seed always gives the same graph."""
+    a = generate_topology("random_regular", 0.3, 0.0, n=1000, degree=7, seed=5)
+    assert a.m == 3500 and np.all(a.degrees == 7)
+    keys = a.edge_i * a.n + a.edge_j
+    assert np.all(a.edge_i < a.edge_j) and np.unique(keys).size == a.m
+    b = generate_topology("random_regular", 0.3, 0.0, n=1000, degree=7, seed=5)
+    c = generate_topology("random_regular", 0.3, 0.0, n=1000, degree=7, seed=6)
+    assert np.array_equal(a.edges, b.edges) and not np.array_equal(a.edges, c.edges)
+
+
+def _gen_text(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gen", *argv]) == 0
+    return out.getvalue()
+
+
+_SPECS = st.one_of(
+    st.integers(3, 30).map(lambda n: (f"cycle:{n}", dict(kind="cycle", n=n))),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
+        lambda rc: (f"grid:{rc[0]}x{rc[1]}", dict(kind="grid", rows=rc[0], cols=rc[1]))),
+    st.integers(2, 30).map(lambda n: (f"star:{n}", dict(kind="star", n=n))),
+    st.integers(1, 30).map(lambda n: (f"tree:{n}", dict(kind="random_tree", n=n))),
+    st.tuples(st.integers(2, 24), st.integers(1, 5)).filter(
+        lambda nd: nd[1] < nd[0] and nd[0] * nd[1] % 2 == 0).map(
+        lambda nd: (f"regular:{nd[0]}:{nd[1]}",
+                    dict(kind="random_regular", n=nd[0], degree=nd[1]))))
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 0.3, 5e-324]), st.floats(0.0, 4.0))
+
+
+@settings(max_examples=60)
+@given(spec=_SPECS, beta=_VALUES, field=_VALUES, single=st.booleans(),
+       seed=st.integers(0, 2**40), data=st.data())
+def test_gen_writes_the_model_save_model_writes(spec, beta, field, single, seed, data):
+    """`gen --topology` writes its model through the same writer as save_model,
+    from the standard library's columns: the bytes agree over every kind,
+    signed-zero couplings and fields, uniform and single-node fields and
+    seeds, and the written model hashes as the generated one."""
+    spec, kwargs = spec
+    size = kwargs.get("n") or kwargs["rows"] * kwargs["cols"]
+    if single:
+        node = data.draw(st.integers(0, size - 1))
+        field_arg, h_spec = f"single:{node}:{field!r}", ("single", node, field)
+    else:
+        field_arg, h_spec = repr(field), field
+    text = _gen_text("--topology", spec, f"--beta={beta!r}", f"--field={field_arg}",
+                     "--seed", str(seed))
+    model = generate_topology(beta=beta, h_spec=h_spec, seed=seed, **kwargs)
+    assert text == text_of(save_model, model)
+    assert model_hash(load_model(text)) == model_hash(model)
+
+
+def test_gen_grids_keep_their_bytes():
+    """The grid models of the benchmark are pinned to the bytes that the numpy
+    generators wrote (SHA-256 of each file)."""
+    for spec, field, digest in (
+            ("grid:4x4", "0.1",
+             "9d129d1cfa8d0345b591d76caf06509137b9bc7bdfe808e0fba626343bef0061"),
+            ("grid:4x5", "0.1",
+             "da03e7835c31b2b44b07e3ce2c82e2bb09a39f81680b1ed39ba563b3847d8c58"),
+            ("grid:200x200", "0.05",
+             "510e2609a61b6e7742b7208921c42fb05a6d7017c64fbc4f16d1bad90b0cd9f6")):
+        text = _gen_text("--topology", spec, "--beta", "0.3", "--field", field)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, spec
 
 
 def test_single_field_spec():
