@@ -63,7 +63,7 @@ def dual_bethe(model: IsingModel, nu) -> float:
     te = t1[0::2] * nu[1::2]
     if te.size and not float((1.0 + te).min()) > 0.0:
         raise DomainError("nonpositive log argument in edge term")
-    return _kernels._bethe_dual(model.dir_dst, model.theta_dir, model.fields,
+    return _kernels._bethe_dual(model._dir_dst, model.theta_dir, model.fields,
                                 _kernels._log_cosh_total(model.couplings), nu)
 
 
@@ -93,7 +93,7 @@ def node_estimates(model: IsingModel, nu):
     """Per-node magnetization estimates tanh(h_i + sum_in arctanh(theta nu))."""
     nu = _kernels._vector(nu, 2 * model.m, "nu")
     a = _kernels._clamped_atanh(model.theta_dir, nu)
-    s = model.fields + np.bincount(model.dir_dst, weights=a, minlength=model.n)
+    s = model.fields + np.bincount(model._dir_dst, weights=a, minlength=model.n)
     return np.tanh(s)
 
 
@@ -245,4 +245,4 @@ def messages_to_csv(model: IsingModel, nu, out):
     """Write directed messages to the open text file `out` as src,dst,nu rows
     in directed-id order."""
     nu = _kernels._vector(nu, 2 * model.m, "nu")
-    textio.emit(out, "src,dst,nu\n", textio.rows((model.dir_src, model.dir_dst, nu)))
+    textio.emit(out, "src,dst,nu\n", textio.rows((model._dir_src, model._dir_dst, nu)))

@@ -105,7 +105,7 @@ def separation_oracle_bp(model: IsingModel, nu) -> SeparationResult:
     product is
     theta_e/(1 - (theta_e nu_e)^2) times y summed over the edges out of dst(e)
     but e ^ 1."""
-    src, dst, theta = model.dir_src, model.dir_dst, model.theta_dir
+    src, dst, theta = model._dir_src, model._dir_dst, model.theta_dir
 
     def vjp(q, y):
         # the pair-swapped view of y gives y[e ^ 1]
@@ -120,7 +120,7 @@ def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
     """Separate x from {x in [0,1]^n : x <= tanh(Jx + h)} by deep cuts: on the
     box Jx + h >= 0, where tanh(Jx + h) is concave. The transpose product is
     J y."""
-    src, dst, w = model.dir_src, model.dir_dst, model.dir_coupling
+    src, dst, w = model._dir_src, model._dir_dst, model.dir_coupling
 
     def vjp(q, y):
         return np.bincount(src, weights=y[dst] * w, minlength=model.n)

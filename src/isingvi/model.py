@@ -47,10 +47,14 @@ class IsingModel:
         couplings: length-m nonnegative reals J_e.
         fields: length-n nonnegative reals h_i, default all zero.
 
-    Each array is stored once, read-only: couplings and fields (copies; -0.0
-    is stored as 0.0), dir_src, dir_dst and degrees. edges, rows (i, j) with
-    i < j, and its columns edge_i, edge_j are views of dir_src. dir_coupling
-    and theta_dir, J and tanh(J) per directed edge, are built on first read.
+    Each array is stored once: couplings and fields (copies; -0.0 is stored
+    as 0.0) and degrees, read-only, and the directed-edge ends _dir_src and
+    _dir_dst, writable because np.bincount copies a read-only index whole.
+    The package reads those two; callers outside it read dir_src and dir_dst,
+    read-only views of them. edges,
+    rows (i, j) with i < j, and its columns edge_i, edge_j are views of
+    dir_src. dir_coupling and theta_dir, J and tanh(J) per directed edge, are
+    built on first read.
     """
 
     def __init__(self, n, edges=None, couplings=None, fields=None):
@@ -107,13 +111,14 @@ class IsingModel:
 
         # Directed edge arrays: directed id 2e is lo->hi, 2e+1 is hi->lo.
         m = self.m
-        self.dir_src = np.empty(2 * m, dtype=np.int64)
-        self.dir_dst = np.empty(2 * m, dtype=np.int64)
-        self.dir_src[0::2] = lo
-        self.dir_dst[0::2] = hi
-        self.dir_src[1::2] = hi
-        self.dir_dst[1::2] = lo
-        self.degrees = np.bincount(self.dir_src, minlength=n).astype(np.int64, copy=False)
+        self._dir_src = np.empty(2 * m, dtype=np.int64)
+        self._dir_dst = np.empty(2 * m, dtype=np.int64)
+        self._dir_src[0::2] = lo
+        self._dir_dst[0::2] = hi
+        self._dir_src[1::2] = hi
+        self._dir_dst[1::2] = lo
+        self.dir_src, self.dir_dst = self._dir_src.view(), self._dir_dst.view()
+        self.degrees = np.bincount(self._dir_src, minlength=n).astype(np.int64, copy=False)
 
         for a in (self.couplings, self.fields, self.dir_src, self.dir_dst, self.degrees):
             a.setflags(write=False)
@@ -138,24 +143,26 @@ class IsingModel:
             # Directed ids sorted by destination: the edges into node i are the
             # run R = in_order[in_ptr[i]:in_ptr[i + 1]], ascending, so the s-th
             # excluded in-edge of d = (i -> j) is R[s + (R[s] >= d ^ 1)]. Blocks of
-            # 4096 positions keep temporaries small; freed whole-graph ones stay
-            # resident and add to peak RSS.
+            # 4096 positions keep temporaries small, and in_order and excl are
+            # freed before inv is built; freed whole-graph arrays stay resident
+            # and add to peak RSS.
             ndir = 2 * self.m
-            in_order = np.argsort(self.dir_dst, kind="stable")
+            in_order = np.argsort(self._dir_dst, kind="stable")
             in_ptr = np.concatenate(([0], np.cumsum(self.degrees)))
-            excl = self.degrees[self.dir_src] - 1
+            excl = self.degrees[self._dir_src] - 1
             order = np.argsort(-excl, kind="stable")
-            inv = np.empty(ndir, dtype=np.int64)
-            inv[order] = np.arange(ndir)
             sizes = ndir - np.cumsum(np.bincount(excl, minlength=1))[:-1]
             slots = [np.empty(k, dtype=np.int64) for k in sizes]
             for r0 in range(0, ndir, 4096):
                 d = order[r0:r0 + 4096]
-                start, rev = in_ptr[self.dir_src[d]], d ^ 1
+                start, rev = in_ptr[self._dir_src[d]], d ^ 1
                 for s, slot in enumerate(slots[:excl[d[0]]]):
                     pos = start[:slot.shape[0] - r0] + s
                     pos += in_order[pos] >= rev[:pos.shape[0]]
                     slot[r0:r0 + pos.shape[0]] = in_order[pos]
+            del in_order, excl
+            inv = np.empty(ndir, dtype=np.int64)
+            inv[order] = np.arange(ndir)
             self._exclusion = (_frozen(inv), tuple(_frozen(s) for s in slots))
         return self._exclusion
 

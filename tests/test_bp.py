@@ -259,9 +259,11 @@ def test_step_is_monotone_map_on_box(seed):
 @given(st.data())
 def test_step_sums_in_ascending_id_order(data):
     """bp_step is bitwise tanh of the reference field, whose exclusion sums
-    start from 0.0 and add the excluded in-edges in ascending id order.
-    Models: any edge subset of n <= 10 nodes (isolated nodes, n = 1 and
-    m = 0 included) or a star."""
+    start from 0.0 and add the excluded in-edges in ascending id order, with
+    no RuntimeWarning (an error under the test configuration). Models: any
+    edge subset of n <= 10 nodes (isolated nodes, leaves, n = 1 and m = 0
+    included) or a star; couplings include J = 0, where a negative message
+    gives theta nu = -0.0, and J whose tanh rounds to 1.0."""
     n = data.draw(st.integers(1, 10), label="n")
     if n > 1 and data.draw(st.booleans(), label="star"):
         edges = [(0, k) for k in range(1, n)]
@@ -270,7 +272,7 @@ def test_step_sums_in_ascending_id_order(data):
         keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         edges = [p for p, k in zip(pairs, keep) if k]
     m = len(edges)
-    magnitude = st.floats(0.0, 40.0)
+    magnitude = st.one_of(st.sampled_from([0.0, 19.5, 40.0]), st.floats(0.0, 40.0))
     model = IsingModel(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
                        data.draw(st.lists(magnitude, min_size=m, max_size=m)),
                        data.draw(st.lists(magnitude, min_size=n, max_size=n)))

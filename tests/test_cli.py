@@ -134,8 +134,8 @@ def test_plot_reference_matches_a_run_from_the_start(tmp_path, monkeypatch, algo
     """The reference behind --plot continues the recorded run, a run from the
     start, to tol 1e-13 for ref_steps steps in all. Its value is, bitwise,
     that of the run continued so, also where a recorded step is below 1e-13
-    (steps_above_tol False). At the fixed point the objective wobbles in its
-    last bits, so a recorded value may exceed the reference by rounding."""
+    (steps_above_tol False), or the trace's maximum where that lies above it
+    by rounding."""
     gen = tmp_path / "model.txt"
     assert main(["gen", "--topology", topology, "--beta", repr(beta), "--field", field,
                  "--seed", "1", "--out", str(gen)]) == 0
@@ -164,10 +164,33 @@ def test_plot_reference_matches_a_run_from_the_start(tmp_path, monkeypatch, algo
     ref_state, _ = iterate(model, init=state, max_steps=ref_steps - trace.steps, tol=1e-13,
                            record=False)
     summary = summary_dict(run / "summary.txt")
-    assert summary["reference_value"] == f"{objective(model, ref_state):.17g}"
-    top = float(np.nanmax(trace.objective))
-    assert float(summary["reference_value"]) >= top - 1e-14 * abs(top)
+    top, continued = float(np.nanmax(trace.objective)), objective(model, ref_state)
+    assert continued >= top - 1e-14 * abs(top)
+    assert summary["reference_value"] == f"{max(continued, top):.17g}"
     assert summary["reference_source"] == f"long_run(tol=1e-13,max_steps={ref_steps})"
+
+
+def test_plot_residuals_are_nonnegative(tmp_path):
+    """At the fixed point the recorded dual wobbles in its last bit, and on
+    this run the trace's maximum lies above the continued run's value, by no
+    more than round-off; the reference is the larger of the two, so no
+    residual is negative."""
+    gen, run = tmp_path / "model.txt", tmp_path / "out"
+    assert main(["gen", "--topology", "grid:3x3", "--beta", "0.3", "--field", "0.5",
+                 "--out", str(gen)]) == 0
+    assert main(["run", "--model", str(gen), "--algo", "bp", "--steps", "500", "--tol", "0",
+                 "--out", str(run), "--plot"]) == 0
+    trace, _ = trace_from_csv(read(run / "trace.csv"))
+    model = load_model(read(gen))
+    state, _ = bp_mod.bp_iterate(model, max_steps=500, tol=0.0)
+    ref_state, _ = bp_mod.bp_iterate(model, init=state, max_steps=200000 - trace.steps,
+                                     tol=1e-13, record=False)
+    top, continued = float(np.nanmax(trace.objective)), bp_mod.dual_bethe(model, ref_state)
+    assert top - 1e-14 * abs(top) <= continued < top
+    reference = float(summary_dict(run / "summary.txt")["reference_value"])
+    assert reference == top
+    residual = reference - trace.objective[np.isfinite(trace.objective)]
+    assert residual.min() == 0.0
 
 
 def test_run_ellipsoid(tmp_path):
