@@ -21,7 +21,7 @@ __all__ = [
     "bp_step", "bp_iterate", "dual_bethe", "dual_bethe_gradient",
     "node_estimates", "region_membership", "RegionMembership",
     "LocalDistribution", "beliefs_from_messages", "local_consistency_check",
-    "primal_bethe", "bp_error_bound", "bp_message_bound", "messages_to_csv",
+    "primal_bethe", "bp_error_bound", "bp_message_bound",
     "ExactResult", "SizeGuardError", "exact_log_z",
     "brute_force_mf_optimum", "brute_force_bethe_optimum",
     "exact_result_to_csv", "exact_result_from_csv",

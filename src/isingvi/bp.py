@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, textio
+from . import _kernels
 from .meanfield import bernoulli_entropy
 from .errors import DomainError
 from .model import IsingModel, ModelNorms
@@ -240,9 +240,3 @@ def bp_message_bound(norms: ModelNorms, t, h_min):
         raise DomainError("h_min must be positive for the l1 bound")
     return 2.0 * norms.m * (1.0 + norms.j_linf) / (math.tanh(h_min) * t)
 
-
-def messages_to_csv(model: IsingModel, nu, out):
-    """Write directed messages to the open text file `out` as src,dst,nu rows
-    in directed-id order."""
-    nu = _kernels._vector(nu, 2 * model.m, "nu")
-    textio.emit(out, "src,dst,nu\n", textio.rows((model._dir_src, model._dir_dst, nu)))

@@ -74,17 +74,17 @@ def _bound_ok(t, objective, bound, reference) -> bool:
     return not np.any(reference - objective[use] > bound[use] + _BOUND_SLACK)
 
 
-def _node_csv(model: IsingModel, x, out):
+def _node_csv(x, out):
     textio.emit(out, "node,x\n", textio.rows((np.arange(len(x)), x)))
 
 
 # What the verbs need of one algorithm family, mean-field or BP: the name of
 # its objective in plots; iterate(model, init=, max_steps=, tol=, record=) ->
 # (state, trace); objective(model, state); the theorem bound(norms, t); the
-# ellipsoid solve(model, eps) -> (point, value, state); write_state(model,
-# state, out); and the summary key of |objective - log Z| when exact.csv is
-# present, or None.
-_Family = namedtuple("_Family", "label iterate objective bound solve write_state exact_key")
+# ellipsoid solve(model, eps) -> (point, value, state); marginals(model,
+# state), the node means that final_state.csv holds; and the summary key of
+# |objective - log Z| when exact.csv is present, or None.
+_Family = namedtuple("_Family", "label iterate objective bound solve marginals exact_key")
 
 
 def _family(algo: str) -> _Family:
@@ -92,9 +92,9 @@ def _family(algo: str) -> _Family:
     module attributes, so that wrappers installed on those attributes (as
     perfbench's tracer installs) are the functions called."""
     mf = _Family("objective", mf_mod.mf_iterate, mf_mod.mf_objective,
-                 mf_mod.mf_error_bound, solve_mf_exponential, _node_csv, None)
+                 mf_mod.mf_error_bound, solve_mf_exponential, lambda model, x: x, None)
     bp = _Family("dual_bethe", bp_mod.bp_iterate, bp_mod.dual_bethe, bp_mod.bp_error_bound,
-                 solve_bethe_exponential, bp_mod.messages_to_csv, "dual_minus_log_z")
+                 solve_bethe_exponential, bp_mod.node_estimates, "dual_minus_log_z")
     return {"mf": mf, "bp": bp, "ellipsoid_mf": mf, "ellipsoid_bethe": bp}[algo]
 
 
@@ -105,7 +105,7 @@ def _run_iterative(args, model: IsingModel) -> int:
     meta = trace_meta(model, args.algo, args.init, args.tol)
     _write(os.path.join(args.out, "trace.csv"), partial(trace_to_csv, trace, meta))
     _write(os.path.join(args.out, "final_state.csv"),
-           partial(family.write_state, model, state))
+           partial(_node_csv, family.marginals(model, state)))
 
     finite = np.isfinite(trace.objective)
     final_obj = float(trace.objective[finite][-1]) if finite.any() else float("nan")
@@ -158,7 +158,7 @@ def _run_ellipsoid(args, model: IsingModel) -> int:
     family = _family(args.algo)
     point, value, state = family.solve(model, args.eps)
     _write(os.path.join(args.out, "final_state.csv"),
-           partial(family.write_state, model, point))
+           partial(_node_csv, family.marginals(model, point)))
     steps = state.step if state is not None else 0
     pairs = [("model_hash", model_hash(model)), ("algo", args.algo),
              ("eps", f"{args.eps:g}"), ("steps_used", steps),

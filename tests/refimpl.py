@@ -259,13 +259,6 @@ def ref_model_hash(model):
     return hashlib.sha256(ref_save_model(model).encode()).hexdigest()[:16]
 
 
-def ref_messages_csv(model, nu):
-    lines = ["src,dst,nu"]
-    for d in range(2 * model.m):
-        lines.append(f"{model.dir_src[d]},{model.dir_dst[d]},{nu[d]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def ref_node_csv(x):
     return "node,x\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(x))
 

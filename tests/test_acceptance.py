@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import cycle4, random_ferro, random_tree, triangle
 from isingvi import (IsingModel, beliefs_from_messages, bp_error_bound,
-                     bp_iterate, bp_step, dual_bethe, dual_bethe_gradient,
-                     exact_log_z, generate_topology, mf_error_bound,
-                     mf_gradient, mf_iterate, mf_objective, mf_step,
-                     region_membership, solve_bethe_exponential,
+                     bp_iterate, bp_message_bound, bp_step, dual_bethe,
+                     dual_bethe_gradient, exact_log_z, generate_topology,
+                     mf_error_bound, mf_gradient, mf_iterate, mf_objective,
+                     mf_step, region_membership, solve_bethe_exponential,
                      solve_mf_exponential)
 from isingvi.oracle import brute_force_bethe_optimum
 
@@ -158,6 +158,29 @@ def test_4_bp_bounds_and_monotonicity():
     report(ok, "acceptance-4-bp-rate-bound",
            f"20 models x 1e4 steps, worst residual-bound margin {margin:.3g}, "
            f"worst objective step {mono:.3g}, coordinatewise monotone {coord_ok}")
+
+
+def test_bp_message_rate_bound():
+    """Not one of the nine checks: the l1 message rate beside check 4. On the
+    twelve corpus models with fields h >= h_min > 0, |nu_t - nu*|_1 stays
+    below bp_message_bound at every step t <= 2,000 from the all-ones start,
+    against a tol-1e-13 reference nu*."""
+    models = [(label, model) for label, model in corpus() if model.fields.min() > 0.0]
+    worst, where = 0.0, None   # largest |nu_t - nu*|_1 / bound
+    for label, model in models:
+        h_min = float(model.fields.min())
+        nu_star, _ = bp_iterate(model, init="ones", max_steps=2 * 10**5, tol=1e-13,
+                                record=False)
+        norms = model.norms()
+        nu = np.ones(2 * model.m)
+        for t in range(1, 2001):
+            nu = bp_step(model, nu)
+            ratio = float(np.abs(nu - nu_star).sum()) / bp_message_bound(norms, t, h_min)
+            if ratio > worst:
+                worst, where = ratio, f"{label} at t={t}"
+    report(len(models) == 12 and worst < 1.0, "bp-message-rate-bound",
+           f"{len(models)} models with h > 0 x 2,000 steps, worst |nu_t - nu*|_1 / bound "
+           f"{worst:.3g} ({where})")
 
 
 def _loglog_slope(ts, values):

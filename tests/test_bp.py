@@ -114,6 +114,16 @@ def test_region_membership():
     assert abs(rf.slack).max() <= 1e-12
 
 
+def test_region_membership_is_strict_about_fixed_points():
+    """A fixed point is one that a step moves by at most 1e-12: messages 1e-9
+    above the fixed point, which a step moves by ~5e-10, are not one."""
+    model = cycle4(0.7, 0.2)
+    nu_fix, _ = bp_iterate(model, max_steps=5000, tol=1e-15)
+    near = region_membership(model, nu_fix + 1e-9)
+    assert 1e-10 < abs(near.slack).max() < 1e-8
+    assert near.in_s_pre and not near.fixed_point
+
+
 def test_node_estimates_and_beliefs_zero_field():
     model = cycle4(0.9, 0.0)
     nu = np.zeros(2 * model.m)
@@ -177,6 +187,20 @@ def test_local_consistency_violation_frozen():
                       (dict(edges=np.array([[1, 0]])), "edges")):
         with pytest.raises(DomainError, match=f"^distribution {what} do(es)? not match"):
             primal_bethe(model, LocalDistribution(**{**ok, **bad}))
+
+
+def test_primal_refuses_a_small_local_polytope_violation():
+    """primal_bethe evaluates members of the local polytope only, to 1e-9: node
+    means that disagree with their edges' pair marginals by 2e-6 (a violation
+    of 1e-6) are refused, and the same beliefs unperturbed are accepted."""
+    model = triangle(0.5, 0.3)
+    nu, _ = bp_iterate(model, max_steps=5000, tol=1e-15)
+    dist = beliefs_from_messages(model, nu)
+    primal_bethe(model, dist)
+    dist.node_means[0] += 2e-6
+    assert local_consistency_check(dist) == pytest.approx(1e-6, rel=1e-3)
+    with pytest.raises(DomainError, match="^local polytope violation"):
+        primal_bethe(model, dist)
 
 
 def test_error_bound_values():

@@ -9,11 +9,11 @@ import pytest
 
 from conftest import peak_bytes, text_of
 from isingvi import bp as bp_mod
-from isingvi import (IterationTrace, generate_topology, load_model, trace_from_csv, trace_meta,
-                     trace_to_csv)
+from isingvi import (IterationTrace, exact_result_from_csv, generate_topology, load_model,
+                     trace_from_csv, trace_meta, trace_to_csv)
 from isingvi import meanfield as mf_mod
 from isingvi.cli import main
-from isingvi.verbs import _monotone_ok
+from isingvi.verbs import _bound_ok, _monotone_ok
 from refimpl import cycle_log_z
 
 
@@ -74,6 +74,24 @@ def test_run_bp_with_exact_cross_check(tmp_path):
     trace, meta = trace_from_csv(read(run / "trace.csv"))
     assert meta["model_hash"] == summary["model_hash"]
     assert trace.algo == "bp"
+
+
+def test_bp_final_state_is_exact_node_means_on_a_tree(tmp_path):
+    """BP is exact on trees, so the node means of BP's final_state.csv agree
+    with those exact.csv holds for the same model file to 1e-9."""
+    gen, run = tmp_path / "tree.txt", tmp_path / "out"
+    assert main(["gen", "--topology", "tree:40", "--beta", "0.5", "--field", "0.2",
+                 "--seed", "8", "--out", str(gen)]) == 0
+    assert main(["exact", "--model", str(gen), "--out", str(run)]) == 0
+    assert main(["run", "--model", str(gen), "--algo", "bp", "--tol", "1e-14",
+                 "--out", str(run)]) == 0
+    lines = read(run / "final_state.csv").splitlines()
+    assert lines[0] == "node,x"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(i) for i, _ in rows] == list(range(40))
+    with open(run / "exact.csv", encoding="utf-8") as fh:
+        exact, _ = exact_result_from_csv(fh)
+    assert np.max(np.abs(np.array([float(x) for _, x in rows]) - exact.node_means)) <= 1e-9
 
 
 def test_run_mf_writes_artifacts(tmp_path):
@@ -170,6 +188,25 @@ def test_plot_reference_matches_a_run_from_the_start(tmp_path, monkeypatch, algo
     assert summary["reference_source"] == f"long_run(tol=1e-13,max_steps={ref_steps})"
 
 
+def test_plot_keeps_a_reference_below_the_trace_by_more_than_rounding(tmp_path, monkeypatch):
+    """The trace maximum replaces the continued reference value only when it
+    tops it by rounding (1e-14 relative). A continued value 1e-9 relative
+    below it is kept; the recorded duals come from the sweep, not from
+    bp.dual_bethe, so lowering that function lowers the reference alone."""
+    dual = bp_mod.dual_bethe
+    monkeypatch.setattr(bp_mod, "dual_bethe",
+                        lambda model, nu: dual(model, nu) * (1.0 - 1e-9))
+    run = tmp_path / "out"
+    assert main(["run", "--topology", "grid:3x3", "--beta", "0.3", "--field", "0.5",
+                 "--algo", "bp", "--steps", "500", "--tol", "1e-12", "--out", str(run),
+                 "--plot"]) == 0
+    trace, _ = trace_from_csv(read(run / "trace.csv"))
+    top = float(np.nanmax(trace.objective))
+    reference = float(summary_dict(run / "summary.txt")["reference_value"])
+    assert reference < top
+    assert reference == pytest.approx(top * (1.0 - 1e-9), rel=1e-13)
+
+
 def test_plot_residuals_are_nonnegative(tmp_path):
     """At the fixed point the recorded dual wobbles in its last bit, and on
     this run the trace's maximum lies above the continued run's value, by no
@@ -208,6 +245,9 @@ def test_run_ellipsoid(tmp_path):
     assert float(summary["certificate_gap"]) <= 1e-7 / 2.0
     progress = read(run / "progress.csv")
     assert progress.splitlines()[0] == "step,objective,violation"
+    # the node means of the solution's messages, not the 2m messages
+    state = read(run / "final_state.csv").splitlines()
+    assert state[0] == "node,x" and len(state) == 5
     # --plot adds the incumbent plot and leaves every other artifact as it was
     plotted = tmp_path / "plotted"
     assert main([*argv, "--plot", "--out", str(plotted)]) == 0
@@ -486,6 +526,19 @@ def test_monotone_slack_scales_with_objective():
     small = np.array([0.5, 1.0, 1.0 - 1e-9, 1.0])
     assert not _monotone_ok(small)
     assert _monotone_ok(np.array([np.nan, 1.0]))
+
+
+def test_bound_check_fails_a_bound_exceeded_by_1e_6():
+    """bound_dominates tolerates rounding (1e-9) above the theorem bound, not
+    an excess of 1e-6 at one step; t = 0, where the bound is inf, is not
+    checked."""
+    t = np.arange(5)
+    bound = np.array([np.inf, 1.0, 0.5, 0.25, 0.125])
+    reference = 3.0
+    objective = reference - np.array([7.0, 1.0, 0.5, 0.25, 0.125])
+    assert _bound_ok(t, objective, bound, reference)
+    objective[2] -= 1e-6
+    assert not _bound_ok(t, objective, bound, reference)
 
 
 def test_console_script(tmp_path):
