@@ -104,13 +104,16 @@ def separation_oracle_bp(model: IsingModel, nu) -> SeparationResult:
     models the module docstring names, not proved. Entry e of the transpose
     product is
     theta_e/(1 - (theta_e nu_e)^2) times y summed over the edges out of dst(e)
-    but e ^ 1."""
+    but e ^ 1, with theta_e nu_e clamped as the field clamps it, so that
+    tanh(J) rounding to 1.0 gives a large finite factor at nu_e = 1."""
     src, dst, theta = model._dir_src, model._dir_dst, model.theta_dir
 
     def vjp(q, y):
         # the pair-swapped view of y gives y[e ^ 1]
         out = np.bincount(src, weights=y, minlength=model.n)
-        return theta / (1.0 - (theta * q) ** 2) * (out[dst] - y.reshape(-1, 2)[:, ::-1].ravel())
+        # q is in [0, 1] here, as box cuts come first, so theta q clamps from above only
+        t = np.minimum(theta * q, _kernels._CLAMP)
+        return theta / (1.0 - t * t) * (out[dst] - y.reshape(-1, 2)[:, ::-1].ravel())
 
     return _separate(_kernels._vector(nu, 2 * model.m, "query"),
                      partial(bp_step, model), vjp, deep=False)

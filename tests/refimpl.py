@@ -298,15 +298,33 @@ def ref_exact_csv(result, model):
 
 
 def ref_report_rows(k, algo, t, objective, reference, n, bound):
-    """A report's data rows for trace k: finite objectives only."""
-    lines = []
-    for i in range(len(t)):
-        if not math.isfinite(objective[i]):
-            continue
-        resid = (reference - objective[i]) / n
-        lines.append(f"{k},{algo},{int(t[i])},{objective[i]:.17g},{resid:.17g},"
-                     f"{bound[i]:.17g}\n")
+    """A report's data rows for trace k. Of the rows with a finite objective
+    it keeps the first, the last, and for each j >= 0 the first whose t is at
+    least floor(10^(j/20)): walking the rows in order, a row is kept when it
+    reaches the next such threshold."""
+    finite = [i for i in range(len(t)) if math.isfinite(objective[i])]
+    lines, j = [], 0
+    for pos, i in enumerate(finite):
+        keep = pos in (0, len(finite) - 1)
+        while int(t[i]) >= math.floor(10 ** (j / 20)):
+            keep, j = True, j + 1
+        if keep:
+            resid = (reference - objective[i]) / n
+            lines.append(f"{k},{algo},{int(t[i])},{objective[i]:.17g},{resid:.17g},"
+                         f"{bound[i]:.17g}\n")
     return "".join(lines)
+
+
+def ref_bound_ratio(t, objective, reference, bound):
+    """(largest (reference - objective) / bound, its first t) over the rows
+    with t >= 1 and a finite objective, row by row."""
+    best = None
+    for i in range(len(t)):
+        if int(t[i]) >= 1 and math.isfinite(objective[i]):
+            ratio = (reference - float(objective[i])) / float(bound[i])
+            if best is None or ratio > best[0]:
+                best = (ratio, int(t[i]))
+    return best
 
 
 def ref_plot_points(xs, ys, log=False):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import shutil
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import peak_bytes, text_of
 from isingvi import bp as bp_mod
@@ -14,7 +18,7 @@ from isingvi import (IterationTrace, exact_result_from_csv, generate_topology, l
 from isingvi import meanfield as mf_mod
 from isingvi.cli import main
 from isingvi.verbs import _bound_ok, _monotone_ok
-from refimpl import cycle_log_z
+from refimpl import cycle_log_z, ref_bound_ratio
 
 
 def read(path):
@@ -138,6 +142,21 @@ def test_near_critical_bp_residual_slope(tmp_path):
                  "500", "--tol", "0", "--out", str(run), "--plot"]) == 0
     summary = summary_dict(run / "summary.txt")
     assert float(summary["residual_loglog_slope"]) <= -1.0
+    # the slope is the least-squares fit over the last nine tenths, t >= 50
+    trace, _ = trace_from_csv(read(run / "trace.csv"))
+    reference = float(summary["reference_value"])
+
+    def fit(lo):
+        pts = [(math.log(t), math.log(reference - obj))
+               for t, obj in zip(trace.t.tolist(), trace.objective.tolist())
+               if t >= lo and reference - obj > 0]
+        mx = sum(x for x, _ in pts) / len(pts)
+        my = sum(y for _, y in pts) / len(pts)
+        return (sum((x - mx) * (y - my) for x, y in pts)
+                / sum((x - mx) ** 2 for x, _ in pts))
+
+    assert summary["residual_loglog_slope"] == f"{fit(50):.6g}"
+    assert f"{fit(250):.6g}" != f"{fit(50):.6g}"
 
 
 @pytest.mark.parametrize("algo, topology, beta, field, steps, tol, steps_above_tol", [
@@ -314,19 +333,58 @@ def _long_trace(path, rows):
 
 
 def test_report_streams_to_its_file(tmp_path, capsys):
-    """report --out writes a block of rows at a time and prints its check
-    lines from the header: on a 2*10^4-row trace it peaks below twice the
-    report's size, which holding the report's text and its lines would pass."""
+    """report --out prints its check lines from the header and peaks below
+    twice the bytes of the trace it reads. On a 2*10^4-row trace its table
+    holds about 20 rows a decade: t = 0, 1 and T among them, in increasing
+    order."""
     trace, rep = tmp_path / "trace.csv", tmp_path / "report.txt"
-    _long_trace(trace, 2 * 10**4)
+    rows = 2 * 10**4
+    _long_trace(trace, rows)
     capsys.readouterr()
     code, peak = peak_bytes(main, ["report", str(trace), "--out", str(rep)])
     assert code == 0
-    size = os.path.getsize(rep)
+    size = os.path.getsize(trace)
     assert peak < 2 * size, (peak, size)
+    text = read(rep)
     assert capsys.readouterr().out == "".join(
-        line[2:] for line in read(rep).splitlines(keepends=True)
+        line[2:] for line in text.splitlines(keepends=True)
         if line.startswith(("# check", "# reference")))
+    ts = [int(line.split(",")[2]) for line in text.split(
+        "trace,algo,t,objective,density_residual,bound\n")[1].splitlines()]
+    assert len(ts) <= 20 * math.log10(rows) + 3
+    assert {0, 1, rows} <= set(ts)
+    assert all(a < b for a, b in zip(ts, ts[1:]))
+
+
+def test_report_bound_ratio_reads_every_row(tmp_path):
+    """The bound_ratio line names the largest residual-to-bound ratio of every
+    recorded row, here at t = 1234, a step the table leaves out; a zero bound
+    over a zero residual reads nan, without a warning."""
+    model = generate_topology("cycle", 0.3, 0.1, n=5)
+    t = np.arange(3001)
+    bound = bp_mod.bp_error_bound(model.norms(), t)
+    # residual bound/2, held from t = 1000 to 1234, then bound/4, and 0 at the
+    # end, so that the trace's maximum is its last objective: non-increasing
+    resid = np.where(t < 1000, bound / 2, np.where(t <= 1234, bound[1000] / 2, bound / 4))
+    resid[0], resid[-1] = resid[1], 0.0
+    trace = IterationTrace("bp", t, 50.0 - resid, np.full(t.size, 0.5), False)
+    path, rep = tmp_path / "trace.csv", tmp_path / "report.txt"
+    path.write_text(text_of(trace_to_csv, trace, trace_meta(model, "bp", "ones", 0.0)))
+    assert main(["report", str(path), "--out", str(rep)]) == 0
+    parsed, _ = trace_from_csv(read(path))
+    ref = float(parsed.objective.max())
+    ratio, at = ref_bound_ratio(parsed.t, parsed.objective, ref, bound)
+    assert at == 1234
+    head, body = read(rep).split("trace,algo,t,objective,density_residual,bound\n")
+    assert f"# bound_ratio trace0(bp) {ratio:.17g} at t 1234\n" in head
+    assert "# check trace0(bp) objective_monotone PASS\n" in head
+    assert "0,bp,1234," not in body
+    # a one-node model has bound 0 and residual 0 from t = 1: the ratio is nan
+    one = tmp_path / "one"
+    assert main(["run", "--topology", "grid:1x1", "--beta", "0.3", "--algo", "mf",
+                 "--out", str(one)]) == 0
+    assert main(["report", str(one / "trace.csv"), "--out", str(rep)]) == 0
+    assert "# bound_ratio trace0(mf) nan at t 1\n" in read(rep)
 
 
 def test_verbs_load_only_what_they_use(tmp_path):
@@ -502,6 +560,62 @@ def test_extreme_inputs_exit_cleanly(tmp_path, capsys):
             assert main([*verb, *source, "--out", str(tmp_path / "o")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bethe_cuts_stay_finite_where_tanh_j_rounds_to_one(tmp_path):
+    """At beta 20, tanh(J) is 1.0 in float64, and a Bethe query reaches
+    nu_e = 1: the cut's factor theta/(1 - (theta nu)^2) reads theta nu clamped
+    as the field does, so it stays finite and no divide warning is raised."""
+    assert main(["run", "--topology", "cycle:3", "--beta", "20", "--field", "0.2",
+                 "--algo", "ellipsoid_bethe", "--eps", "1e-320",
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+_HUGE_STEPS = str(10**30)
+
+
+@st.composite
+def _cli_argv(draw):
+    """A `gen` or `run` argument list: each option takes one of its good
+    values (degenerate topologies, extreme numbers) seven times in eight,
+    else a bad one, so that most drawn argument lists pass validation."""
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 0 else good))
+
+    top = pick(("grid:1x1", "tree:1", "star:2", "cycle:3", "grid:2x2", "regular:4:3"),
+               ("star:1", "cycle:2", "grid:0x2", "tree:x"))
+    argv = ["--topology", top,
+            "--beta", pick(("0", "0.3", "20", "1e300", "1e-320"),
+                           ("-0.5", "nan", "inf", "1e308", "x")),
+            "--field", pick(("0", "0.3", "20", "1e-320", "single:0:1"),
+                            ("-0.5", "nan", "inf", "1e308", "x", "single:5:1")),
+            "--seed", pick(("0", "7"), ("-1",))]
+    if draw(st.booleans()):
+        return ["gen", *argv]
+    steps = pick(("1", "50", _HUGE_STEPS), ("0", "-3", "1.5"))
+    # a huge budget with a tolerance the run meets; tol 0 would spend it all
+    tol = pick(("1e-3", "inf", "1e300") if steps == _HUGE_STEPS else ("0", "1e-3", "inf"),
+               ("-1", "nan", "x"))
+    # eps below 1e-300 takes thousands of ellipsoid steps beyond one node
+    eps = pick(("1e-3", "1e300") + (("1e-320",) if top in ("grid:1x1", "tree:1") else ()),
+               ("0", "-1", "nan", "inf", "x"))
+    algo = draw(st.sampled_from(("bp", "mf", "ellipsoid_bethe", "ellipsoid_mf")))
+    return ["run", *argv, "--algo", algo, "--steps", steps, "--tol", tol, "--eps", eps]
+
+
+@settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cli_argv())
+def test_cli_argument_fuzz_exits_cleanly(tmp_path, argv):
+    """Whatever the arguments, the CLI exits with a documented code (0-3) and
+    at most one `error:` line, and raises nothing: no traceback, no warning."""
+    if argv[0] == "run":
+        argv = [*argv, "--out", str(tmp_path / "run")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (code, argv)
+    assert err.getvalue().count("error:") <= 1, (err.getvalue(), argv)
+    assert (code == 0) == (err.getvalue() == ""), (code, err.getvalue(), argv)
 
 
 def test_nonpositive_fields_are_sign_flipped(tmp_path):

@@ -17,9 +17,8 @@ from isingvi import (DomainError, IsingModel, ParseError, bp_error_bound,
                      trace_from_csv, trace_meta, trace_norms)
 from isingvi import textio
 from isingvi.cli import main
-from refimpl import (ref_exact_csv, ref_model_hash, ref_node_csv,
-                     ref_progress_csv, ref_report_rows, ref_save_model,
-                     ref_trace_csv)
+from refimpl import (ref_bound_ratio, ref_exact_csv, ref_model_hash, ref_node_csv,
+                     ref_progress_csv, ref_report_rows, ref_save_model, ref_trace_csv)
 
 SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
            2.2250738585072009e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
@@ -231,5 +230,7 @@ def test_cli_artifacts_match_per_row_writers(tmp_path, monkeypatch, block_rows):
         bound = (mf_error_bound if trace.algo == "mf" else bp_error_bound)(norms, trace.t)
         ref = float(np.nanmax(trace.objective))
         expect += ref_report_rows(k, trace.algo, trace.t, trace.objective, ref, grid.n, bound)
+        ratio, at = ref_bound_ratio(trace.t, trace.objective, ref, bound)
+        assert f"# bound_ratio trace{k}({trace.algo}) {ratio:.17g} at t {at}\n" in head
     assert body == expect
     assert head.startswith(f"# model_hash {ref_model_hash(grid)}\n")
