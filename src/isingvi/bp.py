@@ -54,12 +54,15 @@ def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
 
 
 def dual_bethe(model: IsingModel, nu) -> float:
-    """Message-space dual Phi(nu). Raises DomainError when a log argument is
-    nonpositive (only reachable with negative messages) or NaN."""
+    """Message-space dual Phi(nu). Raises DomainError when a message is NaN or
+    a log argument is out of range. Node terms take log(1 + theta nu) > -inf
+    and log(1 - theta nu) >= -inf: theta nu = 1, a message of 1 where tanh(J)
+    rounds to 1.0, gives the exact log 0, which the node sum absorbs."""
     nu = _kernels._vector(nu, 2 * model.m, "nu")
     t1 = model.theta_dir * nu
-    if t1.size and not (float((1.0 + t1).min()) > 0.0 and float((1.0 - t1).min()) > 0.0):
-        raise DomainError("nonpositive log argument in node term (message < -1)")
+    if t1.size and not (float(t1.min()) > -1.0 and float(t1.max()) <= 1.0):  # NaN fails
+        bad = float(t1[~((t1 > -1.0) & (t1 <= 1.0))][0])
+        raise DomainError(f"node term needs -1 < tanh(J) nu <= 1, got {bad:g}")
     te = t1[0::2] * nu[1::2]
     if te.size and not float((1.0 + te).min()) > 0.0:
         raise DomainError("nonpositive log argument in edge term")

@@ -2,27 +2,53 @@
 fixpoint regions of the two iterations, with separation oracles and the
 field-perturbation solvers built on them.
 
-An oracle cut sums the cuts of every violated row into one surrogate cut
-(Bland, Goldfarb & Todd, 1981), found in O(m) through the transpose product
-of the field map. Mean-field cuts sit at the summed slack, valid because
-each slack is convex on the box. Bethe cuts go through the query: the BP
-field is a sum of convex arctanh terms, so a deep cut can exclude the
-optimum. That a Bethe cut through the query keeps every feasible point is
-measured, not proved. One Bethe row's set is not convex
-(tanh(atanh u + atanh v) = (u + v)/(1 + uv) is convex along (1, -1) at
-u = v), and the tests watch every cut of the solves on the 4x4 grid
-(J = 0.3, h = 0.1), a 3x3 grid at J = 2, h = 0, and a random 3-regular
-graph on 10 nodes at J = 0.6.
+Mean-field works in x: its region is {x in [0,1]^n : x <= tanh(Jx + h)}.
+Bethe works in the log-odds y = atanh(nu) of the messages: its region is
+{y >= 0 : y <= F(y)}, where F_k(y) = h_src(k) + sum_e f_e(y_e) sums
+f_e(y) = atanh(tanh(J_e) tanh y), clamped as the BP field clamps it, over the
+edges e into src(k) other than k ^ 1. So F(y) = field(tanh y), y is a
+post-fixpoint of F exactly when tanh(y) is one of bp_step, and the greatest
+fixed point of F is y* = field(nu*) for the greatest message fixed point nu*.
+
+Every cut is deep, by one proof for both families. Each row's map is concave
+on the box: tanh(Jx + h) because Jx + h >= 0, and f_e because
+f_e' = theta / (1 + (1 - theta^2) sinh^2 y) decreases on y >= 0 (the clamp
+is a min with a constant, which keeps it concave). So each slack
+q_k - psi_k(q) is convex, and so is their sum S over the violated rows V. A
+feasible p has S(p) <= 0, so g . (p - q) <= S(p) - S(q) <= -S(q) for the
+gradient g of S at q: the cut g . p <= g . q - S(q) keeps every feasible
+point. One O(m) transpose product of the field map gives g (the surrogate cut
+of Bland, Goldfarb & Todd, 1981). Both maps are monotone, so the greatest
+post-fixpoint is the greatest fixed point (Tarski), every feasible point lies
+below it, and it maximizes the coordinate sum. In y, tanh is 1-Lipschitz, so
+the certificate gap sum(y*) - sum(y) bounds |nu* - nu|_1.
+
+The Bethe oracle reads row k's slack as y_k - atanh(phi_k) with
+phi = bp_step(tanh y), which loses the last bits of F_k. Take tanh and atanh
+within 2 ulp (glibc's documented bound) and eps the machine epsilon. To first
+order, a row of n arctanh terms is then off by at most
+eps [(1 + 1.5 n)/(1 - phi_k^2) + (4.5 + n/2) y_k]:
+- eps/(1 - phi_k^2) from rounding phi_k;
+- 1.5 eps/(1 - (theta nu_e)^2) = 1.5 eps cosh^2 f_e per term, from rounding
+  tanh y_e and theta nu_e, where sum_e cosh^2 f_e <= cosh^2 F_k + n - 1;
+- 2 eps relative for each atanh, n eps/2 for the sum and eps/2 y_k for the
+  difference, with F_k < y_k on V.
+So the oracle takes each violated row's slack less c eps (y_k + 1/(1 - phi_k^2))
+with c = 3 (max degree + 2), at least twice both coefficients, floored at 0.
+A row whose phi_k rounds to 1.0 reads feasible at any y, so the Bethe oracle
+also cuts the side y <= F(inf) = field(1) of its start box when no row is
+violated. `test_no_cut_excludes_the_optimum` watches every cut of five
+Bethe solves, two of them saturated.
 
 The search starts from the smallest axis-aligned ellipsoid around a box that
-holds the feasible set. The solvers pass [0, step(1)]: the iteration maps are
-monotone, so q <= step(q) <= step(1) on the region. The ellipsoid is tracked
-through a square-root factor L with shape P = L L^T; each cut, applied at its
-depth, multiplies L by a rank-one correction, which avoids the cancellation
-that plagues the textbook symmetric-matrix update once the ellipsoid is thin.
-An upper-bound certificate max_E c.x = c.center + |L^T c| is tracked every
-step, with L^T c updated in O(d) alongside L, so the loop can stop as soon as
-the incumbent is within target_gap of optimal.
+holds the feasible set: [0, step(1)] for mean-field and [0, field(1)] for
+Bethe, as the maps are monotone. The ellipsoid is tracked through a
+square-root factor L with shape P = L L^T; each cut, applied at its depth,
+multiplies L by a rank-one correction, which avoids the cancellation that
+plagues the textbook symmetric-matrix update once the ellipsoid is thin. An
+upper-bound certificate max_E c.x = c.center + |L^T c| is tracked every step,
+with L^T c updated in O(d) alongside L, so the loop can stop as soon as the
+incumbent is within target_gap of optimal.
 """
 
 from __future__ import annotations
@@ -30,7 +56,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -39,6 +64,8 @@ from .bp import bp_step, dual_bethe
 from .meanfield import mf_objective, mf_step
 from .errors import DomainError, FeasibilityError, ModelError
 from .model import IsingModel
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -58,9 +85,9 @@ class SeparationResult:
 @dataclass
 class EllipsoidState:
     """Search state: ellipsoid {center + L u : |u| <= 1}, incumbent, certificate,
-    why the search stopped, and the measured values of every step. A row holds
-    the query's objective when the query is feasible and nan otherwise, so the
-    incumbent after each step is np.fmax.accumulate(progress[:, 0])."""
+    why the search stopped, and the measured objective of every step: the
+    query's objective when the query is feasible and nan otherwise, so the
+    incumbent after each step is np.fmax.accumulate(progress)."""
 
     center: np.ndarray
     sqrt_shape: np.ndarray
@@ -71,65 +98,96 @@ class EllipsoidState:
     # "gap": min_upper - best_value reached target_gap; "no_better_point": an
     # objective cut left no point above the incumbent; "budget": steps ran out
     stop_reason: str
-    progress: np.ndarray  # (steps, 2) rows (objective, violation); row k is step k + 1
+    progress: np.ndarray  # (steps,) objectives; entry k is step k + 1
 
 
-def _separate(q, step, vjp, deep) -> SeparationResult:
-    """Separate q from {q in [0,1]^d : q <= step(q) = tanh(field(q))}: cut the
-    most violated box side, else cut once for the violated rows V = {k : q_k >
-    step_k(q)} with the gradient of their summed slack, g = 1_V - vjp(q, c 1_V),
-    c = 1 - step(q)^2, where vjp(q, y) = (dfield/dq)^T y. With deep the cut
-    sits at the summed slack, which is valid only when every slack is convex;
-    otherwise it goes through q."""
-    d = q.shape[0]
-    box = np.maximum(-q, q - 1.0)
-    k = int(box.argmax()) if d else 0  # methods: np.argmax's wrapper costs more
-    if d and box[k] > 0.0:
-        g = np.zeros(d)
-        g[k] = -1.0 if -q[k] >= q[k] - 1.0 else 1.0
-        return SeparationResult(False, g, float(box[k]))
-    phi = step(q)
-    slack = q - phi
-    violated = slack > 0.0
-    if not np.count_nonzero(violated):  # skips ndarray.any's wrapper
-        return SeparationResult(True)
-    g = violated - vjp(q, (1.0 - phi * phi) * violated)
-    return SeparationResult(False, g, float(slack[violated].sum()) if deep else 0.0)
+def _box_cut(q, hi):
+    """The cut of the side of the box [0, hi] that q violates most, at its
+    depth; None when q lies in the box."""
+    over = q - hi
+    box = np.maximum(-q, over)
+    k = int(box.argmax()) if q.shape[0] else 0  # methods: np.argmax's wrapper costs more
+    if not (q.shape[0] and box[k] > 0.0):
+        return None
+    g = np.zeros(q.shape[0])
+    g[k] = -1.0 if -q[k] >= over[k] else 1.0
+    return SeparationResult(False, g, float(box[k]))
 
 
-def separation_oracle_bp(model: IsingModel, nu) -> SeparationResult:
-    """Separate nu from {nu in [0,1]^2m : nu <= bp_step(nu)} by cuts through nu:
-    the BP field is a sum of convex arctanh terms, so a deep cut can exclude
-    feasible points. That a cut through nu keeps them is measured on the
-    models the module docstring names, not proved. Entry e of the transpose
-    product is
-    theta_e/(1 - (theta_e nu_e)^2) times y summed over the edges out of dst(e)
-    but e ^ 1, with theta_e nu_e clamped as the field clamps it, so that
-    tanh(J) rounding to 1.0 gives a large finite factor at nu_e = 1."""
+def _separate(q, hi, rows, upper=None) -> SeparationResult:
+    """Separate q from {q in [0, hi] : q_k <= psi_k(q) for every row k}, each
+    psi_k concave on the box: cut the most violated side of [0, hi] first.
+    Else rows(q) = (violated, depth, transpose) gives the violated rows V, a
+    lower bound depth(V) on their summed slack and the transpose product of
+    psi's Jacobian, and V is cut once, deep, with the gradient of the summed
+    slack, g = 1_V - transpose(1_V). With no row violated, the side q <= upper()
+    of a box around the region is cut when upper is given."""
+    cut = _box_cut(q, hi)
+    if cut is not None:
+        return cut
+    violated, depth, transpose = rows(q)
+    if np.count_nonzero(violated):  # skips ndarray.any's wrapper
+        return SeparationResult(False, violated - transpose(violated), depth(violated))
+    cut = _box_cut(q, upper()) if upper is not None else None
+    return SeparationResult(True) if cut is None else cut
+
+
+def separation_oracle_bp(model: IsingModel, y) -> SeparationResult:
+    """Separate y from the Bethe region {y >= 0 : y <= field(tanh y)} in
+    log-odds coordinates by deep cuts (the module docstring has the proof).
+    A side y_k < 0 is cut first. Else nu = tanh(y), phi = bp_step(nu), and
+    the rows V = {nu > phi} are cut with g = 1_V - (1 - nu^2) vjp(nu, 1_V) at
+    sum_V max(0, y_k - atanh(phi_k) - c eps (y_k + 1/(1 - phi_k^2))), c eps
+    the module docstring's rounding allowance. With V empty, a side
+    y_k > field(1)_k is cut. Entry e of vjp(nu, w) is
+    theta_e/(1 - (theta_e nu_e)^2) times w summed over the edges out of
+    dst(e) but e ^ 1, with theta_e nu_e clamped as the field clamps it, so
+    that tanh(J) rounding to 1.0 gives a large finite factor at nu_e = 1."""
     src, dst, theta = model._dir_src, model._dir_dst, model.theta_dir
+    y = _kernels._vector(y, 2 * model.m, "query")
 
-    def vjp(q, y):
-        # the pair-swapped view of y gives y[e ^ 1]
-        out = np.bincount(src, weights=y, minlength=model.n)
-        # q is in [0, 1] here, as box cuts come first, so theta q clamps from above only
-        t = np.minimum(theta * q, _kernels._CLAMP)
-        return theta / (1.0 - t * t) * (out[dst] - y.reshape(-1, 2)[:, ::-1].ravel())
+    def rows(y):
+        nu = np.tanh(y)
+        phi = bp_step(model, nu)
 
-    return _separate(_kernels._vector(nu, 2 * model.m, "query"),
-                     partial(bp_step, model), vjp, deep=False)
+        def depth(v):
+            yv, pv = y[v], phi[v]  # phi < nu <= 1 on V, so every term is finite
+            c = 3.0 * (float(model.degrees.max()) + 2.0) * _EPS
+            return float(np.maximum(yv - np.arctanh(pv) - c * (yv + 1.0 / (1.0 - pv * pv)),
+                                    0.0).sum())
+
+        def transpose(v):
+            # the pair-swapped view of v gives v[e ^ 1]
+            out = np.bincount(src, weights=v, minlength=model.n)
+            # nu is in [0, 1] here, as y >= 0, so theta nu clamps from above only
+            t = np.minimum(theta * nu, _kernels._CLAMP)
+            return (1.0 - nu * nu) * (theta / (1.0 - t * t)
+                                      * (out[dst] - v.reshape(-1, 2)[:, ::-1].ravel()))
+
+        return nu > phi, depth, transpose
+
+    return _separate(y, np.inf, rows,
+                     lambda: _kernels._bp_field_map(model)(np.ones(2 * model.m)))
 
 
 def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
     """Separate x from {x in [0,1]^n : x <= tanh(Jx + h)} by deep cuts: on the
-    box Jx + h >= 0, where tanh(Jx + h) is concave. The transpose product is
-    J y."""
+    box Jx + h >= 0, where tanh(Jx + h) is concave. The rows V = {x > phi},
+    phi = mf_step(x), are cut at sum_V (x_k - phi_k), and the transpose
+    product is J ((1 - phi^2) w)."""
     src, dst, w = model._dir_src, model._dir_dst, model.dir_coupling
+    x = _kernels._vector(x, model.n, "query")
 
-    def vjp(q, y):
-        return np.bincount(src, weights=y[dst] * w, minlength=model.n)
+    def rows(x):
+        phi = mf_step(model, x)
+        slack = x - phi
 
-    return _separate(_kernels._vector(x, model.n, "query"), partial(mf_step, model),
-                     vjp, deep=True)
+        def transpose(v):
+            return np.bincount(src, weights=((1.0 - phi * phi) * v)[dst] * w, minlength=model.n)
+
+        return slack > 0.0, lambda v: float(slack[v].sum()), transpose
+
+    return _separate(x, 1.0, rows)
 
 
 def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
@@ -139,13 +197,15 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     feasible set must lie inside box = (lo, hi), bounds that broadcast to
     (d,) with hi > lo. The search starts from the smallest axis-aligned
     ellipsoid around that box, centre (lo + hi)/2 and semi-axes
-    sqrt(d) (hi - lo)/2, widened by 1e-4. Every cut is applied at its depth:
+    sqrt(d) (hi - lo)/2, widened by 1e-4; a box whose radius (below) passes
+    2^400 is searched in units of a power of two, which scales every step
+    exactly. Every cut is applied at its depth:
     an oracle cut at its violation, an objective cut at a feasible query at
     best - c.query, which is 0 when the query is the new incumbent. The best
     feasible point is returned with the final EllipsoidState, whose progress
-    rows hold each step's measured values: the query's objective c.query if
-    the query was feasible (nan if not, so a row is feasible exactly when its
-    objective is finite), and the cut's violation (0 at a feasible query).
+    holds each step's measured objective: the query's c.query if the query
+    was feasible, nan if not, so a step is feasible exactly when its entry is
+    finite.
     The step budget is 8 + 2 d^2 max(0, max(log(R/r_est), log 2) + log(1/target_gap))
     with R = sqrt(d) max(hi - lo)/2, the radius of the ball around the box,
     taken as differences of logs so that tiny gaps do not overflow. The
@@ -169,6 +229,9 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
         raise DomainError("box must have finite bounds with hi > lo")
     radius = math.sqrt(d) * float(width.max()) / 2.0
     re = float(r_est) if r_est and r_est > 0.0 else target_gap
+    if radius > 2.0 ** 400:  # squares in |L^T c| could overflow: search in units of 2^k
+        unit = math.ldexp(1.0, math.frexp(float(width.max()))[1] - 1)  # width < 2 unit
+        return _rescaled(oracle, c, lo, hi, target_gap, re, unit)
     max_steps = int(math.ceil(2.0 * d * d * max(
         0.0, max(math.log(radius) - math.log(re), math.log(2.0)) - math.log(target_gap)))) + 8
     ell_center = (lo + hi) / 2.0
@@ -190,11 +253,11 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
             if best is None or val > best_val:
                 best_val = val
                 best = ell_center.copy()
-            g, depth, viol = -c, best_val - val, 0.0
+            g, depth = -c, best_val - val
         else:
             g = np.asarray(res.cut, dtype=np.float64)
-            depth = viol = float(res.violation)
-        progress.extend((val if res.feasible else math.nan, viol))
+            depth = float(res.violation)
+        progress.append(val if res.feasible else math.nan)
         if best is not None and min_upper - best_val <= target_gap:
             stop_reason = "gap"
             break
@@ -232,64 +295,82 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
             "(the inner ball may be too small; check the field perturbation)")
     state = EllipsoidState(center=ell_center, sqrt_shape=ell_l, lt_c=w, step=step,
                            best_value=best_val, min_upper=min_upper, stop_reason=stop_reason,
-                           progress=np.frombuffer(progress).reshape(-1, 2))
+                           progress=np.frombuffer(progress))
     return best, state
+
+
+def _rescaled(oracle, c, lo, hi, target_gap, r_est, unit):
+    """ellipsoid_maximize over a box in units of the power of two `unit`: every
+    step of the search scales exactly, so only the units of its result change."""
+    def scaled(q):
+        res = oracle(q * unit)
+        return res if res.feasible else SeparationResult(False, res.cut, res.violation / unit)
+
+    best, state = ellipsoid_maximize(scaled, c, (lo / unit, hi / unit), target_gap / unit,
+                                     r_est / unit)
+    for name in ("center", "sqrt_shape", "lt_c", "best_value", "min_upper", "progress"):
+        setattr(state, name, getattr(state, name) * unit)
+    return best * unit, state
 
 
 def ellipsoid_progress_csv(state: EllipsoidState, out):
     """Write the per-step progress to the open text file `out`, a row per step
     from 1, its columns read in blocks; objective is the query's c.query when
     the query was feasible and nan when it was not."""
-    textio.emit(out, "step,objective,violation\n", textio.rows(
-        (range(1, len(state.progress) + 1), *state.progress.T)))
+    textio.emit(out, "step,objective\n", textio.rows(
+        (range(1, len(state.progress) + 1), state.progress)))
 
 
-def _solve(model: IsingModel, b: float, oracle, step, dimension: int, target_gap: float,
-           evaluate):
-    """Raise every field by b, maximize the coordinate sum over the perturbed
-    model's post-fixpoint region (separated by oracle) to target_gap, and
-    evaluate the original model's objective at the result clipped to [0, 1].
-    step is the family's iteration map: it is monotone, so the region lies in
-    the box [0, step(1)]. Returns (point, value, state)."""
+def _solve(model: IsingModel, b: float, oracle, top, target_gap: float, r_est: float):
+    """Raise every field by b and maximize the coordinate sum over the
+    perturbed model's post-fixpoint region, separated by oracle, to
+    target_gap, from the box [0, top(perturbed model)]. Returns (point, state)."""
     try:
         pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
     except ModelError as exc:
         raise DomainError(f"eps too large: field perturbation {b:g} overflows the model") from exc
-    r_est = math.tanh(float(pert.fields.min())) / 2.0
-    ones = np.ones(dimension)
-    point, state = ellipsoid_maximize(lambda q: oracle(pert, q), ones, (0.0, step(pert, ones)),
-                                      target_gap=target_gap, r_est=r_est)
-    value = evaluate(model, np.clip(point, 0.0, 1.0))
-    return point, value, state
+    hi = top(pert)
+    return ellipsoid_maximize(lambda q: oracle(pert, q), np.ones(hi.shape[0]), (0.0, hi),
+                              target_gap=target_gap, r_est=r_est)
 
 
 def solve_bethe_exponential(model: IsingModel, epsilon: float):
     """Optimal-fixed-point dual value to accuracy epsilon via the ellipsoid method.
 
     Adds a field perturbation B = epsilon/2m (making the inner ball of the
-    post-fixpoint region explicit), maximizes sum(nu) over that region to an
-    l1 gap of epsilon/2, and evaluates the dual of the *original* model at the
-    result. Returns (nu, value, EllipsoidState); the state is None when m = 0.
+    post-fixpoint region explicit: the cube [0, B]^2m is feasible in log-odds
+    y), maximizes sum(y) over that region from the box [0, field(1)] to a gap
+    of epsilon/2, which bounds the l1 distance of nu = tanh(y) to the optimal
+    messages, and evaluates the dual of the *original* model at nu. Returns
+    (nu, value, EllipsoidState), the state in y; it is None when m = 0.
     """
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
     if model.m == 0:
         return np.zeros(0), dual_bethe(model, np.zeros(0)), None
-    return _solve(model, epsilon / (2.0 * model.m), separation_oracle_bp, bp_step,
-                  2 * model.m, epsilon / 2.0, dual_bethe)
+    b = epsilon / (2.0 * model.m)
+    y, state = _solve(model, b, separation_oracle_bp,
+                      lambda pert: _kernels._bp_field_map(pert)(np.ones(2 * model.m)),
+                      epsilon / 2.0, b / 2.0)
+    nu = np.tanh(y)
+    return nu, dual_bethe(model, nu), state
 
 
 def solve_mf_exponential(model: IsingModel, epsilon: float):
     """Optimal mean-field value to accuracy epsilon via the ellipsoid method.
 
     Adds a field perturbation B = epsilon/2, maximizes sum(x) over the
-    perturbed region {0 <= x <= tanh(Jx + h)}, and evaluates the mean-field
-    objective of the original model at the result. The l1 target gap is
-    scaled by a gradient bound on the feasible box so the value error stays
-    below epsilon. Returns (x, value, EllipsoidState).
+    perturbed region {0 <= x <= tanh(Jx + h)} from the box [0, mf_step(1)],
+    and evaluates the mean-field objective of the original model at the
+    result. The l1 target gap is scaled by a gradient bound on the feasible
+    box so the value error stays below epsilon. Returns (x, value,
+    EllipsoidState).
     """
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
+    b = epsilon / 2.0
     grad_bound = float(_kernels._mf_field_map(model)(np.ones(model.n)).max()) + 1.0
-    return _solve(model, epsilon / 2.0, separation_oracle_mf, mf_step, model.n,
-                  epsilon / (2.0 * grad_bound), mf_objective)
+    x, state = _solve(model, b, separation_oracle_mf, lambda pert: mf_step(pert, np.ones(model.n)),
+                      epsilon / (2.0 * grad_bound),
+                      math.tanh(float(model.fields.min()) + b) / 2.0)
+    return x, mf_objective(model, np.clip(x, 0.0, 1.0)), state

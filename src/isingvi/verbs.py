@@ -187,12 +187,13 @@ def _run_ellipsoid(args, model: IsingModel) -> int:
              ("final_objective", f"{value:.17g}")]
     if state is not None:
         _write(os.path.join(args.out, "progress.csv"), partial(ellipsoid_progress_csv, state))
-        # the certificate of the perturbed problem, in coordinate-sum units
+        # the certificate of the perturbed problem in the solver's coordinate-sum
+        # units: means for mean-field, log-odds of the messages for Bethe
         pairs += [("stop_reason", state.stop_reason),
                   ("certificate_gap", f"{state.min_upper - state.best_value:.17g}")]
         if args.plot:
             _write(os.path.join(args.out, "objective.svg"), plot_lines(
-                "best feasible", range(1, steps + 1), np.fmax.accumulate(state.progress[:, 0]),
+                "best feasible", range(1, steps + 1), np.fmax.accumulate(state.progress),
                 f"{args.algo} incumbent", "step", "objective best"))
     _write(os.path.join(args.out, "summary.txt"), _summary_text(pairs))
     print(f"value {value:.17g}")

@@ -8,6 +8,7 @@ with the package internals.
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -108,44 +109,53 @@ def fd_gradient(fn, x, step=1e-5):
     return grad
 
 
-def _ref_separate(q, row, deep):
-    """Separation of q from {q in [0,1]^d : q_k <= phi_k(q) for all k}, where
-    phi_k = tanh(field_k).
+def _ref_box_cut(q, hi):
+    """The cut of the side of [0, hi_k] that q violates most as (False, cut,
+    depth, inf), or None: -q_k <= 0 below the box, q_k <= hi_k above it."""
+    over = [max(-v, v - top) for v, top in zip(q, hi)]
+    if not over or max(over) <= 0.0:
+        return None
+    k = over.index(max(over))
+    cut = [0.0] * len(q)
+    cut[k] = -1.0 if -q[k] >= q[k] - hi[k] else 1.0
+    return False, cut, over[k], math.inf
 
-    row(k) gives (phi_k(q), [d field_k / d q_j for every j]). The most
-    violated box side is cut first: -q_k <= 0 below the box, q_k <= 1 above it.
-    Otherwise the rows in V = {k : q_k > phi_k(q)} are cut together with the
-    gradient of sum over V of q_k - phi_k(q), at the summed slack when deep
-    and through q otherwise. Returns (feasible, cut, violation, margin); margin
-    is the smallest |q_k - phi_k(q)| (a near-zero slack decides by round-off
-    whether k is in V), inf for box cuts.
+
+def _ref_separate(q, hi, row, upper=None):
+    """Separation of q from {q in [0, hi] : q_k <= psi_k(q) for all k}, each
+    psi_k concave on the box.
+
+    row(k) gives (excess_k, depth_k, [d psi_k / d q_j for every j]): row k is
+    violated when excess_k > 0, and depth_k bounds its slack q_k - psi_k(q)
+    from below. The most violated side of [0, hi] is cut first. Otherwise
+    the rows in V = {k : excess_k > 0} are cut together, deep, with the
+    gradient of sum over V of q_k - psi_k(q), at the sum of their depths;
+    with V empty, the most violated side q <= upper, when given. Returns
+    (feasible, cut, violation, margin); margin is the smallest |excess_k| (a
+    near-zero excess decides by round-off whether k is in V), inf for a cut
+    of the first box.
     """
     d = len(q)
-    over = [max(-v, v - 1.0) for v in q]
-    if d and max(over) > 0.0:
-        k = over.index(max(over))
-        cut = [0.0] * d
-        cut[k] = -1.0 if q[k] < 0.0 else 1.0
-        return False, cut, over[k], math.inf
+    cut = _ref_box_cut(q, [hi] * d)
+    if cut is not None:
+        return cut
     rows = [row(k) for k in range(d)]
-    slack = [q[k] - rows[k][0] for k in range(d)]
-    margin = min((abs(s) for s in slack), default=math.inf)
-    violated = [k for k in range(d) if slack[k] > 0.0]
-    if not violated:
-        return True, None, 0.0, margin
-    cut = [0.0] * d
-    for k in violated:
-        phi, partials = rows[k]
-        cut[k] += 1.0
-        for j in range(d):
-            cut[j] -= (1.0 - phi * phi) * partials[j]
-    violation = sum(slack[k] for k in violated) if deep else 0.0
-    return False, cut, violation, margin
+    margin = min((abs(r[0]) for r in rows), default=math.inf)
+    violated = [k for k in range(d) if rows[k][0] > 0.0]
+    if violated:
+        cut = [0.0] * d
+        for k in violated:
+            cut[k] += 1.0
+            for j in range(d):
+                cut[j] -= rows[k][2][j]
+        return False, cut, sum(rows[k][1] for k in violated), margin
+    cut = _ref_box_cut(q, upper) if upper is not None else None
+    return (True, None, 0.0, margin) if cut is None else (*cut[:3], margin)
 
 
 def ref_separation_mf(model, x):
     """Separation from {x in [0,1]^n : x <= tanh(Jx + h)} with a dense J, by
-    deep cuts."""
+    deep cuts at the summed slack."""
     n = model.n
     dense = [[0.0] * n for _ in range(n)]
     for e in range(model.m):
@@ -153,33 +163,55 @@ def ref_separation_mf(model, x):
         dense[i][j] = dense[j][i] = float(model.couplings[e])
 
     def row(k):
-        field = float(model.fields[k]) + sum(dense[k][j] * x[j] for j in range(n))
-        return math.tanh(field), dense[k]
+        phi = math.tanh(float(model.fields[k]) + sum(dense[k][j] * x[j] for j in range(n)))
+        return x[k] - phi, x[k] - phi, [(1.0 - phi * phi) * v for v in dense[k]]
 
-    return _ref_separate(list(x), row, deep=True)
+    return _ref_separate(list(x), 1.0, row)
 
 
-def ref_separation_bp(model, nu):
-    """Separation from {nu in [0,1]^2m : nu <= BP update(nu)}, summing over the
-    incoming messages of each directed edge i -> j (2e is i -> j, 2e+1 is j -> i),
-    by cuts through nu."""
-    ends = []
+def ref_separation_bp(model, y):
+    """Separation from the Bethe region {y >= 0 : y <= F(y)} in log-odds
+    y = atanh(nu), summing over the incoming messages of each directed edge
+    i -> j (2e is i -> j, 2e+1 is j -> i): F_k(y) = h_i plus
+    atanh(min(tanh(J) tanh y_c, 1 - 1e-15)) over the edges c into i other than
+    j -> i. Row k is violated when tanh y_k > tanh F_k; its depth is
+    y_k - atanh(tanh F_k) less c eps (y_k + 1/(1 - tanh^2 F_k)), floored at 0,
+    with c = 3 (max degree + 2) and eps the machine epsilon. With no row
+    violated, the side y <= F(inf) is cut."""
+    ends, degree = [], [0] * model.n
     for e in range(model.m):
-        i, j = model.edges[e]
+        i, j = (int(v) for v in model.edges[e])
         ends += [(i, j), (j, i)]
+        degree[i] += 1
+        degree[j] += 1
+    allowance = 3.0 * (max(degree, default=0) + 2.0) * sys.float_info.epsilon
+    clamp = 1.0 - 1e-15
 
-    def row(d):
+    def field(d, nus):
+        """(F_d at messages nus, [d F_d / d y_c for every c])."""
         src, dst = ends[d]
-        field = float(model.fields[src])
+        total = float(model.fields[src])
         partials = [0.0] * len(ends)
         for c, (a, b) in enumerate(ends):
             if b == src and a != dst:
                 theta = math.tanh(model.couplings[c // 2])
-                field += math.atanh(theta * nu[c])
-                partials[c] = theta / (1.0 - (theta * nu[c]) ** 2)
-        return math.tanh(field), partials
+                t = min(theta * nus[c], clamp)
+                total += math.atanh(t)
+                partials[c] = (1.0 - nus[c] ** 2) * theta / (1.0 - t * t)
+        return total, partials
 
-    return _ref_separate(list(nu), row, deep=False)
+    nu = [math.tanh(v) for v in y]
+
+    def row(k):
+        total, partials = field(k, nu)
+        phi = math.tanh(total)
+        depth = 0.0
+        if nu[k] > phi:
+            depth = max(0.0, y[k] - math.atanh(phi) - allowance * (y[k] + 1.0 / (1.0 - phi * phi)))
+        return nu[k] - phi, depth, partials
+
+    upper = [field(k, [1.0] * len(ends))[0] for k in range(len(ends))]
+    return _ref_separate(list(y), math.inf, row, upper)
 
 
 def ref_bp_field(model, nu):
@@ -279,10 +311,9 @@ def ref_trace_csv(trace, meta):
 
 
 def ref_progress_csv(progress):
-    lines = ["step,objective,violation"]
-    for step, (value, viol) in enumerate(progress.tolist(), 1):
-        v = f"{value:.17g}" if math.isfinite(value) else "nan"
-        lines.append(f"{step},{v},{viol:.17g}")
+    lines = ["step,objective"]
+    for step, value in enumerate(progress.tolist(), 1):
+        lines.append(f"{step},{value:.17g}" if math.isfinite(value) else f"{step},nan")
     return "\n".join(lines) + "\n"
 
 

@@ -34,9 +34,17 @@ def test_dual_value_frozen():
     assert dual_bethe(model, np.zeros(2)) == pytest.approx(
         math.log(4.0 * math.cosh(1.0)), abs=1e-12)
     for nu, term in (([-2.0, 0.5], "node term"), ([1.2, -1.2], "edge term"),
-                     ([np.nan, 0.5], "node term")):
+                     ([np.nan, 0.5], "node term"), ([1.5, 0.5], "node term")):
         with pytest.raises(DomainError, match=term):
             dual_bethe(model, np.array(nu))
+    # tanh(20) is 1.0 in float64: messages of 1 give the node terms' exact
+    # log(1 - tanh(J) nu) = log 0, which their log-sum-exp absorbs, so the
+    # dual is log 2 + log cosh 20; tanh(J) nu = -1 is still refused, by name
+    saturated = chain2(20.0, 0.0)
+    assert dual_bethe(saturated, np.ones(2)) == pytest.approx(
+        20.0 + math.log1p(math.exp(-40.0)), abs=1e-12)
+    with pytest.raises(DomainError, match=r"^node term needs -1 < tanh\(J\) nu <= 1, got -1$"):
+        dual_bethe(saturated, np.array([-1.0, 0.0]))
 
 
 def test_dual_matches_reference(rng):

@@ -263,7 +263,7 @@ def test_run_ellipsoid(tmp_path):
     assert summary["stop_reason"] == "gap"
     assert float(summary["certificate_gap"]) <= 1e-7 / 2.0
     progress = read(run / "progress.csv")
-    assert progress.splitlines()[0] == "step,objective,violation"
+    assert progress.splitlines()[0] == "step,objective"
     # the node means of the solution's messages, not the 2m messages
     state = read(run / "final_state.csv").splitlines()
     assert state[0] == "node,x" and len(state) == 5
@@ -569,6 +569,20 @@ def test_bethe_cuts_stay_finite_where_tanh_j_rounds_to_one(tmp_path):
     assert main(["run", "--topology", "cycle:3", "--beta", "20", "--field", "0.2",
                  "--algo", "ellipsoid_bethe", "--eps", "1e-320",
                  "--out", str(tmp_path / "o")]) == 0
+
+
+def test_saturated_bethe_certificate_matches_bp(tmp_path):
+    """K4 at beta 20, h 0: tanh(J) is 1.0, and the Bethe certificate's messages
+    tanh(y) round to 1.0, so the dual is evaluated at tanh(J) nu = 1, the
+    exact log 0 of its node terms. At eps 1e-16 the run exits 0 with BP's
+    final objective."""
+    base = ["run", "--topology", "regular:4:3", "--beta", "20", "--field", "0"]
+    assert main([*base, "--algo", "ellipsoid_bethe", "--eps", "1e-16",
+                 "--out", str(tmp_path / "eb")]) == 0
+    assert main([*base, "--algo", "bp", "--out", str(tmp_path / "bp")]) == 0
+    got, want = (summary_dict(tmp_path / d / "summary.txt")["final_objective"]
+                 for d in ("eb", "bp"))
+    assert got == want == "120"
 
 
 _HUGE_STEPS = str(10**30)
