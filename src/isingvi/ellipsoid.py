@@ -95,8 +95,8 @@ class EllipsoidState:
     step: int
     best_value: float
     min_upper: float
-    # "gap": min_upper - best_value reached target_gap; "no_better_point": an
-    # objective cut left no point above the incumbent; "budget": steps ran out
+    # "gap": min_upper - best_value reached target_gap, or an objective cut
+    # left no point above the incumbent; "budget": steps ran out
     stop_reason: str
     progress: np.ndarray  # (steps,) objectives; entry k is step k + 1
 
@@ -114,24 +114,6 @@ def _box_cut(q, hi):
     return SeparationResult(False, g, float(box[k]))
 
 
-def _separate(q, hi, rows, upper=None) -> SeparationResult:
-    """Separate q from {q in [0, hi] : q_k <= psi_k(q) for every row k}, each
-    psi_k concave on the box: cut the most violated side of [0, hi] first.
-    Else rows(q) = (violated, depth, transpose) gives the violated rows V, a
-    lower bound depth(V) on their summed slack and the transpose product of
-    psi's Jacobian, and V is cut once, deep, with the gradient of the summed
-    slack, g = 1_V - transpose(1_V). With no row violated, the side q <= upper()
-    of a box around the region is cut when upper is given."""
-    cut = _box_cut(q, hi)
-    if cut is not None:
-        return cut
-    violated, depth, transpose = rows(q)
-    if np.count_nonzero(violated):  # skips ndarray.any's wrapper
-        return SeparationResult(False, violated - transpose(violated), depth(violated))
-    cut = _box_cut(q, upper()) if upper is not None else None
-    return SeparationResult(True) if cut is None else cut
-
-
 def separation_oracle_bp(model: IsingModel, y) -> SeparationResult:
     """Separate y from the Bethe region {y >= 0 : y <= field(tanh y)} in
     log-odds coordinates by deep cuts (the module docstring has the proof).
@@ -145,81 +127,77 @@ def separation_oracle_bp(model: IsingModel, y) -> SeparationResult:
     that tanh(J) rounding to 1.0 gives a large finite factor at nu_e = 1."""
     src, dst, theta = model._dir_src, model._dir_dst, model.theta_dir
     y = _kernels._vector(y, 2 * model.m, "query")
-
-    def rows(y):
-        nu = np.tanh(y)
-        phi = bp_step(model, nu)
-
-        def depth(v):
-            yv, pv = y[v], phi[v]  # phi < nu <= 1 on V, so every term is finite
-            c = 3.0 * (float(model.degrees.max()) + 2.0) * _EPS
-            return float(np.maximum(yv - np.arctanh(pv) - c * (yv + 1.0 / (1.0 - pv * pv)),
-                                    0.0).sum())
-
-        def transpose(v):
-            # the pair-swapped view of v gives v[e ^ 1]
-            out = np.bincount(src, weights=v, minlength=model.n)
-            # nu is in [0, 1] here, as y >= 0, so theta nu clamps from above only
-            t = np.minimum(theta * nu, _kernels._CLAMP)
-            return (1.0 - nu * nu) * (theta / (1.0 - t * t)
-                                      * (out[dst] - v.reshape(-1, 2)[:, ::-1].ravel()))
-
-        return nu > phi, depth, transpose
-
-    return _separate(y, np.inf, rows,
-                     lambda: _kernels._bp_field_map(model)(np.ones(2 * model.m)))
+    cut = _box_cut(y, np.inf)
+    if cut is not None:
+        return cut
+    nu = np.tanh(y)
+    phi = bp_step(model, nu)
+    v = nu > phi
+    if np.count_nonzero(v):  # skips ndarray.any's wrapper
+        # vjp: the pair-swapped view of v gives v[e ^ 1]; nu is in [0, 1]
+        # here, as y >= 0, so theta nu clamps from above only
+        out = np.bincount(src, weights=v, minlength=model.n)
+        t = np.minimum(theta * nu, _kernels._CLAMP)
+        g = v - (1.0 - nu * nu) * (theta / (1.0 - t * t)
+                                   * (out[dst] - v.reshape(-1, 2)[:, ::-1].ravel()))
+        yv, pv = y[v], phi[v]  # phi < nu <= 1 on V, so every term is finite
+        c = 3.0 * (float(model.degrees.max()) + 2.0) * _EPS
+        return SeparationResult(False, g, float(
+            np.maximum(yv - np.arctanh(pv) - c * (yv + 1.0 / (1.0 - pv * pv)), 0.0).sum()))
+    cut = _box_cut(y, _kernels._bp_field_map(model)(np.ones(2 * model.m)))
+    return SeparationResult(True) if cut is None else cut
 
 
 def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
     """Separate x from {x in [0,1]^n : x <= tanh(Jx + h)} by deep cuts: on the
-    box Jx + h >= 0, where tanh(Jx + h) is concave. The rows V = {x > phi},
-    phi = mf_step(x), are cut at sum_V (x_k - phi_k), and the transpose
-    product is J ((1 - phi^2) w)."""
+    box Jx + h >= 0, where tanh(Jx + h) is concave. A side of [0, 1] is cut
+    first. Else the rows V = {x > phi}, phi = mf_step(x), are cut with
+    g = 1_V - J ((1 - phi^2) 1_V) at sum_V (x_k - phi_k)."""
     src, dst, w = model._dir_src, model._dir_dst, model.dir_coupling
     x = _kernels._vector(x, model.n, "query")
-
-    def rows(x):
-        phi = mf_step(model, x)
-        slack = x - phi
-
-        def transpose(v):
-            return np.bincount(src, weights=((1.0 - phi * phi) * v)[dst] * w, minlength=model.n)
-
-        return slack > 0.0, lambda v: float(slack[v].sum()), transpose
-
-    return _separate(x, 1.0, rows)
+    cut = _box_cut(x, 1.0)
+    if cut is not None:
+        return cut
+    phi = mf_step(model, x)
+    slack = x - phi
+    v = slack > 0.0
+    if np.count_nonzero(v):
+        g = v - np.bincount(src, weights=((1.0 - phi * phi) * v)[dst] * w, minlength=model.n)
+        return SeparationResult(False, g, float(slack[v].sum()))
+    return SeparationResult(True)
 
 
 def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     """Maximize objective . x over the feasible set described by oracle.
 
-    The objective is a non-empty vector; its length d is the dimension. The
-    feasible set must lie inside box = (lo, hi), bounds that broadcast to
-    (d,) with hi > lo. The search starts from the smallest axis-aligned
-    ellipsoid around that box, centre (lo + hi)/2 and semi-axes
+    The objective is a non-empty vector of finite values; its length d is
+    the dimension. The feasible set must lie inside box = (lo, hi), bounds
+    that broadcast to (d,) with hi > lo. The search starts from the smallest
+    axis-aligned ellipsoid around that box, centre (lo + hi)/2 and semi-axes
     sqrt(d) (hi - lo)/2, widened by 1e-4; a box whose radius (below) passes
     2^400 is searched in units of a power of two, which scales every step
-    exactly. Every cut is applied at its depth:
-    an oracle cut at its violation, an objective cut at a feasible query at
-    best - c.query, which is 0 when the query is the new incumbent. The best
-    feasible point is returned with the final EllipsoidState, whose progress
-    holds each step's measured objective: the query's c.query if the query
-    was feasible, nan if not, so a step is feasible exactly when its entry is
-    finite.
+    exactly. Every cut is applied at its depth: an oracle cut at its
+    violation, an objective cut at a feasible query at best - c.query, which
+    is 0 when the query is the new incumbent. The best feasible point is
+    returned with the final EllipsoidState, whose progress holds each step's
+    measured objective: the query's c.query if the query was feasible, nan
+    if not, so a step is feasible exactly when its entry is finite.
     The step budget is 8 + 2 d^2 max(0, max(log(R/r_est), log 2) + log(1/target_gap))
     with R = sqrt(d) max(hi - lo)/2, the radius of the ball around the box,
     taken as differences of logs so that tiny gaps do not overflow. The
-    search stops when the certificate gap reaches target_gap, when an
-    objective cut leaves no point above the incumbent, or when the budget
-    runs out; state.stop_reason says which.
+    search stops with state.stop_reason "gap" when the certificate gap
+    reaches target_gap, or when an objective cut leaves no point above the
+    incumbent (the fresh certificate c.query + |L^T c| is then at most the
+    incumbent, and becomes min_upper); "budget" when the budget runs out.
 
     Raises FeasibilityError if an oracle cut excludes the whole ellipsoid, a
     cut g has a zero or non-finite |L^T g|, or no feasible point is found
     within the budget.
     """
     c = np.asarray(objective, dtype=np.float64)
-    if c.ndim != 1 or not c.size:
-        raise DomainError(f"objective must be a non-empty vector, got shape {c.shape}")
+    if c.ndim != 1 or not c.size or not np.isfinite(c).all():
+        raise DomainError("objective must be a non-empty vector of finite values, "
+                          f"got shape {c.shape}")
     d = c.size
     if not (target_gap > 0.0):
         raise DomainError("target_gap must be positive")
@@ -269,7 +247,7 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
         alpha = depth / nrm
         if alpha >= 1.0:
             if res.feasible:
-                stop_reason = "no_better_point"
+                min_upper, stop_reason = val + nrm, "gap"
                 break
             raise FeasibilityError(
                 f"step {step}: an oracle cut excludes the whole ellipsoid, "

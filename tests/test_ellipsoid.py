@@ -51,7 +51,7 @@ def test_maximize_over_box():
     for gap in (0.0, np.nan):
         with pytest.raises(DomainError, match="^target_gap must"):
             ellipsoid_maximize(box_oracle, c, (0.0, 1.0), target_gap=gap)
-    for objective in (np.ones((2, 2)), np.ones(0), 1.0):
+    for objective in (np.ones((2, 2)), np.ones(0), 1.0, [np.inf, 1.0], [np.nan, 1.0]):
         with pytest.raises(DomainError, match="^objective must be a non-empty vector"):
             ellipsoid_maximize(box_oracle, objective, (0.0, 1.0))
 
