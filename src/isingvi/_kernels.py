@@ -1,15 +1,16 @@
 """The one iteration loop of the package, and the formulas it evaluates.
 
 Mean-field and BP both iterate a monotone map x <- tanh(field(x)) from the
-all-ones start (or another checked start state). `_sweep` is that loop.
-mf_run and bp_run give it their family's field map (`_mf_field_map`, Jx + h,
-or `_bp_field_map`, h plus the exclusion sum of arctanh(theta nu)) and a
-`measure(x)` callback that returns the recorded objective (the mean-field
-objective or the Bethe dual), so both families record the same row. The private
-helpers below hold the one implementation of each field map, the Bethe dual,
-the mean-field objective and the shape check: the public functions in bp,
-meanfield and ellipsoid check their arguments and call them, and the sweep
-calls them once per step.
+all-ones start (or another checked start state). `_sweep` is that loop, and it
+returns the run's `IterationTrace`. mf_run and bp_run give it their family's
+name, its field map (`_mf_field_map`, Jx + h, or `_bp_field_map`, h plus the
+exclusion sum of arctanh(theta nu)) and a `measure(x)` callback that returns
+the recorded objective (the mean-field objective or the Bethe dual), so both
+families record the same row. The private helpers below hold the one
+implementation of each field map, the Bethe dual, the mean-field objective,
+the shape check and the cell entropy `_entropy`: the public functions in bp,
+meanfield, oracle and ellipsoid check their arguments and call them, and the
+sweep calls them once per step.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
+from .trace import IterationTrace
 
 _LOG2 = math.log(2.0)
 # Largest |theta * nu| (or |x|) passed to arctanh, so that tanh(J) rounding to
@@ -31,8 +33,17 @@ _CLAMP = 1.0 - 1e-15
 _CHUNK = 1 << 15
 
 
+def _entropy(cells):
+    """Entropy -sum p log p over the last axis with 0 log 0 = 0; cells
+    clipped at 0."""
+    p = np.clip(cells, 0.0, None)
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
 def _entropy_sum(x):
-    # H(x) = log 2 - [(1+x)log(1+x) + (1-x)log(1-x)]/2 with 0 log 0 = 0.
+    # sum_i H(x_i), H(x) = log 2 - [(1+x)log(1+x) + (1-x)log(1-x)]/2, 0 log 0 = 0.
+    # _entropy on the cells (1 +- x)/2 would raise the recorded MF sweep's peak
+    # from 1.76 to 2.28 float64 arrays per directed edge, past the 2.0 gate.
     total = x.shape[0] * _LOG2
     xp = 1.0 + x
     xm = 1.0 - x
@@ -144,14 +155,13 @@ def _start_state(init, size, max_steps, tol):
     return x.copy(), max_steps, float(tol)  # a copy: the sweep overwrites its states
 
 
-def _sweep(field, measure, init, size, max_steps, tol, record):
+def _sweep(algo, field, measure, init, size, max_steps, tol, record):
     """Iterate x <- tanh(field(x)) from the checked start state until the
-    sup-norm step drops below tol. With record, the table gets one row per t,
+    sup-norm step drops below tol. With record, the trace gets one row per t,
     (step into x, measure(x)), the step into x_0 being nan; without it, the
     final row alone, with a nan measure. A run of s steps evaluates field s
     times. Rows grow as array("d") instead of preallocating max_steps of them,
-    so memory follows the run. Returns (x, t, table, converged): t the int64
-    step of each row, table of shape (len(t), 2)."""
+    so memory follows the run. Returns (x, the IterationTrace of algo)."""
     x, max_steps, tol = _start_state(init, size, max_steps, tol)
     table = array("d")
     step = math.nan
@@ -168,18 +178,19 @@ def _sweep(field, measure, init, size, max_steps, tol, record):
     table.extend((step, measure(x) if record else math.nan))
     table = np.frombuffer(table).reshape(-1, 2)
     t = np.arange(steps + 1 - len(table), steps + 1, dtype=np.int64)
-    return x, t, table, step < tol
+    return x, IterationTrace(algo=algo, t=t, objective=table[:, 1], step_inf=table[:, 0],
+                             converged=step < tol)
 
 
 def mf_run(model, init, max_steps, tol, record):
-    """Mean-field sweep; its table rows are (step, mean-field objective)."""
+    """Mean-field sweep; its trace rows are (step, mean-field objective)."""
     measure = partial(_mf_objective, model.edge_i, model.edge_j, model.couplings, model.fields)
-    return _sweep(_mf_field_map(model), measure, init, model.n, max_steps, tol, record)
+    return _sweep("mf", _mf_field_map(model), measure, init, model.n, max_steps, tol, record)
 
 
 def bp_run(model, init, max_steps, tol, record):
-    """BP sweep over the 2m directed-edge messages; its table rows are
+    """BP sweep over the 2m directed-edge messages; its trace rows are
     (step, Bethe dual)."""
     measure = partial(_bethe_dual, model._dir_dst, model.theta_dir, model.fields,
                       _log_cosh_total(model.couplings))
-    return _sweep(_bp_field_map(model), measure, init, 2 * model.m, max_steps, tol, record)
+    return _sweep("bp", _bp_field_map(model), measure, init, 2 * model.m, max_steps, tol, record)

@@ -26,7 +26,6 @@ from . import _kernels
 from .meanfield import bernoulli_entropy
 from .errors import DomainError
 from .model import IsingModel, ModelNorms
-from .trace import IterationTrace
 
 _FIXED_POINT_TOL = 1e-12
 
@@ -47,10 +46,7 @@ def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
     """
     # Built here, outside the sweep, so that the sweep's time excludes it.
     model.exclusion_index()
-    nu, t, table, converged = _kernels.bp_run(model, init, max_steps, tol, bool(record))
-    step_inf, dual = table.T
-    return nu, IterationTrace(algo="bp", t=t, objective=dual, step_inf=step_inf,
-                              converged=converged)
+    return _kernels.bp_run(model, init, max_steps, tol, bool(record))
 
 
 def dual_bethe(model: IsingModel, nu) -> float:
@@ -191,13 +187,6 @@ def local_consistency_check(dist: LocalDistribution) -> float:
     return mism + neg
 
 
-def _cell_entropy(cells):
-    """Entropy -sum p log p over the last axis with 0 log 0 = 0; cells
-    clipped at 0."""
-    p = np.clip(cells, 0.0, None)
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
-
-
 def primal_bethe(model: IsingModel, dist: LocalDistribution) -> float:
     """Local variational objective sum_e J E[x_i x_j] + h . m + entropy terms.
 
@@ -216,7 +205,7 @@ def primal_bethe(model: IsingModel, dist: LocalDistribution) -> float:
     value = energy - float((model.degrees - 1).astype(np.float64) @ node_ent)
     if model.m:
         energy_e = float(model.couplings @ dist.edge_stats[:, 2])
-        edge_ent = _cell_entropy(_pair_cells(*dist.edge_stats.T))
+        edge_ent = _kernels._entropy(_pair_cells(*dist.edge_stats.T))
         value += energy_e + float(edge_ent.sum())
     return value
 

@@ -12,27 +12,17 @@ for the objective residual as a function of the step count and model norms.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError
 from .model import IsingModel, ModelNorms
-from .trace import IterationTrace
 
 
 def bernoulli_entropy(x):
     """Elementwise H(Ber((1+x)/2)) in nats, stable at the endpoints x = +-1."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.full(x.shape, math.log(2.0))
-    xp = 1.0 + x
-    xm = 1.0 - x
-    mp = xp > 0.0
-    mm = xm > 0.0
-    out[mp] -= 0.5 * xp[mp] * np.log(xp[mp])
-    out[mm] -= 0.5 * xm[mm] * np.log(xm[mm])
-    return out
+    return _kernels._entropy(np.stack([1.0 + x, 1.0 - x], axis=-1) / 2.0)
 
 
 def mf_objective(model: IsingModel, x) -> float:
@@ -67,10 +57,7 @@ def mf_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
     alone (t = [steps], a nan objective), so its memory does not grow with the
     steps taken.
     """
-    x, t, table, converged = _kernels.mf_run(model, init, max_steps, tol, bool(record))
-    step_inf, obj = table.T
-    return x, IterationTrace(algo="mf", t=t, objective=obj, step_inf=step_inf,
-                             converged=converged)
+    return _kernels.mf_run(model, init, max_steps, tol, bool(record))
 
 
 def mf_error_bound(norms: ModelNorms, t):

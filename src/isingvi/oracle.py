@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
-from .bp import LocalDistribution, _cell_entropy, _pair_cells, primal_bethe
+from . import _kernels, textio
+from .bp import LocalDistribution, _pair_cells, primal_bethe
 from .meanfield import bernoulli_entropy, mf_objective
 from .errors import DomainError, SizeGuardError
 from .model import IsingModel, model_hash
@@ -268,7 +268,7 @@ def _edge_term(j_e, mi, mj):
     best_val = None
     best_c = None
     for c in cands:
-        val = j_e * c + _cell_entropy(_pair_cells(mi, mj, c))
+        val = j_e * c + _kernels._entropy(_pair_cells(mi, mj, c))
         if best_val is None:
             best_val, best_c = val, np.broadcast_to(c, val.shape).copy()
         else:

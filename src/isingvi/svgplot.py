@@ -22,8 +22,6 @@ _ML, _MR, _MT, _MB = 76, 22, 40, 52
 
 def _nice_ticks(lo, hi, target=5):
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):

@@ -84,8 +84,9 @@ def trace_from_csv(source) -> tuple[IterationTrace, dict]:
     return trace, meta
 
 
-def trace_meta(model, algo: str, init, tol) -> dict:
-    """Standard comment-header entries for a trace produced on this model."""
+def trace_meta(model, init, tol) -> dict:
+    """Standard comment-header entries of a trace on this model, but for the
+    algo and converged entries, which trace_to_csv takes from the trace."""
     norms = model.norms()
     init_label = init if isinstance(init, str) else "custom"
     return {
@@ -95,7 +96,6 @@ def trace_meta(model, algo: str, init, tol) -> dict:
         "j_l1": _fmt(norms.j_l1),
         "h_l1": _fmt(norms.h_l1),
         "j_linf": _fmt(norms.j_linf),
-        "algo": algo,
         "init": init_label,
         "tol": _fmt(tol),
     }

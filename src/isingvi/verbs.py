@@ -124,7 +124,7 @@ def _run_iterative(args, model: IsingModel) -> int:
     family = _family(args.algo)
     state, trace = family.iterate(model, init=args.init, max_steps=args.steps,
                                   tol=args.tol)
-    meta = trace_meta(model, args.algo, args.init, args.tol)
+    meta = trace_meta(model, args.init, args.tol)
     _write(os.path.join(args.out, "trace.csv"), partial(trace_to_csv, trace, meta))
     _write(os.path.join(args.out, "final_state.csv"),
            partial(_node_csv, family.marginals(model, state)))
@@ -153,7 +153,7 @@ def _run_iterative(args, model: IsingModel) -> int:
         _write(os.path.join(args.out, "objective.svg"), plot_lines(
             family.label, trace.t, trace.objective, f"{args.algo} objective",
             "iteration", family.label))
-        ref_steps = max(2 * args.steps, 200000)
+        ref_steps = max(2 * trace.steps, 200000)
         ref_state, _ = family.iterate(model, init=state, max_steps=ref_steps - trace.steps,
                                       tol=1e-13, record=False)
         # the trace maximum if it tops the continued value by round-off only

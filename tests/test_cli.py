@@ -165,14 +165,16 @@ def test_near_critical_bp_residual_slope(tmp_path):
     ("bp", "regular:30:3", math.atanh(0.5), "1e-4", 2000, "1e-9", True),
     ("bp", "grid:3x3", 0.3, "0.5", 500, "0", False),
     ("mf", "grid:3x3", 0.3, "0.5", 500, "0", False),
+    # a budget of twice --steps would be 2*10^12
+    ("bp", "grid:3x3", 0.3, "0.5", 10**12, "1e-4", True),
 ])
 def test_plot_reference_matches_a_run_from_the_start(tmp_path, monkeypatch, algo, topology,
                                                      beta, field, steps, tol, steps_above_tol):
     """The reference behind --plot continues the recorded run, a run from the
-    start, to tol 1e-13 for ref_steps steps in all. Its value is, bitwise,
-    that of the run continued so, also where a recorded step is below 1e-13
-    (steps_above_tol False), or the trace's maximum where that lies above it
-    by rounding."""
+    start, to tol 1e-13 for ref_steps steps in all: twice the steps the run
+    took, at least 2*10^5. Its value is, bitwise, that of the run continued
+    so, also where a recorded step is below 1e-13 (steps_above_tol False), or
+    the trace's maximum where that lies above it by rounding."""
     gen = tmp_path / "model.txt"
     assert main(["gen", "--topology", topology, "--beta", repr(beta), "--field", field,
                  "--seed", "1", "--out", str(gen)]) == 0
@@ -191,7 +193,7 @@ def test_plot_reference_matches_a_run_from_the_start(tmp_path, monkeypatch, algo
     monkeypatch.undo()
     trace, _ = trace_from_csv(read(run / "trace.csv"))
     assert bool(np.all(trace.step_inf[1:] >= 1e-13)) == steps_above_tol
-    ref_steps = max(2 * steps, 200000)
+    ref_steps = max(2 * trace.steps, 200000)
     ref_call = calls[-1]
     assert (ref_call["max_steps"], ref_call["tol"], ref_call["record"]) == (
         ref_steps - trace.steps, 1e-13, False)
@@ -298,7 +300,7 @@ def test_report_verb(tmp_path, capsys):
     model = generate_topology("grid", 0.3, 0.2, rows=3, cols=3)
     _nu, final = bp_mod.bp_iterate(model, tol=1e-12, record=False)
     (tmp_path / "final.csv").write_text(
-        text_of(trace_to_csv, final, trace_meta(model, "bp", "ones", 1e-12)))
+        text_of(trace_to_csv, final, trace_meta(model, "ones", 1e-12)))
     traces = [str(run_bp / "trace.csv"), str(run_mf / "trace.csv"), str(tmp_path / "final.csv")]
     rep = tmp_path / "report.csv"
     capsys.readouterr()
@@ -329,7 +331,7 @@ def _long_trace(path, rows):
     step = np.r_[np.nan, 1.0 / (1.0 + t[1:]) ** 2]
     trace = IterationTrace("mf", t, 2.0 - 1.0 / (1.0 + t), step, False)
     model = generate_topology("cycle", 0.3, 0.1, n=5)
-    path.write_text(text_of(trace_to_csv, trace, trace_meta(model, "mf", "ones", 0.0)))
+    path.write_text(text_of(trace_to_csv, trace, trace_meta(model, "ones", 0.0)))
 
 
 def test_report_streams_to_its_file(tmp_path, capsys):
@@ -369,7 +371,7 @@ def test_report_bound_ratio_reads_every_row(tmp_path):
     resid[0], resid[-1] = resid[1], 0.0
     trace = IterationTrace("bp", t, 50.0 - resid, np.full(t.size, 0.5), False)
     path, rep = tmp_path / "trace.csv", tmp_path / "report.txt"
-    path.write_text(text_of(trace_to_csv, trace, trace_meta(model, "bp", "ones", 0.0)))
+    path.write_text(text_of(trace_to_csv, trace, trace_meta(model, "ones", 0.0)))
     assert main(["report", str(path), "--out", str(rep)]) == 0
     parsed, _ = trace_from_csv(read(path))
     ref = float(parsed.objective.max())
@@ -385,6 +387,22 @@ def test_report_bound_ratio_reads_every_row(tmp_path):
                  "--out", str(one)]) == 0
     assert main(["report", str(one / "trace.csv"), "--out", str(rep)]) == 0
     assert "# bound_ratio trace0(mf) nan at t 1\n" in read(rep)
+
+
+def test_report_on_a_t0_trace_writes_no_bound_ratio(tmp_path):
+    """A trace whose one row is t = 0 has no step for a bound: report writes its
+    checks and its row, and no bound_ratio line."""
+    model = generate_topology("cycle", 0.3, 0.1, n=5)
+    trace = IterationTrace("mf", np.array([0]), np.array([1.5]), np.array([np.nan]), False)
+    path, rep = tmp_path / "trace.csv", tmp_path / "report.txt"
+    path.write_text(text_of(trace_to_csv, trace, trace_meta(model, "ones", 0.0)))
+    assert main(["report", str(path), "--out", str(rep)]) == 0
+    head, body = read(rep).split("trace,algo,t,objective,density_residual,bound\n")
+    assert "# check trace0(mf) objective_monotone PASS\n" in head
+    assert "# check trace0(mf) bound_dominates PASS\n" in head
+    assert "# check trace0(mf) converged FAIL\n" in head
+    assert "# bound_ratio" not in head
+    assert body.startswith("0,mf,0,1.5,0,inf\n")
 
 
 def test_verbs_load_only_what_they_use(tmp_path):

@@ -308,6 +308,8 @@ def test_generate_topology_shapes():
         generate_topology("moebius", 0.5, 0.0, n=4)
     with pytest.raises(ModelError):
         generate_topology("cycle", -0.5, 0.0, n=4)
+    with pytest.raises(ModelError, match="^random_regular needs n and degree$"):
+        generate_topology("random_regular", 0.3)
 
 
 def test_generate_topology_deterministic():

@@ -203,7 +203,7 @@ def test_cli_artifacts_match_per_row_writers(tmp_path, monkeypatch, block_rows):
                 "--out", out(algo)]
         assert main(argv + (["--plot"] if algo == "mf" else [])) == 0
         state, trace = iterate(grid, tol=1e-12)
-        meta = trace_meta(grid, algo, "ones", 1e-12)
+        meta = trace_meta(grid, "ones", 1e-12)
         assert meta["model_hash"] == ref_model_hash(grid)
         assert read(out(algo, "final_state.csv")) == final(state)
         assert read(out(algo, "trace.csv")) == ref_trace_csv(trace, meta)

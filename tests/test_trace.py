@@ -14,7 +14,7 @@ from refimpl import ref_plot_points
 def test_round_trip_mf():
     model = path3(0.5, 0.2)
     _x, trace = mf_iterate(model, max_steps=40, tol=0.0)
-    meta = trace_meta(model, "mf", "ones", 0.0)
+    meta = trace_meta(model, "ones", 0.0)
     text = text_of(trace_to_csv, trace, meta)
     back, meta2 = trace_from_csv(text)
     assert back.algo == "mf"
@@ -35,7 +35,7 @@ def test_round_trip_bp_handles_nan():
     model = cycle4(0.5, 0.2)
     _nu, trace = bp_iterate(model, max_steps=30, tol=0.0)
     trace = replace(trace, objective=np.full(31, np.nan))
-    text = text_of(trace_to_csv, trace, trace_meta(model, "bp", "ones", 0.0))
+    text = text_of(trace_to_csv, trace, trace_meta(model, "ones", 0.0))
     back, _meta = trace_from_csv(text)
     assert np.isnan(back.objective).all() and len(back.objective) == 31
     assert np.array_equal(back.step_inf[1:], trace.step_inf[1:])
@@ -54,8 +54,8 @@ def test_from_csv_rejects_garbage(tmp_path):
     # a mean-field trace in the former four-column format
     model = path3(0.5, 0.2)
     old = tmp_path / "old.csv"
-    old.write_text("".join(f"# {k} {v}\n" for k, v in trace_meta(model, "mf", "ones", 0.0).items())
-                   + "# converged False\nt,objective,step_inf,grad_l1\n0,1.0,nan,0.5\n")
+    old.write_text("".join(f"# {k} {v}\n" for k, v in trace_meta(model, "ones", 0.0).items())
+                   + "# algo mf\n# converged False\nt,objective,step_inf,grad_l1\n0,1.0,nan,0.5\n")
     with pytest.raises(ParseError, match="^line 11: row before a header"):
         trace_from_csv(old.read_text())
     assert main(["report", str(old)]) == 1
