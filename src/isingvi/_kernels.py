@@ -6,7 +6,9 @@ returns the run's `IterationTrace`. mf_run and bp_run give it their family's
 name, its field map (`_mf_field_map`, Jx + h, or `_bp_field_map`, h plus the
 exclusion sum of arctanh(theta nu)) and a `measure(x)` callback that returns
 the recorded objective (the mean-field objective or the Bethe dual), so both
-families record the same row. The private helpers below hold the one
+families record the same row. `_sandwich` sweeps a bracket of the fixed point
+from both sides at once; the ellipsoid solvers start from it. The private
+helpers below hold the one
 implementation of each field map, the Bethe dual, the mean-field objective,
 the shape check and the cell entropy `_entropy`: the public functions in bp,
 meanfield, oracle and ellipsoid check their arguments and call them, and the
@@ -180,6 +182,20 @@ def _sweep(algo, field, measure, init, size, max_steps, tol, record):
     t = np.arange(steps + 1 - len(table), steps + 1, dtype=np.int64)
     return x, IterationTrace(algo=algo, t=t, objective=table[:, 1], step_inf=table[:, 0],
                              converged=step < tol)
+
+
+def _sandwich(step_lo, step_hi, lo, hi, target):
+    """Narrow a bracket [lo, hi] of a monotone map's fixed point from both
+    sides: sweep lo <- max(lo, step_lo(lo)) and hi <- min(hi, step_hi(hi))
+    until the width sum(hi - lo) is at most target, or the last d sweeps
+    (d = lo.size) failed to halve it. Returns (lo, hi, sweeps)."""
+    d = lo.shape[0]
+    widths = [float((hi - lo).sum())]
+    while widths[-1] > target and (len(widths) <= d or widths[-1] < widths[-1 - d] / 2.0):
+        lo = np.maximum(lo, step_lo(lo))
+        hi = np.minimum(hi, step_hi(hi))
+        widths.append(float((hi - lo).sum()))
+    return lo, hi, len(widths) - 1
 
 
 def mf_run(model, init, max_steps, tol, record):

@@ -37,12 +37,45 @@ So the oracle takes each violated row's slack less c eps (y_k + 1/(1 - phi_k^2))
 with c = 3 (max degree + 2), at least twice both coefficients, floored at 0.
 A row whose phi_k rounds to 1.0 reads feasible at any y, so the Bethe oracle
 also cuts the side y <= F(inf) = field(1) of its start box when no row is
-violated. `test_no_cut_excludes_the_optimum` watches every cut of five
-Bethe solves, two of them saturated.
+violated. `test_no_cut_excludes_the_optimum` watches every cut of six
+Bethe solves, two of them saturated, each also run from the box [0, field(1)].
 
-The search starts from the smallest axis-aligned ellipsoid around a box that
-holds the feasible set: [0, step(1)] for mean-field and [0, field(1)] for
-Bethe, as the maps are monotone. The ellipsoid is tracked through a
+The solvers raise every field by b > 0 and start from a monotone bracket of
+the perturbed optimum. Write F for the model's map in the solver's
+coordinates, y -> field(tanh y) or x -> tanh(Jx + h), F_b for the perturbed
+model's, and y*, y*_b for their greatest fixed points (x*, x*_b in x).
+`_kernels._sandwich` sweeps lo up from 0 by F and hi down from
+top = F_b(inf) = field_b(1) (mean-field: F_b(1)) by F_b, and the search
+starts from [lo, max(hi, lo + r)] with r_est = r/2: r = b for Bethe, and
+r = delta = b sech^2(max field_b(1)) for mean-field.
+- The box holds y*_b. lo is a post-fixpoint of F (below), so lo <= y*
+  (Tarski), and y* <= y*_b (in y, y* + b <= y*_b, as
+  F_b(y* + b) = F(y* + b) + b >= y* + b). hi starts above y*_b, and
+  hi >= y*_b gives F_b(hi) >= F_b(y*_b) = y*_b, so each sweep keeps it there.
+- Its cube [lo, lo + r] is feasible. For y in it,
+  F_b(y) = F(y) + b >= F(lo) + b >= lo + b >= y. For x in it,
+  tanh(Jx + h + b) >= tanh(J lo + h) + b sech^2(J lo + h + b) >= lo + delta
+  >= x, as J lo + h + b <= field_b(1).
+- Rounding. The ellipsoid's 1e-4 widening covers a slip of only 5e-5 of the
+  box's width in each coordinate, so it need not cover a rounded sweep.
+  Each sweep instead moves lo by F - a and hi by F_b + a, with a at least
+  twice the step's rounding error, which also covers the rounding of the
+  shift. So lo_k+1 <= F(lo_k) <= F(lo_k+1) exactly, as lo_k+1 >= lo_k by
+  the max: lo stays a post-fixpoint, y_lo never rounds above y* <= y*_b, and
+  the cube stays feasible. And hi_k+1 >= F_b(hi_k) >= y*_b: y_hi never rounds
+  below y*_b. In y, field(tanh y) taken directly has no phi_k to round or
+  invert, so by the terms above it is off by at most
+  eps [1.5 n/(1 - t^2) + (2.5 + n/2) F_k], t = min(max theta, _CLAMP)
+  bounding every clamped theta nu, and a = c eps (F_k + 1/(1 - t^2)). In x,
+  tanh(Jx + h) is off by at most eps (2 + 0.45 (n + 1)), as
+  F sech^2 F <= 0.45, and a = c eps. Where a outgrows a side's progress, as
+  on saturated rows, that side stops where it is.
+Where lo + r rounds to lo in some coordinate (a tiny eps, or a tiny delta at
+x near 1), or the box fails hi > lo, the cube is lost in float64 and the
+search starts from the 0-sweep bracket [0, top], which holds the region.
+
+`ellipsoid_maximize` starts from the smallest axis-aligned ellipsoid around
+the box it is given. The ellipsoid is tracked through a
 square-root factor L with shape P = L L^T; each cut, applied at its depth,
 multiplies L by a rank-one correction, which avoids the cancellation that
 plagues the textbook symmetric-matrix update once the ellipsoid is thin. An
@@ -99,6 +132,10 @@ class EllipsoidState:
     # left no point above the incumbent; "budget": steps ran out
     stop_reason: str
     progress: np.ndarray  # (steps,) objectives; entry k is step k + 1
+    # the monotone bracket a solver started from: its sweeps and its width
+    # sum(hi - lo); 0 and nan for a search given its box
+    bracket_sweeps: int = 0
+    bracket_width: float = math.nan
 
 
 def _box_cut(q, hi):
@@ -141,7 +178,7 @@ def separation_oracle_bp(model: IsingModel, y) -> SeparationResult:
         g = v - (1.0 - nu * nu) * (theta / (1.0 - t * t)
                                    * (out[dst] - v.reshape(-1, 2)[:, ::-1].ravel()))
         yv, pv = y[v], phi[v]  # phi < nu <= 1 on V, so every term is finite
-        c = 3.0 * (float(model.degrees.max()) + 2.0) * _EPS
+        c = _rounding_c(model)
         return SeparationResult(False, g, float(
             np.maximum(yv - np.arctanh(pv) - c * (yv + 1.0 / (1.0 - pv * pv)), 0.0).sum()))
     cut = _box_cut(y, _kernels._bp_field_map(model)(np.ones(2 * model.m)))
@@ -299,37 +336,66 @@ def ellipsoid_progress_csv(state: EllipsoidState, out):
         (range(1, len(state.progress) + 1), state.progress)))
 
 
-def _solve(model: IsingModel, b: float, oracle, top, target_gap: float, r_est: float):
-    """Raise every field by b and maximize the coordinate sum over the
-    perturbed model's post-fixpoint region, separated by oracle, to
-    target_gap, from the box [0, top(perturbed model)]. Returns (point, state)."""
+def _perturbed(model: IsingModel, b: float) -> IsingModel:
+    """The model with every field raised by b."""
     try:
-        pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
+        return IsingModel(model.n, model.edges, model.couplings, model.fields + b)
     except ModelError as exc:
         raise DomainError(f"eps too large: field perturbation {b:g} overflows the model") from exc
-    hi = top(pert)
-    return ellipsoid_maximize(lambda q: oracle(pert, q), np.ones(hi.shape[0]), (0.0, hi),
-                              target_gap=target_gap, r_est=r_est)
+
+
+def _rounding_c(model: IsingModel) -> float:
+    """c eps with c = 3 (max degree + 2), the factor of the rounding allowances."""
+    return 3.0 * (float(model.degrees.max()) + 2.0) * _EPS
+
+
+def _solve(pert: IsingModel, oracle, step_lo, step_hi, top, r: float, target_gap: float):
+    """Maximize the coordinate sum over pert's post-fixpoint region, separated
+    by oracle, to target_gap. `_kernels._sandwich` narrows the bracket
+    [0, top] by step_lo and step_hi, and the search starts from
+    [lo, max(hi, lo + r)], whose cube [lo, lo + r] is feasible, with
+    r_est = r/2; from [0, top] where that box degenerates in float64 (the
+    module docstring has the proof). Returns (point, state), the state with
+    the bracket's sweeps and width."""
+    zero = np.zeros(top.shape[0])
+    lo, hi, sweeps = _kernels._sandwich(step_lo, step_hi, zero, top, target_gap)
+    width = float((hi - lo).sum())
+    hi = np.maximum(hi, lo + r)
+    if not np.all((lo + r > lo) & (hi > lo)):
+        lo, hi = zero, top  # the 0-sweep bracket
+    point, state = ellipsoid_maximize(lambda q: oracle(pert, q), np.ones(top.shape[0]),
+                                      (lo, hi), target_gap=target_gap, r_est=r / 2.0)
+    state.bracket_sweeps, state.bracket_width = sweeps, width
+    return point, state
 
 
 def solve_bethe_exponential(model: IsingModel, epsilon: float):
     """Optimal-fixed-point dual value to accuracy epsilon via the ellipsoid method.
 
-    Adds a field perturbation B = epsilon/2m (making the inner ball of the
-    post-fixpoint region explicit: the cube [0, B]^2m is feasible in log-odds
-    y), maximizes sum(y) over that region from the box [0, field(1)] to a gap
-    of epsilon/2, which bounds the l1 distance of nu = tanh(y) to the optimal
-    messages, and evaluates the dual of the *original* model at nu. Returns
-    (nu, value, EllipsoidState), the state in y; it is None when m = 0.
+    Adds a field perturbation B = epsilon/2m, which makes the cube
+    [y_lo, y_lo + B] of the post-fixpoint region in log-odds y feasible,
+    maximizes sum(y) over that region from the monotone bracket [y_lo, y_hi]
+    of its optimum to a gap of epsilon/2, which bounds the l1 distance of
+    nu = tanh(y) to the optimal messages, and evaluates the dual of the
+    *original* model at nu. Returns (nu, value, EllipsoidState), the state in
+    y; it is None when m = 0.
     """
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
     if model.m == 0:
         return np.zeros(0), dual_bethe(model, np.zeros(0)), None
     b = epsilon / (2.0 * model.m)
-    y, state = _solve(model, b, separation_oracle_bp,
-                      lambda pert: _kernels._bp_field_map(pert)(np.ones(2 * model.m)),
-                      epsilon / 2.0, b / 2.0)
+    pert = _perturbed(model, b)
+    # a computed field is off by at most c eps (F + k)/2, k bounding atanh' at
+    # every clamped theta nu; each side moves by c eps (F + k)
+    c = _rounding_c(model)
+    t = min(float(model.theta_dir.max()), _kernels._CLAMP)
+    k = 1.0 / (1.0 - t * t)
+    field, field_pert = _kernels._bp_field_map(model), _kernels._bp_field_map(pert)
+    y, state = _solve(pert, separation_oracle_bp,
+                      lambda v: field(np.tanh(v)) * (1.0 - c) - c * k,
+                      lambda v: field_pert(np.tanh(v)) * (1.0 + c) + c * k,
+                      field_pert(np.ones(2 * model.m)), b, epsilon / 2.0)
     nu = np.tanh(y)
     return nu, dual_bethe(model, nu), state
 
@@ -338,17 +404,22 @@ def solve_mf_exponential(model: IsingModel, epsilon: float):
     """Optimal mean-field value to accuracy epsilon via the ellipsoid method.
 
     Adds a field perturbation B = epsilon/2, maximizes sum(x) over the
-    perturbed region {0 <= x <= tanh(Jx + h)} from the box [0, mf_step(1)],
-    and evaluates the mean-field objective of the original model at the
-    result. The l1 target gap is scaled by a gradient bound on the feasible
-    box so the value error stays below epsilon. Returns (x, value,
-    EllipsoidState).
+    perturbed region {0 <= x <= tanh(Jx + h)} from the monotone bracket
+    [x_lo, x_hi] of its optimum, and evaluates the mean-field objective of
+    the original model at the result. The l1 target gap is scaled by a
+    gradient bound on the feasible box so the value error stays below
+    epsilon. Returns (x, value, EllipsoidState).
     """
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
     b = epsilon / 2.0
-    grad_bound = float(_kernels._mf_field_map(model)(np.ones(model.n)).max()) + 1.0
-    x, state = _solve(model, b, separation_oracle_mf, lambda pert: mf_step(pert, np.ones(model.n)),
-                      epsilon / (2.0 * grad_bound),
-                      math.tanh(float(model.fields.min()) + b) / 2.0)
+    pert = _perturbed(model, b)
+    ones = np.ones(model.n)
+    a = _rounding_c(model)
+    grad_bound = float(_kernels._mf_field_map(model)(ones).max()) + 1.0
+    q = math.exp(-2.0 * float(_kernels._mf_field_map(pert)(ones).max()))
+    x, state = _solve(pert, separation_oracle_mf, lambda v: mf_step(model, v) - a,
+                      lambda v: mf_step(pert, v) + a, mf_step(pert, ones),
+                      4.0 * b * q / (1.0 + q) ** 2,  # b sech^2(max field_pert(1))
+                      epsilon / (2.0 * grad_bound))
     return x, mf_objective(model, np.clip(x, 0.0, 1.0)), state

@@ -56,10 +56,11 @@ def _fmt(v) -> str:
 
 def trace_to_csv(trace: IterationTrace, meta: dict, out):
     """Write a trace to the open text file `out`, its rows a block at a time;
-    meta entries become leading '# key value' lines."""
+    meta entries become leading '# key value' lines, but for the algo and
+    converged entries, which the trace's own values replace."""
     if trace.algo not in _COLUMNS:
         raise DomainError(f"unknown trace algo {trace.algo!r}")
-    meta = {"algo": trace.algo, "converged": trace.converged, **meta}
+    meta = {**meta, "algo": trace.algo, "converged": trace.converged}
     head = "".join(f"# {key} {meta[key]}\n" for key in sorted(meta))
     textio.emit(out, head + ",".join(_COLUMNS[trace.algo]) + "\n", textio.rows(
         (np.asarray(trace.t, dtype=np.int64), trace.objective, trace.step_inf)))

@@ -299,9 +299,7 @@ def ref_trace_csv(trace, meta):
     """Trace CSV: sorted '# key value' lines, the header, one row per step."""
     columns = {"mf": "t,objective,step_inf",
                "bp": "t,dual_bethe,step_inf"}
-    meta = dict(meta)
-    meta.setdefault("algo", trace.algo)
-    meta.setdefault("converged", trace.converged)
+    meta = {**meta, "algo": trace.algo, "converged": trace.converged}
     lines = [f"# {key} {meta[key]}" for key in sorted(meta)]
     lines.append(columns[trace.algo])
     cols = (trace.objective, trace.step_inf)

@@ -29,6 +29,10 @@ def test_round_trip_mf():
     spaced, meta3 = trace_from_csv(text.replace("\n", "\n\n"))
     assert meta3 == meta2 and np.array_equal(spaced.t, back.t)
     assert np.array_equal(spaced.objective, back.objective)
+    # the trace's own algo and converged state replace a caller's
+    text = text_of(trace_to_csv, trace, {**meta, "algo": "bp", "converged": not trace.converged})
+    back, _meta = trace_from_csv(text)
+    assert back.algo == "mf" and back.converged == trace.converged
 
 
 def test_round_trip_bp_handles_nan():
