@@ -7,12 +7,12 @@ name, its field map (`_mf_field_map`, Jx + h, or `_bp_field_map`, h plus the
 exclusion sum of arctanh(theta nu)) and a `measure(x)` callback that returns
 the recorded objective (the mean-field objective or the Bethe dual), so both
 families record the same row. `_sandwich` sweeps a bracket of the fixed point
-from both sides at once; the ellipsoid solvers start from it. The private
-helpers below hold the one
-implementation of each field map, the Bethe dual, the mean-field objective,
-the shape check and the cell entropy `_entropy`: the public functions in bp,
-meanfield, oracle and ellipsoid check their arguments and call them, and the
-sweep calls them once per step.
+from both sides at once, beside a third sequence that certifies from below;
+the ellipsoid solvers return its answer or start their search from it. The
+private helpers below hold the one implementation of each field map, the
+Bethe dual, the mean-field objective, the shape check and the cell entropy
+`_entropy`: the public functions in bp, meanfield, oracle and ellipsoid check
+their arguments and call them, and the sweep calls them once per step.
 """
 
 from __future__ import annotations
@@ -184,18 +184,25 @@ def _sweep(algo, field, measure, init, size, max_steps, tol, record):
                              converged=step < tol)
 
 
-def _sandwich(step_lo, step_hi, lo, hi, target):
+def _sandwich(step_lo, step_hi, step_z, lo, hi, target):
     """Narrow a bracket [lo, hi] of a monotone map's fixed point from both
-    sides: sweep lo <- max(lo, step_lo(lo)) and hi <- min(hi, step_hi(hi))
-    until the width sum(hi - lo) is at most target, or the last d sweeps
-    (d = lo.size) failed to halve it. Returns (lo, hi, sweeps)."""
+    sides, sweeping lo <- max(lo, step_lo(lo)) and hi <- min(hi, step_hi(hi)),
+    and a third sequence z <- max(z, step_z(z)) up from lo's start, until the
+    gap sum(hi) - sum(z) or the width sum(hi - lo) is at most target, or the
+    last d sweeps (d = lo.size) failed to halve the width.
+    Returns (lo, hi, z, sweeps)."""
     d = lo.shape[0]
+    z = lo
     widths = [float((hi - lo).sum())]
-    while widths[-1] > target and (len(widths) <= d or widths[-1] < widths[-1 - d] / 2.0):
+    gap = float(hi.sum()) - float(z.sum())
+    while min(gap, widths[-1]) > target and (
+            len(widths) <= d or widths[-1] < widths[-1 - d] / 2.0):
         lo = np.maximum(lo, step_lo(lo))
         hi = np.minimum(hi, step_hi(hi))
+        z = np.maximum(z, step_z(z))
         widths.append(float((hi - lo).sum()))
-    return lo, hi, len(widths) - 1
+        gap = float(hi.sum()) - float(z.sum())
+    return lo, hi, z, len(widths) - 1
 
 
 def mf_run(model, init, max_steps, tol, record):

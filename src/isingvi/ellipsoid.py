@@ -40,14 +40,21 @@ also cuts the side y <= F(inf) = field(1) of its start box when no row is
 violated. `test_no_cut_excludes_the_optimum` watches every cut of six
 Bethe solves, two of them saturated, each also run from the box [0, field(1)].
 
-The solvers raise every field by b > 0 and start from a monotone bracket of
-the perturbed optimum. Write F for the model's map in the solver's
+The solvers raise every field by b > 0 and certify from a monotone bracket
+of the perturbed optimum. Write F for the model's map in the solver's
 coordinates, y -> field(tanh y) or x -> tanh(Jx + h), F_b for the perturbed
 model's, and y*, y*_b for their greatest fixed points (x*, x*_b in x).
-`_kernels._sandwich` sweeps lo up from 0 by F and hi down from
-top = F_b(inf) = field_b(1) (mean-field: F_b(1)) by F_b, and the search
-starts from [lo, max(hi, lo + r)] with r_est = r/2: r = b for Bethe, and
-r = delta = b sech^2(max field_b(1)) for mean-field.
+`_kernels._sandwich` sweeps lo and z up from 0, lo by F and z by F_b, and
+hi down from top = F_b(inf) = field_b(1) (mean-field: F_b(1)) by F_b. Where
+sum(hi) - sum(z) reaches the target gap, z is the answer and no ellipsoid
+runs. Else the search starts from [lo, max(hi, lo + r)] with r_est = r/2:
+r = b for Bethe, and r = delta = b sech^2(max field_b(1)) for mean-field.
+- z is feasible and z <= y*_b <= hi. z moves as lo does (below) with F_b
+  for F, so it stays a post-fixpoint of F_b, which lies in the region and
+  below y*_b (Tarski). So sum(y*_b) - sum(z) <= sum(hi) - sum(z), the gap
+  that the ellipsoid's certificate would bound. The allowance a below also
+  covers the oracle's own rounding of F_b(z), so the oracle reads z
+  feasible.
 - The box holds y*_b. lo is a post-fixpoint of F (below), so lo <= y*
   (Tarski), and y* <= y*_b (in y, y* + b <= y*_b, as
   F_b(y* + b) = F(y* + b) + b >= y* + b). hi starts above y*_b, and
@@ -60,11 +67,12 @@ r = delta = b sech^2(max field_b(1)) for mean-field.
   box's width in each coordinate, so it need not cover a rounded sweep.
   Each sweep instead moves lo by F - a and hi by F_b + a, with a at least
   twice the step's rounding error, which also covers the rounding of the
-  shift. So lo_k+1 <= F(lo_k) <= F(lo_k+1) exactly, as lo_k+1 >= lo_k by
-  the max: lo stays a post-fixpoint, y_lo never rounds above y* <= y*_b, and
-  the cube stays feasible. And hi_k+1 >= F_b(hi_k) >= y*_b: y_hi never rounds
-  below y*_b. In y, field(tanh y) taken directly has no phi_k to round or
-  invert, so by the terms above it is off by at most
+  shift; z moves by F_b - a. So lo_k+1 <= F(lo_k) <= F(lo_k+1) exactly, as
+  lo_k+1 >= lo_k by the max: lo stays a post-fixpoint, y_lo never rounds
+  above y* <= y*_b, and the cube stays feasible; so does z for F_b. And
+  hi_k+1 >= F_b(hi_k) >= y*_b: y_hi never rounds below y*_b. In y,
+  field(tanh y) taken directly has no phi_k to round or invert, so by the
+  terms above it is off by at most
   eps [1.5 n/(1 - t^2) + (2.5 + n/2) F_k], t = min(max theta, _CLAMP)
   bounding every clamped theta nu, and a = c eps (F_k + 1/(1 - t^2)). In x,
   tanh(Jx + h) is off by at most eps (2 + 0.45 (n + 1)), as
@@ -120,16 +128,20 @@ class EllipsoidState:
     """Search state: ellipsoid {center + L u : |u| <= 1}, incumbent, certificate,
     why the search stopped, and the measured objective of every step: the
     query's objective when the query is feasible and nan otherwise, so the
-    incumbent after each step is np.fmax.accumulate(progress)."""
+    incumbent after each step is np.fmax.accumulate(progress). A solve that
+    its bracket certified ran no ellipsoid: center, sqrt_shape and lt_c are
+    None, step is 0 and progress is empty."""
 
-    center: np.ndarray
-    sqrt_shape: np.ndarray
-    lt_c: np.ndarray  # L^T c as updated with L, so max_E c.x = c.center + |lt_c|
+    center: np.ndarray | None
+    sqrt_shape: np.ndarray | None
+    lt_c: np.ndarray | None  # L^T c as updated with L, so max_E c.x = c.center + |lt_c|
     step: int
     best_value: float
     min_upper: float
     # "gap": min_upper - best_value reached target_gap, or an objective cut
-    # left no point above the incumbent; "budget": steps ran out
+    # left no point above the incumbent; "budget": steps ran out; "bracket":
+    # a solver's monotone bracket reached target_gap, best_value and
+    # min_upper being its sums of z and hi, and no ellipsoid ran
     stop_reason: str
     progress: np.ndarray  # (steps,) objectives; entry k is step k + 1
     # the monotone bracket a solver started from: its sweeps and its width
@@ -349,17 +361,25 @@ def _rounding_c(model: IsingModel) -> float:
     return 3.0 * (float(model.degrees.max()) + 2.0) * _EPS
 
 
-def _solve(pert: IsingModel, oracle, step_lo, step_hi, top, r: float, target_gap: float):
+def _solve(pert: IsingModel, oracle, step_lo, step_hi, step_z, top, r: float,
+           target_gap: float):
     """Maximize the coordinate sum over pert's post-fixpoint region, separated
     by oracle, to target_gap. `_kernels._sandwich` narrows the bracket
-    [0, top] by step_lo and step_hi, and the search starts from
-    [lo, max(hi, lo + r)], whose cube [lo, lo + r] is feasible, with
-    r_est = r/2; from [0, top] where that box degenerates in float64 (the
-    module docstring has the proof). Returns (point, state), the state with
-    the bracket's sweeps and width."""
+    [0, top] by step_lo and step_hi and sweeps z up from 0 by step_z. Where
+    sum(hi) - sum(z) reaches target_gap, z is the answer, with stop_reason
+    "bracket". Else the search starts from [lo, max(hi, lo + r)], whose cube
+    [lo, lo + r] is feasible, with r_est = r/2; from [0, top] where that box
+    degenerates in float64 (the module docstring has the proof). Returns
+    (point, state), the state with the bracket's sweeps and width."""
     zero = np.zeros(top.shape[0])
-    lo, hi, sweeps = _kernels._sandwich(step_lo, step_hi, zero, top, target_gap)
+    lo, hi, z, sweeps = _kernels._sandwich(step_lo, step_hi, step_z, zero, top, target_gap)
     width = float((hi - lo).sum())
+    best, upper = float(z.sum()), float(hi.sum())
+    if upper - best <= target_gap:
+        return z, EllipsoidState(center=None, sqrt_shape=None, lt_c=None, step=0,
+                                 best_value=best, min_upper=upper, stop_reason="bracket",
+                                 progress=np.zeros(0), bracket_sweeps=sweeps,
+                                 bracket_width=width)
     hi = np.maximum(hi, lo + r)
     if not np.all((lo + r > lo) & (hi > lo)):
         lo, hi = zero, top  # the 0-sweep bracket
@@ -374,11 +394,12 @@ def solve_bethe_exponential(model: IsingModel, epsilon: float):
 
     Adds a field perturbation B = epsilon/2m, which makes the cube
     [y_lo, y_lo + B] of the post-fixpoint region in log-odds y feasible,
-    maximizes sum(y) over that region from the monotone bracket [y_lo, y_hi]
-    of its optimum to a gap of epsilon/2, which bounds the l1 distance of
-    nu = tanh(y) to the optimal messages, and evaluates the dual of the
-    *original* model at nu. Returns (nu, value, EllipsoidState), the state in
-    y; it is None when m = 0.
+    maximizes sum(y) over that region to a gap of epsilon/2, which bounds the
+    l1 distance of nu = tanh(y) to the optimal messages, and evaluates the
+    dual of the *original* model at nu. The monotone bracket of the optimum
+    either closes to that gap itself (stop_reason "bracket") or gives the
+    ellipsoid search its start box [y_lo, y_hi]. Returns (nu, value,
+    EllipsoidState), the state in y; it is None when m = 0.
     """
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
@@ -395,6 +416,7 @@ def solve_bethe_exponential(model: IsingModel, epsilon: float):
     y, state = _solve(pert, separation_oracle_bp,
                       lambda v: field(np.tanh(v)) * (1.0 - c) - c * k,
                       lambda v: field_pert(np.tanh(v)) * (1.0 + c) + c * k,
+                      lambda v: field_pert(np.tanh(v)) * (1.0 - c) - c * k,
                       field_pert(np.ones(2 * model.m)), b, epsilon / 2.0)
     nu = np.tanh(y)
     return nu, dual_bethe(model, nu), state
@@ -404,8 +426,9 @@ def solve_mf_exponential(model: IsingModel, epsilon: float):
     """Optimal mean-field value to accuracy epsilon via the ellipsoid method.
 
     Adds a field perturbation B = epsilon/2, maximizes sum(x) over the
-    perturbed region {0 <= x <= tanh(Jx + h)} from the monotone bracket
-    [x_lo, x_hi] of its optimum, and evaluates the mean-field objective of
+    perturbed region {0 <= x <= tanh(Jx + h)}, by the monotone bracket of its
+    optimum alone (stop_reason "bracket") or by the ellipsoid from the
+    bracket [x_lo, x_hi], and evaluates the mean-field objective of
     the original model at the result. The l1 target gap is scaled by a
     gradient bound on the feasible box so the value error stays below
     epsilon. Returns (x, value, EllipsoidState).
@@ -419,7 +442,8 @@ def solve_mf_exponential(model: IsingModel, epsilon: float):
     grad_bound = float(_kernels._mf_field_map(model)(ones).max()) + 1.0
     q = math.exp(-2.0 * float(_kernels._mf_field_map(pert)(ones).max()))
     x, state = _solve(pert, separation_oracle_mf, lambda v: mf_step(model, v) - a,
-                      lambda v: mf_step(pert, v) + a, mf_step(pert, ones),
+                      lambda v: mf_step(pert, v) + a, lambda v: mf_step(pert, v) - a,
+                      mf_step(pert, ones),
                       4.0 * b * q / (1.0 + q) ** 2,  # b sech^2(max field_pert(1))
                       epsilon / (2.0 * grad_bound))
     return x, mf_objective(model, np.clip(x, 0.0, 1.0)), state

@@ -275,6 +275,9 @@ def test_6_fixed_point_optimality_and_gradient_signs():
 
 
 def _solver_models():
+    """Ten models with fields h > 0, whose monotone brackets certify their
+    solves, and two at h = 0 whose brackets stay open, so that the ellipsoid
+    search runs: a 3x3 grid at beta 2 and K4 at beta 20."""
     rng = np.random.default_rng(37)
     rf = random_ferro(6, 8, rng)
     lifted = IsingModel(rf.n, rf.edges, rf.couplings,
@@ -293,29 +296,41 @@ def _solver_models():
         lifted,
         tree8,
         tree12,
+        generate_topology("grid", 2.0, 0.0, rows=3, cols=3),
+        generate_topology("random_regular", 20.0, 0.0, n=4, degree=3),
     ]
 
 
 def test_7_ellipsoid_solvers_hit_epsilon():
+    """Every solve lands within eps of a converged iteration's value, and in
+    each family the ellipsoid finishes at least two of them: the bracket
+    alone certifies the rest."""
     eps = 1e-8
-    worst_bethe = 0.0
-    worst_mf = 0.0
+    worst = {"bethe": 0.0, "mf": 0.0}
+    by_bracket = {"bethe": [], "mf": []}  # bracket sweeps of each certified solve
+    by_ellipsoid = {"bethe": [], "mf": []}  # (sweeps, steps) of each search
     worst_time = 0.0
     for model in _solver_models():
         start = time.perf_counter()
         nu_ref, _ = bp_iterate(model, max_steps=2 * 10**5, tol=1e-14)
-        ref_bethe = dual_bethe(model, nu_ref)
-        _nu, val_bethe, _ = solve_bethe_exponential(model, eps)
         x_ref, _ = mf_iterate(model, max_steps=2 * 10**5, tol=1e-14)
-        ref_mf = mf_objective(model, x_ref)
-        _x, val_mf, _ = solve_mf_exponential(model, eps)
+        for family, solve, ref in (("bethe", solve_bethe_exponential, dual_bethe(model, nu_ref)),
+                                   ("mf", solve_mf_exponential, mf_objective(model, x_ref))):
+            _point, value, state = solve(model, eps)
+            worst[family] = max(worst[family], abs(value - ref))
+            if state.stop_reason == "bracket":
+                by_bracket[family].append(state.bracket_sweeps)
+            elif abs(value - ref) <= eps:
+                by_ellipsoid[family].append((state.bracket_sweeps, state.step))
         worst_time = max(worst_time, time.perf_counter() - start)
-        worst_bethe = max(worst_bethe, abs(val_bethe - ref_bethe))
-        worst_mf = max(worst_mf, abs(val_mf - ref_mf))
-    ok = worst_bethe <= eps and worst_mf <= eps and worst_time < 60.0
+    ok = (max(worst.values()) <= eps and worst_time < 60.0
+          and min(map(len, by_ellipsoid.values())) >= 2)
     report(ok, "acceptance-7-solver-accuracy",
-           f"10 models at eps={eps:g}, max bethe error {worst_bethe:.3g}, "
-           f"max mf error {worst_mf:.3g}, slowest model {worst_time:.2f}s")
+           f"12 models at eps={eps:g}, max bethe error {worst['bethe']:.3g}, "
+           f"max mf error {worst['mf']:.3g}, slowest model {worst_time:.2f}s; "
+           + "; ".join(f"{family}: {len(by_bracket[family])} closed by the bracket, "
+                       f"{len(by_ellipsoid[family])} by the ellipsoid (sweeps, steps) "
+                       f"{by_ellipsoid[family]}" for family in worst))
 
 
 def test_8_gradient_finite_difference():

@@ -252,23 +252,25 @@ def test_plot_residuals_are_nonnegative(tmp_path):
 
 
 def test_run_ellipsoid(tmp_path):
+    # a 3x3 grid at beta 2, h 0, where the bracket stays open and the
+    # ellipsoid search runs
     run = tmp_path / "out"
-    argv = ["run", "--topology", "cycle:4", "--beta", "0.4", "--field", "0.3",
-            "--algo", "ellipsoid_bethe", "--eps", "1e-7"]
+    model = ["--topology", "grid:3x3", "--beta", "2", "--field", "0"]
+    argv = ["run", *model, "--algo", "ellipsoid_bethe", "--eps", "1e-6"]
     assert main([*argv, "--out", str(run)]) == 0
     summary = summary_dict(run / "summary.txt")
     ref = tmp_path / "ref"
-    main(["run", "--topology", "cycle:4", "--beta", "0.4", "--field", "0.3",
-          "--algo", "bp", "--tol", "1e-14", "--out", str(ref)])
+    main(["run", *model, "--algo", "bp", "--tol", "1e-14", "--out", str(ref)])
     ref_val = float(summary_dict(ref / "summary.txt")["final_objective"])
-    assert abs(float(summary["final_objective"]) - ref_val) <= 1e-7
+    assert abs(float(summary["final_objective"]) - ref_val) <= 1e-6
     assert summary["stop_reason"] == "gap"
-    assert float(summary["certificate_gap"]) <= 1e-7 / 2.0
-    progress = read(run / "progress.csv")
-    assert progress.splitlines()[0] == "step,objective"
+    assert float(summary["certificate_gap"]) <= 1e-6 / 2.0
+    progress = read(run / "progress.csv").splitlines()
+    assert progress[0] == "step,objective"
+    assert len(progress) - 1 == int(summary["steps_used"]) - int(summary["bracket_sweeps"]) > 0
     # the node means of the solution's messages, not the 2m messages
     state = read(run / "final_state.csv").splitlines()
-    assert state[0] == "node,x" and len(state) == 5
+    assert state[0] == "node,x" and len(state) == 10
     # --plot adds the incumbent plot and leaves every other artifact as it was
     plotted = tmp_path / "plotted"
     assert main([*argv, "--plot", "--out", str(plotted)]) == 0
@@ -578,6 +580,33 @@ def test_extreme_inputs_exit_cleanly(tmp_path, capsys):
             assert main([*verb, *source, "--out", str(tmp_path / "o")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algo", ["ellipsoid_bethe", "ellipsoid_mf"])
+def test_bracket_certifies_a_40x40_grid(tmp_path, algo):
+    """On a 40x40 grid at beta 0.3, h 0.05 the ellipsoid's d^2 budget and
+    d x d factor cannot run (d = 6,240 Bethe log-odds, 1,600 means), but the
+    monotone bracket certifies both optima to eps 1e-6 alone: the run takes
+    no ellipsoid step, its value lies within eps of a tol-1e-15 run, and its
+    peak stays below an eighth of one d x d float64 matrix."""
+    model = generate_topology("grid", 0.3, 0.05, rows=40, cols=40)
+    bethe = algo == "ellipsoid_bethe"
+    iterate, objective, d = ((bp_mod.bp_iterate, bp_mod.dual_bethe, 2 * model.m) if bethe
+                             else (mf_mod.mf_iterate, mf_mod.mf_objective, model.n))
+    code, peak = peak_bytes(main, ["run", "--topology", "grid:40x40", "--beta", "0.3",
+                                   "--field", "0.05", "--algo", algo, "--eps", "1e-6",
+                                   "--out", str(tmp_path)])
+    summary = summary_dict(tmp_path / "summary.txt")
+    state, trace = iterate(model, max_steps=10**6, tol=1e-15, record=False)
+    ref = objective(model, state) if trace.converged else math.nan
+    print(f"{algo}: {summary['bracket_sweeps']} sweeps, |value - reference| "
+          f"{abs(float(summary['final_objective']) - ref):.3g}, peak {peak / 1e6:.2f} MB")
+    assert code == 0 and summary["stop_reason"] == "bracket"
+    assert summary["steps_used"] == summary["bracket_sweeps"]
+    assert read(tmp_path / "progress.csv") == "step,objective\n"
+    assert float(summary["certificate_gap"]) <= 1e-6 / 2.0
+    assert abs(float(summary["final_objective"]) - ref) <= 1e-6
+    assert peak < d * d, (peak, d)
 
 
 def test_bethe_cuts_stay_finite_where_tanh_j_rounds_to_one(tmp_path):

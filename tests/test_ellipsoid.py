@@ -60,6 +60,30 @@ def test_maximize_over_box():
             ellipsoid_maximize(box_oracle, objective, (0.0, 1.0))
 
 
+def test_wide_box_is_searched_in_exact_units():
+    """A box whose radius passes 2^400 is searched in units of a power of two:
+    the unit square [0, 1]^2 blown up by 2^501 from the box (0, (2^501,
+    1.5 2^501)) takes the steps of the same search in units, from
+    (0, (1, 1.5)), and every value it returns is that search's times 2^501,
+    bit for bit."""
+    unit = 2.0 ** 501
+
+    def wide_oracle(x):
+        res = box_oracle(x / unit)
+        return res if res.feasible else SeparationResult(False, res.cut, res.violation * unit)
+
+    c, hi = np.array([1.0, 2.0]), np.array([1.0, 1.5])
+    best, state = ellipsoid_maximize(wide_oracle, c, (0.0, hi * unit), target_gap=1e-6 * unit,
+                                     r_est=0.25 * unit)
+    want_best, want = ellipsoid_maximize(box_oracle, c, (0.0, hi), target_gap=1e-6, r_est=0.25)
+    assert want.stop_reason == state.stop_reason == "gap" and state.step == want.step > 1
+    assert 3.0 - want.best_value <= 1e-6
+    assert np.array_equal(best, want_best * unit)
+    for name in ("center", "sqrt_shape", "lt_c", "best_value", "min_upper", "progress"):
+        assert np.array_equal(getattr(state, name), getattr(want, name) * unit,
+                              equal_nan=True), name
+
+
 def test_infeasible_program_raises():
     calls = []
 
@@ -212,14 +236,20 @@ def test_mf_cut_gradient_matches_fd(rng):
         checked += 1
 
 
-def test_solve_bethe_matches_iteration():
+def test_solve_bethe_matches_iteration(watched):
+    """The value is within eps of a converged BP run's dual. The brackets of
+    the three small models certify their solves; on the 3x3 grid at beta 2,
+    h 0, the bracket stays open and the ellipsoid takes steps."""
     for model in (chain2(0.6, 0.3), path3(0.5, 0.25), cycle4(0.4, 0.3)):
         nu_ref, trace = bp_iterate(model, max_steps=10**5, tol=1e-14)
         ref = trace.objective[-1]
         nu, value, state = solve_bethe_exponential(model, 1e-6)
         assert abs(value - ref) <= 1e-6
-        assert state.step > 0
         assert state.progress.shape == (state.step,)
+    run = watched("grid3x3_beta2_h0", "bethe")
+    _nu, trace = bp_iterate(run.model, max_steps=10**5, tol=1e-14)
+    assert abs(run.value - trace.objective[-1]) <= 1e-6
+    assert run.state.step > 0 and run.state.progress.shape == (run.state.step,)
 
 
 def test_solve_mf_matches_iteration():
@@ -287,7 +317,9 @@ def test_step_count_scales_polylog():
 # cycle and a star, a low-temperature grid with no field but the perturbation,
 # a random 3-regular graph, two saturated models, and the critical instance,
 # regular:10:3 (seed 1) at J = atanh(1/2), h = 0, where the bracket stays open
-# and the ellipsoid still takes thousands of steps from its start box.
+# and the ellipsoid still takes thousands of steps from its start box. The
+# brackets of the first three, and the mean-field one of the 3x3 grid at
+# beta 10, certify their solves; the others stay open.
 _WATCHED = {
     "grid4x4": lambda: small_grid(4, 4, 0.3, 0.1),
     "cycle4": lambda: cycle4(0.6, 0.3),
@@ -325,15 +357,18 @@ def _optimum(pert, family, name):
 def _watched_solve(name, family, eps=1e-6):
     """Solve the named model's family to eps while checking every oracle cut
     against the optimum opt of the perturbed region, in the search that the
-    solver runs from its start box and in one more from the cold box
-    [0, psi(top)], so that the cuts of a wide search stay watched where the
-    start box leaves few. psi is the solver's map in its coordinates:
-    mf_step, topped at 1, or for Bethe y -> field(tanh y), topped at inf,
-    where tanh is 1. Returns a namespace of model, pert, psi, top, opt, the
-    solve's value and state, the box (lo, hi) and r_est of its search, its
-    answers (the oracle's feasible answer at each call), and over both
-    searches the cuts and worst, the largest excess cut . opt - (cut . query -
-    violation) over |cut|_1, which is <= 0 when no cut excludes the optimum."""
+    solver runs from its start box, if its bracket stays open, and in one
+    more from the cold box [0, psi(top)], run whether or not the solver
+    searches, so that the cuts of a wide search stay watched. psi is the
+    solver's map in its coordinates: mf_step, topped at 1, or for Bethe
+    y -> field(tanh y), topped at inf, where tanh is 1. Returns a namespace
+    of model, pert, psi, top, opt, the solve's value and state, its point in
+    the solver's coordinates, target_gap and r_est, the bracket's (lo, hi, z)
+    as `_kernels._sandwich` returned them, the box (lo, hi) of its search
+    (None when the bracket certified the solve), its answers (the oracle's
+    feasible answer at each call of the search), and over both searches the
+    cuts and worst, the largest excess cut . opt - (cut . query - violation)
+    over |cut|_1, which is <= 0 when no cut excludes the optimum."""
     model = _WATCHED[name]()
     bethe = family == "bethe"
     b = eps / (2.0 * model.m) if bethe else eps / 2.0
@@ -345,9 +380,10 @@ def _watched_solve(name, family, eps=1e-6):
     else:
         solve, oracle_name = solve_mf_exponential, "separation_oracle_mf"
         psi, top = partial(mf_step, pert), np.ones(model.n)
-    run = SimpleNamespace(model=model, pert=pert, psi=psi, top=top, answers=[],
+    run = SimpleNamespace(model=model, pert=pert, psi=psi, top=top, answers=[], box=None,
                           opt=_optimum(pert, family, name), cuts=0, worst=-math.inf)
     oracle = getattr(ellipsoid, oracle_name)
+    solve_in, sandwich = ellipsoid._solve, _kernels._sandwich
 
     def watched(mdl, q):
         res = oracle(mdl, q)
@@ -358,13 +394,27 @@ def _watched_solve(name, family, eps=1e-6):
             run.worst = max(run.worst, excess / float(np.abs(res.cut).sum()))
         return res
 
+    def solve_watched(pert_, oracle_, step_lo, step_hi, step_z, top_, r, target_gap):
+        run.r_est, run.target_gap = r / 2.0, target_gap
+        ellipsoid_maximize(lambda q: oracle_(pert_, q), np.ones(top_.shape[0]),
+                           (0.0, psi(top)), target_gap=target_gap, r_est=run.r_est)
+        run.answers = []
+        run.point, state = solve_in(pert_, oracle_, step_lo, step_hi, step_z, top_, r,
+                                    target_gap)
+        return run.point, state
+
+    def bracket(*args):
+        run.lo, run.hi, run.z, sweeps = sandwich(*args)
+        return run.lo, run.hi, run.z, sweeps
+
     def maximize(separate, c, box, target_gap, r_est):
-        ellipsoid_maximize(separate, c, (0.0, psi(top)), target_gap=target_gap, r_est=r_est)
-        run.answers, run.box, run.r_est = [], box, r_est
+        run.box = box
         return ellipsoid_maximize(separate, c, box, target_gap=target_gap, r_est=r_est)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ellipsoid, oracle_name, watched)
+        mp.setattr(ellipsoid, "_solve", solve_watched)
+        mp.setattr(_kernels, "_sandwich", bracket)
         mp.setattr(ellipsoid, "ellipsoid_maximize", maximize)
         _point, run.value, run.state = solve(model, eps)
     return run
@@ -387,13 +437,13 @@ def test_progress_rows_hold_measured_values(watched, tmp_path):
     the oracle found the query feasible, nan when it did not, so the finite
     rows are the feasible answers. The incumbent is their running max,
     computed where it is read: `run --plot` draws it. The rows mix both
-    answers in two solves that still cut, the critical instance's Bethe solve
-    and the benchmark grid's mean-field solve (from its start box every query
-    of the grid's Bethe solve is feasible); both stop at their target gap, and
-    `run` writes the bracket, the stop reason and the certificate gap to
-    summary.txt, and counts the bracket's sweeps in steps_used."""
+    answers in two solves whose bracket stays open, the critical instance's
+    Bethe solve and the mean-field solve of a 3x3 grid at beta 2, h 0; both
+    stop at their target gap, and `run` writes the bracket, the stop reason
+    and the certificate gap to summary.txt, and counts the bracket's sweeps in
+    steps_used."""
     eps = 1e-6
-    for run in (watched("critical", "bethe"), watched("grid4x4", "mf")):
+    for run in (watched("critical", "bethe"), watched("grid3x3_beta2_h0", "mf")):
         state = run.state
         objective = state.progress
         feasible = np.array(run.answers)
@@ -412,14 +462,14 @@ def test_progress_rows_hold_measured_values(watched, tmp_path):
     # characters of %.17g: no violation column, whose 17-digit Bethe depths
     # would add about 19 bytes a row
     for family in ("bethe", "mf"):
-        state = watched("grid4x4", family).state
+        state = watched("grid3x3_beta2_h0", family).state
         size = len(text_of(ellipsoid_progress_csv, state))
         rows = sum(len(f"{k},nan\n") for k in range(1, state.step + 1))
         bound = len("step,objective\n") + rows + 21 * int(np.isfinite(state.progress).sum())
         assert size <= bound, (size, bound)
 
-    state = watched("grid4x4", "mf").state
-    assert main(["run", "--topology", "grid:4x4", "--beta", "0.3", "--field", "0.1",
+    state = watched("grid3x3_beta2_h0", "mf").state
+    assert main(["run", "--topology", "grid:3x3", "--beta", "2", "--field", "0",
                  "--algo", "ellipsoid_mf", "--eps", repr(eps), "--plot",
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "objective.svg").read_text(encoding="utf-8") == plot_lines(
@@ -434,7 +484,7 @@ def test_progress_rows_hold_measured_values(watched, tmp_path):
 
 
 def test_tracked_certificate_width_matches_factor(watched):
-    state = watched("grid4x4", "bethe").state
+    state = watched("grid3x3_beta2_h0", "bethe").state
     c = np.ones(state.center.shape[0])
     want = np.linalg.norm(state.sqrt_shape.T @ c)
     assert abs(np.linalg.norm(state.lt_c) - want) <= 1e-9 * want
@@ -443,17 +493,26 @@ def test_tracked_certificate_width_matches_factor(watched):
 @pytest.mark.parametrize("family", ["bethe", "mf"])
 @pytest.mark.parametrize("name", list(_WATCHED))
 def test_final_ellipsoid_contains_reference_optimum(watched, family, name):
-    """The optimum of the perturbed region (in the solver's coordinates) lies in
-    the start box [lo, hi] of the solver's search and in its final ellipsoid,
-    and the oracle reads the corner lo + r of the start box's inner cube
-    [lo, lo + r], r = 2 r_est, as feasible. On the 3x3 grid at beta 10 the
-    Bethe oracle reads a row whose bp_step rounds to 1.0 feasible at any y up
-    to field(1), 20.01 on rows where y* is 19.67, so its final ellipsoid
-    lies above y* there and is not checked."""
+    """Where the bracket certifies the solve, the oracle reads its answer z
+    feasible, the optimum of the perturbed region (in the solver's
+    coordinates) lies in [z, hi], and sum(opt - z) is at most the target gap.
+    Where it stays open, the optimum lies in the start box [lo, hi] of the
+    solver's search and in its final ellipsoid, and the oracle reads the
+    corner lo + r of the start box's inner cube [lo, lo + r], r = 2 r_est, as
+    feasible. On the 3x3 grid at beta 10 the Bethe oracle reads a row whose
+    bp_step rounds to 1.0 feasible at any y up to field(1), 20.01 on rows
+    where y* is 19.67, so its final ellipsoid lies above y* there and is not
+    checked."""
     run = watched(name, family)
+    oracle = separation_oracle_bp if family == "bethe" else separation_oracle_mf
+    if run.state.stop_reason == "bracket":
+        assert run.box is None and run.point is run.z
+        assert oracle(run.pert, run.z).feasible
+        assert np.all(run.z <= run.opt) and np.all(run.opt <= run.hi)
+        assert float((run.opt - run.z).sum()) <= run.target_gap
+        return
     lo, hi = run.box
     assert np.all(lo <= run.opt) and np.all(run.opt <= hi)
-    oracle = separation_oracle_bp if family == "bethe" else separation_oracle_mf
     assert oracle(run.pert, lo + 2.0 * run.r_est).feasible
     if (name, family) == ("grid3x3_beta10_h0.01", "bethe"):
         return
@@ -473,7 +532,7 @@ def test_certificate_lies_in_monotone_sandwich(watched, family, name):
     solver does inside."""
     run = watched(name, family)
     state, up = run.state, run.top
-    d = state.center.shape[0]
+    d = up.shape[0]
     lo = np.zeros(d)
     for _ in range(200):
         lo, up = run.psi(lo), run.psi(up)
@@ -490,7 +549,9 @@ def test_certificate_lies_in_monotone_sandwich(watched, family, name):
                                   "regular4_3_beta20_h0", "grid3x3_beta10_h0.01", "critical"])
 def test_no_cut_excludes_the_optimum(watched, family, name):
     """Every oracle cut of a solve, and of a search from the cold box, keeps the
-    perturbed optimum, up to 1e-12 |cut|_1: on the benchmark's 4x4 grid, on a
+    perturbed optimum, up to 1e-12 |cut|_1. The cold search runs where the
+    bracket certifies the solve too, so every case cuts: on the benchmark's
+    4x4 grid, whose bracket closes, on a
     low-temperature grid with no field but the perturbation, on a random
     3-regular graph, on two saturated models and on the critical instance. On
     K4 at beta 20, h 0, tanh(J) is 1.0 in float64, every message's bp_step

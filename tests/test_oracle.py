@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -53,11 +52,19 @@ def test_exact_cycle_closed_form(n, j, h):
 
 @pytest.mark.parametrize("topology", [dict(kind="grid", rows=40, cols=40),
                                       dict(kind="random_regular", n=200, degree=3)])
-def test_size_guard_fires_before_any_table(topology):
+def test_size_guard_fires_before_any_table(topology, monkeypatch):
+    """The guard fires while the cliques are worked out from the graph: after
+    at most 64 elimination steps (each sorts its clique once; 42 on the grid,
+    34 on the regular graph), before any table exists (no spin factor is
+    made), with a peak below 5 MB."""
     model = generate_topology(beta=0.3, **topology)
-    start = time.perf_counter()
+    sorts, spins = [], []
+    monkeypatch.setattr(oracle, "sorted", lambda *args, **kw: sorts.append(1) or sorted(
+        *args, **kw), raising=False)
+    monkeypatch.setattr(oracle, "_spin", lambda *args: spins.append(args))
     _, peak = peak_bytes(pytest.raises, SizeGuardError, exact_log_z, model)
-    assert time.perf_counter() - start < 1.0
+    steps = len(sorts) - 1  # one sort orders the nodes by degree
+    assert not spins and 0 < steps <= 64, (len(spins), steps)
     assert peak < 5e6
 
 
