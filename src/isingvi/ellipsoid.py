@@ -21,7 +21,9 @@ point. One O(m) transpose product of the field map gives g (the surrogate cut
 of Bland, Goldfarb & Todd, 1981). Both maps are monotone, so the greatest
 post-fixpoint is the greatest fixed point (Tarski), every feasible point lies
 below it, and it maximizes the coordinate sum. In y, tanh is 1-Lipschitz, so
-the certificate gap sum(y*) - sum(y) bounds |nu* - nu|_1.
+the certificate gap sum(y*) - sum(y) bounds |nu* - nu|_1, except on rows
+whose bp_step rounds to 1.0, read feasible up to field(1) (below): y can end
+above y* there, though tanh rounds both to 1.0, so the value holds.
 
 The Bethe oracle reads row k's slack as y_k - atanh(phi_k) with
 phi = bp_step(tanh y), which loses the last bits of F_k. Take tanh and atanh
@@ -392,25 +394,23 @@ def _solve(pert: IsingModel, oracle, step_lo, step_hi, step_z, top, r: float,
 def solve_bethe_exponential(model: IsingModel, epsilon: float):
     """Optimal-fixed-point dual value to accuracy epsilon via the ellipsoid method.
 
-    Adds a field perturbation B = epsilon/2m, which makes the cube
+    Adds a field perturbation B = epsilon/(2 max(m, 1)), which makes the cube
     [y_lo, y_lo + B] of the post-fixpoint region in log-odds y feasible,
     maximizes sum(y) over that region to a gap of epsilon/2, which bounds the
     l1 distance of nu = tanh(y) to the optimal messages, and evaluates the
     dual of the *original* model at nu. The monotone bracket of the optimum
     either closes to that gap itself (stop_reason "bracket") or gives the
     ellipsoid search its start box [y_lo, y_hi]. Returns (nu, value,
-    EllipsoidState), the state in y; it is None when m = 0.
+    EllipsoidState), the state in y.
     """
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
-    if model.m == 0:
-        return np.zeros(0), dual_bethe(model, np.zeros(0)), None
-    b = epsilon / (2.0 * model.m)
+    b = epsilon / (2.0 * max(model.m, 1))
     pert = _perturbed(model, b)
     # a computed field is off by at most c eps (F + k)/2, k bounding atanh' at
     # every clamped theta nu; each side moves by c eps (F + k)
     c = _rounding_c(model)
-    t = min(float(model.theta_dir.max()), _kernels._CLAMP)
+    t = min(float(model.theta_dir.max(initial=0.0)), _kernels._CLAMP)
     k = 1.0 / (1.0 - t * t)
     field, field_pert = _kernels._bp_field_map(model), _kernels._bp_field_map(pert)
     y, state = _solve(pert, separation_oracle_bp,

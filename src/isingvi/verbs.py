@@ -181,23 +181,21 @@ def _run_ellipsoid(args, model: IsingModel) -> int:
     point, value, state = family.solve(model, args.eps)
     _write(os.path.join(args.out, "final_state.csv"),
            partial(_node_csv, family.marginals(model, point)))
-    # the bracket's sweeps count as solver steps beside the ellipsoid's
-    steps = state.bracket_sweeps + state.step if state is not None else 0
+    _write(os.path.join(args.out, "progress.csv"), partial(ellipsoid_progress_csv, state))
+    # the bracket's sweeps count as solver steps beside the ellipsoid's; the
+    # bracket and the certificate of the perturbed problem are in the solver's
+    # coordinate-sum units: means for mean-field, log-odds of the messages for Bethe
     pairs = [("model_hash", model_hash(model)), ("algo", args.algo),
-             ("eps", f"{args.eps:g}"), ("steps_used", steps),
-             ("final_objective", f"{value:.17g}")]
-    if state is not None:
-        _write(os.path.join(args.out, "progress.csv"), partial(ellipsoid_progress_csv, state))
-        # the bracket and the certificate of the perturbed problem in the solver's
-        # coordinate-sum units: means for mean-field, log-odds of the messages for Bethe
-        pairs += [("bracket_sweeps", state.bracket_sweeps),
-                  ("bracket_width", f"{state.bracket_width:.17g}"),
-                  ("stop_reason", state.stop_reason),
-                  ("certificate_gap", f"{state.min_upper - state.best_value:.17g}")]
-        if args.plot:
-            _write(os.path.join(args.out, "objective.svg"), plot_lines(
-                "best feasible", range(1, state.step + 1), np.fmax.accumulate(state.progress),
-                f"{args.algo} incumbent", "step", "objective best"))
+             ("eps", f"{args.eps:g}"), ("steps_used", state.bracket_sweeps + state.step),
+             ("final_objective", f"{value:.17g}"),
+             ("bracket_sweeps", state.bracket_sweeps),
+             ("bracket_width", f"{state.bracket_width:.17g}"),
+             ("stop_reason", state.stop_reason),
+             ("certificate_gap", f"{state.min_upper - state.best_value:.17g}")]
+    if args.plot and state.step:  # a solve its bracket certified ran no search to draw
+        _write(os.path.join(args.out, "objective.svg"), plot_lines(
+            "best feasible", range(1, state.step + 1), np.fmax.accumulate(state.progress),
+            f"{args.algo} incumbent", "step", "objective best"))
     _write(os.path.join(args.out, "summary.txt"), _summary_text(pairs))
     print(f"value {value:.17g}")
     return 0

@@ -301,12 +301,37 @@ def _solver_models():
     ]
 
 
+def _swept(step, x, max_sweeps=10**5):
+    """x swept by step until a sweep moves no entry by more than 1e-16."""
+    for _ in range(max_sweeps):
+        x, prev = step(x), x
+        if float(np.abs(x - prev).max()) <= 1e-16:
+            break
+    return x
+
+
+def _monotone_bracket(model, family, eps):
+    """(upper, lower): the perturbed model's public step swept from all ones
+    and from zeros, by the solvers' documented perturbation (eps/2m on the
+    Bethe messages, eps/2 on the means), with no solver code involved. The
+    perturbed optimum lies between them, and every feasible point below upper."""
+    b, step, d = ((eps / (2 * model.m), bp_step, 2 * model.m) if family == "bethe"
+                  else (eps / 2, mf_step, model.n))
+    pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
+    return tuple(_swept(lambda v: step(pert, v), np.full(d, s)) for s in (1.0, 0.0))
+
+
 def test_7_ellipsoid_solvers_hit_epsilon():
     """Every solve lands within eps of a converged iteration's value, and in
     each family the ellipsoid finishes at least two of them: the bracket
-    alone certifies the rest."""
+    alone certifies the rest. Each returned point also lies in an
+    independent monotone bracket of the perturbed optimum: at most its upper
+    sweep, and its sum at most eps/2 below its lower sweep's."""
     eps = 1e-8
+    slack = 1e-12
     worst = {"bethe": 0.0, "mf": 0.0}
+    above = {"bethe": -np.inf, "mf": -np.inf}  # max(point - upper)
+    short = {"bethe": -np.inf, "mf": -np.inf}  # sum(lower) - sum(point)
     by_bracket = {"bethe": [], "mf": []}  # bracket sweeps of each certified solve
     by_ellipsoid = {"bethe": [], "mf": []}  # (sweeps, steps) of each search
     worst_time = 0.0
@@ -316,21 +341,27 @@ def test_7_ellipsoid_solvers_hit_epsilon():
         x_ref, _ = mf_iterate(model, max_steps=2 * 10**5, tol=1e-14)
         for family, solve, ref in (("bethe", solve_bethe_exponential, dual_bethe(model, nu_ref)),
                                    ("mf", solve_mf_exponential, mf_objective(model, x_ref))):
-            _point, value, state = solve(model, eps)
+            point, value, state = solve(model, eps)
             worst[family] = max(worst[family], abs(value - ref))
+            upper, lower = _monotone_bracket(model, family, eps)
+            above[family] = max(above[family], float((point - upper).max()))
+            short[family] = max(short[family], float(lower.sum() - point.sum()))
             if state.stop_reason == "bracket":
                 by_bracket[family].append(state.bracket_sweeps)
             elif abs(value - ref) <= eps:
                 by_ellipsoid[family].append((state.bracket_sweeps, state.step))
         worst_time = max(worst_time, time.perf_counter() - start)
     ok = (max(worst.values()) <= eps and worst_time < 60.0
-          and min(map(len, by_ellipsoid.values())) >= 2)
+          and min(map(len, by_ellipsoid.values())) >= 2
+          and max(above.values()) <= slack and max(short.values()) <= eps / 2 + slack)
     report(ok, "acceptance-7-solver-accuracy",
            f"12 models at eps={eps:g}, max bethe error {worst['bethe']:.3g}, "
            f"max mf error {worst['mf']:.3g}, slowest model {worst_time:.2f}s; "
            + "; ".join(f"{family}: {len(by_bracket[family])} closed by the bracket, "
                        f"{len(by_ellipsoid[family])} by the ellipsoid (sweeps, steps) "
-                       f"{by_ellipsoid[family]}" for family in worst))
+                       f"{by_ellipsoid[family]}, max(point - upper) {above[family]:.3g}, "
+                       f"sum(lower) - sum(point) {short[family]:.3g} (eps/2 {eps / 2:g})"
+                       for family in worst))
 
 
 def test_8_gradient_finite_difference():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import peak_bytes, text_of
 from isingvi import bp as bp_mod
+from isingvi import ellipsoid
 from isingvi import (IterationTrace, exact_result_from_csv, generate_topology, load_model,
                      trace_from_csv, trace_meta, trace_to_csv)
 from isingvi import meanfield as mf_mod
@@ -281,6 +282,43 @@ def test_run_ellipsoid(tmp_path):
         assert (plotted / name).read_bytes() == (run / name).read_bytes()
 
 
+def test_plot_draws_only_a_search_that_ran(tmp_path):
+    """`--plot` draws the incumbent of an ellipsoid search. A solve that its
+    bracket certified runs no search, so it writes no objective.svg and
+    leaves every other artifact as it was; an open bracket's search is drawn."""
+    certified = ["run", "--topology", "grid:4x4", "--beta", "0.3", "--field", "0.1",
+                 "--algo", "ellipsoid_bethe", "--eps", "1e-6"]
+    for name, extra in (("plain", []), ("plotted", ["--plot"])):
+        assert main([*certified, *extra, "--out", str(tmp_path / name)]) == 0
+    plain, plotted = tmp_path / "plain", tmp_path / "plotted"
+    assert summary_dict(plotted / "summary.txt")["stop_reason"] == "bracket"
+    assert sorted(p.name for p in plotted.iterdir()) == sorted(p.name for p in plain.iterdir())
+    for path in plain.iterdir():
+        assert (plotted / path.name).read_bytes() == path.read_bytes()
+    searched = tmp_path / "searched"
+    assert main(["run", "--topology", "grid:3x3", "--beta", "2", "--field", "0",
+                 "--algo", "ellipsoid_bethe", "--eps", "1e-6", "--plot",
+                 "--out", str(searched)]) == 0
+    assert "<polyline" in read(searched / "objective.svg")
+
+
+def test_edgeless_model_runs_both_solvers_alike(tmp_path):
+    """On one node with no edge, the Bethe solve has no message to search,
+    and still writes the artifacts and summary keys of the mean-field solve,
+    its value log(2 cosh h) as both families give it."""
+    model = ["--topology", "grid:1x1", "--beta", "0.3", "--field", "0.5", "--eps", "1e-6"]
+    runs = {algo: tmp_path / algo for algo in ("ellipsoid_bethe", "ellipsoid_mf")}
+    for algo, out in runs.items():
+        assert main(["run", *model, "--algo", algo, "--out", str(out)]) == 0
+    files = [sorted(p.name for p in out.iterdir()) for out in runs.values()]
+    assert files[0] == files[1] == ["final_state.csv", "progress.csv", "summary.txt"]
+    bethe, mf = (summary_dict(out / "summary.txt") for out in runs.values())
+    assert list(bethe) == list(mf)
+    assert bethe["stop_reason"] == "bracket" and bethe["steps_used"] == "0"
+    for summary in (bethe, mf):
+        assert abs(float(summary["final_objective"]) - math.log(2.0 * math.cosh(0.5))) <= 1e-6
+
+
 def test_exact_verb_and_transfer_matrix(tmp_path):
     run = tmp_path / "out"
     assert main(["exact", "--topology", "cycle:7", "--beta", "0.45", "--field",
@@ -539,7 +577,7 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: negative field -0.5 (fields must be >= 0)\n"
 
 
-def test_extreme_inputs_exit_cleanly(tmp_path, capsys):
+def test_extreme_inputs_exit_cleanly(tmp_path, monkeypatch, capsys):
     # eps near the bottom of float64: the default step budget stays finite
     for algo in ("ellipsoid_bethe", "ellipsoid_mf"):
         assert main(["run", "--topology", "grid:2x2", "--beta", "0.3", "--field", "0.1",
@@ -558,6 +596,22 @@ def test_extreme_inputs_exit_cleanly(tmp_path, capsys):
             assert err.startswith("error: eps ") and err.count("\n") == 1, err
         else:
             assert err == ""
+    # fields so large that the Bethe search box is wider than 2^400: the
+    # search runs in units of a power of two, and its value is BP's
+    rescaled = []
+    real_rescaled = ellipsoid._rescaled
+    monkeypatch.setattr(ellipsoid, "_rescaled",
+                        lambda *a: rescaled.append(a[-1]) or real_rescaled(*a))
+    for field in ("1e200", "1e125"):
+        model = ["run", "--topology", "cycle:4", "--beta", "0.3", "--field", field]
+        values = []
+        for algo in (["ellipsoid_bethe", "--eps", "1e-6"], ["bp"]):
+            out = tmp_path / f"field{field}{algo[0]}"
+            assert main([*model, "--algo", *algo, "--out", str(out)]) == 0
+            values.append(summary_dict(out / "summary.txt")["final_objective"])
+        assert values[0] == values[1], (field, values)
+        assert capsys.readouterr().err == ""
+    assert len(rescaled) == 2, rescaled
     # the largest magnitudes whose 2J and 2h fit in float64 give finite runs
     (tmp_path / "big.txt").write_text("n 1\nnode 0 8.9e307\n")
     for verb in (["run", "--algo", "bp"], ["run", "--algo", "mf"], ["exact"]):

@@ -261,10 +261,13 @@ def test_solve_mf_matches_iteration():
 
 
 def test_solve_single_node_closed_form():
+    # an edgeless model has no messages: its empty bracket certifies at once
     lonely = IsingModel(1, None, None, np.array([0.5]))
     want = math.log(2.0 * math.cosh(0.5))
     _nu, vb, state = solve_bethe_exponential(lonely, 1e-8)
-    assert vb == pytest.approx(want, abs=1e-12) and state is None
+    assert vb == pytest.approx(want, abs=1e-12)
+    assert state.stop_reason == "bracket" and state.bracket_sweeps == 0
+    assert state.best_value == state.min_upper == 0.0
     _x, vm, _state = solve_mf_exponential(lonely, 1e-8)
     assert abs(vm - want) <= 1e-8
 
