@@ -4,8 +4,8 @@ Mean-field and BP both iterate a monotone map x <- tanh(field(x)) from the
 all-ones start (or another checked start state). `_sweep` is that loop, and it
 returns the run's `IterationTrace`. mf_run and bp_run give it their family's
 name, its field map (`_mf_field_map`, Jx + h, or `_bp_field_map`, h plus the
-exclusion sum of arctanh(theta nu)) and a `measure(x)` callback that returns
-the recorded objective (the mean-field objective or the Bethe dual), so both
+exclusion sum of arctanh(theta nu), one block of BP's in-edge table at a time)
+and a `measure(x)` callback that returns the recorded objective, so both
 families record the same row. `_sandwich` sweeps a bracket of the fixed point
 from both sides at once, beside a third sequence that certifies from below;
 the ellipsoid solvers return its answer or start their search from it. The
@@ -30,9 +30,9 @@ _LOG2 = math.log(2.0)
 # Largest |theta * nu| (or |x|) passed to arctanh, so that tanh(J) rounding to
 # 1.0 in float64 gives a large finite log-ratio instead of inf.
 _CLAMP = 1.0 - 1e-15
-# Longest gather of one BP exclusion slot: a longer slot is gathered in pieces
-# of this length, so that a step holds no whole-graph copy of it.
-_CHUNK = 1 << 15
+# The clamp as read-only 0-d arrays, which the clip takes without converting.
+_CLAMP_LO, _CLAMP_HI = np.array(-_CLAMP), np.array(_CLAMP)
+_CLAMP_LO.flags.writeable = _CLAMP_HI.flags.writeable = False
 
 
 def _entropy(cells):
@@ -81,36 +81,38 @@ def _clamped_atanh(theta_dir, nu):
     # The method call skips np.clip's wrapper, which costs more than the clip
     # itself on small graphs; the sweep calls this once per step.
     t = theta_dir * nu
-    t.clip(-_CLAMP, _CLAMP, out=t)
+    t.clip(_CLAMP_LO, _CLAMP_HI, out=t)
     return np.arctanh(t, out=t)
 
 
-def _bp_field(theta_dir, fields, src, inv, pieces, nu):
+def _bp_field(theta_dir, blocks, nu):
     """Field of the synchronous BP update: for each directed edge i -> j, h_i plus
-    the clamped arctanh(theta nu) of the edges into i other than j -> i, added to
-    0.0 in ascending id order, one `exclusion_index` slot at a time, in its order,
-    in pieces (slice(start, stop), slot[start:stop]) of at most _CHUNK entries.
-    Each whole-graph array is freed once dead and the sum formed in place, as large
-    graphs pay page faults for each fresh array: a step holds two besides nu."""
-    acc = np.zeros(nu.shape[0])
+    the clamped arctanh(theta nu) of the edges into i other than j -> i, added in
+    ascending id order, one `exclusion_index` block at a time: row p of a block's
+    sum adds the values x of its in-edges but row p, term t being row terms[t][p],
+    then h, and goes to the reverse edges ins ^ 1. Starting from the first term,
+    not 0.0, changes only the sign of a zero sum, which + h erases (fields are
+    +0.0-normalised). A step holds two whole-graph arrays besides nu."""
     a = _clamped_atanh(theta_dir, nu)
-    for dest, part in pieces:
-        acc[dest] += a[part]
-    del a
-    acc = acc[inv]  # frees the sums in slot order
-    acc += fields[src]  # sum + h_i is h_i + sum
-    return acc
+    out = np.empty(nu.shape[0])
+    for ins, terms, h in blocks:
+        x = a[ins]
+        s = x.take(terms[0], axis=0) if terms else 0.0  # x[terms[0]] costs twice as much
+        for t in terms[1:]:
+            s += x.take(t, axis=0)
+        s += h
+        out[ins ^ 1] = s
+    return out
 
 
 def _bp_field_map(model):
     """The BP field nu -> _bp_field(..., nu), bound once per model and kept on it."""
     if model._bp_field is None:
-        inv, slots = model.exclusion_index()
-        # slices built once: deriving them per step costs 5-9% of the loop on star:50
-        pieces = [(slice(start, min(start + _CHUNK, len(slot))), slot[start:start + _CHUNK])
-                  for slot in slots for start in range(0, len(slot), _CHUNK)]
-        model._bp_field = partial(_bp_field, model.theta_dir, model.fields, model._dir_src,
-                                  inv, pieces)
+        blocks = []
+        for ins, h in model.exclusion_index():
+            rows = np.arange(ins.shape[0])  # term t of row p is the t-th row but p
+            blocks.append((ins, tuple(t + (rows <= t) for t in rows[:-1]), h))
+        model._bp_field = partial(_bp_field, model.theta_dir, blocks)
     return model._bp_field
 
 

@@ -44,8 +44,8 @@ def bp_iterate(model: IsingModel, init="ones", max_steps=10**6, tol=1e-10,
     value per step; with record=False it keeps the final row alone
     (t = [steps], a nan dual).
     """
-    # Built here, outside the sweep, so that the sweep's time excludes it.
-    model.exclusion_index()
+    # The field map and its index are built here, so that the sweep's time excludes them.
+    _kernels._bp_field_map(model)
     return _kernels.bp_run(model, init, max_steps, tol, bool(record))
 
 

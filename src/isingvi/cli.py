@@ -10,8 +10,8 @@ Every model file and CSV artifact is written and read by the `textio` codec.
 `gen --topology` needs only the standard library: it writes the columns of
 `topology.generate` through `textio._model_text`, the one model-file writer.
 run, exact and report are in `verbs`, which loads numpy and is imported when
-one of them runs, before the model file is read; `gen --model` imports
-`model` to read its file.
+one of them runs, after the model is read; `gen --model` imports `model` to
+read its file.
 
 Exit codes: 0 success, 1 validation or parse error, 2 I/O error, 3 size
 error (a model too wide for exact elimination, or one too large to allocate).
@@ -97,13 +97,15 @@ def _run(args) -> int:
         raise ConfigError("tol must be >= 0")
     if not 0 < args.eps < math.inf:
         raise ConfigError(f"eps must be finite and > 0, got {args.eps:g}")
+    model = build_model(args)
     from . import verbs
-    return verbs._run(args, build_model(args))
+    return verbs._run(args, model)
 
 
 def _exact(args) -> int:
+    model = build_model(args)
     from . import verbs
-    return verbs._exact(args, build_model(args))
+    return verbs._exact(args, model)
 
 
 def _report(args) -> int:

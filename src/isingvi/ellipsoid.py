@@ -176,27 +176,34 @@ def separation_oracle_bp(model: IsingModel, y) -> SeparationResult:
     theta_e/(1 - (theta_e nu_e)^2) times w summed over the edges out of
     dst(e) but e ^ 1, with theta_e nu_e clamped as the field clamps it, so
     that tanh(J) rounding to 1.0 gives a large finite factor at nu_e = 1."""
+    return _bethe_oracle(model, _kernels._bp_field_map(model)(np.ones(2 * model.m)))(y)
+
+
+def _bethe_oracle(model: IsingModel, top):
+    """separation_oracle_bp(model, .) with top = field(1) and c eps read once."""
     src, dst, theta = model._dir_src, model._dir_dst, model.theta_dir
-    y = _kernels._vector(y, 2 * model.m, "query")
-    cut = _box_cut(y, np.inf)
-    if cut is not None:
-        return cut
-    nu = np.tanh(y)
-    phi = bp_step(model, nu)
-    v = nu > phi
-    if np.count_nonzero(v):  # skips ndarray.any's wrapper
-        # vjp: the pair-swapped view of v gives v[e ^ 1]; nu is in [0, 1]
-        # here, as y >= 0, so theta nu clamps from above only
-        out = np.bincount(src, weights=v, minlength=model.n)
-        t = np.minimum(theta * nu, _kernels._CLAMP)
-        g = v - (1.0 - nu * nu) * (theta / (1.0 - t * t)
-                                   * (out[dst] - v.reshape(-1, 2)[:, ::-1].ravel()))
-        yv, pv = y[v], phi[v]  # phi < nu <= 1 on V, so every term is finite
-        c = _rounding_c(model)
-        return SeparationResult(False, g, float(
-            np.maximum(yv - np.arctanh(pv) - c * (yv + 1.0 / (1.0 - pv * pv)), 0.0).sum()))
-    cut = _box_cut(y, _kernels._bp_field_map(model)(np.ones(2 * model.m)))
-    return SeparationResult(True) if cut is None else cut
+    c = _rounding_c(model)
+    def separate(y):
+        y = _kernels._vector(y, 2 * model.m, "query")
+        cut = _box_cut(y, np.inf)
+        if cut is not None:
+            return cut
+        nu = np.tanh(y)
+        phi = bp_step(model, nu)
+        v = nu > phi
+        if np.count_nonzero(v):  # skips ndarray.any's wrapper
+            # vjp: the pair-swapped view of v gives v[e ^ 1]; nu is in [0, 1]
+            # here, as y >= 0, so theta nu clamps from above only
+            out = np.bincount(src, weights=v, minlength=model.n)
+            t = np.minimum(theta * nu, _kernels._CLAMP)
+            g = v - (1.0 - nu * nu) * (theta / (1.0 - t * t)
+                                       * (out[dst] - v.reshape(-1, 2)[:, ::-1].ravel()))
+            yv, pv = y[v], phi[v]  # phi < nu <= 1 on V, so every term is finite
+            return SeparationResult(False, g, float(
+                np.maximum(yv - np.arctanh(pv) - c * (yv + 1.0 / (1.0 - pv * pv)), 0.0).sum()))
+        cut = _box_cut(y, top)
+        return SeparationResult(True) if cut is None else cut
+    return separate
 
 
 def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
@@ -363,16 +370,15 @@ def _rounding_c(model: IsingModel) -> float:
     return 3.0 * (float(model.degrees.max()) + 2.0) * _EPS
 
 
-def _solve(pert: IsingModel, oracle, step_lo, step_hi, step_z, top, r: float,
-           target_gap: float):
-    """Maximize the coordinate sum over pert's post-fixpoint region, separated
-    by oracle, to target_gap. `_kernels._sandwich` narrows the bracket
-    [0, top] by step_lo and step_hi and sweeps z up from 0 by step_z. Where
-    sum(hi) - sum(z) reaches target_gap, z is the answer, with stop_reason
-    "bracket". Else the search starts from [lo, max(hi, lo + r)], whose cube
-    [lo, lo + r] is feasible, with r_est = r/2; from [0, top] where that box
-    degenerates in float64 (the module docstring has the proof). Returns
-    (point, state), the state with the bracket's sweeps and width."""
+def _solve(oracle, step_lo, step_hi, step_z, top, r: float, target_gap: float):
+    """Maximize the coordinate sum over the perturbed post-fixpoint region that
+    oracle(query) separates, to target_gap. `_kernels._sandwich` narrows the
+    bracket [0, top] by step_lo and step_hi and sweeps z up from 0 by step_z.
+    Where sum(hi) - sum(z) reaches target_gap, z is the answer, with
+    stop_reason "bracket". Else the search starts from [lo, max(hi, lo + r)],
+    whose cube [lo, lo + r] is feasible, with r_est = r/2; from [0, top] where
+    that box degenerates in float64 (the module docstring has the proof).
+    Returns (point, state), the state with the bracket's sweeps and width."""
     zero = np.zeros(top.shape[0])
     lo, hi, z, sweeps = _kernels._sandwich(step_lo, step_hi, step_z, zero, top, target_gap)
     width = float((hi - lo).sum())
@@ -385,8 +391,8 @@ def _solve(pert: IsingModel, oracle, step_lo, step_hi, step_z, top, r: float,
     hi = np.maximum(hi, lo + r)
     if not np.all((lo + r > lo) & (hi > lo)):
         lo, hi = zero, top  # the 0-sweep bracket
-    point, state = ellipsoid_maximize(lambda q: oracle(pert, q), np.ones(top.shape[0]),
-                                      (lo, hi), target_gap=target_gap, r_est=r / 2.0)
+    point, state = ellipsoid_maximize(oracle, np.ones(top.shape[0]), (lo, hi),
+                                      target_gap=target_gap, r_est=r / 2.0)
     state.bracket_sweeps, state.bracket_width = sweeps, width
     return point, state
 
@@ -413,11 +419,12 @@ def solve_bethe_exponential(model: IsingModel, epsilon: float):
     t = min(float(model.theta_dir.max(initial=0.0)), _kernels._CLAMP)
     k = 1.0 / (1.0 - t * t)
     field, field_pert = _kernels._bp_field_map(model), _kernels._bp_field_map(pert)
-    y, state = _solve(pert, separation_oracle_bp,
+    top = field_pert(np.ones(2 * model.m))
+    y, state = _solve(_bethe_oracle(pert, top),
                       lambda v: field(np.tanh(v)) * (1.0 - c) - c * k,
                       lambda v: field_pert(np.tanh(v)) * (1.0 + c) + c * k,
                       lambda v: field_pert(np.tanh(v)) * (1.0 - c) - c * k,
-                      field_pert(np.ones(2 * model.m)), b, epsilon / 2.0)
+                      top, b, epsilon / 2.0)
     nu = np.tanh(y)
     return nu, dual_bethe(model, nu), state
 
@@ -441,7 +448,7 @@ def solve_mf_exponential(model: IsingModel, epsilon: float):
     a = _rounding_c(model)
     grad_bound = float(_kernels._mf_field_map(model)(ones).max()) + 1.0
     q = math.exp(-2.0 * float(_kernels._mf_field_map(pert)(ones).max()))
-    x, state = _solve(pert, separation_oracle_mf, lambda v: mf_step(model, v) - a,
+    x, state = _solve(lambda v: separation_oracle_mf(pert, v), lambda v: mf_step(model, v) - a,
                       lambda v: mf_step(pert, v) + a, lambda v: mf_step(pert, v) - a,
                       mf_step(pert, ones),
                       4.0 * b * q / (1.0 + q) ** 2,  # b sech^2(max field_pert(1))

@@ -23,6 +23,9 @@ from . import textio, topology
 from .errors import DomainError, ModelError, ParseError
 from .topology import _MAX_NODES, _check_weights
 
+# Most nodes in a block of `IsingModel.exclusion_index`; it bounds a BP step's temporaries.
+_BLOCK = 1024
+
 __all__ = ["IsingModel", "ModelNorms", "ModelError", "DomainError", "load_model",
            "save_model", "model_hash", "generate_topology"]
 
@@ -51,10 +54,10 @@ class IsingModel:
     as 0.0) and degrees, read-only, and the directed-edge ends _dir_src and
     _dir_dst, writable because np.bincount copies a read-only index whole.
     The package reads those two; callers outside it read dir_src and dir_dst,
-    read-only views of them. edges,
-    rows (i, j) with i < j, and its columns edge_i, edge_j are views of
-    dir_src. dir_coupling and theta_dir, J and tanh(J) per directed edge, are
-    built on first read.
+    read-only views of them. edges, rows (i, j) with i < j, and its columns
+    edge_i, edge_j are views of dir_src. dir_coupling and theta_dir, J and
+    tanh(J) per directed edge, are built on first read, and the BP field map,
+    with the in-edge table of exclusion_index, on the first BP step.
     """
 
     def __init__(self, n, edges=None, couplings=None, fields=None):
@@ -124,47 +127,33 @@ class IsingModel:
             a.setflags(write=False)
         self.edges = self.dir_src.reshape(-1, 2)
         self.edge_i, self.edge_j = self.edges.T
-        self._exclusion = None
         self._bp_field = None  # set by _kernels._bp_field_map
 
     dir_coupling = cached_property(lambda self: _frozen(np.repeat(self.couplings, 2)))
     theta_dir = cached_property(lambda self: _frozen(np.repeat(np.tanh(self.couplings), 2)))
 
     def exclusion_index(self):
-        """BP's exclusion sums in slots: for each directed edge d = (i -> j), the
-        directed edges into i other than j -> i, ascending, one entry each.
-
-        Returns (inv, slots): inv[d] is d's position in the stable sort of the
-        directed edges by excluded count deg(i) - 1, descending; slots[s][inv[d]]
-        is the s-th excluded in-edge of d, and slots[s] covers the prefix of
-        positions whose edges exclude more than s. Built lazily and cached.
+        """BP's in-edge table, one entry per directed edge, in blocks of one
+        node degree k >= 1: k ascending, then node, at most _BLOCK nodes a
+        block. Returns a tuple of blocks (ins, h): column c of the read-only
+        (k, size) array ins lists, ascending, the directed edges into the
+        block's c-th node, and h[c] is its field. The edge i -> j excludes its
+        reverse: ins[p, c] is excluded by ins[p, c] ^ 1. Built on each call.
         """
-        if self._exclusion is None:
-            # Directed ids sorted by destination: the edges into node i are the
-            # run R = in_order[in_ptr[i]:in_ptr[i + 1]], ascending, so the s-th
-            # excluded in-edge of d = (i -> j) is R[s + (R[s] >= d ^ 1)]. Blocks of
-            # 4096 positions keep temporaries small, and in_order and excl are
-            # freed before inv is built; freed whole-graph arrays stay resident
-            # and add to peak RSS.
-            ndir = 2 * self.m
-            in_order = np.argsort(self._dir_dst, kind="stable")
-            in_ptr = np.concatenate(([0], np.cumsum(self.degrees)))
-            excl = self.degrees[self._dir_src] - 1
-            order = np.argsort(-excl, kind="stable")
-            sizes = ndir - np.cumsum(np.bincount(excl, minlength=1))[:-1]
-            slots = [np.empty(k, dtype=np.int64) for k in sizes]
-            for r0 in range(0, ndir, 4096):
-                d = order[r0:r0 + 4096]
-                start, rev = in_ptr[self._dir_src[d]], d ^ 1
-                for s, slot in enumerate(slots[:excl[d[0]]]):
-                    pos = start[:slot.shape[0] - r0] + s
-                    pos += in_order[pos] >= rev[:pos.shape[0]]
-                    slot[r0:r0 + pos.shape[0]] = in_order[pos]
-            del in_order, excl
-            inv = np.empty(ndir, dtype=np.int64)
-            inv[order] = np.arange(ndir)
-            self._exclusion = (_frozen(inv), tuple(_frozen(s) for s in slots))
-        return self._exclusion
+        # the edges into i are into[start[i]:start[i] + deg[i]]; nodes[lo:hi] have degree d[lo]
+        deg = self.degrees
+        into = np.argsort(self._dir_dst, kind="stable")
+        start = np.cumsum(deg) - deg
+        nodes = np.argsort(deg, kind="stable")
+        d = deg[nodes]
+        first = np.flatnonzero(np.diff(d, prepend=0))
+        blocks = []
+        for lo, hi in zip(first, [*first[1:], d.shape[0]]):
+            for b in range(lo, hi, _BLOCK):
+                block = nodes[b:min(b + _BLOCK, hi)]
+                ins = into[start[block] + np.arange(d[lo])[:, None]]
+                blocks.append((_frozen(ins), _frozen(self.fields[block])))
+        return tuple(blocks)
 
     def norms(self) -> ModelNorms:
         j_linf = float(self.couplings.max()) if self.m else 0.0

@@ -377,33 +377,30 @@ def _watched_solve(name, family, eps=1e-6):
     b = eps / (2.0 * model.m) if bethe else eps / 2.0
     pert = IsingModel(model.n, model.edges, model.couplings, model.fields + b)
     if bethe:
-        solve, oracle_name = solve_bethe_exponential, "separation_oracle_bp"
-        field = _kernels._bp_field_map(pert)
+        solve, field = solve_bethe_exponential, _kernels._bp_field_map(pert)
         psi, top = (lambda y: field(np.tanh(y))), np.full(2 * model.m, np.inf)
     else:
-        solve, oracle_name = solve_mf_exponential, "separation_oracle_mf"
+        solve = solve_mf_exponential
         psi, top = partial(mf_step, pert), np.ones(model.n)
     run = SimpleNamespace(model=model, pert=pert, psi=psi, top=top, answers=[], box=None,
                           opt=_optimum(pert, family, name), cuts=0, worst=-math.inf)
-    oracle = getattr(ellipsoid, oracle_name)
     solve_in, sandwich = ellipsoid._solve, _kernels._sandwich
 
-    def watched(mdl, q):
-        res = oracle(mdl, q)
-        run.answers.append(res.feasible)
-        if not res.feasible:
-            excess = float(res.cut @ run.opt) - (float(res.cut @ q) - res.violation)
-            run.cuts += 1
-            run.worst = max(run.worst, excess / float(np.abs(res.cut).sum()))
-        return res
+    def solve_watched(oracle, step_lo, step_hi, step_z, top_, r, target_gap):
+        def watched(q):
+            res = oracle(q)
+            run.answers.append(res.feasible)
+            if not res.feasible:
+                excess = float(res.cut @ run.opt) - (float(res.cut @ q) - res.violation)
+                run.cuts += 1
+                run.worst = max(run.worst, excess / float(np.abs(res.cut).sum()))
+            return res
 
-    def solve_watched(pert_, oracle_, step_lo, step_hi, step_z, top_, r, target_gap):
         run.r_est, run.target_gap = r / 2.0, target_gap
-        ellipsoid_maximize(lambda q: oracle_(pert_, q), np.ones(top_.shape[0]),
-                           (0.0, psi(top)), target_gap=target_gap, r_est=run.r_est)
+        ellipsoid_maximize(watched, np.ones(top_.shape[0]), (0.0, psi(top)),
+                           target_gap=target_gap, r_est=run.r_est)
         run.answers = []
-        run.point, state = solve_in(pert_, oracle_, step_lo, step_hi, step_z, top_, r,
-                                    target_gap)
+        run.point, state = solve_in(watched, step_lo, step_hi, step_z, top_, r, target_gap)
         return run.point, state
 
     def bracket(*args):
@@ -415,7 +412,6 @@ def _watched_solve(name, family, eps=1e-6):
         return ellipsoid_maximize(separate, c, box, target_gap=target_gap, r_est=r_est)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ellipsoid, oracle_name, watched)
         mp.setattr(ellipsoid, "_solve", solve_watched)
         mp.setattr(_kernels, "_sandwich", bracket)
         mp.setattr(ellipsoid, "ellipsoid_maximize", maximize)

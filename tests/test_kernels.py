@@ -9,6 +9,7 @@ from conftest import peak_bytes, small_grid
 from isingvi import (DomainError, IsingModel, _kernels, bp_iterate, bp_step, dual_bethe,
                      generate_topology, mf_iterate, mf_objective, mf_step, node_estimates,
                      separation_oracle_bp, separation_oracle_mf)
+from isingvi.model import _BLOCK
 
 
 def test_record_false_skips_objective():
@@ -55,9 +56,9 @@ def test_trace_memory_follows_steps_taken():
 
 def test_bp_working_set_per_directed_edge():
     """A fresh model, its exclusion index and a recorded BP run to tol 1e-10
-    on a 100x100 grid peak at 12 float64 arrays of one entry per directed
-    edge (11.82 measured): the index holds one entry per excluded in-edge and
-    a step gathers no copy of them."""
+    on a 100x100 grid peak at 9 float64 arrays of one entry per directed
+    edge (8.61 measured): the index holds one entry per directed edge, and a
+    step gathers one block of it at a time."""
     bp_iterate(generate_topology("grid", 0.3, 0.05, rows=2, cols=2))  # lazy imports
 
     def build_and_run():
@@ -66,36 +67,37 @@ def test_bp_working_set_per_directed_edge():
         return model
 
     model, peak = peak_bytes(build_and_run)
-    assert peak <= 12 * 16 * model.m, peak / (16 * model.m)
+    assert peak <= 9 * 16 * model.m, peak / (16 * model.m)
 
 
-@pytest.mark.parametrize("iterate, arrays", [(bp_iterate, 4.0), (mf_iterate, 2.0)])
+@pytest.mark.parametrize("iterate, arrays", [(bp_iterate, 3.45), (mf_iterate, 2.0)])
 def test_sweep_working_set_per_directed_edge(iterate, arrays):
     """A recorded sweep to tol 1e-10 on a 100x100 grid, over what the model
     holds once a one-step run has built its index and per-edge arrays, peaks
     below `arrays` float64 arrays of one entry per directed edge (measured:
-    BP 3.83, MF 1.76). A read-only index given to np.bincount, or a BP step
-    that gathers whole slots, raises them to 4.26 and 2.51."""
+    BP 3.32, MF 1.76). A read-only index given to np.bincount raises MF's to
+    2.51, and a BP step that sums each degree class in one block raises BP's
+    to 5.92."""
     model = generate_topology("grid", 0.3, 0.05, rows=100, cols=100)
     iterate(model, max_steps=1)
     _, peak = peak_bytes(iterate, model)
     assert peak <= arrays * 16 * model.m, peak / (16 * model.m)
 
 
-def test_step_gathers_long_slots_in_pieces():
-    """On a 100x100 grid the first exclusion slots span two gather pieces of
-    _kernels._CHUNK entries; bp_step equals, bitwise, the field summed with
-    one gather per slot."""
+def test_step_sums_a_degree_class_in_blocks(monkeypatch):
+    """On a 100x100 grid the 9,604 degree-4 nodes span ten blocks of at most
+    _BLOCK nodes; bp_step equals, bitwise, the step that sums each
+    degree class in one block."""
     model = generate_topology("grid", 0.3, 0.05, rows=100, cols=100)
-    inv, slots = model.exclusion_index()
-    assert _kernels._CHUNK < slots[0].shape[0] <= 2 * _kernels._CHUNK
+    shapes = [ins.shape for ins, _ in model.exclusion_index()]
+    assert [k for k, _ in shapes] == [2, 3] + [4] * 10
+    assert max(size for _, size in shapes) == _BLOCK
     nu = np.random.default_rng(7).uniform(-1.0, 1.0, 2 * model.m)
-    a = np.arctanh(np.clip(model.theta_dir * nu, -_kernels._CLAMP, _kernels._CLAMP))
-    acc = np.zeros(2 * model.m)
-    for slot in slots:
-        acc[:slot.shape[0]] += a[slot]
-    want = np.tanh(model.fields[model.dir_src] + acc[inv])
-    assert bp_step(model, nu).tobytes() == want.tobytes()
+    blocked = bp_step(model, nu)
+    monkeypatch.setattr("isingvi.model._BLOCK", 10**4)
+    whole = generate_topology("grid", 0.3, 0.05, rows=100, cols=100)
+    assert [ins.shape for ins, _ in whole.exclusion_index()] == [(2, 4), (3, 392), (4, 9604)]
+    assert bp_step(whole, nu).tobytes() == blocked.tobytes()
 
 
 def test_bincount_reads_writable_indices(monkeypatch):

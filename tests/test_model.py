@@ -14,6 +14,7 @@ from conftest import cycle4, random_ferro, star5, text_of, triangle
 from isingvi import (IsingModel, ModelError, ParseError, generate_topology,
                      load_model, mf_step, model_hash, save_model)
 from isingvi.cli import main
+from isingvi.model import _BLOCK
 
 
 def test_edges_canonicalized():
@@ -112,28 +113,28 @@ def test_rejects_magnitudes_past_float64():
 
 def test_exclusion_index_matches_naive(rng):
     isolated = IsingModel(7, np.array([[1, 4], [4, 6], [1, 6], [2, 4]]),
-                          np.full(4, 0.3), np.zeros(7))
+                          np.full(4, 0.3), np.linspace(0.0, 0.6, 7))
     for m in (random_ferro(6, 9, rng),
               generate_topology("grid", 0.3, 0.0, rows=4, cols=5),
               generate_topology("random_regular", 0.3, 0.0, n=20, degree=3, seed=1),
               generate_topology("star", 0.3, 0.0, n=6),
               generate_topology("random_tree", 0.3, 0.0, n=12, seed=2),
               isolated, IsingModel(3)):
-        # the definition: d = (i -> j) excludes deg(i) - 1 in-edges, the
-        # directed edges into i other than j -> i, ascending; the edges are
-        # stably sorted by that count, descending, and slot s of the edge at
-        # position r holds its s-th excluded in-edge
-        ndir = 2 * m.m
-        count = [int(m.degrees[m.dir_src[d]]) - 1 for d in range(ndir)]
-        order = sorted(range(ndir), key=lambda d: -count[d])
-        inv, slots = m.exclusion_index()
-        assert inv.dtype == np.int64 and all(s.dtype == np.int64 for s in slots)
-        assert [inv[d] for d in order] == list(range(ndir))
-        assert [len(s) for s in slots] == [sum(c > s for c in count)
-                                           for s in range(max(count, default=0))]
-        for d in range(ndir):
-            excluded = [q for q in range(ndir) if m.dir_dst[q] == m.dir_src[d] and q != d ^ 1]
-            assert [slots[s][inv[d]] for s in range(count[d])] == excluded
+        # the definition: the nodes of degree k >= 1, k ascending, then node
+        # ascending, in blocks (ins, h) of one degree; column c of ins lists
+        # the directed edges into its node, ascending, and h[c] is its field
+        blocks = m.exclusion_index()
+        nodes = sorted((i for i in range(m.n) if m.degrees[i]), key=lambda i: m.degrees[i])
+        columns = [(ins[:, c].tolist(), h[c]) for ins, h in blocks for c in range(ins.shape[1])]
+        assert len(columns) == len(nodes)
+        for (into, field), i in zip(columns, nodes):
+            assert into == [q for q in range(2 * m.m) if m.dir_dst[q] == i]
+            assert field == m.fields[i]
+        for ins, h in blocks:
+            assert ins.dtype == np.int64 and not ins.flags.writeable and not h.flags.writeable
+            assert 1 <= ins.shape[1] <= _BLOCK
+        # one table entry per directed edge
+        assert sum(ins.size for ins, _ in blocks) == 2 * m.m
 
 
 def test_save_load_round_trip_exact(rng):
