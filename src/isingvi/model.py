@@ -6,14 +6,15 @@ J_ij >= 0 on the edges of a simple graph and h_i >= 0. Edges are stored once
 index of length 2m where directed id 2e is i->j and 2e+1 is j->i, so the
 reverse of directed id d is d ^ 1.
 
-Model files are read by `load_model` and written by `textio._model_text`,
-which `save_model` and `model_hash` feed the model's columns. The topology
-generators live in `topology`, on the standard library alone;
-`generate_topology` wraps their columns in an IsingModel.
+Model files are read by `load_model`, which checks each line in its block,
+and written by `textio._model_text`, which `save_model` and `model_hash` feed
+the model's columns. The topology generators live in `topology`, on the
+standard library alone; `generate_topology` wraps their columns in an IsingModel.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,7 +175,7 @@ def _frozen(a):
     return a
 
 
-_GRAMMAR = {"n": (int,), "node": (int, float), "edge": (int, int, float)}
+_FIELDS = {"n": 1, "node": 2, "edge": 3}  # the fields after each directive
 
 
 def load_model(source) -> IsingModel:
@@ -189,50 +190,87 @@ def load_model(source) -> IsingModel:
         node <i> <h_i>     # optional per node, default 0
         edge <i> <j> <J_ij>
 
-    The lines are read and converted by `textio.read_directives`; a
-    malformed line raises ParseError naming it. Token counts, directives and
-    numbers are checked as the file is read, the n directive and node ids
-    once it has been read.
+    Lines come a block at a time from `textio.line_blocks`, those up to n
+    first. A malformed line raises ParseError naming it as its block is
+    read; of several faults, one in the earliest faulty block is named.
     """
-    rows = textio.read_directives(source, _GRAMMAR)
-    (counts, n_at), (ids, h, node_at), (i, j, c, edge_at) = (
-        rows["n"], rows["node"], rows["edge"])
-    if not len(counts):
-        raise ParseError("missing n directive")
-    if len(counts) > 1:
-        raise ParseError(f"line {n_at[1]}: duplicate n directive")
-    early = [(at[0], kind) for kind, at in (("node", node_at), ("edge", edge_at))
-             if len(at) and at[0] < n_at[0]]
-    if early:
-        raise ParseError("line {}: {} before n directive".format(*min(early)))
-    n = int(counts[0])
-    if not 1 <= n <= _MAX_NODES:
-        raise ParseError(f"line {n_at[0]}: node count must be in 1..{_MAX_NODES}, got {n}")
-    _check_ids(node_at, n, ids)
-    _check_ids(edge_at, n, i, j)
-    # node lines are in file order, so the smallest index of a repeat is its first line
-    order = np.argsort(ids, kind="stable")
-    repeats = order[1:][np.diff(ids[order]) == 0]
-    if repeats.size:
-        k = repeats.min()
-        raise ParseError(f"line {node_at[k]}: duplicate node {ids[k]}")
-    fields = np.zeros(n)
-    fields[ids] = h
-    if np.any(fields < 0):
+    n, blocks = _node_count(textio.line_blocks(source))
+    fields = seen = None        # size n: allocated at the first node row
+    parts = []                  # the edge columns of each block
+    for start, block in blocks:
+        split = {"node": ([], [], 3), "edge": ([], [], 4)}
+        for lineno, line in enumerate(block, start):
+            if "#" in line:
+                line = line[:line.index("#")]
+            tokens = line.split()
+            if not tokens:
+                continue
+            rows = split.get(tokens[0])
+            if rows is None or len(tokens) != rows[2]:
+                raise _bad_line(lineno, tokens)
+            rows[0].append(tokens)
+            rows[1].append(lineno)
+        (node_rows, node_at, _), (edge_rows, edge_at, _) = split.values()
+        if node_rows:
+            ids, h = textio.columns(node_rows, node_at, (None, int, float))
+            _check_ids(node_at, n, ids[:, None])
+            if seen is None:
+                fields, seen = np.zeros(n), np.zeros(n, dtype=bool)
+            repeat = seen[ids]      # a node of an earlier block, or of an earlier line
+            order = np.argsort(ids, kind="stable")
+            repeat[order[1:]] |= np.diff(ids[order]) == 0
+            if repeat.any():
+                k = repeat.argmax()
+                raise ParseError(f"line {node_at[k]}: duplicate node {ids[k]}")
+            seen[ids], fields[ids] = True, h
+        if edge_rows:
+            i, j, c = textio.columns(edge_rows, edge_at, (None, int, int, float))
+            parts.append((_check_ids(edge_at, n, np.stack([i, j], axis=1)), c))
+    if fields is not None and np.any(fields < 0):
         if np.any(fields > 0):
             raise ModelError("mixed-sign field is not supported")
         fields = -fields
-    return IsingModel(n, np.stack([i, j], axis=1), c, fields)
+    edges, couplings = map(np.concatenate, zip(*parts)) if parts else (None, None)
+    del parts  # before IsingModel sorts the edges
+    return IsingModel(n, edges, couplings, fields)
 
 
-def _check_ids(at, n, *columns):
-    """ParseError naming the first line with a node id outside 0..n-1."""
-    ids = np.stack(columns, axis=1)
+def _node_count(blocks):
+    """Read `blocks` up to the n directive; returns n and the blocks after it."""
+    early = None
+    for start, block in blocks:
+        for lineno, line in enumerate(block, start):
+            tokens = line.split("#", 1)[0].split()
+            if tokens and _FIELDS.get(tokens[0]) != len(tokens) - 1:
+                raise _bad_line(lineno, tokens)
+            if tokens[:1] == ["n"]:
+                if early:
+                    raise ParseError(early)
+                n = int(textio.columns([tokens], [lineno], (None, int))[0][0])
+                if not 1 <= n <= _MAX_NODES:
+                    raise ParseError(f"line {lineno}: node count must be in "
+                                     f"1..{_MAX_NODES}, got {n}")
+                return n, itertools.chain([(lineno + 1, block[lineno + 1 - start:])], blocks)
+            early = early or (tokens and f"line {lineno}: {tokens[0]} before n directive")
+    raise ParseError("missing n directive")
+
+
+def _bad_line(lineno, tokens):
+    """The ParseError of a line that is not a node or edge row after n."""
+    kind, count = tokens[0], len(tokens) - 1
+    return ParseError(f"line {lineno}: " + (
+        f"unknown directive {kind!r}" if kind not in _FIELDS else
+        f"{kind!r} takes {_FIELDS[kind]} fields, got {count}" if count != _FIELDS[kind] else
+        "duplicate n directive"))
+
+
+def _check_ids(at, n, ids):
+    """`ids`, a row per line of `at`, unless a node id is outside 0..n-1."""
     outside = (ids < 0) | (ids >= n)
-    bad = np.flatnonzero(outside.any(axis=1))
-    if bad.size:
-        k = bad[0]
+    if outside.any():
+        k = outside.any(axis=1).argmax()
         raise ParseError(f"line {at[k]}: out-of-range node id {ids[k][outside[k]][0]} (n={n})")
+    return ids
 
 
 def _columns(model: IsingModel):

@@ -12,10 +12,9 @@ the one writer of the model grammar that `model.load_model` reads.
 
 Reading works a block of lines at a time, and only it loads numpy.
 `line_blocks` reads lines from a string or an open file as they come, and
-`columns` converts the split lines of a block column by column with
-`map(int)` / `map(float)`. On top of them, `read_directives` parses model
-files and `read_csv` the CSV artifacts. A malformed line raises `ParseError`
-naming its line.
+`columns` converts a block's split lines column by column with `map(int)` /
+`map(float)`. `model.load_model` reads model files with them, and `read_csv`
+the CSV artifacts; a malformed line raises `ParseError` naming its line.
 """
 
 from __future__ import annotations
@@ -136,15 +135,14 @@ def columns(split, at, kinds) -> list:
     """
     import numpy as np
 
-    count = len(split)
-    cols = list(zip(*split)) if count else [()] * len(kinds)
+    cols = list(zip(*split)) or [()] * len(kinds)
     out = []
     for col, kind in zip(cols, kinds):
         if kind is None:
             continue
         dtype = np.int64 if kind is int else np.float64
         try:
-            out.append(np.fromiter(map(kind, col), dtype, count))
+            out.append(np.fromiter(map(kind, col), dtype, len(col)))
         except (ValueError, OverflowError):
             for k, token in enumerate(col):
                 try:
@@ -153,43 +151,6 @@ def columns(split, at, kinds) -> list:
                     raise ParseError(f"line {at[k]}: {exc}") from None
             raise
     return out
-
-
-def read_directives(source, grammar) -> dict:
-    """Parse lines keyed by their first word, as in model files.
-
-    '#' starts a comment anywhere on a line; blank lines are skipped; fields
-    are separated by whitespace. `grammar` maps each key to the kinds of the
-    fields after it (as in `columns`). Returns {key: [columns..., line
-    numbers]} for every key, the rows in file order, converted a block at a
-    time.
-    """
-    import numpy as np
-
-    parts = {key: [] for key in grammar}
-    for start, block in line_blocks(source):
-        split = {key: ([], [], len(kinds) + 1) for key, kinds in grammar.items()}
-        for lineno, line in enumerate(block, start):
-            if "#" in line:
-                line = line[:line.index("#")]
-            tokens = line.split()
-            if not tokens:
-                continue
-            rows = split.get(tokens[0])
-            if rows is None:
-                raise ParseError(f"line {lineno}: unknown directive {tokens[0]!r}")
-            if len(tokens) != rows[2]:
-                raise ParseError(f"line {lineno}: {tokens[0]!r} takes {rows[2] - 1} "
-                                 f"fields, got {len(tokens) - 1}")
-            rows[0].append(tokens)
-            rows[1].append(lineno)
-        for key, (rows, at, _) in split.items():
-            if rows:
-                parts[key].append(columns(rows, at, (None, *grammar[key]))
-                                  + [np.array(at, dtype=np.int64)])
-    return {key: [np.concatenate(c) for c in zip(*blocks)] if blocks
-            else columns([], [], grammar[key]) + [np.zeros(0, np.int64)]
-            for key, blocks in parts.items()}
 
 
 def read_csv(source, sections) -> tuple:

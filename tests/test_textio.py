@@ -89,6 +89,9 @@ def test_parse_errors_name_their_line(monkeypatch):
              "n 3\nedge 0 1 0.3\nedge 1 2 0.3\nnode 7 1\n": "4:",  # out of range
              "n 3\nedge 0 1 0.3\nedge 1 2 0.3\nedge 2 5 1\n": "4:",
              "n 3\nnode 1 1\n# c\nnode 1 2\n": "4:",              # duplicate node
+             "n 3\n# c\nnode 1 1\nnode 1 2\n": "4:",              # ... in one block
+             # two faults: the earlier block's is named
+             "n 3\nedge 0 7 0.3\nedge 0 1 0.3\nedge 1 x 0.3\n": "2: out-of-range",
              "n 3\nedge 0 1 zz\n": "2:",
              "n 3\nedge 0 1 0.3\nwhat 1 2\n": "3:",               # unknown directive
              "n 3\nedge 0 99999999999999999999 0.3\n": "2:",      # id overflow
