@@ -186,25 +186,25 @@ def _sweep(algo, field, measure, init, size, max_steps, tol, record):
                              converged=step < tol)
 
 
-def _sandwich(step_lo, step_hi, step_z, lo, hi, target):
+def _sandwich(step_lo, step_hi, step_z, lo, hi, target, unit):
     """Narrow a bracket [lo, hi] of a monotone map's fixed point from both
     sides, sweeping lo <- max(lo, step_lo(lo)) and hi <- min(hi, step_hi(hi)),
-    and a third sequence z <- max(z, step_z(z)) up from lo's start, until the
-    gap sum(hi) - sum(z) or the width sum(hi - lo) is at most target, or the
-    last d sweeps (d = lo.size) failed to halve the width.
-    Returns (lo, hi, z, sweeps)."""
+    and z <- max(z, step_z(z)) up from lo's start, until, in the units of the
+    increasing map u = `unit`, the gap sum(u(hi)) - sum(u(z)) or the width
+    sum(u(hi) - u(lo)) is at most target, or the last d = lo.size sweeps
+    failed to halve it. Returns (lo, hi, z, sweeps, sum(u(z)), sum(u(hi)), width)."""
     d = lo.shape[0]
-    z = lo
-    widths = [float((hi - lo).sum())]
-    gap = float(hi.sum()) - float(z.sum())
-    while min(gap, widths[-1]) > target and (
-            len(widths) <= d or widths[-1] < widths[-1 - d] / 2.0):
+    z, widths = lo, []
+    while True:
+        u_hi = unit(hi)
+        widths.append(float((u_hi - unit(lo)).sum()))
+        low, up = float(unit(z).sum()), float(u_hi.sum())
+        if not (min(up - low, widths[-1]) > target and (
+                len(widths) <= d or widths[-1] < widths[-1 - d] / 2.0)):
+            return lo, hi, z, len(widths) - 1, low, up, widths[-1]
         lo = np.maximum(lo, step_lo(lo))
         hi = np.minimum(hi, step_hi(hi))
         z = np.maximum(z, step_z(z))
-        widths.append(float((hi - lo).sum()))
-        gap = float(hi.sum()) - float(z.sum())
-    return lo, hi, z, len(widths) - 1
 
 
 def mf_run(model, init, max_steps, tol, record):

@@ -21,9 +21,9 @@ point. One O(m) transpose product of the field map gives g (the surrogate cut
 of Bland, Goldfarb & Todd, 1981). Both maps are monotone, so the greatest
 post-fixpoint is the greatest fixed point (Tarski), every feasible point lies
 below it, and it maximizes the coordinate sum. In y, tanh is 1-Lipschitz, so
-the certificate gap sum(y*) - sum(y) bounds |nu* - nu|_1, except on rows
-whose bp_step rounds to 1.0, read feasible up to field(1) (below): y can end
-above y* there, though tanh rounds both to 1.0, so the value holds.
+the ellipsoid's gap sum(y*) - sum(y) bounds |nu* - nu|_1, except on rows
+whose bp_step rounds to 1.0, read feasible up to field(1) (below): its y can
+end above y* there, though tanh rounds both to 1.0, so the value holds.
 
 The Bethe oracle reads row k's slack as y_k - atanh(phi_k) with
 phi = bp_step(tanh y), which loses the last bits of F_k. Take tanh and atanh
@@ -48,15 +48,23 @@ coordinates, y -> field(tanh y) or x -> tanh(Jx + h), F_b for the perturbed
 model's, and y*, y*_b for their greatest fixed points (x*, x*_b in x).
 `_kernels._sandwich` sweeps lo and z up from 0, lo by F and z by F_b, and
 hi down from top = F_b(inf) = field_b(1) (mean-field: F_b(1)) by F_b. Where
-sum(hi) - sum(z) reaches the target gap, z is the answer and no ellipsoid
-runs. Else the search starts from [lo, max(hi, lo + r)] with r_est = r/2:
-r = b for Bethe, and r = delta = b sech^2(max field_b(1)) for mean-field.
+sum(u(hi)) - sum(u(z)) reaches the target gap, with u = tanh for Bethe and
+u(x) = x, z is the answer and no ellipsoid runs. Else the search starts
+from [lo, max(hi, lo + r)] with r_est = r/2: r = b for Bethe, and
+r = delta = b sech^2(max field_b(1)) for mean-field.
 - z is feasible and z <= y*_b <= hi. z moves as lo does (below) with F_b
   for F, so it stays a post-fixpoint of F_b, which lies in the region and
-  below y*_b (Tarski). So sum(y*_b) - sum(z) <= sum(hi) - sum(z), the gap
-  that the ellipsoid's certificate would bound. The allowance a below also
-  covers the oracle's own rounding of F_b(z), so the oracle reads z
-  feasible.
+  below y*_b (Tarski). The allowance a below also covers the oracle's own
+  rounding of F_b(z), so the oracle reads z feasible.
+- The gap bounds the answer's distance: |x*_b - z|_1 <= sum(hi - z) in x.
+  For Bethe, nu*_b = bp_step(nu*_b) = tanh(y*_b) and tanh is increasing, so
+  tanh z <= nu*_b <= tanh hi and |nu*_b - tanh z|_1 <= sum(tanh hi - tanh z),
+  on saturated rows too: where tanh rounds z_k and hi_k to 1.0 the row adds
+  0, however far apart they lie in y. A computed tanh in [0, 1] is within
+  2 ulp <= eps. With A, B the computed tanh(hi_k), tanh(z_k), the answer's
+  nu_k = B is within A + eps - B of nu*_b,k <= tanh hi_k where nu*_b,k >= B,
+  and within B - tanh z_k <= eps <= A - B + 3 eps where not. So the Bethe
+  bracket stops at the target less 3 d eps, d = 2m (sums round as in y).
 - The box holds y*_b. lo is a post-fixpoint of F (below), so lo <= y*
   (Tarski), and y* <= y*_b (in y, y* + b <= y*_b, as
   F_b(y* + b) = F(y* + b) + b >= y* + b). hi starts above y*_b, and
@@ -83,6 +91,8 @@ r = b for Bethe, and r = delta = b sech^2(max field_b(1)) for mean-field.
 Where lo + r rounds to lo in some coordinate (a tiny eps, or a tiny delta at
 x near 1), or the box fails hi > lo, the cube is lost in float64 and the
 search starts from the 0-sweep bracket [0, top], which holds the region.
+`ellipsoid_maximize` refuses a box whose radius passes 2^400, as where a
+huge field meets an open bracket elsewhere in the model.
 
 `ellipsoid_maximize` starts from the smallest axis-aligned ellipsoid around
 the box it is given. The ellipsoid is tracked through a
@@ -142,12 +152,12 @@ class EllipsoidState:
     min_upper: float
     # "gap": min_upper - best_value reached target_gap, or an objective cut
     # left no point above the incumbent; "budget": steps ran out; "bracket":
-    # a solver's monotone bracket reached target_gap, best_value and
-    # min_upper being its sums of z and hi, and no ellipsoid ran
+    # a solver's bracket reached its target, best_value and min_upper being
+    # its sums of z and hi in messages tanh y (Bethe) or x, and no ellipsoid ran
     stop_reason: str
     progress: np.ndarray  # (steps,) objectives; entry k is step k + 1
     # the monotone bracket a solver started from: its sweeps and its width
-    # sum(hi - lo); 0 and nan for a search given its box
+    # sum(u(hi) - u(lo)); 0 and nan for a search given its box
     bracket_sweeps: int = 0
     bracket_width: float = math.nan
 
@@ -232,11 +242,11 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     the dimension. The feasible set must lie inside box = (lo, hi), bounds
     that broadcast to (d,) with hi > lo. The search starts from the smallest
     axis-aligned ellipsoid around that box, centre (lo + hi)/2 and semi-axes
-    sqrt(d) (hi - lo)/2, widened by 1e-4; a box whose radius (below) passes
-    2^400 is searched in units of a power of two, which scales every step
-    exactly. Every cut is applied at its depth: an oracle cut at its
-    violation, an objective cut at a feasible query at best - c.query, which
-    is 0 when the query is the new incumbent. The best feasible point is
+    sqrt(d) (hi - lo)/2, widened by 1e-4. A box whose radius (below) passes
+    2^400, where the squares in |L^T c| could overflow, is refused with
+    DomainError before any oracle call. Every cut is applied at its depth:
+    an oracle cut at its violation, an objective cut at a feasible query at
+    best - c.query, which is 0 when the query is the new incumbent. The best feasible point is
     returned with the final EllipsoidState, whose progress holds each step's
     measured objective: the query's c.query if the query was feasible, nan
     if not, so a step is feasible exactly when its entry is finite.
@@ -264,10 +274,9 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     if not np.all((width > 0.0) & (width < np.inf)):
         raise DomainError("box must have finite bounds with hi > lo")
     radius = math.sqrt(d) * float(width.max()) / 2.0
+    if radius > 2.0 ** 400:  # the squares in |L^T c| could overflow
+        raise DomainError(f"box radius {radius:.3g} is past 2^400, too wide to search")
     re = float(r_est) if r_est and r_est > 0.0 else target_gap
-    if radius > 2.0 ** 400:  # squares in |L^T c| could overflow: search in units of 2^k
-        unit = math.ldexp(1.0, math.frexp(float(width.max()))[1] - 1)  # width < 2 unit
-        return _rescaled(oracle, c, lo, hi, target_gap, re, unit)
     max_steps = int(math.ceil(2.0 * d * d * max(
         0.0, max(math.log(radius) - math.log(re), math.log(2.0)) - math.log(target_gap)))) + 8
     ell_center = (lo + hi) / 2.0
@@ -335,20 +344,6 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     return best, state
 
 
-def _rescaled(oracle, c, lo, hi, target_gap, r_est, unit):
-    """ellipsoid_maximize over a box in units of the power of two `unit`: every
-    step of the search scales exactly, so only the units of its result change."""
-    def scaled(q):
-        res = oracle(q * unit)
-        return res if res.feasible else SeparationResult(False, res.cut, res.violation / unit)
-
-    best, state = ellipsoid_maximize(scaled, c, (lo / unit, hi / unit), target_gap / unit,
-                                     r_est / unit)
-    for name in ("center", "sqrt_shape", "lt_c", "best_value", "min_upper", "progress"):
-        setattr(state, name, getattr(state, name) * unit)
-    return best * unit, state
-
-
 def ellipsoid_progress_csv(state: EllipsoidState, out):
     """Write the per-step progress to the open text file `out`, a row per step
     from 1, its columns read in blocks; objective is the query's c.query when
@@ -370,20 +365,21 @@ def _rounding_c(model: IsingModel) -> float:
     return 3.0 * (float(model.degrees.max()) + 2.0) * _EPS
 
 
-def _solve(oracle, step_lo, step_hi, step_z, top, r: float, target_gap: float):
+def _solve(oracle, step_lo, step_hi, step_z, top, r, target_gap, unit, bracket_gap):
     """Maximize the coordinate sum over the perturbed post-fixpoint region that
     oracle(query) separates, to target_gap. `_kernels._sandwich` narrows the
-    bracket [0, top] by step_lo and step_hi and sweeps z up from 0 by step_z.
-    Where sum(hi) - sum(z) reaches target_gap, z is the answer, with
-    stop_reason "bracket". Else the search starts from [lo, max(hi, lo + r)],
-    whose cube [lo, lo + r] is feasible, with r_est = r/2; from [0, top] where
-    that box degenerates in float64 (the module docstring has the proof).
-    Returns (point, state), the state with the bracket's sweeps and width."""
+    bracket [0, top] by step_lo and step_hi and sweeps z up from 0 by step_z,
+    measured by u = `unit` (tanh for Bethe, the identity for mean-field).
+    Where sum(u(hi)) - sum(u(z)) reaches bracket_gap, z is the answer, with
+    stop_reason "bracket" and those sums as min_upper and best_value. Else
+    the search starts from [lo, max(hi, lo + r)], whose cube [lo, lo + r] is
+    feasible, with r_est = r/2; from [0, top] where that box degenerates in
+    float64 (the module docstring has the proof). Returns (point, state), the
+    state with the bracket's sweeps and width sum(u(hi) - u(lo))."""
     zero = np.zeros(top.shape[0])
-    lo, hi, z, sweeps = _kernels._sandwich(step_lo, step_hi, step_z, zero, top, target_gap)
-    width = float((hi - lo).sum())
-    best, upper = float(z.sum()), float(hi.sum())
-    if upper - best <= target_gap:
+    lo, hi, z, sweeps, best, upper, width = _kernels._sandwich(
+        step_lo, step_hi, step_z, zero, top, bracket_gap, unit)
+    if upper - best <= bracket_gap:
         return z, EllipsoidState(center=None, sqrt_shape=None, lt_c=None, step=0,
                                  best_value=best, min_upper=upper, stop_reason="bracket",
                                  progress=np.zeros(0), bracket_sweeps=sweeps,
@@ -402,12 +398,13 @@ def solve_bethe_exponential(model: IsingModel, epsilon: float):
 
     Adds a field perturbation B = epsilon/(2 max(m, 1)), which makes the cube
     [y_lo, y_lo + B] of the post-fixpoint region in log-odds y feasible,
-    maximizes sum(y) over that region to a gap of epsilon/2, which bounds the
-    l1 distance of nu = tanh(y) to the optimal messages, and evaluates the
-    dual of the *original* model at nu. The monotone bracket of the optimum
-    either closes to that gap itself (stop_reason "bracket") or gives the
-    ellipsoid search its start box [y_lo, y_hi]. Returns (nu, value,
-    EllipsoidState), the state in y.
+    finds a y in it whose nu = tanh(y) lies within l1 distance epsilon/2 of
+    the optimal messages, and evaluates the dual of the *original* model at
+    nu. The monotone bracket of the optimum either certifies that distance in
+    messages itself (stop_reason "bracket") or gives the ellipsoid its start
+    box [y_lo, y_hi], from which it maximizes sum(y) to a gap of epsilon/2.
+    Returns (nu, value, EllipsoidState), whose certificate is in messages
+    after a bracket stop and in y after a search.
     """
     if not (epsilon > 0.0):
         raise DomainError("epsilon must be positive")
@@ -420,11 +417,12 @@ def solve_bethe_exponential(model: IsingModel, epsilon: float):
     k = 1.0 / (1.0 - t * t)
     field, field_pert = _kernels._bp_field_map(model), _kernels._bp_field_map(pert)
     top = field_pert(np.ones(2 * model.m))
+    # the bracket's gap, in messages, allows 3 eps a message for tanh's rounding
     y, state = _solve(_bethe_oracle(pert, top),
                       lambda v: field(np.tanh(v)) * (1.0 - c) - c * k,
                       lambda v: field_pert(np.tanh(v)) * (1.0 + c) + c * k,
                       lambda v: field_pert(np.tanh(v)) * (1.0 - c) - c * k,
-                      top, b, epsilon / 2.0)
+                      top, b, epsilon / 2.0, np.tanh, epsilon / 2.0 - 6.0 * model.m * _EPS)
     nu = np.tanh(y)
     return nu, dual_bethe(model, nu), state
 
@@ -448,9 +446,10 @@ def solve_mf_exponential(model: IsingModel, epsilon: float):
     a = _rounding_c(model)
     grad_bound = float(_kernels._mf_field_map(model)(ones).max()) + 1.0
     q = math.exp(-2.0 * float(_kernels._mf_field_map(pert)(ones).max()))
+    gap = epsilon / (2.0 * grad_bound)
     x, state = _solve(lambda v: separation_oracle_mf(pert, v), lambda v: mf_step(model, v) - a,
                       lambda v: mf_step(pert, v) + a, lambda v: mf_step(pert, v) - a,
                       mf_step(pert, ones),
                       4.0 * b * q / (1.0 + q) ** 2,  # b sech^2(max field_pert(1))
-                      epsilon / (2.0 * grad_bound))
+                      gap, lambda v: v, gap)
     return x, mf_objective(model, np.clip(x, 0.0, 1.0)), state

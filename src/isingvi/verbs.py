@@ -182,8 +182,8 @@ def _run_ellipsoid(args, model: IsingModel) -> int:
            partial(_node_csv, family.marginals(model, point)))
     _write(os.path.join(args.out, "progress.csv"), partial(ellipsoid_progress_csv, state))
     # the bracket's sweeps count as solver steps beside the ellipsoid's; the
-    # bracket and the certificate of the perturbed problem are in the solver's
-    # coordinate-sum units: means for mean-field, log-odds of the messages for Bethe
+    # bracket and the certificate of the perturbed problem are coordinate sums:
+    # of means for mean-field, of messages for Bethe (of log-odds after a search)
     pairs = [("model_hash", model_hash(model)), ("algo", args.algo),
              ("eps", f"{args.eps:g}"), ("steps_used", state.bracket_sweeps + state.step),
              ("final_objective", f"{value:.17g}"),

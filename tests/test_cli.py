@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from conftest import peak_bytes, text_of
 from isingvi import bp as bp_mod
-from isingvi import ellipsoid
 from isingvi import (IterationTrace, exact_result_from_csv, generate_topology, load_model,
                      trace_from_csv, trace_meta, trace_to_csv)
 from isingvi import meanfield as mf_mod
@@ -577,7 +576,7 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: negative field -0.5 (fields must be >= 0)\n"
 
 
-def test_extreme_inputs_exit_cleanly(tmp_path, monkeypatch, capsys):
+def test_extreme_inputs_exit_cleanly(tmp_path, capsys):
     # eps near the bottom of float64: the default step budget stays finite
     for algo in ("ellipsoid_bethe", "ellipsoid_mf"):
         assert main(["run", "--topology", "grid:2x2", "--beta", "0.3", "--field", "0.1",
@@ -596,22 +595,31 @@ def test_extreme_inputs_exit_cleanly(tmp_path, monkeypatch, capsys):
             assert err.startswith("error: eps ") and err.count("\n") == 1, err
         else:
             assert err == ""
-    # fields so large that the Bethe search box is wider than 2^400: the
-    # search runs in units of a power of two, and its value is BP's
-    rescaled = []
-    real_rescaled = ellipsoid._rescaled
-    monkeypatch.setattr(ellipsoid, "_rescaled",
-                        lambda *a: rescaled.append(a[-1]) or real_rescaled(*a))
-    for field in ("1e200", "1e125"):
-        model = ["run", "--topology", "cycle:4", "--beta", "0.3", "--field", field]
-        values = []
+    # fields so large that the Bethe bracket is 10^185 wide in log-odds while
+    # its messages meet: it closes in messages, and its value is BP's
+    for k, (topology, beta, field) in enumerate((("cycle:4", "0.3", "1e200"),
+                                                 ("cycle:4", "0.3", "1e125"),
+                                                 ("grid:3x3", "2", "single:0:1e200"))):
+        model = ["run", "--topology", topology, "--beta", beta, "--field", field]
+        summaries = []
         for algo in (["ellipsoid_bethe", "--eps", "1e-6"], ["bp"]):
-            out = tmp_path / f"field{field}{algo[0]}"
+            out = tmp_path / f"field{k}{algo[0]}"
             assert main([*model, "--algo", *algo, "--out", str(out)]) == 0
-            values.append(summary_dict(out / "summary.txt")["final_objective"])
-        assert values[0] == values[1], (field, values)
+            summaries.append(summary_dict(out / "summary.txt"))
+        assert summaries[0]["stop_reason"] == "bracket", (field, summaries[0])
+        assert summaries[0]["final_objective"] == summaries[1]["final_objective"], \
+            (field, summaries)
         assert capsys.readouterr().err == ""
-    assert len(rescaled) == 2, rescaled
+    # beside a critical component, whose bracket stays open, an edge from a
+    # 1e200 field leaves a search box too wide to search: one error line
+    critical = generate_topology("random_regular", math.atanh(0.5), 0.0, n=10, degree=3, seed=1)
+    (tmp_path / "apart.txt").write_text("n 12\nnode 0 1e200\nedge 0 1 0.3\n" + "".join(
+        f"edge {i + 2} {j + 2} {w!r}\n"
+        for (i, j), w in zip(critical.edges.tolist(), critical.couplings.tolist())))
+    assert main(["run", "--model", str(tmp_path / "apart.txt"), "--algo", "ellipsoid_bethe",
+                 "--eps", "1e-6", "--out", str(tmp_path / "apart")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: box radius ") and err.count("\n") == 1, err
     # the largest magnitudes whose 2J and 2h fit in float64 give finite runs
     (tmp_path / "big.txt").write_text("n 1\nnode 0 8.9e307\n")
     for verb in (["run", "--algo", "bp"], ["run", "--algo", "mf"], ["exact"]):
