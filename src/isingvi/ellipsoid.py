@@ -246,10 +246,11 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     2^400, where the squares in |L^T c| could overflow, is refused with
     DomainError before any oracle call. Every cut is applied at its depth:
     an oracle cut at its violation, an objective cut at a feasible query at
-    best - c.query, which is 0 when the query is the new incumbent. The best feasible point is
-    returned with the final EllipsoidState, whose progress holds each step's
-    measured objective: the query's c.query if the query was feasible, nan
-    if not, so a step is feasible exactly when its entry is finite.
+    best - c.query, which is 0 when the query is the new incumbent. The best
+    feasible point is returned with the final EllipsoidState, whose progress
+    holds each step's measured objective: the query's c.query if the query
+    was feasible, nan if not, so a step is feasible exactly when its entry is
+    finite.
     The step budget is 8 + 2 d^2 max(0, max(log(R/r_est), log 2) + log(1/target_gap))
     with R = sqrt(d) max(hi - lo)/2, the radius of the ball around the box,
     taken as differences of logs so that tiny gaps do not overflow. The
@@ -369,13 +370,12 @@ def _solve(oracle, step_lo, step_hi, step_z, top, r, target_gap, unit, bracket_g
     """Maximize the coordinate sum over the perturbed post-fixpoint region that
     oracle(query) separates, to target_gap. `_kernels._sandwich` narrows the
     bracket [0, top] by step_lo and step_hi and sweeps z up from 0 by step_z,
-    measured by u = `unit` (tanh for Bethe, the identity for mean-field).
-    Where sum(u(hi)) - sum(u(z)) reaches bracket_gap, z is the answer, with
-    stop_reason "bracket" and those sums as min_upper and best_value. Else
-    the search starts from [lo, max(hi, lo + r)], whose cube [lo, lo + r] is
-    feasible, with r_est = r/2; from [0, top] where that box degenerates in
-    float64 (the module docstring has the proof). Returns (point, state), the
-    state with the bracket's sweeps and width sum(u(hi) - u(lo))."""
+    measured by u = `unit`. Where sum(u(hi)) - sum(u(z)) reaches bracket_gap,
+    z is the answer, with stop_reason "bracket" and those sums as min_upper
+    and best_value. Else the search starts from [lo, max(hi, lo + r)], whose
+    cube [lo, lo + r] is feasible, with r_est = r/2; from [0, top] where that
+    box degenerates in float64 (the module docstring has the proof). Returns
+    (point, state), the state with the bracket's sweeps and width."""
     zero = np.zeros(top.shape[0])
     lo, hi, z, sweeps, best, upper, width = _kernels._sandwich(
         step_lo, step_hi, step_z, zero, top, bracket_gap, unit)
