@@ -88,9 +88,9 @@ r = delta = b sech^2(max field_b(1)) for mean-field.
   tanh(Jx + h) is off by at most eps (2 + 0.45 (n + 1)), as
   F sech^2 F <= 0.45, and a = c eps. Where a outgrows a side's progress, as
   on saturated rows, that side stops where it is.
-Where lo + r rounds to lo in some coordinate (a tiny eps, or a tiny delta at
-x near 1), or the box fails hi > lo, the cube is lost in float64 and the
-search starts from the 0-sweep bracket [0, top], which holds the region.
+Where lo + r rounds to lo (a tiny eps, or a tiny delta at x near 1), the
+box still holds y*_b, as lo <= y* <= y*_b <= hi whatever r is; only the step
+budget reads r, through r_est.
 `ellipsoid_maximize` refuses a box whose radius passes 2^400, as where a
 huge field meets an open bracket elsewhere in the model.
 
@@ -220,7 +220,9 @@ def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
     """Separate x from {x in [0,1]^n : x <= tanh(Jx + h)} by deep cuts: on the
     box Jx + h >= 0, where tanh(Jx + h) is concave. A side of [0, 1] is cut
     first. Else the rows V = {x > phi}, phi = mf_step(x), are cut with
-    g = 1_V - J ((1 - phi^2) 1_V) at sum_V (x_k - phi_k)."""
+    g = 1_V - J ((1 - phi^2) 1_V) at sum_V max(0, x_k - phi_k - c eps), c eps
+    the module docstring's rounding allowance: phi_k's rounding is the
+    bracket's eps (2 + 0.45 (n + 1)) <= c eps / 2 for a row of n terms."""
     src, dst, w = model._dir_src, model._dir_dst, model.dir_coupling
     x = _kernels._vector(x, model.n, "query")
     cut = _box_cut(x, 1.0)
@@ -231,7 +233,8 @@ def separation_oracle_mf(model: IsingModel, x) -> SeparationResult:
     v = slack > 0.0
     if np.count_nonzero(v):
         g = v - np.bincount(src, weights=((1.0 - phi * phi) * v)[dst] * w, minlength=model.n)
-        return SeparationResult(False, g, float(slack[v].sum()))
+        return SeparationResult(False, g, float(
+            np.maximum(slack[v] - _rounding_c(model), 0.0).sum()))
     return SeparationResult(True)
 
 
@@ -373,21 +376,17 @@ def _solve(oracle, step_lo, step_hi, step_z, top, r, target_gap, unit, bracket_g
     measured by u = `unit`. Where sum(u(hi)) - sum(u(z)) reaches bracket_gap,
     z is the answer, with stop_reason "bracket" and those sums as min_upper
     and best_value. Else the search starts from [lo, max(hi, lo + r)], whose
-    cube [lo, lo + r] is feasible, with r_est = r/2; from [0, top] where that
-    box degenerates in float64 (the module docstring has the proof). Returns
-    (point, state), the state with the bracket's sweeps and width."""
-    zero = np.zeros(top.shape[0])
+    cube [lo, lo + r] is feasible, with r_est = r/2 (the module docstring has
+    the proof). Returns (point, state), the state with the bracket's sweeps
+    and width."""
     lo, hi, z, sweeps, best, upper, width = _kernels._sandwich(
-        step_lo, step_hi, step_z, zero, top, bracket_gap, unit)
+        step_lo, step_hi, step_z, np.zeros(top.shape[0]), top, bracket_gap, unit)
     if upper - best <= bracket_gap:
         return z, EllipsoidState(center=None, sqrt_shape=None, lt_c=None, step=0,
                                  best_value=best, min_upper=upper, stop_reason="bracket",
                                  progress=np.zeros(0), bracket_sweeps=sweeps,
                                  bracket_width=width)
-    hi = np.maximum(hi, lo + r)
-    if not np.all((lo + r > lo) & (hi > lo)):
-        lo, hi = zero, top  # the 0-sweep bracket
-    point, state = ellipsoid_maximize(oracle, np.ones(top.shape[0]), (lo, hi),
+    point, state = ellipsoid_maximize(oracle, np.ones(top.shape[0]), (lo, np.maximum(hi, lo + r)),
                                       target_gap=target_gap, r_est=r / 2.0)
     state.bracket_sweeps, state.bracket_width = sweeps, width
     return point, state

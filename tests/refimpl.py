@@ -153,18 +153,30 @@ def _ref_separate(q, hi, row, upper=None):
     return (True, None, 0.0, margin) if cut is None else (*cut[:3], margin)
 
 
+def _ref_allowance(model):
+    """c eps with c = 3 (max degree + 2) and eps the machine epsilon."""
+    degree = [0] * model.n
+    for i, j in model.edges.tolist():
+        degree[i] += 1
+        degree[j] += 1
+    return 3.0 * (max(degree, default=0) + 2.0) * sys.float_info.epsilon
+
+
 def ref_separation_mf(model, x):
     """Separation from {x in [0,1]^n : x <= tanh(Jx + h)} with a dense J, by
-    deep cuts at the summed slack."""
+    deep cuts at the summed slack, each violated row's less c eps, floored at
+    0, with c = 3 (max degree + 2) and eps the machine epsilon."""
     n = model.n
     dense = [[0.0] * n for _ in range(n)]
     for e in range(model.m):
         i, j = model.edges[e]
         dense[i][j] = dense[j][i] = float(model.couplings[e])
+    allowance = _ref_allowance(model)
 
     def row(k):
         phi = math.tanh(float(model.fields[k]) + sum(dense[k][j] * x[j] for j in range(n)))
-        return x[k] - phi, x[k] - phi, [(1.0 - phi * phi) * v for v in dense[k]]
+        depth = max(0.0, x[k] - phi - allowance)
+        return x[k] - phi, depth, [(1.0 - phi * phi) * v for v in dense[k]]
 
     return _ref_separate(list(x), 1.0, row)
 
@@ -178,13 +190,11 @@ def ref_separation_bp(model, y):
     y_k - atanh(tanh F_k) less c eps (y_k + 1/(1 - tanh^2 F_k)), floored at 0,
     with c = 3 (max degree + 2) and eps the machine epsilon. With no row
     violated, the side y <= F(inf) is cut."""
-    ends, degree = [], [0] * model.n
+    ends = []
     for e in range(model.m):
         i, j = (int(v) for v in model.edges[e])
         ends += [(i, j), (j, i)]
-        degree[i] += 1
-        degree[j] += 1
-    allowance = 3.0 * (max(degree, default=0) + 2.0) * sys.float_info.epsilon
+    allowance = _ref_allowance(model)
     clamp = 1.0 - 1e-15
 
     def field(d, nus):

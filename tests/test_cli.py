@@ -577,11 +577,14 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
 
 
 def test_extreme_inputs_exit_cleanly(tmp_path, capsys):
-    # eps near the bottom of float64: the default step budget stays finite
+    # eps near the bottom of float64: the default step budget stays finite,
+    # and the search starts from the bracket although its cube rounds away
     for algo in ("ellipsoid_bethe", "ellipsoid_mf"):
         assert main(["run", "--topology", "grid:2x2", "--beta", "0.3", "--field", "0.1",
                      "--algo", algo, "--eps", "1e-320", "--out", str(tmp_path / algo)]) == 0
         assert "Traceback" not in capsys.readouterr().err
+        steps = int(summary_dict(tmp_path / algo / "summary.txt")["steps_used"])
+        assert steps <= 500, (algo, steps)
     # a huge eps takes the minimum step budget; a non-finite eps, or one whose
     # field perturbation overflows the model, is rejected naming eps
     for algo, eps, code in (("ellipsoid_bethe", "1e300", 0), ("ellipsoid_mf", "1e300", 0),

@@ -311,12 +311,16 @@ def test_step_count_scales_polylog():
 # regular:10:3 (seed 1) at J = atanh(1/2), h = 0, where the bracket stays open
 # and the ellipsoid still takes thousands of steps from its start box. The
 # brackets of the first three and of the 3x3 grid at beta 10 certify their
-# solves; the others stay open.
+# solves; the others stay open. The 3x3 grid at beta 2, h 0.1 is solved at
+# eps 1e-12 (_WATCHED_EPS, 1e-6 for the others): its mean-field cube
+# [lo, lo + r] rounds to lo in every coordinate, while its Bethe bracket
+# certifies the solve.
 _WATCHED = {
     "grid4x4": lambda: small_grid(4, 4, 0.3, 0.1),
     "cycle4": lambda: cycle4(0.6, 0.3),
     "star5": lambda: star5(0.4, 0.1),
     "grid3x3_beta2_h0": lambda: small_grid(3, 3, 2.0, 0.0),
+    "grid3x3_beta2_h0.1": lambda: small_grid(3, 3, 2.0, 0.1),
     "regular10_3": lambda: generate_topology("random_regular", 0.6, 0.0, n=10, degree=3),
     "regular4_3_beta20_h0": lambda: generate_topology("random_regular", 20.0, 0.0, n=4,
                                                       degree=3),
@@ -324,6 +328,7 @@ _WATCHED = {
     "critical": lambda: generate_topology("random_regular", math.atanh(0.5), 0.0, n=10,
                                           degree=3, seed=1),
 }
+_WATCHED_EPS = {"grid3x3_beta2_h0.1": 1e-12}
 
 
 def _optimum(pert, family, name):
@@ -346,7 +351,7 @@ def _optimum(pert, family, name):
     return mf_iterate(pert, max_steps=10**6, tol=1e-15, record=False)[0]
 
 
-def _watched_solve(name, family, eps=1e-6):
+def _watched_solve(name, family, eps):
     """Solve the named model's family to eps while checking every oracle cut
     against the optimum opt of the perturbed region, in the search that the
     solver runs from its start box, if its bracket stays open, and in one
@@ -412,12 +417,13 @@ def _watched_solve(name, family, eps=1e-6):
 
 @pytest.fixture(scope="module")
 def watched():
-    """name, family -> the watched solve of _watched_solve, run once a module."""
+    """name, family -> the watched solve of _watched_solve at the model's eps,
+    run once a module."""
     runs = {}
 
     def get(name, family):
         if (name, family) not in runs:
-            runs[name, family] = _watched_solve(name, family)
+            runs[name, family] = _watched_solve(name, family, _WATCHED_EPS.get(name, 1e-6))
         return runs[name, family]
     return get
 
@@ -536,13 +542,14 @@ def test_certificate_lies_in_monotone_sandwich(watched, family, name):
 
 
 @pytest.mark.parametrize("family", ["bethe", "mf"])
-@pytest.mark.parametrize("name", ["grid4x4", "grid3x3_beta2_h0", "regular10_3",
-                                  "regular4_3_beta20_h0", "grid3x3_beta10_h0.01", "critical"])
+@pytest.mark.parametrize("name", ["grid4x4", "grid3x3_beta2_h0", "grid3x3_beta2_h0.1",
+                                  "regular10_3", "regular4_3_beta20_h0", "grid3x3_beta10_h0.01",
+                                  "critical"])
 def test_no_cut_excludes_the_optimum(watched, family, name):
     """Every oracle cut of a solve, and of a search from the cold box, keeps the
-    perturbed optimum, up to 1e-12 |cut|_1. The cold search runs where the
-    bracket certifies the solve too, so every case cuts: on the benchmark's
-    4x4 grid, whose bracket closes, on a
+    perturbed optimum: its computed excess is at most 0. The cold search runs
+    where the bracket certifies the solve too, so every case cuts: on the
+    benchmark's 4x4 grid, whose bracket closes, on a
     low-temperature grid with no field but the perturbation, on a random
     3-regular graph, on two saturated models and on the critical instance. On
     K4 at beta 20, h 0, tanh(J) is 1.0 in float64, every message's bp_step
@@ -553,7 +560,17 @@ def test_no_cut_excludes_the_optimum(watched, family, name):
     print(f"{family} {name}: {run.cuts} cuts, worst excess {run.worst:.3g} |cut|_1, "
           f"{run.state.bracket_sweeps} bracket sweeps and {run.state.step} steps")
     assert run.cuts > 0
-    assert run.worst <= 1e-12, (run.cuts, run.worst)
+    assert run.worst <= 0.0, (run.cuts, run.worst)
+
+
+def test_lost_cube_search_starts_from_the_bracket(watched):
+    """On the 3x3 grid at beta 2, h 0.1 and eps 1e-12, the mean-field cube
+    [lo, lo + r] rounds to lo, and the search still starts from the bracket's
+    lower side lo."""
+    run = watched("grid3x3_beta2_h0.1", "mf")
+    lo, _hi = run.box
+    assert np.any(run.lo + 2.0 * run.r_est == run.lo)
+    assert np.array_equal(lo, run.lo)
 
 
 def test_critical_instance_keeps_the_ellipsoid_cutting(watched):
