@@ -4,15 +4,18 @@ Mean-field and BP both iterate a monotone map x <- tanh(field(x)) from the
 all-ones start (or another checked start state). `_sweep` is that loop, and it
 returns the run's `IterationTrace`. mf_run and bp_run give it their family's
 name, its field map (`_mf_field_map`, Jx + h, or `_bp_field_map`, h plus the
-exclusion sum of arctanh(theta nu), one block of BP's in-edge table at a time)
-and a `measure(x)` callback that returns the recorded objective, so both
-families record the same row. `_sandwich` sweeps a bracket of the fixed point
-from both sides at once, beside a third sequence that certifies from below;
-the ellipsoid solvers return its answer or start their search from it. The
-private helpers below hold the one implementation of each field map, the
-Bethe dual, the mean-field objective, the shape check and the cell entropy
-`_entropy`: the public functions in bp, meanfield, oracle and ellipsoid check
-their arguments and call them, and the sweep calls them once per step.
+exclusion sum of arctanh(theta nu), one block of BP's exclusion table at a
+time, written over the arctanh values it has read) and a `measure(x)`
+callback that returns the recorded objective, so both families record the
+same row. A BP step thus holds two whole-graph arrays, the messages and the
+field, and tanh(J) is kept once per edge (`IsingModel.theta`). `_sandwich`
+sweeps a bracket of the fixed point from both sides at once, beside a third
+sequence that certifies from below; the ellipsoid solvers return its answer
+or start their search from it. The private helpers below hold the one
+implementation of each field map, the Bethe dual, the mean-field objective,
+the shape check and the cell entropy `_entropy`: the public functions in bp,
+meanfield, oracle and ellipsoid check their arguments and call them, and the
+sweep calls them once per step.
 """
 
 from __future__ import annotations
@@ -76,43 +79,61 @@ def _mf_field_map(model):
     return lambda x: np.bincount(dst, weights=w * x[src], minlength=n) + h
 
 
-def _clamped_atanh(theta_dir, nu):
-    """arctanh(theta nu) per directed edge, with theta nu clamped to +-_CLAMP."""
+def _theta_nu(theta, nu, out):
+    """out[d] = theta_e nu_d for the directed edges d = 2e, 2e + 1 of each edge
+    e: theta holds tanh(J) once per edge. These are the IEEE products of a
+    per-directed-edge copy of theta; two strided products cost less than one
+    broadcast against nu.reshape(-1, 2), whose inner loop runs over 2 entries."""
+    np.multiply(theta, nu[0::2], out=out[0::2])
+    np.multiply(theta, nu[1::2], out=out[1::2])
+    return out
+
+
+def _clamped_atanh(theta, nu):
+    """arctanh(theta nu) of each directed edge's reverse, theta nu clamped to
+    +-_CLAMP: entry d holds the value of edge d ^ 1, so that the values of
+    the edges into a node sit at the edges out of it."""
+    t = np.empty(nu.shape[0])
+    np.multiply(theta, nu[1::2], out=t[0::2])
+    np.multiply(theta, nu[0::2], out=t[1::2])
     # The method call skips np.clip's wrapper, which costs more than the clip
     # itself on small graphs; the sweep calls this once per step.
-    t = theta_dir * nu
     t.clip(_CLAMP_LO, _CLAMP_HI, out=t)
     return np.arctanh(t, out=t)
 
 
-def _bp_field(theta_dir, blocks, nu):
+def _bp_field(theta, blocks, nu):
     """Field of the synchronous BP update: for each directed edge i -> j, h_i plus
     the clamped arctanh(theta nu) of the edges into i other than j -> i, added in
-    ascending id order, one `exclusion_index` block at a time: row p of a block's
-    sum adds the values x of its in-edges but row p, term t being row terms[t][p],
-    then h, and goes to the reverse edges ins ^ 1. Starting from the first term,
-    not 0.0, changes only the sign of a zero sum, which + h erases (fields are
-    +0.0-normalised). A step holds two whole-graph arrays besides nu."""
-    a = _clamped_atanh(theta_dir, nu)
-    out = np.empty(nu.shape[0])
-    for ins, terms, h in blocks:
-        x = a[ins]
+    ascending id order, one `exclusion_index` block at a time. a =
+    _clamped_atanh(theta, nu) holds at each edge the value of its reverse, so
+    a block's edges out, `out`, hold the values of the edges into its nodes.
+    Row p of the block's sum adds the values x = a[out] of its rows but row
+    p, term t being row terms[t][p], then h, and overwrites a[out]: each
+    directed edge is out of one block, so no block reads what another wrote,
+    and a becomes the field, a new array. Starting from the first term, not
+    0.0, changes only the sign of a zero sum, which + h erases (fields are
+    +0.0-normalised). A step holds one whole-graph array besides nu, and one
+    block's temporaries."""
+    a = _clamped_atanh(theta, nu)
+    for out, terms, h in blocks:
+        x = a[out]
         s = x.take(terms[0], axis=0) if terms else 0.0  # x[terms[0]] costs twice as much
         for t in terms[1:]:
             s += x.take(t, axis=0)
         s += h
-        out[ins ^ 1] = s
-    return out
+        a[out] = s
+    return a
 
 
 def _bp_field_map(model):
     """The BP field nu -> _bp_field(..., nu), bound once per model and kept on it."""
     if model._bp_field is None:
         blocks = []
-        for ins, h in model.exclusion_index():
-            rows = np.arange(ins.shape[0])  # term t of row p is the t-th row but p
-            blocks.append((ins, tuple(t + (rows <= t) for t in rows[:-1]), h))
-        model._bp_field = partial(_bp_field, model.theta_dir, blocks)
+        for out, h in model.exclusion_index():
+            rows = np.arange(out.shape[0])  # term t of row p is the t-th row but p
+            blocks.append((out, tuple(t + (rows <= t) for t in rows[:-1]), h))
+        model._bp_field = partial(_bp_field, model.theta, blocks)
     return model._bp_field
 
 
@@ -121,21 +142,25 @@ def _log_cosh_total(j) -> float:
     return float((j + np.log1p(np.exp(-2.0 * j)) - _LOG2).sum())
 
 
-def _bethe_dual(dir_dst, theta_dir, h, lc_total, nu):
+def _bethe_dual(dir_dst, theta, h, lc_total, nu):
     """Message-space dual sum_i F_i - sum_ij F_ij; lc_total = sum_e log cosh J_e,
-    and the edge terms read tanh(J_e) as theta_dir[2e]."""
+    and theta holds tanh(J) once per edge."""
     n = h.shape[0]
-    # Every whole-graph term in the one scratch array t, in place as in _bp_field.
-    t = np.multiply(theta_dir, nu)
-    lp = h + np.bincount(dir_dst, weights=np.log1p(t, out=t), minlength=n)
+    # Every whole-graph term in the one scratch array t, and the node sums in
+    # place, as in _bp_field: besides t, two node arrays at a time. bincount
+    # gives ints where there are no edges.
+    t = _theta_nu(theta, nu, np.empty(nu.shape[0]))
+    lp = np.bincount(dir_dst, weights=np.log1p(t, out=t), minlength=n).astype(float, copy=False)
+    lp += h
     # theta nu == 1.0 gives log1p(-1) = -inf, the exact log 0, which logaddexp
     # absorbs; only the divide warning is silenced.
-    np.negative(np.multiply(theta_dir, nu, out=t), out=t)
+    np.negative(_theta_nu(theta, nu, t), out=t)
     with np.errstate(divide="ignore"):
         np.log1p(t, out=t)
-    lm = np.bincount(dir_dst, weights=t, minlength=n) - h
-    fi = float(np.add.reduce(np.logaddexp(lp, lm)))
-    te = np.multiply(theta_dir[0::2], nu[0::2], out=t[:nu.shape[0] // 2])
+    lm = np.bincount(dir_dst, weights=t, minlength=n).astype(float, copy=False)
+    lm -= h
+    fi = float(np.add.reduce(np.logaddexp(lp, lm, out=lp)))
+    te = np.multiply(theta, nu[0::2], out=t[:theta.shape[0]])
     te *= nu[1::2]
     fe = float(np.add.reduce(np.log1p(te, out=te)))
     return fi - fe + lc_total
@@ -164,8 +189,10 @@ def _sweep(algo, field, measure, init, size, max_steps, tol, record):
     sup-norm step drops below tol. With record, the trace gets one row per t,
     (step into x, measure(x)), the step into x_0 being nan; without it, the
     final row alone, with a nan measure. A run of s steps evaluates field s
-    times. Rows grow as array("d") instead of preallocating max_steps of them,
-    so memory follows the run. Returns (x, the IterationTrace of algo)."""
+    times; a step holds x and the field, which tanh overwrites, and takes
+    |step| in x's buffer. Rows grow as array("d") instead of preallocating
+    max_steps of them, so memory follows the run. Returns (x, the
+    IterationTrace of algo)."""
     x, max_steps, tol = _start_state(init, size, max_steps, tol)
     table = array("d")
     step = math.nan
@@ -216,6 +243,6 @@ def mf_run(model, init, max_steps, tol, record):
 def bp_run(model, init, max_steps, tol, record):
     """BP sweep over the 2m directed-edge messages; its trace rows are
     (step, Bethe dual)."""
-    measure = partial(_bethe_dual, model._dir_dst, model.theta_dir, model.fields,
+    measure = partial(_bethe_dual, model._dir_dst, model.theta, model.fields,
                       _log_cosh_total(model.couplings))
     return _sweep("bp", _bp_field_map(model), measure, init, 2 * model.m, max_steps, tol, record)

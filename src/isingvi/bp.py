@@ -55,14 +55,14 @@ def dual_bethe(model: IsingModel, nu) -> float:
     and log(1 - theta nu) >= -inf: theta nu = 1, a message of 1 where tanh(J)
     rounds to 1.0, gives the exact log 0, which the node sum absorbs."""
     nu = _kernels._vector(nu, 2 * model.m, "nu")
-    t1 = model.theta_dir * nu
+    t1 = _kernels._theta_nu(model.theta, nu, np.empty(nu.shape[0]))
     if t1.size and not (float(t1.min()) > -1.0 and float(t1.max()) <= 1.0):  # NaN fails
         bad = float(t1[~((t1 > -1.0) & (t1 <= 1.0))][0])
         raise DomainError(f"node term needs -1 < tanh(J) nu <= 1, got {bad:g}")
     te = t1[0::2] * nu[1::2]
     if te.size and not float((1.0 + te).min()) > 0.0:
         raise DomainError("nonpositive log argument in edge term")
-    return _kernels._bethe_dual(model._dir_dst, model.theta_dir, model.fields,
+    return _kernels._bethe_dual(model._dir_dst, model.theta, model.fields,
                                 _kernels._log_cosh_total(model.couplings), nu)
 
 
@@ -79,20 +79,22 @@ def dual_bethe_gradient(model: IsingModel, nu):
         raise DomainError("gradient requires nonnegative messages")
     if nu.size and not float(nu.max()) <= 1.0:
         raise DomainError("gradient requires messages in [0, 1]")
-    phi = bp_step(model, nu)
-    rev = np.arange(2 * model.m, dtype=np.int64) ^ 1
-    nu_rev = nu[rev]
-    phi_rev = phi[rev]
-    td = model.theta_dir
-    return (td * phi_rev / (1.0 + td * nu * phi_rev)
-            - td * nu_rev / (1.0 + td * nu * nu_rev))
+    # a row of an (m, 2) view is an edge; reversed, it holds the reverse edges' values
+    phi_rev = bp_step(model, nu).reshape(-1, 2)[:, ::-1]
+    nu2 = nu.reshape(-1, 2)
+    nu_rev = nu2[:, ::-1]
+    theta = model.theta[:, None]
+    tn = theta * nu2
+    return (theta * phi_rev / (1.0 + tn * phi_rev) - theta * nu_rev / (1.0 + tn * nu_rev)).ravel()
 
 
 def node_estimates(model: IsingModel, nu):
     """Per-node magnetization estimates tanh(h_i + sum_in arctanh(theta nu))."""
     nu = _kernels._vector(nu, 2 * model.m, "nu")
-    a = _kernels._clamped_atanh(model.theta_dir, nu)
-    s = model.fields + np.bincount(model._dir_dst, weights=a, minlength=model.n)
+    # a[d] is the value of edge d ^ 1, into src(d); the edges into a node and
+    # the edges out of it both come in edge order, so the sum's order is kept
+    a = _kernels._clamped_atanh(model.theta, nu)
+    s = model.fields + np.bincount(model._dir_src, weights=a, minlength=model.n)
     return np.tanh(s)
 
 

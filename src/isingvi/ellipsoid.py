@@ -115,8 +115,9 @@ import numpy as np
 from . import _kernels, textio
 from .bp import bp_step, dual_bethe
 from .meanfield import mf_objective, mf_step
-from .errors import DomainError, FeasibilityError, ModelError
+from .errors import DomainError, FeasibilityError, ModelError, SizeGuardError
 from .model import IsingModel
+from .oracle import _TABLE_BUDGET
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -191,7 +192,7 @@ def separation_oracle_bp(model: IsingModel, y) -> SeparationResult:
 
 def _bethe_oracle(model: IsingModel, top):
     """separation_oracle_bp(model, .) with top = field(1) and c eps read once."""
-    src, dst, theta = model._dir_src, model._dir_dst, model.theta_dir
+    src, dst, theta = model._dir_src, model._dir_dst, model.theta[:, None]
     c = _rounding_c(model)
     def separate(y):
         y = _kernels._vector(y, 2 * model.m, "query")
@@ -205,9 +206,9 @@ def _bethe_oracle(model: IsingModel, top):
             # vjp: the pair-swapped view of v gives v[e ^ 1]; nu is in [0, 1]
             # here, as y >= 0, so theta nu clamps from above only
             out = np.bincount(src, weights=v, minlength=model.n)
-            t = np.minimum(theta * nu, _kernels._CLAMP)
-            g = v - (1.0 - nu * nu) * (theta / (1.0 - t * t)
-                                       * (out[dst] - v.reshape(-1, 2)[:, ::-1].ravel()))
+            t = np.minimum(theta * nu.reshape(-1, 2), _kernels._CLAMP)
+            w = out[dst].reshape(-1, 2) - v.reshape(-1, 2)[:, ::-1]
+            g = v - (1.0 - nu * nu) * (theta / (1.0 - t * t) * w).ravel()
             yv, pv = y[v], phi[v]  # phi < nu <= 1 on V, so every term is finite
             return SeparationResult(False, g, float(
                 np.maximum(yv - np.arctanh(pv) - c * (yv + 1.0 / (1.0 - pv * pv)), 0.0).sum()))
@@ -262,6 +263,9 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     incumbent (the fresh certificate c.query + |L^T c| is then at most the
     incumbent, and becomes min_upper); "budget" when the budget runs out.
 
+    Raises SizeGuardError, naming d and the step budget, before any oracle
+    call or d x d array, where d^2 passes the exact layer's table budget of
+    2^25 entries: from d = 5,793 on, where the factor L would take 256 MB.
     Raises FeasibilityError if an oracle cut excludes the whole ellipsoid, a
     cut g has a zero or non-finite |L^T g|, or no feasible point is found
     within the budget.
@@ -283,6 +287,9 @@ def ellipsoid_maximize(oracle, objective, box, target_gap=1e-8, r_est=None):
     re = float(r_est) if r_est and r_est > 0.0 else target_gap
     max_steps = int(math.ceil(2.0 * d * d * max(
         0.0, max(math.log(radius) - math.log(re), math.log(2.0)) - math.log(target_gap)))) + 8
+    if d * d > _TABLE_BUDGET:
+        raise SizeGuardError(f"an ellipsoid in d = {d} dimensions, with a budget of {max_steps} "
+                             f"steps, needs a {d}x{d} factor, past {_TABLE_BUDGET} entries")
     ell_center = (lo + hi) / 2.0
     ell_l = np.diag((1.0 + 1e-4) * math.sqrt(d) / 2.0 * width)
     w = ell_l.T @ c  # L^T c, updated with L so the certificate needs no matvec
@@ -412,7 +419,7 @@ def solve_bethe_exponential(model: IsingModel, epsilon: float):
     # a computed field is off by at most c eps (F + k)/2, k bounding atanh' at
     # every clamped theta nu; each side moves by c eps (F + k)
     c = _rounding_c(model)
-    t = min(float(model.theta_dir.max(initial=0.0)), _kernels._CLAMP)
+    t = min(float(model.theta.max(initial=0.0)), _kernels._CLAMP)
     k = 1.0 / (1.0 - t * t)
     field, field_pert = _kernels._bp_field_map(model), _kernels._bp_field_map(pert)
     top = field_pert(np.ones(2 * model.m))

@@ -56,9 +56,10 @@ class IsingModel:
     _dir_dst, writable because np.bincount copies a read-only index whole.
     The package reads those two; callers outside it read dir_src and dir_dst,
     read-only views of them. edges, rows (i, j) with i < j, and its columns
-    edge_i, edge_j are views of dir_src. dir_coupling and theta_dir, J and
-    tanh(J) per directed edge, are built on first read, and the BP field map,
-    with the in-edge table of exclusion_index, on the first BP step.
+    edge_i, edge_j are views of dir_src. dir_coupling, J per directed edge,
+    and theta, tanh(J) once per edge, are built on first read, and the BP
+    field map, with the exclusion table of exclusion_index, on the first BP
+    step.
     """
 
     def __init__(self, n, edges=None, couplings=None, fields=None):
@@ -131,19 +132,21 @@ class IsingModel:
         self._bp_field = None  # set by _kernels._bp_field_map
 
     dir_coupling = cached_property(lambda self: _frozen(np.repeat(self.couplings, 2)))
-    theta_dir = cached_property(lambda self: _frozen(np.repeat(np.tanh(self.couplings), 2)))
+    theta = cached_property(lambda self: _frozen(np.tanh(self.couplings)))
 
     def exclusion_index(self):
-        """BP's in-edge table, one entry per directed edge, in blocks of one
+        """BP's exclusion table, one entry per directed edge, in blocks of one
         node degree k >= 1: k ascending, then node, at most _BLOCK nodes a
-        block. Returns a tuple of blocks (ins, h): column c of the read-only
-        (k, size) array ins lists, ascending, the directed edges into the
-        block's c-th node, and h[c] is its field. The edge i -> j excludes its
-        reverse: ins[p, c] is excluded by ins[p, c] ^ 1. Built on each call.
+        block. Returns a tuple of blocks (out, h): column c of the read-only
+        (k, size) array out lists, ascending, the directed edges out of the
+        block's c-th node, and h[c] is its field. Their reverses out ^ 1 are
+        the edges into that node, in ascending order too, as both follow the
+        edge id; the edge out[p, c] excludes its own reverse. Built on each
+        call.
         """
-        # the edges into i are into[start[i]:start[i] + deg[i]]; nodes[lo:hi] have degree d[lo]
+        # the edges out of i are outof[start[i]:start[i] + deg[i]]; nodes[lo:hi] have degree d[lo]
         deg = self.degrees
-        into = np.argsort(self._dir_dst, kind="stable")
+        outof = np.argsort(self._dir_src, kind="stable")
         start = np.cumsum(deg) - deg
         nodes = np.argsort(deg, kind="stable")
         d = deg[nodes]
@@ -152,8 +155,8 @@ class IsingModel:
         for lo, hi in zip(first, [*first[1:], d.shape[0]]):
             for b in range(lo, hi, _BLOCK):
                 block = nodes[b:min(b + _BLOCK, hi)]
-                ins = into[start[block] + np.arange(d[lo])[:, None]]
-                blocks.append((_frozen(ins), _frozen(self.fields[block])))
+                out = outof[start[block] + np.arange(d[lo])[:, None]]
+                blocks.append((_frozen(out), _frozen(self.fields[block])))
         return tuple(blocks)
 
     def norms(self) -> ModelNorms:

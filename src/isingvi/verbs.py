@@ -3,7 +3,8 @@
 `cli` imports this module when one of them runs, so that `cli` itself and
 `gen --topology` load no numpy, and after it has read the model: imported
 before the parse, the solver modules raised the peak RSS of the BP job on a
-200x200 grid from 41.7-42.1 to 42.4-43.6 MB, at four checkout paths.
+200x200 grid from 39.98-40.05 to 41.08-41.17 MB at one checkout path, and
+from 39.83-39.96 to 40.09-40.14 MB at another (5-6 runs each).
 """
 
 from __future__ import annotations

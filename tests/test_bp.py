@@ -238,6 +238,52 @@ def test_cycle_messages_closed_form():
         assert np.allclose(nu, theta ** t, atol=1e-13, rtol=0)
 
 
+_SWEEP_MODELS = {
+    # the 9,604 degree-4 nodes span ten exclusion blocks
+    "grid100x100": lambda: generate_topology("grid", 0.3, 0.05, rows=100, cols=100),
+    # degree-1 blocks, whose sums have no terms
+    "star50": lambda: generate_topology("star", 0.4, 0.05, n=50),
+    "tree": lambda: generate_topology("random_tree", 0.5, 0.05, n=60, seed=3),
+    "isolated": lambda: IsingModel(7, np.array([[1, 4], [4, 6], [1, 6], [2, 4]]),
+                                   np.full(4, 0.3), np.linspace(0.0, 0.6, 7)),
+}
+
+
+@pytest.mark.parametrize("init", ["ones", "zeros", "random"])
+@pytest.mark.parametrize("name", sorted(_SWEEP_MODELS))
+def test_sweep_equals_iterated_bp_step(name, init):
+    """bp_iterate, whose field overwrites its own arctanh scratch, equals
+    bitwise an independent iteration of the public bp_step, with record on
+    and off: the messages, the step_inf and dual columns, steps and
+    converged. Starts: ones, zeros and a random init in [-1, 1], whose steps
+    are not monotone. bp_step returns a fresh array and leaves its input
+    unwritten."""
+    model = _SWEEP_MODELS[name]()
+    size = 2 * model.m
+    start = {"ones": np.ones(size), "zeros": np.zeros(size),
+             "random": np.random.default_rng(11).uniform(-1.0, 1.0, size)}[init]
+    tol, max_steps = 1e-9, 30
+    x, steps, duals = start.copy(), [math.nan], [dual_bethe(model, start)]
+    while len(steps) <= max_steps and not steps[-1] < tol:
+        before = x.copy()
+        nxt = bp_step(model, x)
+        assert not np.shares_memory(nxt, x) and x.tobytes() == before.tobytes()
+        steps.append(float(np.max(np.abs(nxt - x), initial=0.0)))
+        x = nxt
+        duals.append(dual_bethe(model, x))
+    arg = start if init == "random" else init
+    nu, trace = bp_iterate(model, init=arg, max_steps=max_steps, tol=tol)
+    assert nu.tobytes() == x.tobytes()
+    assert trace.step_inf.tobytes() == np.array(steps).tobytes()
+    assert trace.objective.tobytes() == np.array(duals).tobytes()
+    assert trace.steps == len(steps) - 1 and trace.converged == (steps[-1] < tol)
+    nu_off, off = bp_iterate(model, init=arg, max_steps=max_steps, tol=tol, record=False)
+    assert nu_off.tobytes() == x.tobytes()
+    assert off.step_inf.tobytes() == np.array(steps[-1:]).tobytes()
+    assert off.steps == trace.steps and off.converged == trace.converged
+    assert np.isnan(off.objective).all()
+
+
 def test_custom_init_array():
     model = path3(0.5, 0.2)
     nu0 = np.full(4, 0.25)
@@ -263,7 +309,7 @@ def test_single_node_and_empty_graph():
 def test_saturated_coupling_is_finite_and_warning_free():
     # tanh(40) == 1.0 in float64: messages saturate at the all-ones start
     model = generate_topology("grid", 40.0, 0.0, rows=3, cols=3)
-    assert model.theta_dir.max() == 1.0
+    assert model.theta.max() == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         nu, trace = bp_iterate(model, max_steps=30, tol=0.0, record=True)

@@ -12,10 +12,10 @@ import isingvi.ellipsoid as ellipsoid
 from isingvi import _kernels
 from conftest import chain2, cycle4, path3, peak_bytes, small_grid, star5, text_of, triangle
 from isingvi import (DomainError, EllipsoidState, FeasibilityError, IsingModel,
-                     SeparationResult, bp_iterate, bp_step, dual_bethe, ellipsoid_maximize,
-                     ellipsoid_progress_csv, mf_iterate, mf_step, separation_oracle_bp,
-                     separation_oracle_mf, solve_bethe_exponential, solve_mf_exponential,
-                     generate_topology)
+                     SeparationResult, SizeGuardError, bp_iterate, bp_step, dual_bethe,
+                     ellipsoid_maximize, ellipsoid_progress_csv, mf_iterate, mf_step,
+                     separation_oracle_bp, separation_oracle_mf, solve_bethe_exponential,
+                     solve_mf_exponential, generate_topology)
 from isingvi.cli import main
 from isingvi.svgplot import plot_lines
 from refimpl import fd_gradient, ref_separation_bp, ref_separation_mf
@@ -70,6 +70,28 @@ def test_box_past_2_400_is_refused_before_any_step():
         ellipsoid_maximize(lambda x: calls.append(x) or box_oracle(x / unit),
                            np.array([1.0, 2.0]), (0.0, np.array([1.0, 1.5]) * unit),
                            target_gap=1e-6 * unit, r_est=0.25 * unit)
+    assert calls == []
+
+
+def test_ellipsoid_past_the_table_budget_is_refused(monkeypatch):
+    """An ellipsoid whose d x d factor passes the exact layer's 2^25-entry
+    table budget is refused with SizeGuardError, which names d and the step
+    budget, before any oracle call and before np.diag allocates the factor:
+    d = 5,793 is refused, and d = 5,792 passes the guard."""
+    class Allocating(Exception):
+        pass
+
+    def diag(*args, **kwargs):
+        raise Allocating
+
+    calls = []
+    monkeypatch.setattr(np, "diag", diag)
+    oracle = lambda x: calls.append(x) or box_oracle(x)  # noqa: E731
+    with pytest.raises(SizeGuardError, match=r"^an ellipsoid in d = 5793 dimensions, "
+                       r"with a budget of \d+ steps"):
+        ellipsoid_maximize(oracle, np.ones(5793), (0.0, 1.0))
+    with pytest.raises(Allocating):
+        ellipsoid_maximize(oracle, np.ones(5792), (0.0, 1.0))
     assert calls == []
 
 

@@ -56,9 +56,10 @@ def test_trace_memory_follows_steps_taken():
 
 def test_bp_working_set_per_directed_edge():
     """A fresh model, its exclusion index and a recorded BP run to tol 1e-10
-    on a 100x100 grid peak at 9 float64 arrays of one entry per directed
-    edge (8.61 measured): the index holds one entry per directed edge, and a
-    step gathers one block of it at a time."""
+    on a 100x100 grid peak at 8.1 float64 arrays of one entry per directed
+    edge (7.84 measured): the index holds one entry per directed edge, tanh(J)
+    is kept once per edge, and a step gathers one block of the index at a
+    time."""
     bp_iterate(generate_topology("grid", 0.3, 0.05, rows=2, cols=2))  # lazy imports
 
     def build_and_run():
@@ -67,17 +68,17 @@ def test_bp_working_set_per_directed_edge():
         return model
 
     model, peak = peak_bytes(build_and_run)
-    assert peak <= 9 * 16 * model.m, peak / (16 * model.m)
+    assert peak <= 8.1 * 16 * model.m, peak / (16 * model.m)
 
 
-@pytest.mark.parametrize("iterate, arrays", [(bp_iterate, 3.45), (mf_iterate, 2.0)])
+@pytest.mark.parametrize("iterate, arrays", [(bp_iterate, 2.65), (mf_iterate, 2.0)])
 def test_sweep_working_set_per_directed_edge(iterate, arrays):
     """A recorded sweep to tol 1e-10 on a 100x100 grid, over what the model
     holds once a one-step run has built its index and per-edge arrays, peaks
     below `arrays` float64 arrays of one entry per directed edge (measured:
-    BP 3.32, MF 1.76). A read-only index given to np.bincount raises MF's to
-    2.51, and a BP step that sums each degree class in one block raises BP's
-    to 5.92."""
+    BP 2.52, the dual's two whole-graph arrays with two node arrays, and MF
+    1.76). A read-only index given to np.bincount raises MF's to 2.51, and a
+    BP step that sums each degree class in one block raises BP's to 4.92."""
     model = generate_topology("grid", 0.3, 0.05, rows=100, cols=100)
     iterate(model, max_steps=1)
     _, peak = peak_bytes(iterate, model)
@@ -89,14 +90,14 @@ def test_step_sums_a_degree_class_in_blocks(monkeypatch):
     _BLOCK nodes; bp_step equals, bitwise, the step that sums each
     degree class in one block."""
     model = generate_topology("grid", 0.3, 0.05, rows=100, cols=100)
-    shapes = [ins.shape for ins, _ in model.exclusion_index()]
+    shapes = [out.shape for out, _ in model.exclusion_index()]
     assert [k for k, _ in shapes] == [2, 3] + [4] * 10
     assert max(size for _, size in shapes) == _BLOCK
     nu = np.random.default_rng(7).uniform(-1.0, 1.0, 2 * model.m)
     blocked = bp_step(model, nu)
     monkeypatch.setattr("isingvi.model._BLOCK", 10**4)
     whole = generate_topology("grid", 0.3, 0.05, rows=100, cols=100)
-    assert [ins.shape for ins, _ in whole.exclusion_index()] == [(2, 4), (3, 392), (4, 9604)]
+    assert [out.shape for out, _ in whole.exclusion_index()] == [(2, 4), (3, 392), (4, 9604)]
     assert bp_step(whole, nu).tobytes() == blocked.tobytes()
 
 

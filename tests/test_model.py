@@ -121,20 +121,22 @@ def test_exclusion_index_matches_naive(rng):
               generate_topology("random_tree", 0.3, 0.0, n=12, seed=2),
               isolated, IsingModel(3)):
         # the definition: the nodes of degree k >= 1, k ascending, then node
-        # ascending, in blocks (ins, h) of one degree; column c of ins lists
-        # the directed edges into its node, ascending, and h[c] is its field
+        # ascending, in blocks (out, h) of one degree; column c of out lists
+        # the directed edges out of its node, ascending, their reverses are
+        # the edges into it, ascending, and h[c] is its field
         blocks = m.exclusion_index()
         nodes = sorted((i for i in range(m.n) if m.degrees[i]), key=lambda i: m.degrees[i])
-        columns = [(ins[:, c].tolist(), h[c]) for ins, h in blocks for c in range(ins.shape[1])]
+        columns = [(out[:, c].tolist(), h[c]) for out, h in blocks for c in range(out.shape[1])]
         assert len(columns) == len(nodes)
-        for (into, field), i in zip(columns, nodes):
-            assert into == [q for q in range(2 * m.m) if m.dir_dst[q] == i]
+        for (outof, field), i in zip(columns, nodes):
+            assert outof == [q for q in range(2 * m.m) if m.dir_src[q] == i]
+            assert [q ^ 1 for q in outof] == [q for q in range(2 * m.m) if m.dir_dst[q] == i]
             assert field == m.fields[i]
-        for ins, h in blocks:
-            assert ins.dtype == np.int64 and not ins.flags.writeable and not h.flags.writeable
-            assert 1 <= ins.shape[1] <= _BLOCK
+        for out, h in blocks:
+            assert out.dtype == np.int64 and not out.flags.writeable and not h.flags.writeable
+            assert 1 <= out.shape[1] <= _BLOCK
         # one table entry per directed edge
-        assert sum(ins.size for ins, _ in blocks) == 2 * m.m
+        assert sum(out.size for out, _ in blocks) == 2 * m.m
 
 
 def test_save_load_round_trip_exact(rng):
