@@ -14,7 +14,9 @@ one of them runs, after the model is read; `gen --model` imports `model` to
 read its file.
 
 Exit codes: 0 success, 1 validation or parse error, 2 I/O error, 3 size
-error (a model too wide for exact elimination, or one too large to allocate).
+error (a model too wide for exact elimination, an ellipsoid search whose
+d x d factor would pass 2^25 entries (d >= 5,793), or a model too large to
+allocate).
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ standard library alone; `generate_topology` wraps their columns in an IsingModel
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -193,27 +192,49 @@ def load_model(source) -> IsingModel:
         node <i> <h_i>     # optional per node, default 0
         edge <i> <j> <J_ij>
 
-    Lines come a block at a time from `textio.line_blocks`, those up to n
-    first. A malformed line raises ParseError naming it as its block is
-    read; of several faults, one in the earliest faulty block is named.
+    One pass reads the lines a block at a time from `textio.line_blocks`.
+    A node or edge row after n with its field count is kept for its block's
+    columns. Every other line takes the slow path, whose ParseError names
+    it: a malformed, unknown or repeated directive raises at once, and the
+    first row before n raises when n turns up, before n itself is read.
+    Rows are converted when their block is read, so of several faults, one
+    in the earliest faulty block is named.
     """
-    n, blocks = _node_count(textio.line_blocks(source))
+    n = early = None
     fields = seen = None        # size n: allocated at the first node row
     parts = []                  # the edge columns of each block
-    for start, block in blocks:
-        split = {"node": ([], [], 3), "edge": ([], [], 4)}
+    for start, block in textio.line_blocks(source):
+        split = {"node": ([], []), "edge": ([], [])}    # rows' tokens, their lines
         for lineno, line in enumerate(block, start):
             if "#" in line:
                 line = line[:line.index("#")]
             tokens = line.split()
             if not tokens:
                 continue
-            rows = split.get(tokens[0])
-            if rows is None or len(tokens) != rows[2]:
-                raise _bad_line(lineno, tokens)
-            rows[0].append(tokens)
-            rows[1].append(lineno)
-        (node_rows, node_at, _), (edge_rows, edge_at, _) = split.values()
+            kind = tokens[0]
+            rows = split.get(kind)
+            if rows is not None and n is not None and len(tokens) - 1 == _FIELDS[kind]:
+                rows[0].append(tokens)
+                rows[1].append(lineno)
+                continue
+            # the slow path: n, a row before n, or a malformed line
+            count = _FIELDS.get(kind)
+            if count != len(tokens) - 1:
+                raise ParseError(f"line {lineno}: " + (
+                    f"{kind!r} takes {count} fields, got {len(tokens) - 1}" if count else
+                    f"unknown directive {kind!r}"))
+            if kind != "n":
+                early = early or f"line {lineno}: {kind} before n directive"
+                continue
+            if n is not None:
+                raise ParseError(f"line {lineno}: duplicate n directive")
+            if early:
+                raise ParseError(early)
+            n = int(textio.columns([tokens], [lineno], (None, int))[0][0])
+            if not 1 <= n <= _MAX_NODES:
+                raise ParseError(f"line {lineno}: node count must be in "
+                                 f"1..{_MAX_NODES}, got {n}")
+        (node_rows, node_at), (edge_rows, edge_at) = split.values()
         if node_rows:
             ids, h = textio.columns(node_rows, node_at, (None, int, float))
             _check_ids(node_at, n, ids[:, None])
@@ -229,6 +250,8 @@ def load_model(source) -> IsingModel:
         if edge_rows:
             i, j, c = textio.columns(edge_rows, edge_at, (None, int, int, float))
             parts.append((_check_ids(edge_at, n, np.stack([i, j], axis=1)), c))
+    if n is None:
+        raise ParseError("missing n directive")
     if fields is not None and np.any(fields < 0):
         if np.any(fields > 0):
             raise ModelError("mixed-sign field is not supported")
@@ -236,35 +259,6 @@ def load_model(source) -> IsingModel:
     edges, couplings = map(np.concatenate, zip(*parts)) if parts else (None, None)
     del parts  # before IsingModel sorts the edges
     return IsingModel(n, edges, couplings, fields)
-
-
-def _node_count(blocks):
-    """Read `blocks` up to the n directive; returns n and the blocks after it."""
-    early = None
-    for start, block in blocks:
-        for lineno, line in enumerate(block, start):
-            tokens = line.split("#", 1)[0].split()
-            if tokens and _FIELDS.get(tokens[0]) != len(tokens) - 1:
-                raise _bad_line(lineno, tokens)
-            if tokens[:1] == ["n"]:
-                if early:
-                    raise ParseError(early)
-                n = int(textio.columns([tokens], [lineno], (None, int))[0][0])
-                if not 1 <= n <= _MAX_NODES:
-                    raise ParseError(f"line {lineno}: node count must be in "
-                                     f"1..{_MAX_NODES}, got {n}")
-                return n, itertools.chain([(lineno + 1, block[lineno + 1 - start:])], blocks)
-            early = early or (tokens and f"line {lineno}: {tokens[0]} before n directive")
-    raise ParseError("missing n directive")
-
-
-def _bad_line(lineno, tokens):
-    """The ParseError of a line that is not a node or edge row after n."""
-    kind, count = tokens[0], len(tokens) - 1
-    return ParseError(f"line {lineno}: " + (
-        f"unknown directive {kind!r}" if kind not in _FIELDS else
-        f"{kind!r} takes {_FIELDS[kind]} fields, got {count}" if count != _FIELDS[kind] else
-        "duplicate n directive"))
 
 
 def _check_ids(at, n, ids):

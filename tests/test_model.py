@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle4, random_ferro, star5, text_of, triangle
+from conftest import cycle4, peak_bytes, random_ferro, star5, text_of, triangle
 from isingvi import (IsingModel, ModelError, ParseError, generate_topology,
                      load_model, mf_step, model_hash, save_model)
 from isingvi.cli import main
@@ -206,6 +206,21 @@ def test_parse_errors():
         load_model("n 2\nwhat 1 2\n")
     with pytest.raises(ParseError):
         load_model("n 2\nedge 0 1 abc\n")
+    for text in ("node 0 1\n", "\n\n"):
+        with pytest.raises(ParseError, match="^missing n directive$"):
+            load_model(text)
+
+
+def test_load_memory_per_directed_edge(tmp_path):
+    """Parsing a model file read from an open file holds at most 7 float64
+    arrays per directed edge (6.62 measured on this 100x100 grid)."""
+    path = tmp_path / "grid.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        save_model(generate_topology("grid", 0.3, 0.05, rows=100, cols=100), fh)
+    for _ in range(2):      # the first load's one-time allocations are not counted
+        with open(path, encoding="utf-8") as fh:
+            model, peak = peak_bytes(load_model, fh)
+    assert peak <= 7 * 8 * 2 * model.m
 
 
 # Model files with malformed lines: wrong token counts, non-numeric tokens,

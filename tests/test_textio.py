@@ -98,7 +98,13 @@ def test_parse_errors_name_their_line(monkeypatch):
              "node 0 0.5\nn 3\n": "1: node before n directive",
              "edge 0 1 0.5\nn 3\n": "1: edge before n directive",
              "n 0\n": "1: node count must be in 1[.][.]",
-             "n -1\n": "1: node count must be in 1[.][.]"}
+             "n -1\n": "1: node count must be in 1[.][.]",
+             # around the n line: a malformed line at once, a row before n at n
+             "node 0 1\nwhat 1\nn 3\n": "2: unknown directive 'what'",
+             "node 0 1\n# c\n# d\nn 3\n": "1: node before n directive",
+             "node 0 1\nn 0\n": "1: node before n directive",
+             "n 3\n# c\n# d\nn 3\n": "4: duplicate n directive",
+             "edge 0 1\nn 3\n": "1: 'edge' takes 3 fields, got 2"}
     for text, where in cases.items():
         with pytest.raises(ParseError, match=f"^line {where}"):
             load_model(text)
